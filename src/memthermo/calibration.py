@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import K_B_EV, T_MAX, T_MIN
 from .device import (
@@ -24,6 +23,7 @@ from .device import (
     SwitchingParams,
     ThermalFit,
     ThermionicParams,
+    _brentq,
     read_resistance,
 )
 
@@ -250,10 +250,10 @@ def invert_temperature(
         raise ThermometerRangeError(
             f"{r_measured:.6g} Ohm below calibrated band", band=(r_lo, r_hi)
         )
-    return float(brentq(
+    return _brentq(
         lambda T: read_resistance(state, fit, T) - r_measured,
         T_MIN, T_MAX, xtol=1e-3,
-    ))
+    )
 
 
 @dataclass(frozen=True)

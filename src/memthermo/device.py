@@ -28,9 +28,8 @@ small frozen values, safe to copy and share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-
-from scipy.optimize import brentq
 
 from .constants import K_B_EV, R_CEILING, R_FLOOR, T_MAX, T_MIN, T_REF
 
@@ -57,6 +56,61 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """Root of f in the sign-changing bracket [a, b] by Brent's method.
+
+    A step-for-step port of scipy.optimize.brentq (scipy's brentq.c, after
+    Brent 1973, ch. 4) with the same defaults, stopping test and errors, so
+    it returns the same float; tests compare the two with ==. Local so that
+    importing the package does not pay for importing scipy.optimize.
+    """
+    def fx(x):
+        y = float(f(x))
+        if math.isnan(y):  # checked per evaluation, before any sign test
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue.")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 @dataclass(frozen=True)
@@ -140,7 +194,11 @@ MAX_TOTAL_DROP = 1.0 - rho_temperature_factor(T_MAX, _PHI_SEARCH_MAX)
 def calibrate_phi_from_drop(total_drop: float) -> float:
     """Invert the ratio law: find phi_app with rho(360 K) = 1 - total_drop.
 
-    Bracketed root find, converged to 1e-10 absolute in the ratio.
+    Bracketed root find, converged to 1e-10 absolute in the ratio. The
+    exact closed form kB*ln((1-d)*(T_MAX/T_REF)^2) / (1/T_MAX - 1/T_REF)
+    agrees to well under 1e-12 eV, but it rounds phi_app differently by a
+    few ulps, which moves the bytes of signature.csv; the root find is kept
+    so that outputs stay byte-identical.
     """
     total_drop = _require_finite("total_drop", total_drop)
     if not (MIN_TOTAL_DROP < total_drop < MAX_TOTAL_DROP):
@@ -154,7 +212,7 @@ def calibrate_phi_from_drop(total_drop: float) -> float:
     def residual(phi):
         return rho_temperature_factor(T_MAX, phi) - target
 
-    phi = brentq(residual, PHI_APP_MIN + 1e-12, _PHI_SEARCH_MAX, xtol=1e-14)
+    phi = _brentq(residual, PHI_APP_MIN + 1e-12, _PHI_SEARCH_MAX, xtol=1e-14)
     if abs(residual(phi)) > 1e-10:
         raise CalibrationError(f"root find left residual {residual(phi):.2e}")
     return phi

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import K_B_EV, T_MAX, T_MIN, T_REF
-from .device import CalibrationError, DeviceState, ThermalFit
+from .device import CalibrationError, DeviceState, ThermalFit, _brentq
 from .presets import level_resistance
 from .rng import substream
 from .thermal import ThermalPlant
@@ -429,11 +428,10 @@ def calibrate_gain(
     temps = []
     for l in loads:
         target_sum = theta * amplitude * (l / l_mid) ** gamma / l
-        t = brentq(
+        temps.append(_brentq(
             lambda T: float(system.weights_at(T).sum()) - target_sum,
             T_MIN, T_MAX, xtol=1e-6,
-        )
-        temps.append(float(t))
+        ))
     fmap = FeedforwardMap(
         mode="table",
         table_loads=tuple(loads),

@@ -9,22 +9,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from memthermo import (
     DeviceState,
     IVCurveSet,
+    NeuronSystem,
     ThermionicParams,
     ThermometerTable,
     extract_thermionic,
     fit_switch_curve,
     invert_temperature,
     read_resistance,
+    rho_temperature_factor,
     scrambled_schedule,
     sensitivity_percent_per_K,
     thermionic_current,
     train_switch_fraction,
 )
 from memthermo.calibration import ExtractionError, ThermometerRangeError
+from memthermo.constants import T_MAX, T_MIN
+from memthermo.device import MAX_TOTAL_DROP, MIN_TOTAL_DROP, PHI_APP_MIN, _brentq
+from memthermo.presets import LEVEL_ORDER
 from memthermo.rng import substream
 from memthermo.thermal import DEFAULT_TEMPS
 
@@ -261,3 +267,71 @@ def test_switch_curve_requires_anchor_coverage(params):
             for v in (0.8, 1.0, 1.2, 1.4)]
     with pytest.raises(ExtractionError, match="1.4 V"):
         fit_switch_curve(rows)
+
+
+# ---------------------------------------------------------------------------
+# in-package Brent solver: same floats and errors as scipy.optimize.brentq
+
+
+def _same_as_scipy(f, a, b, xtol):
+    assert _brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(MIN_TOTAL_DROP, MAX_TOTAL_DROP,
+                 exclude_min=True, exclude_max=True),
+       st.sampled_from([1e-14, 2e-12]))
+def test_brentq_parity_barrier_residual(drop, xtol):
+    def residual(phi):
+        return rho_temperature_factor(T_MAX, phi) - (1.0 - drop)
+    _same_as_scipy(residual, PHI_APP_MIN + 1e-12, 2.0, xtol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(math.log10(8e3), math.log10(3e6)),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.sampled_from([1e-3, 2e-12]))
+def test_brentq_parity_thermometer_residual(fit, log_r, u, xtol):
+    state = DeviceState(r_persistent=10.0 ** log_r)
+    r_hi = read_resistance(state, fit, T_MIN)
+    r_lo = read_resistance(state, fit, T_MAX)
+    r_measured = r_lo + u * (r_hi - r_lo)
+    _same_as_scipy(lambda T: read_resistance(state, fit, T) - r_measured,
+                   T_MIN, T_MAX, xtol)
+
+
+_SYSTEMS = {level: NeuronSystem.build(level) for level in LEVEL_ORDER}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LEVEL_ORDER),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.sampled_from([1e-6, 2e-12]))
+def test_brentq_parity_weight_sum_residual(level, u, xtol):
+    system = _SYSTEMS[level]
+    s_hot = float(system.weights_at(T_MAX).sum())
+    s_cold = float(system.weights_at(T_MIN).sum())
+    target_sum = s_hot + u * (s_cold - s_hot)
+    _same_as_scipy(lambda T: float(system.weights_at(T).sum()) - target_sum,
+                   T_MIN, T_MAX, xtol)
+
+
+@pytest.mark.parametrize("f, a, b, kwargs", [
+    pytest.param(lambda x: x * x + 1.0, -1.0, 2.0, {}, id="same-sign"),
+    pytest.param(lambda x: 1e-200 if x < 1 else 2e-200, 0.0, 2.0, {},
+                 id="same-sign-product-underflows"),
+    pytest.param(lambda x: math.nan, 300.0, 360.0, {}, id="nan-at-a"),
+    pytest.param(lambda x: math.nan if x > 1.5 else x - 1.2, 0.0, 2.0, {},
+                 id="nan-at-b"),
+    pytest.param(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.55,
+                 0.0, 1.0, {}, id="nan-mid-run"),
+    pytest.param(lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0, {"maxiter": 6},
+                 id="no-convergence"),  # converges at maxiter=7
+])
+def test_brentq_errors_match_scipy(f, a, b, kwargs):
+    with pytest.raises((ValueError, RuntimeError)) as theirs:
+        brentq(f, a, b, **kwargs)
+    with pytest.raises((ValueError, RuntimeError)) as ours:
+        _brentq(f, a, b, **kwargs)
+    assert type(ours.value) is type(theirs.value)
+    assert str(ours.value) == str(theirs.value)

@@ -1,4 +1,9 @@
 """Command-line contract tests: exit codes, outputs, reproducibility."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from memthermo.cli import cli_dispatch
@@ -138,3 +143,25 @@ def test_signature_accepts_external_iv_csv(tmp_path, capsys):
 def test_version_flag(capsys):
     assert _run("--version") == 0
     assert "memthermo" in capsys.readouterr().out
+
+
+def test_nan_threshold_fails_as_protocol_error_on_one_line(tmp_path, capsys):
+    # the solver must report the NaN residual, not a sign error
+    code = _run("calibrate", "--out", str(tmp_path),
+                "--set", "neuron.theta=nan")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: protocol: The function value at x=300.0 "
+                            "is NaN; solver cannot continue.\n")
+
+
+def test_cli_import_pulls_in_no_scipy():
+    # scipy.optimize alone costs ~0.4 s of import on every cold CLI run
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import memthermo.cli, sys; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

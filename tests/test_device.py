@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memthermo import (
@@ -31,8 +31,8 @@ from memthermo import (
     thermionic_current,
     train_switch_fraction,
 )
-from memthermo.constants import K_B_EV
-from memthermo.device import PHI_APP_MIN
+from memthermo.constants import K_B_EV, T_MAX, T_REF
+from memthermo.device import MAX_TOTAL_DROP, MIN_TOTAL_DROP, PHI_APP_MIN
 
 # ---------------------------------------------------------------------------
 # thermionic conduction law
@@ -138,6 +138,23 @@ def _bisect_phi(drop, lo=PHI_APP_MIN + 1e-9, hi=2.0):
 def test_calibrate_phi_matches_bisection_oracle(drop):
     assert calibrate_phi_from_drop(drop) == pytest.approx(
         _bisect_phi(drop), abs=1e-9)
+
+
+def _closed_form_phi(drop):
+    return K_B_EV * math.log((1.0 - drop) * (T_MAX / T_REF) ** 2) / (
+        1.0 / T_MAX - 1.0 / T_REF)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(MIN_TOTAL_DROP, MAX_TOTAL_DROP,
+                 exclude_min=True, exclude_max=True))
+@example(0.61)  # the five ThermalFit.default level anchors
+@example(0.58)
+@example(0.39)
+@example(0.22)
+@example(0.11)
+def test_calibrate_phi_matches_closed_form(drop):
+    assert abs(calibrate_phi_from_drop(drop) - _closed_form_phi(drop)) <= 1e-12
 
 
 def test_calibrate_phi_trivial_prefactor_drop():
