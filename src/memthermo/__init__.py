@@ -21,6 +21,7 @@ from .calibration import (
 )
 from .constants import K_B_EV, R_CEILING, R_FLOOR, T_MAX, T_MIN, T_REF, V_READ
 from .device import (
+    DEFAULT_ANCHORS,
     CalibrationError,
     DeviceState,
     LevelAnchor,
@@ -31,7 +32,6 @@ from .device import (
     apply_pulse_train,
     barrier_shift_response,
     calibrate_phi_from_drop,
-    phi_for_state,
     read_resistance,
     reset_to_reference,
     retention_run,
@@ -54,17 +54,13 @@ from .neuron import (
     NeuronSystem,
     baseline_curve,
     calibrate_gain,
-    feedforward_setpoint,
-    neuron_step,
     run_homeostasis,
     settled_rate,
-    synapse_weight,
 )
-from .presets import LEVEL_ORDER, device_preset, iv_preset, level_resistance
+from .presets import LEVEL_ORDER, device_preset, iv_preset
 from .thermal import (
     TemperatureSchedule,
     ThermalPlant,
-    plant_step,
     scrambled_schedule,
     settled,
 )

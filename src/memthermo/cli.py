@@ -24,7 +24,7 @@ from .calibration import (
 )
 from .config import ConfigError, RunConfig, resolve_config
 from .csvio import emit_csv, parse_csv, write_manifest
-from .device import CalibrationError, DeviceState, ResetError
+from .device import CalibrationError, DeviceState, ResetError, ThermalFit
 from .experiments import (
     ProtocolError,
     run_heat_stimulate_retention,
@@ -69,11 +69,11 @@ def _level(cfg: RunConfig) -> str:
     return level
 
 
-def _device(cfg: RunConfig) -> DeviceState:
+def _device(cfg: RunConfig, fit: ThermalFit) -> DeviceState:
     r = cfg["device.r_ohm"]
     if r > 0:
         return DeviceState(r_persistent=r)
-    return device_preset(_level(cfg))
+    return device_preset(_level(cfg), fit)
 
 
 def _feedforward(cfg: RunConfig, system: NeuronSystem) -> FeedforwardMap:
@@ -105,13 +105,14 @@ def _build_system(cfg: RunConfig, fmap: FeedforwardMap | None = None) -> NeuronS
 
 
 def _cmd_cycle(cfg: RunConfig, out: str) -> list[str]:
+    fit = cfg.thermal_fit()
     res = run_thermal_cycling(
         level=_level(cfg),
         schedule=_schedule(cfg),
         seed=cfg["run.seed"],
-        fit=cfg.thermal_fit(),
+        fit=fit,
         plant=cfg.plant(),
-        state=_device(cfg),
+        state=_device(cfg, fit),
         read_period_s=cfg["schedule.read_period_s"],
         drift_scale=cfg["cycle.drift_scale"],
     )
@@ -157,8 +158,10 @@ def _iv_sweep(cfg: RunConfig):
     )
 
 
-def _cmd_iv(cfg: RunConfig, out: str) -> list[str]:
-    ivs = _iv_sweep(cfg)
+def _cmd_iv(cfg: RunConfig, out: str,
+            ivs: IVCurveSet | None = None) -> list[str]:
+    if ivs is None:
+        ivs = _iv_sweep(cfg)
     level = _level(cfg)
     return [emit_csv(
         os.path.join(out, "iv.csv"), "iv",
@@ -176,7 +179,7 @@ def _cmd_signature(cfg: RunConfig, out: str) -> list[str]:
         files = []
     else:
         ivs = _iv_sweep(cfg)
-        files = _cmd_iv(cfg, out)
+        files = _cmd_iv(cfg, out, ivs)
     fitres = extract_thermionic(ivs)
     files.append(emit_csv(
         os.path.join(out, "signature.csv"), "signature",
@@ -191,15 +194,15 @@ def _cmd_signature(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _cmd_hsr(cfg: RunConfig, out: str) -> list[str]:
+    fit = cfg.thermal_fit()
     res = run_heat_stimulate_retention(
         level=_level(cfg),
         t_test=cfg["hsr.t_test_k"],
         v_prog=cfg["hsr.v_prog_v"],
-        seed=cfg["run.seed"],
-        fit=cfg.thermal_fit(),
+        fit=fit,
         params=cfg.switching_params(),
         plant=cfg.plant(),
-        state=_device(cfg),
+        state=_device(cfg, fit),
         pulse_count=cfg["hsr.pulse_count"],
         retention_reads=cfg["hsr.retention_reads"],
         retention_period_s=cfg["hsr.retention_period_s"],
@@ -219,7 +222,6 @@ def _cmd_hsr(cfg: RunConfig, out: str) -> list[str]:
 def _cmd_nullcline(cfg: RunConfig, out: str) -> list[str]:
     res = run_nullcline_sweep(
         level=_level(cfg),
-        seed=cfg["run.seed"],
         fit=cfg.thermal_fit(),
         params=cfg.switching_params(),
         hold_s=cfg["schedule.hold_s"],
@@ -239,7 +241,7 @@ def _cmd_nullcline(cfg: RunConfig, out: str) -> list[str]:
 
 def _cmd_thermometer(cfg: RunConfig, out: str) -> list[str]:
     fit = cfg.thermal_fit()
-    state = _device(cfg)
+    state = _device(cfg, fit)
     res = run_thermal_cycling(
         level=_level(cfg), schedule=_schedule(cfg),
         seed=cfg["run.seed"], fit=fit, plant=cfg.plant(), state=state,
@@ -275,7 +277,7 @@ def _cmd_baseline(cfg: RunConfig, out: str) -> list[str]:
         raise ConfigError(f"baseline.feedforward must be off or calibrated, "
                           f"got {mode!r}")
     rows = baseline_curve(
-        cfg.floats("baseline.loads"), system, seed=cfg["run.seed"],
+        cfg.floats("baseline.loads"), system,
         settle_steps=cfg["baseline.settle_steps"],
         measure_steps=cfg["baseline.measure_steps"],
     )
@@ -314,7 +316,7 @@ def _cmd_homeostasis(cfg: RunConfig, out: str) -> list[str]:
     system = _build_system(cfg)
     system.fmap = _feedforward(cfg, system)
     pattern = _load_pattern(cfg)
-    res = run_homeostasis(pattern, system, seed=cfg["run.seed"])
+    res = run_homeostasis(pattern, system)
     return [
         emit_csv(os.path.join(out, "homeostasis_rates.csv"),
                  "homeostasis_rates", res.window_rates()),
@@ -337,7 +339,7 @@ def _cmd_calibrate(cfg: RunConfig, out: str) -> list[str]:
         [k * cfg["calibrate.kappa_step"] for k in
          range(int(cfg["calibrate.kappa_max"] / cfg["calibrate.kappa_step"]) + 1)],
     )
-    fit = cfg.thermal_fit()
+    fit = system.fit
     files = [
         emit_csv(os.path.join(out, "calibrate_gain.csv"), "calibrate_gain",
                  [(cal.mode, cal.kappa, cal.spread_uncompensated,

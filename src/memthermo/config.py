@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .device import LevelAnchor, SwitchingParams, ThermalFit
+from .device import DEFAULT_ANCHORS, LevelAnchor, SwitchingParams, ThermalFit
 from .thermal import ThermalPlant
 
 
@@ -33,44 +33,47 @@ def _k(name, type_, default, help_):
     return _Key(name=name, type=type_, default=default, help=help_)
 
 
+def _fit_keys(label: str) -> tuple[str, str]:
+    """Config keys of one level anchor: (resistance, drop)."""
+    tag = label.lower()
+    return f"fit.r_{tag}_ohm", f"fit.drop_{tag}"
+
+
+def _fit_entries():
+    for a in DEFAULT_ANCHORS:
+        r_key, drop_key = _fit_keys(a.label)
+        yield _k(r_key, float, a.r_ref, f"{a.label} anchor resistance")
+        yield _k(drop_key, float, a.total_drop, f"{a.label} 300->360 K drop")
+
+
+# SwitchingParams fields whose config key carries a unit suffix
+_SWITCHING_UNITS = {"v_th": "v_th_v", "beta": "beta_per_v"}
+
+
+def _switching_key(field: str) -> str:
+    return f"switching.{_SWITCHING_UNITS.get(field, field)}"
+
+
 REGISTRY: dict[str, _Key] = {k.name: k for k in [
     _k("run.experiment", str, "", "subcommand that produced the run"),
     _k("run.seed", int, 0, "single seed feeding all named rng sub-streams"),
     _k("run.out_dir", str, "out", "output directory"),
 
-    _k("device.level", str, "pristine", "resistive level preset "
-       "(pristine, L1, L2, L3, L4)"),
+    _k("device.level", str, "pristine", "resistive level preset: one of "
+       "the DEFAULT_ANCHORS labels"),
     _k("device.r_ohm", float, 0.0, "explicit 300 K resistance; 0 uses the "
        "level preset"),
 
-    _k("fit.r_pristine_ohm", float, 3e6, "pristine anchor resistance"),
-    _k("fit.drop_pristine", float, 0.61, "pristine 300->360 K drop"),
-    _k("fit.r_l1_ohm", float, 1e6, "L1 anchor resistance"),
-    _k("fit.drop_l1", float, 0.58, "L1 drop"),
-    _k("fit.r_l2_ohm", float, 250e3, "L2 anchor resistance"),
-    _k("fit.drop_l2", float, 0.39, "L2 drop"),
-    _k("fit.r_l3_ohm", float, 15e3, "L3 anchor resistance"),
-    _k("fit.drop_l3", float, 0.22, "L3 drop"),
-    _k("fit.r_l4_ohm", float, 8e3, "L4 anchor resistance"),
-    _k("fit.drop_l4", float, 0.11, "L4 drop"),
+    *_fit_entries(),
 
     _k("plant.preset", str, "packaged", "packaged or on_wafer"),
     _k("plant.tau_air_s", float, 180.0, "chamber air time constant"),
     _k("plant.tau_dev_s", float, 0.0, "device time constant; 0 uses the "
        "preset (720 packaged, 60 on-wafer)"),
 
-    _k("switching.v_th_v", float, 0.5, "hard switching threshold"),
-    _k("switching.g_14_310", float, 0.22, "train fraction at 1.4 V, 310 K"),
-    _k("switching.g_14_360", float, 0.27, "train fraction at 1.4 V, 360 K"),
-    _k("switching.beta_per_v", float, math.log(11.0) / 0.7,
-       "voltage steepness of the train fraction"),
-    _k("switching.n_tau", float, 20.0, "train saturation scale in pulses"),
-    _k("switching.eta_nv", float, 0.4, "non-volatile fraction of change"),
-    _k("switching.tau_ret", float, 50.0, "retention constant, read intervals"),
-    _k("switching.burn_in_gain", float, 1.0, "first-train multiplier"),
-    _k("switching.taper_v_start", float, 1.4, "thermal ramp full up to here"),
-    _k("switching.taper_v_end", float, 1.5, "thermal ramp tapered from here"),
-    _k("switching.taper_min", float, 0.35, "ramp coupling at/above taper end"),
+    *(_k(_switching_key(f.name), float, f.default,
+         f"SwitchingParams.{f.name}")
+      for f in fields(SwitchingParams)),
 
     _k("schedule.hold_s", float, 3600.0, "hold per setpoint"),
     _k("schedule.read_period_s", float, 6.0, "read cadence during holds"),
@@ -130,13 +133,16 @@ def _parse_value(key: _Key, raw: str):
     try:
         if key.type is int:
             return int(raw)
-        if key.type is float:
-            return float(raw)
-        return raw
+        if key.type is not float:
+            return raw
+        value = float(raw)
     except ValueError:
         raise ConfigError(
             f"bad value for {key.name}: {raw!r} is not {key.type.__name__}"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key.name} must be finite, got {raw!r}")
+    return value
 
 
 def _format_value(value) -> str:
@@ -189,29 +195,13 @@ class RunConfig:
     # --- builders -------------------------------------------------------
 
     def thermal_fit(self) -> ThermalFit:
-        return ThermalFit(anchors=(
-            LevelAnchor("pristine", self["fit.r_pristine_ohm"],
-                        self["fit.drop_pristine"]),
-            LevelAnchor("L1", self["fit.r_l1_ohm"], self["fit.drop_l1"]),
-            LevelAnchor("L2", self["fit.r_l2_ohm"], self["fit.drop_l2"]),
-            LevelAnchor("L3", self["fit.r_l3_ohm"], self["fit.drop_l3"]),
-            LevelAnchor("L4", self["fit.r_l4_ohm"], self["fit.drop_l4"]),
-        ))
+        return ThermalFit(anchors=tuple(
+            LevelAnchor(a.label, *(self[k] for k in _fit_keys(a.label)))
+            for a in DEFAULT_ANCHORS))
 
     def switching_params(self) -> SwitchingParams:
-        return SwitchingParams(
-            v_th=self["switching.v_th_v"],
-            g_14_310=self["switching.g_14_310"],
-            g_14_360=self["switching.g_14_360"],
-            beta=self["switching.beta_per_v"],
-            n_tau=self["switching.n_tau"],
-            eta_nv=self["switching.eta_nv"],
-            tau_ret=self["switching.tau_ret"],
-            burn_in_gain=self["switching.burn_in_gain"],
-            taper_v_start=self["switching.taper_v_start"],
-            taper_v_end=self["switching.taper_v_end"],
-            taper_min=self["switching.taper_min"],
-        )
+        return SwitchingParams(**{f.name: self[_switching_key(f.name)]
+                                  for f in fields(SwitchingParams)})
 
     def plant(self) -> ThermalPlant:
         preset = self["plant.preset"]

@@ -228,6 +228,23 @@ class LevelAnchor:
     total_drop: float
 
 
+# The programmed levels, the one source of the level table: presets, the
+# fit.* config keys and the default fit all derive from it. Pristine
+# (61 %) and L4 (11 %) drops are measured end points; the L1-L3 drops are
+# set so their settled-trace sensitivities land at ~0.95, ~0.65 and ~0.37
+# %/K respectively. Pristine lands at ~1.0 %/K. L4's sensitivity, ~0.18
+# %/K, is fixed by its measured 11 % drop (no monotone R(T) with that drop
+# exceeds ~0.22 %/K on the default schedule), for a pristine/L4 factor of
+# ~5.5.
+DEFAULT_ANCHORS = (
+    LevelAnchor("pristine", 3e6, 0.61),
+    LevelAnchor("L1", 1e6, 0.58),
+    LevelAnchor("L2", 250e3, 0.39),
+    LevelAnchor("L3", 15e3, 0.22),
+    LevelAnchor("L4", 8e3, 0.11),
+)
+
+
 @dataclass(frozen=True)
 class ThermalFit:
     """Apparent-barrier table mapping resistive state to thermal sensitivity.
@@ -259,24 +276,19 @@ class ThermalFit:
 
     @classmethod
     def default(cls) -> "ThermalFit":
-        """Five-level default table.
+        """The five-level table of DEFAULT_ANCHORS."""
+        return cls(anchors=DEFAULT_ANCHORS)
 
-        Pristine (61 %) and L4 (11 %) drops are measured end points; the
-        L1-L3 drops are set so their settled-trace sensitivities land at
-        ~0.95, ~0.65 and ~0.37 %/K respectively. Pristine lands at ~1.0
-        %/K. L4's sensitivity, ~0.18 %/K, is fixed by its measured 11 %
-        drop (no monotone R(T) with that drop exceeds ~0.22 %/K on the
-        default schedule), for a pristine/L4 factor of ~5.5.
-        """
-        return cls(anchors=(
-            LevelAnchor("pristine", 3e6, 0.61),
-            LevelAnchor("L1", 1e6, 0.58),
-            LevelAnchor("L2", 250e3, 0.39),
-            LevelAnchor("L3", 15e3, 0.22),
-            LevelAnchor("L4", 8e3, 0.11),
-        ))
+    def r_ref(self, label: str) -> float:
+        """Reference resistance of the anchor named label."""
+        for anchor in self.anchors:
+            if anchor.label == label:
+                return anchor.r_ref
+        labels = tuple(a.label for a in self.anchors)
+        raise ValueError(f"unknown level {label!r}; choose from {labels}")
 
     def phi_for_state(self, r_eff: float) -> float:
+        """Apparent barrier for a device whose 300 K resistance is r_eff."""
         if r_eff <= 0:
             raise ValueError("r_eff must be > 0")
         x = math.log10(r_eff)
@@ -291,11 +303,6 @@ class ThermalFit:
                 f = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
                 return ys[i - 1] + f * (ys[i] - ys[i - 1])
         return ys[-1]
-
-
-def phi_for_state(r_eff: float, fit: ThermalFit) -> float:
-    """Apparent barrier for a device whose 300 K resistance is r_eff."""
-    return fit.phi_for_state(r_eff)
 
 
 @dataclass(frozen=True)
@@ -365,7 +372,8 @@ class SwitchingParams:
     1.4 V calibration point). A train of n pulses achieves
     F*(1 - exp(-n/n_tau)); a fraction eta_nv of the induced change is
     persistent, the rest volatile with retention constant tau_ret (in
-    read intervals).
+    read intervals). The first train a device ever receives has F scaled
+    by burn_in_gain. Voltages are in V, so beta is per V.
     """
 
     v_th: float = 0.5
@@ -431,7 +439,6 @@ def apply_pulse_train(
     T: float,
     params: SwitchingParams,
     fit: ThermalFit,
-    width_s: float = 100e-6,
 ) -> tuple[DeviceState, list[float]]:
     """Apply `count` identical pulses; return the new state and the
     per-pulse read-out trace at T.
@@ -443,9 +450,6 @@ def apply_pulse_train(
     if count < 1:
         raise ValueError("count must be >= 1")
     _require_finite("v", v)
-    _require_finite("width_s", width_s)
-    if width_s <= 0:
-        raise ValueError("pulse width must be > 0")
 
     if abs(v) < params.v_th:
         r = read_resistance(state, fit, T)
@@ -488,7 +492,6 @@ def apply_pulse_train(
 def retention_run(
     state: DeviceState,
     n_reads: int,
-    dt_s: float,
     T: float,
     params: SwitchingParams,
     fit: ThermalFit,
@@ -500,8 +503,6 @@ def retention_run(
     """
     if n_reads < 1:
         raise ValueError("n_reads must be >= 1")
-    if dt_s <= 0:
-        raise ValueError("dt_s must be > 0")
     decay = math.exp(-1.0 / params.tau_ret)
     volatile = state.r_volatile_excess
     trace = []

@@ -24,7 +24,7 @@ from .device import (
     rho_temperature_factor,
     thermionic_current,
 )
-from .presets import device_preset, iv_preset
+from .presets import LEVEL_ORDER, device_preset, iv_preset
 from .rng import substream
 from .thermal import (
     TemperatureSchedule,
@@ -149,7 +149,7 @@ def run_thermal_cycling(
     fit = fit or ThermalFit.default()
     schedule = schedule or scrambled_schedule(seed)
     plant = plant.copy() if plant is not None else ThermalPlant.packaged()
-    state = state if state is not None else device_preset(level)
+    state = state if state is not None else device_preset(level, fit)
     drift = _DriftWalk(drift_scale, seed)
     phi = fit.phi_for_state(state.r_eff)
 
@@ -196,7 +196,7 @@ class LevelSweepResult:
 
 
 def run_level_sweep(
-    levels=("pristine", "L1", "L2", "L3", "L4"),
+    levels=LEVEL_ORDER,
     schedule: TemperatureSchedule | None = None,
     seed: int = 0,
     fit: ThermalFit | None = None,
@@ -248,13 +248,11 @@ def run_heat_stimulate_retention(
     level: str = "L1",
     t_test: float = 360.0,
     v_prog: float = 1.5,
-    seed: int = 0,
     fit: ThermalFit | None = None,
     params: SwitchingParams | None = None,
     plant: ThermalPlant | None = None,
     state: DeviceState | None = None,
     pulse_count: int = 200,
-    pulse_width_s: float = 100e-6,
     retention_reads: int = 200,
     retention_period_s: float = DEFAULT_READ_PERIOD_S,
     hold_s: float = 3600.0,
@@ -267,7 +265,7 @@ def run_heat_stimulate_retention(
     fit = fit or ThermalFit.default()
     params = params or SwitchingParams()
     plant = plant.copy() if plant is not None else ThermalPlant.packaged()
-    state0 = state if state is not None else device_preset(level)
+    state0 = state if state is not None else device_preset(level, fit)
 
     records: list[TraceRecord] = []
     t = 0.0
@@ -304,9 +302,7 @@ def run_heat_stimulate_retention(
     t_train = plant.t_dev
     r_pre_at_t = read_resistance(current_state(), fit, t_train)
     state_prog, trace = apply_pulse_train(
-        current_state(), v_prog, pulse_count, t_train, params, fit,
-        width_s=pulse_width_s,
-    )
+        current_state(), v_prog, pulse_count, t_train, params, fit)
     for k, r in enumerate(trace, start=1):
         t += pulse_period_s
         log(r, PHASE_PROGRAM, pulse_index=k, v=v_prog)
@@ -323,8 +319,7 @@ def run_heat_stimulate_retention(
     for k in range(1, retention_reads + 1):
         plant.step(retention_period_s)
         t += retention_period_s
-        st, rtrace = retention_run(st, 1, retention_period_s,
-                                   plant.t_dev, params, fit)
+        st, rtrace = retention_run(st, 1, plant.t_dev, params, fit)
         log(rtrace[0], PHASE_RETENTION, pulse_index=k)
     state_box[0] = st
     recovered = 0.0 if vol_peak == 0.0 else 1.0 - st.r_volatile_excess / vol_peak
@@ -357,7 +352,6 @@ def run_nullcline_sweep(
     level: str = "L1",
     voltages=tuple(round(0.7 + 0.1 * k, 1) for k in range(8)),
     temperatures=tuple(float(T) for T in range(310, 361, 10)),
-    seed: int = 0,
     fit: ThermalFit | None = None,
     params: SwitchingParams | None = None,
     **hsr_kwargs,
@@ -370,7 +364,7 @@ def run_nullcline_sweep(
     for v in voltages:
         for T in temperatures:
             res = run_heat_stimulate_retention(
-                level=level, t_test=T, v_prog=v, seed=seed,
+                level=level, t_test=T, v_prog=v,
                 fit=fit, params=params, keep_records=False, **hsr_kwargs,
             )
             rows.append((float(v), float(T), res.frac_state))

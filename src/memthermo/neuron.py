@@ -19,20 +19,12 @@ import numpy as np
 
 from .constants import K_B_EV, T_MAX, T_MIN, T_REF
 from .device import CalibrationError, DeviceState, ThermalFit, _brentq
-from .presets import level_resistance
 from .rng import substream
 from .thermal import ThermalPlant
 
 N_SYNAPSES = 25
 DEFAULT_WINDOW = 25
 DEFAULT_THETA = 12.5   # settled rate 0.5 spikes/step at load 0.25, 300 K
-
-
-def synapse_weight(r_now: float, r_ref: float) -> float:
-    """Weight proportional to resistance: heating lowers R, hence weight."""
-    if r_ref <= 0:
-        raise ValueError("r_ref must be > 0")
-    return r_now / r_ref
 
 
 @dataclass(frozen=True)
@@ -76,10 +68,6 @@ class FeedforwardMap:
         if self.mode == "affine":
             return min(max(T_REF + self.kappa * load, T_MIN), T_MAX)
         return float(np.interp(load, self.table_loads, self.table_temps))
-
-
-def feedforward_setpoint(load: float, fmap: FeedforwardMap) -> float:
-    return fmap.setpoint(load)
 
 
 @dataclass(frozen=True)
@@ -179,7 +167,7 @@ class NeuronSystem:
         """System of identical-level synapses, optionally with a seeded
         log-normal device-to-device spread of the reference resistance."""
         fit = fit or ThermalFit.default()
-        r0 = level_resistance(level)
+        r0 = fit.r_ref(level)
         if spread_sigma > 0:
             rng = substream(seed, "spread")
             factors = np.exp(rng.normal(0.0, spread_sigma, N_SYNAPSES))
@@ -234,13 +222,6 @@ class NeuronSystem:
         return spikes
 
 
-def neuron_step(system: NeuronSystem, x) -> tuple[NeuronSystem, bool]:
-    """Pure-value step: returns the advanced system and whether it spiked."""
-    advanced = system.copy()
-    spiked = advanced.step(x) > 0
-    return advanced, spiked
-
-
 def settled_rate(system: NeuronSystem, load: float,
                  fmap: FeedforwardMap | None = None) -> float:
     """Asymptotic spike rate at a constant load: drive at the settled
@@ -291,11 +272,12 @@ class HomeostasisResult:
         return out
 
 
-def run_homeostasis(pattern: InputPattern, system: NeuronSystem,
-                    seed: int = 0) -> HomeostasisResult:
+def run_homeostasis(pattern: InputPattern,
+                    system: NeuronSystem) -> HomeostasisResult:
     """Simulate the pattern; emits spikes, rates and the temperature trace.
 
-    Deterministic for a given (pattern, system configuration, seed).
+    Draws no random numbers: the result is a function of the pattern and
+    the system (whose synapse spread, if any, was seeded at build time).
     """
     n = pattern.total_steps
     spikes = np.zeros(n, dtype=np.int64)
@@ -316,7 +298,6 @@ def run_homeostasis(pattern: InputPattern, system: NeuronSystem,
 def baseline_curve(
     loads,
     system: NeuronSystem,
-    seed: int = 0,
     settle_steps: int = 4000,
     measure_steps: int = 2000,
 ) -> list[tuple[float, float]]:

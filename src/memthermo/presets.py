@@ -1,8 +1,9 @@
 """Resistive-level presets.
 
 Electroforming itself is out of scope; programmed levels enter the model
-as preset 300 K reference resistances with calibrated thermal drops and
-matching thermionic IV parameters. The IV parameters are chosen so that
+as the 300 K reference resistances and calibrated thermal drops of a
+ThermalFit's anchors (DEFAULT_ANCHORS unless configured), plus matching
+thermionic IV parameters. The IV parameters are chosen so that
 
 * R(0.2 V, 300 K) reproduces the level's reference resistance, and
 * the apparent barrier at the read voltage (phi_b - alpha_pos*sqrt(0.2))
@@ -18,36 +19,36 @@ from __future__ import annotations
 import math
 
 from .constants import K_B_EV, T_REF, V_READ
-from .device import DeviceState, ThermalFit, ThermionicParams, calibrate_phi_from_drop
+from .device import (
+    DEFAULT_ANCHORS,
+    DeviceState,
+    ThermalFit,
+    ThermionicParams,
+    calibrate_phi_from_drop,
+)
 
-LEVEL_ORDER = ("pristine", "L1", "L2", "L3", "L4")
+LEVEL_ORDER = tuple(a.label for a in DEFAULT_ANCHORS)
 
-# label -> (r_ref at 300 K, alpha_pos, alpha_neg)
+# label -> IV barrier-lowering factors (alpha_pos, alpha_neg)
 _LEVELS = {
-    "pristine": (3e6, 0.050, 0.030),
-    "L1": (1e6, 0.040, 0.025),
-    "L2": (250e3, 0.020, 0.020),
-    "L3": (15e3, 0.060, 0.060),
-    "L4": (8e3, 0.100, 0.100),
+    "pristine": (0.050, 0.030),
+    "L1": (0.040, 0.025),
+    "L2": (0.020, 0.020),
+    "L3": (0.060, 0.060),
+    "L4": (0.100, 0.100),
 }
 
 
-def level_resistance(level: str) -> float:
-    try:
-        return _LEVELS[level][0]
-    except KeyError:
-        raise ValueError(f"unknown level {level!r}; choose from {LEVEL_ORDER}") from None
-
-
-def device_preset(level: str) -> DeviceState:
-    """Fresh device at the level's reference resistance."""
-    return DeviceState(r_persistent=level_resistance(level))
+def device_preset(level: str, fit: ThermalFit) -> DeviceState:
+    """Fresh device at the level's reference resistance in fit."""
+    return DeviceState(r_persistent=fit.r_ref(level))
 
 
 def iv_preset(level: str, fit: ThermalFit | None = None) -> ThermionicParams:
     """Thermionic parameters consistent with the level's thermal fit."""
-    r_ref, alpha_pos, alpha_neg = _LEVELS[level]
     fit = fit or ThermalFit.default()
+    r_ref = fit.r_ref(level)
+    alpha_pos, alpha_neg = _LEVELS[level]
     phi_app = fit.phi_for_state(r_ref)
     phi_b = phi_app + alpha_pos * math.sqrt(V_READ)
     if phi_b < 0:
@@ -60,7 +61,6 @@ def iv_preset(level: str, fit: ThermalFit | None = None) -> ThermionicParams:
 
 __all__ = [
     "LEVEL_ORDER",
-    "level_resistance",
     "device_preset",
     "iv_preset",
     "calibrate_phi_from_drop",

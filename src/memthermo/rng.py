@@ -14,7 +14,6 @@ _STREAMS = {
     "drift": 2,      # slow multiplicative resistance drift
     "spread": 3,     # device-to-device parameter spread
     "noise": 4,      # read noise for thermometer studies
-    "inputs": 5,     # reserved for stochastic input patterns
 }
 
 

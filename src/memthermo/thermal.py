@@ -82,13 +82,6 @@ class ThermalPlant:
         self.t_dev = self.t_set + dev
 
 
-def plant_step(plant: ThermalPlant, dt_s: float) -> ThermalPlant:
-    """Pure-value step: returns the advanced plant, leaving the input alone."""
-    advanced = plant.copy()
-    advanced.step(dt_s)
-    return advanced
-
-
 def settled(
     times_s,
     resistances,

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from memthermo.cli import cli_dispatch
+from memthermo.config import resolve_config
 from memthermo.csvio import parse_csv
+from memthermo.neuron import N_SYNAPSES, NeuronSystem
 
 
 def _run(*argv):
@@ -145,14 +147,46 @@ def test_version_flag(capsys):
     assert "memthermo" in capsys.readouterr().out
 
 
-def test_nan_threshold_fails_as_protocol_error_on_one_line(tmp_path, capsys):
-    # the solver must report the NaN residual, not a sign error
-    code = _run("calibrate", "--out", str(tmp_path),
-                "--set", "neuron.theta=nan")
+@pytest.mark.parametrize("argv, key, raw", [
+    # each once reached the simulation: a NaN in the gain table's root
+    # find (exit 2), an OverflowError traceback, a silent zero-spike run
+    pytest.param(["calibrate", "--set", "neuron.theta=nan"],
+                 "neuron.theta", "nan", id="calibrate-theta-nan"),
+    pytest.param(["cycle", "--set", "schedule.hold_s=inf"],
+                 "schedule.hold_s", "inf", id="cycle-hold-inf"),
+    pytest.param(["homeostasis", "--set", "neuron.theta=nan",
+                  "--set", "neuron.map_mode=affine"],
+                 "neuron.theta", "nan", id="homeostasis-affine-theta-nan"),
+])
+def test_non_finite_float_fails_as_config_error_on_one_line(
+        tmp_path, capsys, argv, key, raw):
+    code = _run(*argv, "--out", str(tmp_path))
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == ("error: protocol: The function value at x=300.0 "
-                            "is NaN; solver cannot continue.\n")
+    assert code == 1
+    assert captured.err == f"error: config: {key} must be finite, got '{raw}'\n"
+
+
+def test_fit_override_moves_the_level_presets(tmp_path, capsys):
+    # the level presets read their resistance from the configured fit
+    override = ["--set", "fit.r_l1_ohm=2e6"]
+    levels = tmp_path / "levels"
+    assert _run("levels", "--out", str(levels), *override,
+                "--set", "schedule.read_period_s=30") == 0
+    _, rows = parse_csv(levels / "levels.csv", "levels")
+    l1 = next(r for r in rows if r[0] == "L1")
+    assert float(l1[1]) == 2e6
+    assert float(l1[2]) == pytest.approx(0.58, abs=1e-6)
+
+    iv = tmp_path / "iv"
+    assert _run("iv", "--out", str(iv), "--preset", "L1", *override) == 0
+    _, rows = parse_csv(iv / "iv.csv", "iv")
+    (v, i), = [(float(r[2]), float(r[3])) for r in rows
+               if float(r[1]) == 300.0 and float(r[2]) == 0.2]
+    assert v / i == pytest.approx(2e6, rel=1e-9)
+
+    fit = resolve_config(env={}, overrides={"fit.r_l1_ohm": "2e6"}).thermal_fit()
+    system = NeuronSystem.build("L1", fit=fit)
+    assert [s.r_persistent for s in system.synapses] == [2e6] * N_SYNAPSES
 
 
 def test_cli_import_pulls_in_no_scipy():

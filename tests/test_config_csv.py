@@ -39,6 +39,23 @@ def test_unknown_keys_rejected_everywhere(tmp_path):
         resolve_config(env={}, overrides={"run.sneed": "1"})
 
 
+def test_non_finite_floats_rejected_everywhere(tmp_path):
+    cfg_file = tmp_path / "inf.cfg"
+    cfg_file.write_text("schedule.hold_s = inf\n")
+    with pytest.raises(ConfigError,
+                       match="^schedule.hold_s must be finite, got 'inf'$"):
+        resolve_config(config_path=str(cfg_file), env={})
+    with pytest.raises(ConfigError,
+                       match="^neuron.theta must be finite, got '-inf'$"):
+        resolve_config(env={"MEMTHERMO_NEURON_THETA": "-inf"})
+    with pytest.raises(ConfigError,
+                       match="^fit.drop_l1 must be finite, got 'NaN'$"):
+        resolve_config(env={}, overrides={"fit.drop_l1": "NaN"})
+    # a bad spelling is still reported as a type error
+    with pytest.raises(ConfigError, match="is not float"):
+        resolve_config(env={}, overrides={"fit.drop_l1": "nope"})
+
+
 def test_precedence_file_env_override(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("run.seed = 1\nschedule.hold_s = 1800\n")

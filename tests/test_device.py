@@ -367,8 +367,6 @@ def test_train_rejects_bad_pulses(fit, params):
     with pytest.raises(ValueError):
         apply_pulse_train(state, 1.0, 0, 330.0, params, fit)
     with pytest.raises(ValueError):
-        apply_pulse_train(state, 1.0, 10, 330.0, params, fit, width_s=0.0)
-    with pytest.raises(ValueError):
         apply_pulse_train(state, float("nan"), 10, 330.0, params, fit)
 
 
@@ -378,13 +376,13 @@ def test_train_rejects_bad_pulses(fit, params):
 
 def test_retention_flat_without_volatile_part(fit, params):
     state = DeviceState(r_persistent=1e6, r_volatile_excess=0.0)
-    _, trace = retention_run(state, 50, 6.0, 330.0, params, fit)
+    _, trace = retention_run(state, 50, 330.0, params, fit)
     assert len(set(trace)) == 1
 
 
 def test_retention_decay_limit(fit, params):
     state = DeviceState(r_persistent=1e6, r_volatile_excess=3e5)
-    new, _ = retention_run(state, 5000, 6.0, 330.0, params, fit)
+    new, _ = retention_run(state, 5000, 330.0, params, fit)
     limit = 1e6 * rho_temperature_factor(330.0, fit.phi_for_state(1e6))
     assert read_resistance(new, fit, 330.0) == pytest.approx(limit, rel=1e-9)
     assert new.r_persistent == state.r_persistent
@@ -395,7 +393,7 @@ def test_retention_recovery_incomplete_with_defaults(fit, params):
     # volatile part, hence (1 - eta_nv)*(1 - e^-4) < 1 of the total change
     state = DeviceState(r_persistent=1e6)
     trained, _ = apply_pulse_train(state, 1.5, 200, 330.0, params, fit)
-    rested, trace = retention_run(trained, 200, 6.0, 330.0, params, fit)
+    rested, trace = retention_run(trained, 200, 330.0, params, fit)
     recovered_volatile = 1.0 - rested.r_volatile_excess / trained.r_volatile_excess
     assert recovered_volatile == pytest.approx(0.98168436111126582, rel=1e-12)
     total_induced = trained.r_eff - state.r_eff

@@ -129,8 +129,8 @@ def test_hsr_emits_both_normalisations(fit, params):
 
 
 def test_hsr_deterministic(fit, params):
-    a = run_heat_stimulate_retention(level="L1", fit=fit, params=params, seed=1)
-    b = run_heat_stimulate_retention(level="L1", fit=fit, params=params, seed=1)
+    a = run_heat_stimulate_retention(level="L1", fit=fit, params=params)
+    b = run_heat_stimulate_retention(level="L1", fit=fit, params=params)
     assert a.records == b.records
 
 

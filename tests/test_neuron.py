@@ -9,11 +9,8 @@ from memthermo import (
     NeuronSystem,
     baseline_curve,
     calibrate_gain,
-    feedforward_setpoint,
-    neuron_step,
     run_homeostasis,
     settled_rate,
-    synapse_weight,
 )
 from memthermo.neuron import DEFAULT_CALIBRATION_LOADS
 
@@ -24,15 +21,6 @@ def _system(fmap=None, **kwargs):
 
 # ---------------------------------------------------------------------------
 # weights
-
-
-def test_weight_unity_at_reference():
-    assert synapse_weight(1e6, 1e6) == 1.0
-
-
-def test_weight_rejects_bad_reference():
-    with pytest.raises(ValueError):
-        synapse_weight(1e6, 0.0)
 
 
 def test_pristine_weight_at_hot_end(fit):
@@ -65,15 +53,6 @@ def test_drive_equal_to_threshold_spikes_every_step():
     assert all(f == 1 for f in fired[:3])   # before any heating bites
 
 
-def test_neuron_step_is_pure_value_wrapper():
-    system = _system()
-    before = system.accumulator
-    advanced, spiked = neuron_step(system, 0.3)
-    assert system.accumulator == before
-    assert isinstance(spiked, bool)
-    assert advanced.accumulator != before
-
-
 def test_long_run_rate_matches_drive_over_theta():
     # fixed temperature, constant load: spike count follows the exact
     # carry-over accumulator, verified against a brute-force loop
@@ -104,14 +83,14 @@ def test_accumulator_invariant_under_heavy_drive():
 
 def test_affine_map_anchors():
     fmap = FeedforwardMap(kappa=60.0)
-    assert feedforward_setpoint(0.0, fmap) == 300.0
-    assert feedforward_setpoint(1.0, fmap) == 360.0
-    assert feedforward_setpoint(0.25, fmap) == 315.0
+    assert fmap.setpoint(0.0) == 300.0
+    assert fmap.setpoint(1.0) == 360.0
+    assert fmap.setpoint(0.25) == 315.0
 
 
 def test_affine_map_clamps_to_chamber():
     fmap = FeedforwardMap(kappa=200.0)
-    assert feedforward_setpoint(0.9, fmap) == 360.0
+    assert fmap.setpoint(0.9) == 360.0
 
 
 def test_map_validation():
@@ -220,8 +199,8 @@ def test_step_down_polarity(table_map):
 
 def test_homeostasis_deterministic(table_map):
     pattern = InputPattern(segments=((500, 0.2), (500, 0.3)))
-    a = run_homeostasis(pattern, NeuronSystem.build(fmap=table_map), seed=4)
-    b = run_homeostasis(pattern, NeuronSystem.build(fmap=table_map), seed=4)
+    a = run_homeostasis(pattern, NeuronSystem.build(fmap=table_map))
+    b = run_homeostasis(pattern, NeuronSystem.build(fmap=table_map))
     assert np.array_equal(a.spikes, b.spikes)
     assert np.array_equal(a.t_dev, b.t_dev)
 

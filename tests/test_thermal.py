@@ -10,7 +10,6 @@ from scipy.integrate import solve_ivp
 from memthermo import (
     TemperatureSchedule,
     ThermalPlant,
-    plant_step,
     scrambled_schedule,
     settled,
 )
@@ -106,14 +105,6 @@ def test_plant_never_overshoots_setpoint_envelope(setpoints, dt):
             plant.step(dt)
             assert lo - 1e-9 <= plant.t_dev <= hi + 1e-9
             assert lo - 1e-9 <= plant.t_air <= hi + 1e-9
-
-
-def test_plant_step_is_pure_value_variant():
-    plant = ThermalPlant.packaged()
-    plant.set_setpoint(340.0)
-    advanced = plant_step(plant, 60.0)
-    assert plant.t_dev == 300.0
-    assert advanced.t_dev > 300.0
 
 
 def test_plant_validates_setpoint_and_constants():
