@@ -13,7 +13,6 @@ from .calibration import (
     IVCurveSet,
     SwitchCurveFit,
     ThermionicExtraction,
-    ThermometerTable,
     extract_thermionic,
     fit_switch_curve,
     invert_temperature,

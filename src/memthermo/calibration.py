@@ -257,35 +257,6 @@ def invert_temperature(
 
 
 @dataclass(frozen=True)
-class ThermometerTable:
-    """Calibrated inversion table for one device state."""
-
-    fit: ThermalFit
-    r_eff: float
-    r_min: float       # read-out at 360 K
-    r_max: float       # read-out at 300 K
-    guard: float = 0.02
-
-    @classmethod
-    def for_device(cls, fit: ThermalFit, r_eff: float,
-                   guard: float = 0.02) -> "ThermometerTable":
-        state = DeviceState(r_persistent=r_eff)
-        return cls(
-            fit=fit, r_eff=r_eff,
-            r_min=read_resistance(state, fit, T_MAX),
-            r_max=read_resistance(state, fit, T_MIN),
-            guard=guard,
-        )
-
-    def __post_init__(self):
-        if not (self.r_min < self.r_max):
-            raise ValueError("inversion band is empty")
-
-    def invert(self, r_measured: float) -> float:
-        return invert_temperature(r_measured, self.fit, self.r_eff, self.guard)
-
-
-@dataclass(frozen=True)
 class SwitchCurveFit:
     """Recovered train-fraction parameters plus regression diagnostics."""
 

@@ -26,6 +26,7 @@ from .config import ConfigError, RunConfig, resolve_config
 from .csvio import emit_csv, parse_csv, write_manifest
 from .device import CalibrationError, DeviceState, ResetError, ThermalFit
 from .experiments import (
+    CycleResult,
     ProtocolError,
     run_heat_stimulate_retention,
     run_iv_sweep,
@@ -49,16 +50,23 @@ EXPERIMENTS = ("cycle", "levels", "iv", "signature", "hsr", "nullcline",
                "thermometer", "baseline", "homeostasis", "calibrate")
 
 
+def _positive(cfg: RunConfig, key: str):
+    value = cfg[key]
+    if value <= 0:
+        raise ConfigError(f"{key} must be > 0, got {value!r}")
+    return value
+
+
 def _schedule(cfg: RunConfig):
+    hold = _positive(cfg, "schedule.hold_s")
     explicit = cfg.floats("schedule.setpoints")
     if explicit:
-        hold = cfg["schedule.hold_s"]
         try:
             return TemperatureSchedule(
                 entries=tuple((t, hold) for t in explicit))
         except ValueError as exc:
             raise ConfigError(f"schedule.setpoints: {exc}") from None
-    return scrambled_schedule(cfg["run.seed"], hold_s=cfg["schedule.hold_s"])
+    return scrambled_schedule(cfg["run.seed"], hold_s=hold)
 
 
 def _level(cfg: RunConfig) -> str:
@@ -104,33 +112,35 @@ def _build_system(cfg: RunConfig, fmap: FeedforwardMap | None = None) -> NeuronS
     )
 
 
-def _cmd_cycle(cfg: RunConfig, out: str) -> list[str]:
+def _cycle(cfg: RunConfig) -> CycleResult:
     fit = cfg.thermal_fit()
-    res = run_thermal_cycling(
+    return run_thermal_cycling(
         level=_level(cfg),
         schedule=_schedule(cfg),
         seed=cfg["run.seed"],
         fit=fit,
         plant=cfg.plant(),
         state=_device(cfg, fit),
-        read_period_s=cfg["schedule.read_period_s"],
+        read_period_s=_positive(cfg, "schedule.read_period_s"),
         drift_scale=cfg["cycle.drift_scale"],
     )
-    files = [
+
+
+def _cmd_cycle(cfg: RunConfig, out: str) -> list[str]:
+    res = _cycle(cfg)
+    return [
         emit_csv(os.path.join(out, "cycle.csv"), "cycle",
-                 ((r.t_s, r.t_set_K, r.t_air_K, r.t_dev_K, r.r_ohm, r.phase)
-                  for r in res.records)),
+                 (r[:6] for r in res.records)),
         emit_csv(os.path.join(out, "cycle_holds.csv"), "cycle_holds",
                  ((h.index, h.t_set_K, h.r_steady_ohm, h.r_first_ohm,
                    h.r_last_ohm, h.settled) for h in res.holds)),
     ]
-    return files
 
 
 def _cmd_levels(cfg: RunConfig, out: str) -> list[str]:
     sweep = run_level_sweep(
         schedule=_schedule(cfg), seed=cfg["run.seed"], fit=cfg.thermal_fit(),
-        read_period_s=cfg["schedule.read_period_s"],
+        read_period_s=_positive(cfg, "schedule.read_period_s"),
         drift_scale=cfg["cycle.drift_scale"],
     )
     files = [emit_csv(
@@ -142,8 +152,7 @@ def _cmd_levels(cfg: RunConfig, out: str) -> list[str]:
     for level, res in sweep.results.items():
         files.append(emit_csv(
             os.path.join(out, f"cycle_{level}.csv"), "cycle",
-            ((r.t_s, r.t_set_K, r.t_air_K, r.t_dev_K, r.r_ohm, r.phase)
-             for r in res.records)))
+            (r[:6] for r in res.records)))
     return files
 
 
@@ -193,26 +202,31 @@ def _cmd_signature(cfg: RunConfig, out: str) -> list[str]:
     return files
 
 
-def _cmd_hsr(cfg: RunConfig, out: str) -> list[str]:
-    fit = cfg.thermal_fit()
-    res = run_heat_stimulate_retention(
+def _hsr_args(cfg: RunConfig) -> dict:
+    """run_heat_stimulate_retention keywords shared by hsr and nullcline."""
+    return dict(
         level=_level(cfg),
-        t_test=cfg["hsr.t_test_k"],
-        v_prog=cfg["hsr.v_prog_v"],
-        fit=fit,
+        fit=cfg.thermal_fit(),
         params=cfg.switching_params(),
-        plant=cfg.plant(),
-        state=_device(cfg, fit),
         pulse_count=cfg["hsr.pulse_count"],
         retention_reads=cfg["hsr.retention_reads"],
-        retention_period_s=cfg["hsr.retention_period_s"],
-        hold_s=cfg["schedule.hold_s"],
-        read_period_s=cfg["schedule.read_period_s"],
+        retention_period_s=_positive(cfg, "hsr.retention_period_s"),
+        hold_s=_positive(cfg, "schedule.hold_s"),
+        read_period_s=_positive(cfg, "schedule.read_period_s"),
+    )
+
+
+def _cmd_hsr(cfg: RunConfig, out: str) -> list[str]:
+    args = _hsr_args(cfg)
+    res = run_heat_stimulate_retention(
+        t_test=cfg["hsr.t_test_k"],
+        v_prog=cfg["hsr.v_prog_v"],
+        plant=cfg.plant(),
+        state=_device(cfg, args["fit"]),
+        **args,
     )
     return [
-        emit_csv(os.path.join(out, "hsr.csv"), "hsr",
-                 ((r.t_s, r.t_set_K, r.t_air_K, r.t_dev_K, r.r_ohm, r.phase,
-                   r.pulse_index, r.v_V) for r in res.records)),
+        emit_csv(os.path.join(out, "hsr.csv"), "hsr", res.records),
         emit_csv(os.path.join(out, "hsr_summary.csv"), "hsr_summary",
                  [(res.t_test_K, res.v_prog_V, res.frac_state, res.frac_at_t,
                    res.frac_vs_300, res.recovered_frac, res.reset_pulses)]),
@@ -220,16 +234,7 @@ def _cmd_hsr(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _cmd_nullcline(cfg: RunConfig, out: str) -> list[str]:
-    res = run_nullcline_sweep(
-        level=_level(cfg),
-        fit=cfg.thermal_fit(),
-        params=cfg.switching_params(),
-        hold_s=cfg["schedule.hold_s"],
-        read_period_s=cfg["schedule.read_period_s"],
-        pulse_count=cfg["hsr.pulse_count"],
-        retention_reads=cfg["hsr.retention_reads"],
-        retention_period_s=cfg["hsr.retention_period_s"],
-    )
+    res = run_nullcline_sweep(**_hsr_args(cfg))
     curve = fit_switch_curve(res.rows)
     return [
         emit_csv(os.path.join(out, "nullcline.csv"), "nullcline", res.rows),
@@ -240,15 +245,9 @@ def _cmd_nullcline(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _cmd_thermometer(cfg: RunConfig, out: str) -> list[str]:
-    fit = cfg.thermal_fit()
-    state = _device(cfg, fit)
-    res = run_thermal_cycling(
-        level=_level(cfg), schedule=_schedule(cfg),
-        seed=cfg["run.seed"], fit=fit, plant=cfg.plant(), state=state,
-        read_period_s=cfg["schedule.read_period_s"],
-    )
+    trials = _positive(cfg, "thermometer.trials")
+    res = _cycle(cfg)
     sigma = cfg["thermometer.noise_sigma"]
-    trials = max(1, cfg["thermometer.trials"])
     rng = substream(cfg["run.seed"], "noise")
     # guard sized to the clipped noise so band-edge readings clamp
     guard = max(0.02, 2.5 * sigma + 0.005)
@@ -260,7 +259,8 @@ def _cmd_thermometer(cfg: RunConfig, out: str) -> list[str]:
                 # clipped log-normal read scatter: bounded instrument noise
                 z = min(max(rng.standard_normal(), -2.5), 2.5)
                 r *= math.exp(sigma * z)
-            t_est = invert_temperature(r, fit, state.r_eff, guard=guard)
+            t_est = invert_temperature(r, res.fit, res.state.r_eff,
+                                       guard=guard)
             rows.append((hold.t_end_s, hold.t_set_K, trial, r, t_est,
                          t_est - hold.t_set_K))
     return [emit_csv(os.path.join(out, "thermometer.csv"), "thermometer", rows)]

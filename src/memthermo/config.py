@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .device import DEFAULT_ANCHORS, LevelAnchor, SwitchingParams, ThermalFit
 from .thermal import ThermalPlant
@@ -183,9 +183,12 @@ class RunConfig:
         if not raw:
             return []
         try:
-            return [float(part) for part in raw.split(",")]
+            values = [float(part) for part in raw.split(",")]
         except ValueError:
             raise ConfigError(f"bad float list for {name}: {raw!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{name} must be finite, got {raw!r}")
+        return values
 
     def serialize(self) -> str:
         lines = [f"{name} = {_format_value(self._values[name])}"
@@ -195,9 +198,15 @@ class RunConfig:
     # --- builders -------------------------------------------------------
 
     def thermal_fit(self) -> ThermalFit:
-        return ThermalFit(anchors=tuple(
+        anchors = tuple(
             LevelAnchor(a.label, *(self[k] for k in _fit_keys(a.label)))
-            for a in DEFAULT_ANCHORS))
+            for a in DEFAULT_ANCHORS)
+        # an anchor table the fit rejects is a configuration mistake
+        # (CalibrationError is a ValueError too)
+        try:
+            return ThermalFit(anchors=anchors)
+        except ValueError as exc:
+            raise ConfigError(f"fit: {exc}") from None
 
     def switching_params(self) -> SwitchingParams:
         return SwitchingParams(**{f.name: self[_switching_key(f.name)]
@@ -208,11 +217,9 @@ class RunConfig:
         if preset not in ("packaged", "on_wafer"):
             raise ConfigError(f"plant.preset must be packaged or on_wafer, "
                               f"got {preset!r}")
-        tau_dev = self["plant.tau_dev_s"]
-        if tau_dev == 0.0:
-            tau_dev = 720.0 if preset == "packaged" else 60.0
-        return ThermalPlant(tau_air_s=self["plant.tau_air_s"],
-                            tau_dev_s=tau_dev)
+        base = getattr(ThermalPlant, preset)()
+        return replace(base, tau_air_s=self["plant.tau_air_s"],
+                       tau_dev_s=self["plant.tau_dev_s"] or base.tau_dev_s)
 
 
 def resolve_config(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calibration import IVCurveSet
 from .constants import V_READ
@@ -45,8 +46,10 @@ class ProtocolError(RuntimeError):
     """A protocol-level check failed (settling, convergence, ordering)."""
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace row; the fields follow `SCHEMAS["hsr"]`, and the first
+    six are `SCHEMAS["cycle"]`, so a record is written as it stands."""
+
     t_s: float
     t_set_K: float
     t_air_K: float
@@ -108,25 +111,40 @@ class CycleResult:
         return temps, res
 
 
-class _DriftWalk:
-    """Slow multiplicative drift: a seeded random walk in log space,
-    clipped to a half-band so any two holds differ by at most `scale`.
-    One step per hold; within a hold the factor is constant, which leaves
-    the settling criterion untouched."""
+def _drift_factors(scale: float, seed: int, n: int) -> list[float]:
+    """Slow multiplicative drift, one factor per hold: a seeded random walk
+    in log space, clipped to a half-band so any two holds differ by at most
+    `scale`. Within a hold the factor is constant, which leaves the
+    settling criterion untouched."""
+    if scale <= 0:
+        return [1.0] * n
+    rng = substream(seed, "drift")
+    half_band = 0.5 * math.log1p(scale)
+    log_f, factors = 0.0, []
+    for _ in range(n):
+        step = rng.normal(0.0, half_band / 2.0)
+        log_f = min(max(log_f + step, -half_band), half_band)
+        factors.append(math.exp(log_f))
+    return factors
 
-    def __init__(self, scale: float, seed: int):
-        self.scale = scale
-        self._rng = substream(seed, "drift")
-        self._log_f = 0.0
-        self._half_band = 0.5 * math.log1p(scale) if scale > 0 else 0.0
 
-    def next_factor(self) -> float:
-        if self.scale <= 0:
-            return 1.0
-        step = self._rng.normal(0.0, self._half_band / 2.0)
-        self._log_f = min(max(self._log_f + step, -self._half_band),
-                          self._half_band)
-        return math.exp(self._log_f)
+def _hold(plant, state, fit, t_set, hold_s, read_period_s, t, records,
+          factor=1.0):
+    """Hold the chamber at t_set for hold_s, stepping the plant and reading
+    the device once per read period; returns the end time. Each read,
+    scaled by `factor`, is appended to `records` unless that is None."""
+    if hold_s <= 0 or read_period_s <= 0:
+        raise ValueError(f"hold ({hold_s} s) and read period "
+                         f"({read_period_s} s) must be > 0")
+    plant.set_setpoint(t_set)
+    for _ in range(max(1, int(round(hold_s / read_period_s)))):
+        plant.step(read_period_s)
+        t += read_period_s
+        r = read_resistance(state, fit, plant.t_dev) * factor
+        if records is not None:
+            records.append(TraceRecord(t, plant.t_set, plant.t_air,
+                                       plant.t_dev, r, PHASE_READ))
+    return t
 
 
 def run_thermal_cycling(
@@ -150,28 +168,19 @@ def run_thermal_cycling(
     schedule = schedule or scrambled_schedule(seed)
     plant = plant.copy() if plant is not None else ThermalPlant.packaged()
     state = state if state is not None else device_preset(level, fit)
-    drift = _DriftWalk(drift_scale, seed)
     phi = fit.phi_for_state(state.r_eff)
+    factors = _drift_factors(drift_scale, seed, len(schedule.entries))
 
     records: list[TraceRecord] = []
     holds: list[HoldSummary] = []
     t = 0.0
-    for index, (t_set, hold_s) in enumerate(schedule.entries):
-        plant.set_setpoint(t_set)
-        factor = drift.next_factor()
-        times, reads = [], []
-        n_steps = max(1, int(round(hold_s / read_period_s)))
-        for _ in range(n_steps):
-            plant.step(read_period_s)
-            t += read_period_s
-            r = read_resistance(state, fit, plant.t_dev) * factor
-            times.append(t)
-            reads.append(r)
-            records.append(TraceRecord(
-                t_s=t, t_set_K=plant.t_set, t_air_K=plant.t_air,
-                t_dev_K=plant.t_dev, r_ohm=r, phase=PHASE_READ,
-            ))
-        ok = settled(times, reads)
+    for index, ((t_set, hold_s), factor) in enumerate(
+            zip(schedule.entries, factors)):
+        start = len(records)
+        t = _hold(plant, state, fit, t_set, hold_s, read_period_s, t,
+                  records, factor)
+        hold = records[start:]
+        ok = settled([r.t_s for r in hold], [r.r_ohm for r in hold])
         if ok is not True:
             raise ProtocolError(
                 f"hold {index} at {t_set} K not settled after {hold_s} s "
@@ -179,9 +188,9 @@ def run_thermal_cycling(
             )
         holds.append(HoldSummary(
             index=index, t_set_K=t_set,
-            t_start_s=times[0], t_end_s=times[-1],
+            t_start_s=hold[0].t_s, t_end_s=t,
             r_steady_ohm=state.r_eff * rho_temperature_factor(t_set, phi) * factor,
-            r_first_ohm=reads[0], r_last_ohm=reads[-1],
+            r_first_ohm=hold[0].r_ohm, r_last_ohm=hold[-1].r_ohm,
             settled=True,
         ))
     return CycleResult(level=level, records=records, holds=holds,
@@ -265,70 +274,52 @@ def run_heat_stimulate_retention(
     fit = fit or ThermalFit.default()
     params = params or SwitchingParams()
     plant = plant.copy() if plant is not None else ThermalPlant.packaged()
-    state0 = state if state is not None else device_preset(level, fit)
+    state0 = state = state if state is not None else device_preset(level, fit)
 
     records: list[TraceRecord] = []
+    kept = records if keep_records else None
     t = 0.0
 
     def log(r, phase, pulse_index=None, v=V_READ):
         if keep_records:
-            records.append(TraceRecord(
-                t_s=t, t_set_K=plant.t_set, t_air_K=plant.t_air,
-                t_dev_K=plant.t_dev, r_ohm=r, phase=phase,
-                pulse_index=pulse_index, v_V=v,
-            ))
+            records.append(TraceRecord(t, plant.t_set, plant.t_air,
+                                       plant.t_dev, r, phase, pulse_index, v))
 
     # reference read at 300 K
-    r_ref_300 = read_resistance(state0, fit, plant.t_dev)
+    r_ref_300 = read_resistance(state, fit, plant.t_dev)
     log(r_ref_300, PHASE_READ)
 
-    def hold(setpoint, seconds):
-        nonlocal t
-        plant.set_setpoint(setpoint)
-        for _ in range(max(1, int(round(seconds / read_period_s)))):
-            plant.step(read_period_s)
-            t += read_period_s
-            log(read_resistance(current_state(), fit, plant.t_dev), PHASE_READ)
-
-    state_box = [state0]
-
-    def current_state():
-        return state_box[0]
-
     # heat to the test temperature and stabilise
-    hold(t_test, hold_s)
+    t = _hold(plant, state, fit, t_test, hold_s, read_period_s, t, kept)
 
     # programming train at the (now settled) device temperature
     t_train = plant.t_dev
-    r_pre_at_t = read_resistance(current_state(), fit, t_train)
-    state_prog, trace = apply_pulse_train(
-        current_state(), v_prog, pulse_count, t_train, params, fit)
+    r_pre_at_t = read_resistance(state, fit, t_train)
+    state, trace = apply_pulse_train(
+        state, v_prog, pulse_count, t_train, params, fit)
     for k, r in enumerate(trace, start=1):
         t += pulse_period_s
         log(r, PHASE_PROGRAM, pulse_index=k, v=v_prog)
     plant.step(pulse_count * pulse_period_s)
-    state_box[0] = state_prog
 
-    frac_state = state_prog.r_eff / state0.r_eff - 1.0
+    frac_state = state.r_eff / state0.r_eff - 1.0
     frac_at_t = trace[-1] / r_pre_at_t - 1.0
     frac_vs_300 = trace[-1] / r_ref_300 - 1.0
 
     # retention at temperature, one decay interval per read
-    vol_peak = state_prog.r_volatile_excess
-    st = state_prog
+    vol_peak = state.r_volatile_excess
     for k in range(1, retention_reads + 1):
         plant.step(retention_period_s)
         t += retention_period_s
-        st, rtrace = retention_run(st, 1, plant.t_dev, params, fit)
+        state, rtrace = retention_run(state, 1, plant.t_dev, params, fit)
         log(rtrace[0], PHASE_RETENTION, pulse_index=k)
-    state_box[0] = st
-    recovered = 0.0 if vol_peak == 0.0 else 1.0 - st.r_volatile_excess / vol_peak
+    recovered = 0.0 if vol_peak == 0.0 else 1.0 - state.r_volatile_excess / vol_peak
 
     # back to the reference temperature
-    hold(300.0, hold_s)
+    t = _hold(plant, state, fit, 300.0, hold_s, read_period_s, t, kept)
 
     # reset to the initial 300 K reference level
-    reset = reset_to_reference(current_state(), state0.r_persistent, params, fit)
+    reset = reset_to_reference(state, state0.r_persistent, params, fit)
     for k, r in enumerate(reset.resistances, start=1):
         t += pulse_period_s
         log(r, PHASE_PROGRAM, pulse_index=k, v=-1.5)

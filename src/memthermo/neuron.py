@@ -148,7 +148,6 @@ class NeuronSystem:
         # weights are read per step; the synapse states are static during
         # homeostasis runs (thermal control only), so cache their barriers
         self._r_eff = np.array([s.r_eff for s in self.synapses])
-        self._r_ref = self._r_eff.copy()
         self._phi = np.array([fit.phi_for_state(r) for r in self._r_eff])
 
     @classmethod
@@ -244,9 +243,6 @@ class HomeostasisResult:
     @property
     def steps(self) -> int:
         return int(self.spikes.size)
-
-    def spike_steps(self) -> np.ndarray:
-        return np.flatnonzero(self.spikes > 0)
 
     def window_rates(self) -> list[tuple[int, float, float]]:
         """Non-overlapping fixed-step windows: (index, mid time, rate)."""

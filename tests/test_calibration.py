@@ -16,7 +16,6 @@ from memthermo import (
     IVCurveSet,
     NeuronSystem,
     ThermionicParams,
-    ThermometerTable,
     extract_thermionic,
     fit_switch_curve,
     invert_temperature,
@@ -224,14 +223,6 @@ def test_invert_noisy_monte_carlo_within_two_kelvin(fit):
                                        guard=guard)
             worst = max(worst, abs(t_est - T))
     assert worst <= 2.0
-
-
-def test_thermometer_table_wraps_inversion(fit):
-    table = ThermometerTable.for_device(fit, 3e6)
-    state = DeviceState(r_persistent=3e6)
-    r = read_resistance(state, fit, 330.0)
-    assert table.invert(r) == pytest.approx(330.0, abs=0.01)
-    assert table.r_min < table.r_max
 
 
 # ---------------------------------------------------------------------------

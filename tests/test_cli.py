@@ -157,6 +157,13 @@ def test_version_flag(capsys):
     pytest.param(["homeostasis", "--set", "neuron.theta=nan",
                   "--set", "neuron.map_mode=affine"],
                  "neuron.theta", "nan", id="homeostasis-affine-theta-nan"),
+    # non-finite entries of the float-list keys once reached the protocol
+    pytest.param(["iv", "--set", "iv.temps_k=300,nan"],
+                 "iv.temps_k", "300,nan", id="iv-temps-nan"),
+    pytest.param(["baseline", "--set", "baseline.loads=nan"],
+                 "baseline.loads", "nan", id="baseline-loads-nan"),
+    pytest.param(["cycle", "--set", "schedule.setpoints=300,inf"],
+                 "schedule.setpoints", "300,inf", id="cycle-setpoints-inf"),
 ])
 def test_non_finite_float_fails_as_config_error_on_one_line(
         tmp_path, capsys, argv, key, raw):
@@ -164,6 +171,51 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: config: {key} must be finite, got '{raw}'\n"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # each once ended in a traceback, a silent run (exit 0) or exit 2
+    pytest.param(["cycle", "--set", "schedule.hold_s=0"],
+                 "schedule.hold_s must be > 0, got 0.0", id="cycle-hold-0"),
+    pytest.param(["hsr", "--set", "schedule.hold_s=-5"],
+                 "schedule.hold_s must be > 0, got -5.0", id="hsr-hold-neg"),
+    *(pytest.param([cmd, "--set", "schedule.read_period_s=0"],
+                   "schedule.read_period_s must be > 0, got 0.0",
+                   id=f"{cmd}-read-period-0")
+      for cmd in ("cycle", "levels", "hsr", "nullcline", "thermometer")),
+    pytest.param(["hsr", "--set", "hsr.retention_period_s=0"],
+                 "hsr.retention_period_s must be > 0, got 0.0",
+                 id="hsr-retention-period-0"),
+    pytest.param(["thermometer", "--set", "thermometer.trials=0"],
+                 "thermometer.trials must be > 0, got 0",
+                 id="thermometer-trials-0"),
+    pytest.param(["levels", "--set", "fit.r_l1_ohm=5e6"],
+                 "fit: anchors must be strictly decreasing in r_ref",
+                 id="levels-fit-unordered"),
+    pytest.param(["levels", "--set", "fit.drop_l4=0.02"],
+                 "fit: total_drop=0.0200 outside achievable range "
+                 "(0.0308, 1.0000) for the 300->360 K window",
+                 id="levels-fit-drop-unreachable"),
+])
+def test_config_mistake_fails_as_config_error_on_one_line(
+        tmp_path, capsys, argv, reason):
+    code = _run(*argv, "--out", str(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: config: {reason}\n"
+
+
+def test_thermometer_reads_the_drifted_cycle(tmp_path, capsys):
+    # with the drift on and no read noise, each reading is its hold's
+    # drifted steady resistance, exactly as the cycle reports it
+    drift = ["--seed", "1", "--set", "cycle.drift_scale=0.01"]
+    assert _run("cycle", "--out", str(tmp_path / "cycle"), *drift) == 0
+    assert _run("thermometer", "--out", str(tmp_path / "thermo"), *drift) == 0
+    _, holds = parse_csv(tmp_path / "cycle" / "cycle_holds.csv", "cycle_holds")
+    _, rows = parse_csv(tmp_path / "thermo" / "thermometer.csv", "thermometer")
+    assert [(r[1], r[3]) for r in rows] == [(h[1], h[2]) for h in holds]
+    r300 = [h[2] for h in holds if h[1] == "300"]
+    assert r300[0] != r300[-1]   # the drift is on
 
 
 def test_fit_override_moves_the_level_presets(tmp_path, capsys):

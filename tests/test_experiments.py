@@ -12,7 +12,27 @@ from memthermo import (
     run_nullcline_sweep,
     run_thermal_cycling,
 )
-from memthermo.experiments import ProtocolError
+from memthermo.csvio import SCHEMAS
+from memthermo.experiments import ProtocolError, TraceRecord
+
+
+def test_trace_record_fields_are_the_row_schemas():
+    # hsr rows are written as they stand, cycle rows as their first six
+    assert TraceRecord._fields == SCHEMAS["hsr"]
+    assert TraceRecord._fields[:6] == SCHEMAS["cycle"]
+
+
+@pytest.mark.parametrize("run, kwargs", [
+    pytest.param(run_thermal_cycling, {"read_period_s": 0.0},
+                 id="cycle-read-period-0"),
+    pytest.param(run_heat_stimulate_retention, {"hold_s": -5.0},
+                 id="hsr-hold-neg"),
+    pytest.param(run_heat_stimulate_retention, {"read_period_s": 0.0},
+                 id="hsr-read-period-0"),
+])
+def test_hold_rejects_non_positive_hold_or_read_period(fit, run, kwargs):
+    with pytest.raises(ValueError, match="must be > 0"):
+        run(fit=fit, **kwargs)
 
 
 def test_cycle_holds_all_settled_and_steady_drop(fit):
