@@ -26,8 +26,12 @@ def headline(experiment: str, out: pathlib.Path) -> str:
         return (f"drops pristine {float(rows['pristine']['drop_frac']):.3f} "
                 f"vs L4 {float(rows['L4']['drop_frac']):.3f}")
     if experiment == "cycle":
-        rows = _read(out / "cycle_holds.csv")
-        return f"{len(rows)} settled holds"
+        # first vs last settled visit at 300 K; 0 unless cycle.drift_scale > 0
+        r300 = [float(r["r_steady_ohm"])
+                for r in _read(out / "cycle_holds.csv")
+                if float(r["t_set_K"]) == 300.0]
+        drift = abs(r300[-1] - r300[0]) / r300[0]
+        return f"300 K revisit discrepancy {drift:.3%} over {len(r300)} visits"
     if experiment == "nullcline":
         rows = {(r["v_V"], r["T_K"]): float(r["frac"])
                 for r in _read(out / "nullcline.csv")}

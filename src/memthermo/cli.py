@@ -2,16 +2,19 @@
 
 One experiment per invocation; each run validates its configuration,
 simulates, and writes CSV files plus a manifest into the output
-directory. Exit codes: 0 success, 1 configuration error, 2 protocol or
-convergence error, 3 I/O error; failures print one machine-parsable line
-on stderr.
+directory. Exit codes: 0 success, 1 configuration error, 2 protocol,
+convergence or numeric-overflow error, 3 I/O error; failures print one
+machine-parsable line on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .calibration import (
@@ -22,7 +25,7 @@ from .calibration import (
     fit_switch_curve,
     invert_temperature,
 )
-from .config import ConfigError, RunConfig, resolve_config
+from .config import ConfigError, RunConfig, checked, resolve_config
 from .csvio import emit_csv, parse_csv, write_manifest
 from .device import CalibrationError, DeviceState, ResetError, ThermalFit
 from .experiments import (
@@ -50,38 +53,20 @@ EXPERIMENTS = ("cycle", "levels", "iv", "signature", "hsr", "nullcline",
                "thermometer", "baseline", "homeostasis", "calibrate")
 
 
-def _positive(cfg: RunConfig, key: str):
-    value = cfg[key]
-    if value <= 0:
-        raise ConfigError(f"{key} must be > 0, got {value!r}")
-    return value
-
-
 def _schedule(cfg: RunConfig):
-    hold = _positive(cfg, "schedule.hold_s")
+    hold = cfg["schedule.hold_s"]
     explicit = cfg.floats("schedule.setpoints")
     if explicit:
-        try:
-            return TemperatureSchedule(
-                entries=tuple((t, hold) for t in explicit))
-        except ValueError as exc:
-            raise ConfigError(f"schedule.setpoints: {exc}") from None
+        return checked("schedule.setpoints", TemperatureSchedule,
+                       entries=tuple((t, hold) for t in explicit))
     return scrambled_schedule(cfg["run.seed"], hold_s=hold)
-
-
-def _level(cfg: RunConfig) -> str:
-    level = cfg["device.level"]
-    if level not in LEVEL_ORDER:
-        raise ConfigError(f"device.level must be one of {LEVEL_ORDER}, "
-                          f"got {level!r}")
-    return level
 
 
 def _device(cfg: RunConfig, fit: ThermalFit) -> DeviceState:
     r = cfg["device.r_ohm"]
     if r > 0:
         return DeviceState(r_persistent=r)
-    return device_preset(_level(cfg), fit)
+    return device_preset(cfg["device.level"], fit)
 
 
 def _feedforward(cfg: RunConfig, system: NeuronSystem) -> FeedforwardMap:
@@ -90,18 +75,15 @@ def _feedforward(cfg: RunConfig, system: NeuronSystem) -> FeedforwardMap:
         return FeedforwardMap(kappa=cfg["neuron.kappa"])
     if mode == "fixed":
         return FeedforwardMap(mode="fixed", t_fixed=cfg["neuron.t_fixed_k"])
-    if mode == "table":
-        cal = calibrate_gain(cfg.floats("calibrate.loads"), system,
-                             mode="table", gamma=cfg["neuron.gamma"])
-        return cal.fmap
-    raise ConfigError(f"neuron.map_mode must be affine, table or fixed, "
-                      f"got {mode!r}")
+    return checked("calibrate.loads", calibrate_gain,
+                   cfg.floats("calibrate.loads"), system, mode="table",
+                   gamma=cfg["neuron.gamma"]).fmap
 
 
-def _build_system(cfg: RunConfig, fmap: FeedforwardMap | None = None) -> NeuronSystem:
+def _build_system(cfg: RunConfig) -> NeuronSystem:
     return NeuronSystem.build(
-        level=_level(cfg),
-        fmap=fmap or FeedforwardMap(kappa=0.0),
+        level=cfg["device.level"],
+        fmap=FeedforwardMap(kappa=0.0),
         fit=cfg.thermal_fit(),
         plant=cfg.plant(),
         theta=cfg["neuron.theta"],
@@ -115,13 +97,13 @@ def _build_system(cfg: RunConfig, fmap: FeedforwardMap | None = None) -> NeuronS
 def _cycle(cfg: RunConfig) -> CycleResult:
     fit = cfg.thermal_fit()
     return run_thermal_cycling(
-        level=_level(cfg),
+        level=cfg["device.level"],
         schedule=_schedule(cfg),
         seed=cfg["run.seed"],
         fit=fit,
         plant=cfg.plant(),
         state=_device(cfg, fit),
-        read_period_s=_positive(cfg, "schedule.read_period_s"),
+        read_period_s=cfg["schedule.read_period_s"],
         drift_scale=cfg["cycle.drift_scale"],
     )
 
@@ -140,7 +122,7 @@ def _cmd_cycle(cfg: RunConfig, out: str) -> list[str]:
 def _cmd_levels(cfg: RunConfig, out: str) -> list[str]:
     sweep = run_level_sweep(
         schedule=_schedule(cfg), seed=cfg["run.seed"], fit=cfg.thermal_fit(),
-        read_period_s=_positive(cfg, "schedule.read_period_s"),
+        read_period_s=cfg["schedule.read_period_s"],
         drift_scale=cfg["cycle.drift_scale"],
     )
     files = [emit_csv(
@@ -157,8 +139,9 @@ def _cmd_levels(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _iv_sweep(cfg: RunConfig):
-    return run_iv_sweep(
-        level=_level(cfg),
+    return checked(
+        "iv", run_iv_sweep,
+        level=cfg["device.level"],
         temperatures=cfg.floats("iv.temps_k"),
         v_min=cfg["iv.v_min_v"], v_max=cfg["iv.v_max_v"],
         points_per_polarity=cfg["iv.points"],
@@ -171,7 +154,7 @@ def _cmd_iv(cfg: RunConfig, out: str,
             ivs: IVCurveSet | None = None) -> list[str]:
     if ivs is None:
         ivs = _iv_sweep(cfg)
-    level = _level(cfg)
+    level = cfg["device.level"]
     return [emit_csv(
         os.path.join(out, "iv.csv"), "iv",
         ((level, T, v, i)
@@ -183,8 +166,9 @@ def _cmd_iv(cfg: RunConfig, out: str,
 def _cmd_signature(cfg: RunConfig, out: str) -> list[str]:
     input_csv = cfg["iv.input_csv"]
     if input_csv:
-        _, rows = parse_csv(input_csv, "iv")
-        ivs = IVCurveSet.from_rows((T, v, i) for _, T, v, i in rows)
+        _, rows = checked(input_csv, parse_csv, input_csv, "iv")
+        ivs = checked(input_csv, IVCurveSet.from_rows,
+                      ((T, v, i) for _, T, v, i in rows))
         files = []
     else:
         ivs = _iv_sweep(cfg)
@@ -204,27 +188,25 @@ def _cmd_signature(cfg: RunConfig, out: str) -> list[str]:
 
 def _hsr_args(cfg: RunConfig) -> dict:
     """run_heat_stimulate_retention keywords shared by hsr and nullcline."""
+    fit = cfg.thermal_fit()
     return dict(
-        level=_level(cfg),
-        fit=cfg.thermal_fit(),
+        level=cfg["device.level"],
+        fit=fit,
         params=cfg.switching_params(),
+        plant=cfg.plant(),
+        state=_device(cfg, fit),
         pulse_count=cfg["hsr.pulse_count"],
         retention_reads=cfg["hsr.retention_reads"],
-        retention_period_s=_positive(cfg, "hsr.retention_period_s"),
-        hold_s=_positive(cfg, "schedule.hold_s"),
-        read_period_s=_positive(cfg, "schedule.read_period_s"),
+        retention_period_s=cfg["hsr.retention_period_s"],
+        hold_s=cfg["schedule.hold_s"],
+        read_period_s=cfg["schedule.read_period_s"],
     )
 
 
 def _cmd_hsr(cfg: RunConfig, out: str) -> list[str]:
-    args = _hsr_args(cfg)
     res = run_heat_stimulate_retention(
-        t_test=cfg["hsr.t_test_k"],
-        v_prog=cfg["hsr.v_prog_v"],
-        plant=cfg.plant(),
-        state=_device(cfg, args["fit"]),
-        **args,
-    )
+        t_test=cfg["hsr.t_test_k"], v_prog=cfg["hsr.v_prog_v"],
+        **_hsr_args(cfg))
     return [
         emit_csv(os.path.join(out, "hsr.csv"), "hsr", res.records),
         emit_csv(os.path.join(out, "hsr_summary.csv"), "hsr_summary",
@@ -245,7 +227,7 @@ def _cmd_nullcline(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _cmd_thermometer(cfg: RunConfig, out: str) -> list[str]:
-    trials = _positive(cfg, "thermometer.trials")
+    trials = cfg["thermometer.trials"]
     res = _cycle(cfg)
     sigma = cfg["thermometer.noise_sigma"]
     rng = substream(cfg["run.seed"], "noise")
@@ -268,14 +250,8 @@ def _cmd_thermometer(cfg: RunConfig, out: str) -> list[str]:
 
 def _cmd_baseline(cfg: RunConfig, out: str) -> list[str]:
     system = _build_system(cfg)
-    mode = cfg["baseline.feedforward"]
-    if mode == "off":
-        system.fmap = FeedforwardMap(kappa=0.0)
-    elif mode == "calibrated":
+    if cfg["baseline.feedforward"] == "calibrated":
         system.fmap = _feedforward(cfg, system)
-    else:
-        raise ConfigError(f"baseline.feedforward must be off or calibrated, "
-                          f"got {mode!r}")
     rows = baseline_curve(
         cfg.floats("baseline.loads"), system,
         settle_steps=cfg["baseline.settle_steps"],
@@ -284,38 +260,30 @@ def _cmd_baseline(cfg: RunConfig, out: str) -> list[str]:
     return [emit_csv(os.path.join(out, "baseline.csv"), "baseline", rows)]
 
 
-def _load_pattern(cfg: RunConfig) -> InputPattern:
-    """Inline segments, or CSV breakpoint rows (step, load) where each
-    load holds until the next breakpoint; the final load holds for the
-    longest preceding segment (one window for a single-row file)."""
-    path = cfg["homeostasis.pattern_csv"]
-    if path:
-        _, rows = parse_csv(path)
-        try:
-            breakpoints = [(int(step), float(load)) for step, load in rows]
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        if not breakpoints:
-            raise ConfigError(f"{path}: no pattern rows")
-        if any(b[0] <= a[0] for a, b in zip(breakpoints, breakpoints[1:])):
-            raise ConfigError(f"{path}: breakpoint steps must increase")
-        durations = [b[0] - a[0] for a, b in zip(breakpoints, breakpoints[1:])]
-        tail = max(durations, default=cfg["neuron.window"])
-        segments = tuple(
-            (duration, load)
-            for (_, load), duration in zip(breakpoints, durations + [tail])
-        )
-        return InputPattern(segments=segments)
-    try:
-        return InputPattern.parse(cfg["homeostasis.pattern"])
-    except ValueError as exc:
-        raise ConfigError(f"homeostasis.pattern: {exc}") from None
+def _read_pattern(path, window: int) -> InputPattern:
+    """CSV breakpoint rows (step, load): each load holds until the next
+    breakpoint, the final one for the longest preceding segment (one
+    window for a single-row file)."""
+    _, rows = parse_csv(path)
+    breakpoints = [(int(step), float(load)) for step, load in rows]
+    if any(b[0] <= a[0] for a, b in zip(breakpoints, breakpoints[1:])):
+        raise ValueError("breakpoint steps must increase")
+    durations = [b[0] - a[0] for a, b in zip(breakpoints, breakpoints[1:])]
+    tail = max(durations, default=window)
+    return InputPattern(segments=tuple(
+        (duration, load)
+        for (_, load), duration in zip(breakpoints, durations + [tail])))
 
 
 def _cmd_homeostasis(cfg: RunConfig, out: str) -> list[str]:
     system = _build_system(cfg)
     system.fmap = _feedforward(cfg, system)
-    pattern = _load_pattern(cfg)
+    path = cfg["homeostasis.pattern_csv"]
+    if path:
+        pattern = checked(path, _read_pattern, path, cfg["neuron.window"])
+    else:
+        pattern = checked("homeostasis.pattern", InputPattern.parse,
+                          cfg["homeostasis.pattern"])
     res = run_homeostasis(pattern, system)
     return [
         emit_csv(os.path.join(out, "homeostasis_rates.csv"),
@@ -332,7 +300,8 @@ def _cmd_homeostasis(cfg: RunConfig, out: str) -> list[str]:
 
 def _cmd_calibrate(cfg: RunConfig, out: str) -> list[str]:
     system = _build_system(cfg)
-    cal = calibrate_gain(
+    cal = checked(
+        "calibrate.loads", calibrate_gain,
         cfg.floats("calibrate.loads"), system, mode=cfg["calibrate.mode"],
         gamma=cfg["neuron.gamma"],
         kappa_grid=None if cfg["calibrate.mode"] == "table" else
@@ -370,6 +339,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache   # one parser serves every in-process dispatch
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memthermo",
@@ -414,7 +384,9 @@ def cli_dispatch(argv) -> int:
 
         out = cfg["run.out_dir"]
         os.makedirs(out, exist_ok=True)
-        files = _HANDLERS[args.experiment](cfg, out)
+        # numeric overflow is reported as a protocol failure, not a warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            files = _HANDLERS[args.experiment](cfg, out)
         files.append(write_manifest(os.path.join(out, "manifest.txt"), cfg,
                                     experiment=args.experiment,
                                     version=__version__))
@@ -425,7 +397,7 @@ def cli_dispatch(argv) -> int:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
     except (ProtocolError, ResetError, CalibrationError, ExtractionError,
-            ThermometerRangeError, ValueError) as exc:
+            ThermometerRangeError, ArithmeticError) as exc:
         print(f"error: protocol: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -5,7 +5,8 @@ comments. Flat keys keep the files diffable and the parser dependency
 free. Every physical parameter carries its documented default; unknown
 keys are rejected rather than ignored. Environment variables prefixed
 MEMTHERMO_ override file values (run.seed -> MEMTHERMO_RUN_SEED), and
-explicit CLI overrides sit on top.
+explicit CLI overrides sit on top. Each key checks its own domain;
+relations between keys are left to the constructors the builders call.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
+from .constants import R_CEILING, R_FLOOR, T_MAX, T_MIN
 from .device import DEFAULT_ANCHORS, LevelAnchor, SwitchingParams, ThermalFit
 from .thermal import ThermalPlant
 
@@ -21,16 +23,61 @@ class ConfigError(ValueError):
     pass
 
 
+def checked(what: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with its ValueError a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+def _rule(ok, text):
+    return lambda value: None if ok(value) else text
+
+
+positive = _rule(lambda v: v > 0, "> 0")
+nonneg = _rule(lambda v: v >= 0, ">= 0")
+
+
+def at_least(n):
+    return _rule(lambda v: v >= n, f">= {n}")
+
+
+def within(lo, hi):
+    return _rule(lambda v: lo <= v <= hi, f"in [{lo}, {hi}]")
+
+
+def choice(*options):
+    return _rule(lambda v: v in options, "one of " + ", ".join(options))
+
+
+def _float_list(raw: str) -> list[float]:
+    return [float(part) for part in raw.split(",")] if raw.strip() else []
+
+
+def floats(each=None):
+    """Check of a comma-separated list of finite floats that pass `each`."""
+    def check(raw):
+        try:
+            values = _float_list(raw)
+        except ValueError:
+            return "a comma-separated float list"
+        if not all(map(math.isfinite, values)):
+            return "finite"
+        return next(filter(None, map(each, values)), None) if each else None
+    return check
+
+
 @dataclass(frozen=True)
 class _Key:
     name: str
     type: type
     default: object
     help: str
+    check: object = None   # value -> None, or the text after "must be"
 
 
-def _k(name, type_, default, help_):
-    return _Key(name=name, type=type_, default=default, help=help_)
+_k = _Key
 
 
 def _fit_keys(label: str) -> tuple[str, str]:
@@ -42,8 +89,10 @@ def _fit_keys(label: str) -> tuple[str, str]:
 def _fit_entries():
     for a in DEFAULT_ANCHORS:
         r_key, drop_key = _fit_keys(a.label)
-        yield _k(r_key, float, a.r_ref, f"{a.label} anchor resistance")
-        yield _k(drop_key, float, a.total_drop, f"{a.label} 300->360 K drop")
+        yield _k(r_key, float, a.r_ref, f"{a.label} anchor resistance",
+                 within(R_FLOOR, R_CEILING))
+        yield _k(drop_key, float, a.total_drop,
+                 f"{a.label} 300->360 K drop", within(0, 1))
 
 
 # SwitchingParams fields whose config key carries a unit suffix
@@ -56,58 +105,68 @@ def _switching_key(field: str) -> str:
 
 REGISTRY: dict[str, _Key] = {k.name: k for k in [
     _k("run.experiment", str, "", "subcommand that produced the run"),
-    _k("run.seed", int, 0, "single seed feeding all named rng sub-streams"),
+    _k("run.seed", int, 0, "seed of every named rng sub-stream", nonneg),
     _k("run.out_dir", str, "out", "output directory"),
 
-    _k("device.level", str, "pristine", "resistive level preset: one of "
-       "the DEFAULT_ANCHORS labels"),
+    _k("device.level", str, "pristine", "resistive level preset",
+       choice(*(a.label for a in DEFAULT_ANCHORS))),
     _k("device.r_ohm", float, 0.0, "explicit 300 K resistance; 0 uses the "
-       "level preset"),
+       "level preset", _rule(lambda v: v == 0 or R_FLOOR <= v <= R_CEILING,
+                             f"0 or in [{R_FLOOR}, {R_CEILING}]")),
 
     *_fit_entries(),
 
-    _k("plant.preset", str, "packaged", "packaged or on_wafer"),
-    _k("plant.tau_air_s", float, 180.0, "chamber air time constant"),
+    _k("plant.preset", str, "packaged", "packaged or on_wafer",
+       choice("packaged", "on_wafer")),
+    _k("plant.tau_air_s", float, 180.0, "chamber air time constant", positive),
     _k("plant.tau_dev_s", float, 0.0, "device time constant; 0 uses the "
-       "preset (720 packaged, 60 on-wafer)"),
+       "preset (720 packaged, 60 on-wafer)", nonneg),
 
     *(_k(_switching_key(f.name), float, f.default,
-         f"SwitchingParams.{f.name}")
+         f"SwitchingParams.{f.name}",
+         nonneg if f.name == "beta" else positive)
       for f in fields(SwitchingParams)),
 
-    _k("schedule.hold_s", float, 3600.0, "hold per setpoint"),
-    _k("schedule.read_period_s", float, 6.0, "read cadence during holds"),
+    _k("schedule.hold_s", float, 3600.0, "hold per setpoint", positive),
+    _k("schedule.read_period_s", float, 6.0, "read cadence during holds",
+       positive),
     _k("schedule.setpoints", str, "", "explicit comma-separated setpoints "
-       "(K); empty scrambles the 300-360 K grid from the seed"),
+       "(K); empty scrambles the 300-360 K grid from the seed", floats()),
 
     _k("cycle.drift_scale", float, 0.0, "slow drift bound per cycle; 0=off, "
-       "0.05 reproduces the 5 % revisit discrepancy"),
+       "0.05 reproduces the 5 % revisit discrepancy", nonneg),
 
-    _k("hsr.t_test_k", float, 360.0, "test temperature"),
+    _k("hsr.t_test_k", float, 360.0, "test temperature", within(T_MIN, T_MAX)),
     _k("hsr.v_prog_v", float, 1.5, "programming amplitude"),
-    _k("hsr.pulse_count", int, 200, "programming pulses"),
-    _k("hsr.retention_reads", int, 200, "retention reads"),
-    _k("hsr.retention_period_s", float, 6.0, "retention read interval"),
+    _k("hsr.pulse_count", int, 200, "programming pulses", at_least(1)),
+    _k("hsr.retention_reads", int, 200, "retention reads", nonneg),
+    _k("hsr.retention_period_s", float, 6.0, "retention read interval",
+       positive),
 
-    _k("iv.temps_k", str, "300,330,360", "IV sweep temperatures"),
-    _k("iv.v_min_v", float, 0.05, "smallest sweep amplitude"),
-    _k("iv.v_max_v", float, 0.4, "largest sweep amplitude (< threshold)"),
-    _k("iv.points", int, 8, "points per polarity"),
+    _k("iv.temps_k", str, "300,330,360", "IV sweep temperatures", floats()),
+    _k("iv.v_min_v", float, 0.05, "smallest sweep amplitude", positive),
+    _k("iv.v_max_v", float, 0.4, "largest amplitude (< threshold)", positive),
+    _k("iv.points", int, 8, "points per polarity", at_least(3)),
     _k("iv.input_csv", str, "", "extract from this IV CSV instead of "
        "simulating (signature command)"),
 
-    _k("thermometer.noise_sigma", float, 0.0, "relative read noise"),
-    _k("thermometer.trials", int, 1, "noisy inversions per settled hold"),
+    _k("thermometer.noise_sigma", float, 0.0, "relative read noise", nonneg),
+    _k("thermometer.trials", int, 1, "noisy inversions per settled hold",
+       positive),
 
-    _k("neuron.theta", float, 12.5, "spike threshold"),
-    _k("neuron.window", int, 25, "steps (and spikes) per rate window"),
-    _k("neuron.dt_s", float, 1.0, "seconds per step"),
-    _k("neuron.map_mode", str, "table", "feedforward: affine, table, fixed"),
-    _k("neuron.kappa", float, 60.0, "affine feedforward gain, K per load"),
-    _k("neuron.t_fixed_k", float, 300.0, "setpoint in fixed mode"),
-    _k("neuron.gamma", float, 0.3, "residual slope of the table target"),
+    _k("neuron.theta", float, 12.5, "spike threshold", positive),
+    _k("neuron.window", int, 25, "steps (and spikes) per rate window",
+       at_least(1)),
+    _k("neuron.dt_s", float, 1.0, "seconds per step", positive),
+    _k("neuron.map_mode", str, "table", "feedforward: affine, table, fixed",
+       choice("affine", "table", "fixed")),
+    _k("neuron.kappa", float, 60.0, "affine map gain, K per load", nonneg),
+    _k("neuron.t_fixed_k", float, 300.0, "setpoint in fixed mode",
+       within(T_MIN, T_MAX)),
+    _k("neuron.gamma", float, 0.3, "residual slope of the table target",
+       _rule(lambda v: 0 < v < 1, "in (0, 1)")),
     _k("neuron.spread_sigma", float, 0.0, "device-to-device log-normal "
-       "spread of synapse resistance"),
+       "spread of synapse resistance", nonneg),
 
     _k("homeostasis.pattern", str, "0.20:6000,0.30:6000",
        "inline segments load:steps,..."),
@@ -115,16 +174,19 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
        "overriding the inline pattern"),
 
     _k("baseline.loads", str, "0.15,0.20,0.25,0.30,0.35,0.40",
-       "loads for the baseline curve"),
-    _k("baseline.feedforward", str, "off", "off (gain 0) or calibrated"),
-    _k("baseline.settle_steps", int, 4000, "settling steps per load"),
-    _k("baseline.measure_steps", int, 2000, "measurement steps per load"),
+       "loads for the baseline curve", floats(within(0, 1))),
+    _k("baseline.feedforward", str, "off", "off (gain 0) or calibrated",
+       choice("off", "calibrated")),
+    _k("baseline.settle_steps", int, 4000, "settling steps per load", nonneg),
+    _k("baseline.measure_steps", int, 2000, "measurement steps per load",
+       at_least(1)),
 
-    _k("calibrate.mode", str, "table", "gain calibration mode"),
+    _k("calibrate.mode", str, "table", "gain calibration mode",
+       choice("table", "affine")),
     _k("calibrate.loads", str, "0.15,0.20,0.25,0.30,0.35,0.40",
-       "calibration loads"),
-    _k("calibrate.kappa_max", float, 240.0, "affine grid upper edge"),
-    _k("calibrate.kappa_step", float, 1.0, "affine grid step"),
+       "calibration loads", floats(within(0, 1))),
+    _k("calibrate.kappa_max", float, 240.0, "affine grid upper edge", nonneg),
+    _k("calibrate.kappa_step", float, 1.0, "affine grid step", positive),
 ]}
 
 
@@ -179,16 +241,7 @@ class RunConfig:
             raise ConfigError(f"unknown config key '{name}'") from None
 
     def floats(self, name: str) -> list[float]:
-        raw = str(self[name]).strip()
-        if not raw:
-            return []
-        try:
-            values = [float(part) for part in raw.split(",")]
-        except ValueError:
-            raise ConfigError(f"bad float list for {name}: {raw!r}") from None
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"{name} must be finite, got {raw!r}")
-        return values
+        return _float_list(self[name])
 
     def serialize(self) -> str:
         lines = [f"{name} = {_format_value(self._values[name])}"
@@ -201,24 +254,18 @@ class RunConfig:
         anchors = tuple(
             LevelAnchor(a.label, *(self[k] for k in _fit_keys(a.label)))
             for a in DEFAULT_ANCHORS)
-        # an anchor table the fit rejects is a configuration mistake
-        # (CalibrationError is a ValueError too)
-        try:
-            return ThermalFit(anchors=anchors)
-        except ValueError as exc:
-            raise ConfigError(f"fit: {exc}") from None
+        # CalibrationError (an unreachable drop) is a ValueError too
+        return checked("fit", ThermalFit, anchors=anchors)
 
     def switching_params(self) -> SwitchingParams:
-        return SwitchingParams(**{f.name: self[_switching_key(f.name)]
-                                  for f in fields(SwitchingParams)})
+        return checked("switching", SwitchingParams,
+                       **{f.name: self[_switching_key(f.name)]
+                          for f in fields(SwitchingParams)})
 
     def plant(self) -> ThermalPlant:
-        preset = self["plant.preset"]
-        if preset not in ("packaged", "on_wafer"):
-            raise ConfigError(f"plant.preset must be packaged or on_wafer, "
-                              f"got {preset!r}")
-        base = getattr(ThermalPlant, preset)()
-        return replace(base, tau_air_s=self["plant.tau_air_s"],
+        base = getattr(ThermalPlant, self["plant.preset"])()
+        return checked("plant", replace, base,
+                       tau_air_s=self["plant.tau_air_s"],
                        tau_dev_s=self["plant.tau_dev_s"] or base.tau_dev_s)
 
 
@@ -257,4 +304,9 @@ def resolve_config(
     if overrides:
         apply(overrides, "command line")
 
+    for key in REGISTRY.values():
+        value = values[key.name]
+        problem = key.check and key.check(value)
+        if problem:
+            raise ConfigError(f"{key.name} must be {problem}, got {value!r}")
     return RunConfig(values)

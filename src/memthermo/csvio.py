@@ -70,10 +70,10 @@ def parse_csv(path, schema_id: str | None = None):
     with open(path, encoding="utf-8", newline="\n") as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty file")
+        raise ValueError("empty file")
     header = tuple(lines[0].split(","))
     if schema_id is not None and header != SCHEMAS[schema_id]:
-        raise ValueError(f"{path}: header does not match schema {schema_id}")
+        raise ValueError(f"header does not match schema {schema_id}")
     rows = [tuple(line.split(",")) for line in lines[1:]]
     return header, rows
 

@@ -401,7 +401,8 @@ class SwitchingParams:
             raise ValueError("beta >= 0, n_tau > 0, tau_ret > 0 required")
         if self.burn_in_gain <= 0:
             raise ValueError("burn_in_gain must be > 0")
-        if not (0.0 < self.taper_min <= 1.0) or self.taper_v_end <= self.taper_v_start:
+        if not (0.0 < self.taper_min <= 1.0
+                and 0.0 < self.taper_v_start < self.taper_v_end):
             raise ValueError("invalid thermal-ramp taper")
 
 

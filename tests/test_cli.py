@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from memthermo.cli import cli_dispatch
-from memthermo.config import resolve_config
+from memthermo.cli import EXPERIMENTS, cli_dispatch
+from memthermo.config import REGISTRY, resolve_config
 from memthermo.csvio import parse_csv
 from memthermo.neuron import N_SYNAPSES, NeuronSystem
 
@@ -196,6 +196,58 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
                  "fit: total_drop=0.0200 outside achievable range "
                  "(0.0308, 1.0000) for the 300->360 K window",
                  id="levels-fit-drop-unreachable"),
+    pytest.param(["baseline", "--set", "baseline.measure_steps=0"],
+                 "baseline.measure_steps must be >= 1, got 0",
+                 id="baseline-measure-steps-0"),
+    pytest.param(["calibrate", "--set", "calibrate.mode=affine",
+                  "--set", "calibrate.kappa_step=0"],
+                 "calibrate.kappa_step must be > 0, got 0.0",
+                 id="calibrate-affine-kappa-step-0"),
+    pytest.param(["hsr", "--set", "hsr.pulse_count=0"],
+                 "hsr.pulse_count must be >= 1, got 0", id="hsr-pulses-0"),
+    pytest.param(["calibrate", "--set", "calibrate.mode=abc"],
+                 "calibrate.mode must be one of table, affine, got 'abc'",
+                 id="calibrate-mode-abc"),
+    pytest.param(["calibrate", "--set", "neuron.theta=-1"],
+                 "neuron.theta must be > 0, got -1.0", id="theta-neg"),
+    pytest.param(["calibrate", "--set", "neuron.gamma=1.5"],
+                 "neuron.gamma must be in (0, 1), got 1.5", id="gamma-1.5"),
+    pytest.param(["thermometer", "--set", "thermometer.noise_sigma=-0.01"],
+                 "thermometer.noise_sigma must be >= 0, got -0.01",
+                 id="thermometer-noise-neg"),
+    pytest.param(["cycle", "--set", "device.r_ohm=-5"],
+                 "device.r_ohm must be 0 or in [1000.0, 30000000.0], got -5.0",
+                 id="r-ohm-neg"),
+    pytest.param(["iv", "--seed", "-1"],
+                 "run.seed must be >= 0, got -1", id="iv-seed-neg"),
+    pytest.param(["hsr", "--set", "hsr.t_test_k=400"],
+                 "hsr.t_test_k must be in [300.0, 360.0], got 400.0",
+                 id="hsr-t-test-400"),
+    pytest.param(["cycle", "--set", "plant.tau_air_s=0"],
+                 "plant.tau_air_s must be > 0, got 0.0", id="tau-air-0"),
+    # relations between keys: the constructors' checks, as config errors
+    pytest.param(["hsr", "--set", "switching.v_th_v=0.9"],
+                 "switching: v_th must sit between reads (0.2 V) and the "
+                 "lowest programming amplitude (0.7 V)", id="hsr-v-th-0.9"),
+    pytest.param(["iv", "--set", "switching.taper_v_start=1.6"],
+                 "switching: invalid thermal-ramp taper",
+                 id="iv-taper-start-above-end"),
+    pytest.param(["iv", "--set", "iv.v_min_v=0.5"],
+                 "iv: need 0 < v_min < v_max", id="iv-v-min-above-v-max"),
+    pytest.param(["calibrate", "--set", "calibrate.loads=0.2,0.2,0.3"],
+                 "calibrate.loads: table loads must be strictly increasing",
+                 id="calibrate-repeated-load"),
+    pytest.param(["baseline", "--set", "baseline.loads=1.5"],
+                 "baseline.loads must be in [0, 1], got '1.5'",
+                 id="baseline-load-1.5"),
+    # a key the command does not read is still checked: the manifest
+    # echoes it
+    pytest.param(["calibrate", "--set", "neuron.map_mode=abc"],
+                 "neuron.map_mode must be one of affine, table, fixed, "
+                 "got 'abc'", id="calibrate-map-mode-abc"),
+    pytest.param(["hsr", "--set", "schedule.setpoints=abc"],
+                 "schedule.setpoints must be a comma-separated float list, "
+                 "got 'abc'", id="hsr-setpoints-abc"),
 ])
 def test_config_mistake_fails_as_config_error_on_one_line(
         tmp_path, capsys, argv, reason):
@@ -203,6 +255,64 @@ def test_config_mistake_fails_as_config_error_on_one_line(
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: config: {reason}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, reason", [
+    # the first two once ended in an OverflowError traceback, the third
+    # printed a numpy RuntimeWarning before its error line
+    pytest.param(["hsr", "--set", "hsr.v_prog_v=1e9"],
+                 "math range error", id="hsr-v-prog-1e9"),
+    pytest.param(["nullcline", "--set", "switching.beta_per_v=1e9",
+                  "--set", "schedule.hold_s=800"],
+                 "math range error", id="nullcline-beta-1e9"),
+    pytest.param(["homeostasis", "--set", "neuron.spread_sigma=1e9"],
+                 "overflow encountered in exp", id="homeostasis-spread-1e9"),
+])
+def test_numeric_overflow_fails_as_protocol_error_on_one_line(
+        tmp_path, capsys, argv, reason):
+    code = _run(*argv, "--out", str(tmp_path))
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: protocol: {reason}\n")
+
+
+@pytest.mark.parametrize("name, text, key, command, reason", [
+    pytest.param("iv.csv", "level,T_K,v_V\npristine,300,0.1\n",
+                 "iv.input_csv", "signature",
+                 "header does not match schema iv", id="iv-header"),
+    pytest.param("iv.csv", "", "iv.input_csv", "signature", "empty file",
+                 id="iv-empty"),
+    pytest.param("pattern.csv", "", "homeostasis.pattern_csv",
+                 "homeostasis", "empty file", id="pattern-empty"),
+])
+def test_malformed_input_file_fails_as_config_error(
+        tmp_path, capsys, name, text, key, command, reason):
+    path = tmp_path / name
+    path.write_text(text)
+    code = _run(command, "--out", str(tmp_path / "out"),
+                "--set", f"{key}={path}")
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: config: {path}: {reason}\n")
+
+
+def test_missing_input_file_fails_as_io_error(tmp_path, capsys):
+    code = _run("signature", "--out", str(tmp_path),
+                "--set", f"iv.input_csv={tmp_path / 'missing.csv'}")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: io:")
+
+
+@pytest.mark.parametrize("override", ["plant.preset=on_wafer",
+                                      "device.r_ohm=2.9e7"])
+def test_nullcline_honours_plant_and_device(tmp_path, capsys, override):
+    # a declared change: nullcline once ignored plant.* and device.r_ohm
+    # (r_ohm shows once the +27 % train meets the 30 MOhm ceiling)
+    short = ["--preset", "L1", "--set", "schedule.hold_s=600"]
+    assert _run("nullcline", "--out", str(tmp_path / "a"), *short) == 0
+    assert _run("nullcline", "--out", str(tmp_path / "b"), *short,
+                "--set", override) == 0
+    assert ((tmp_path / "a" / "nullcline.csv").read_bytes()
+            != (tmp_path / "b" / "nullcline.csv").read_bytes())
 
 
 def test_thermometer_reads_the_drifted_cycle(tmp_path, capsys):
@@ -251,3 +361,73 @@ def test_cli_import_pulls_in_no_scipy():
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# sweep gate: every key, every subcommand that reads its section
+
+
+_READERS = {
+    "run": EXPERIMENTS,
+    "device": tuple(c for c in EXPERIMENTS if c != "levels"),
+    "fit": EXPERIMENTS,
+    "plant": ("cycle", "hsr", "nullcline", "thermometer", "baseline",
+              "homeostasis", "calibrate"),
+    "switching": ("iv", "signature", "hsr", "nullcline"),
+    "schedule": ("cycle", "levels", "hsr", "nullcline", "thermometer"),
+    "cycle": ("cycle", "levels", "thermometer"),
+    "hsr": ("hsr", "nullcline"),
+    "iv": ("iv", "signature"),
+    "thermometer": ("thermometer",),
+    "neuron": ("baseline", "homeostasis", "calibrate"),
+    "homeostasis": ("homeostasis",),
+    "baseline": ("baseline",),
+    # the default table feedforward of homeostasis reads calibrate.loads
+    "calibrate": ("calibrate", "homeostasis"),
+}
+
+# short holds on a fast plant, few pulses and neuron steps
+_SHORT = [f"--set={kv}" for kv in (
+    "schedule.hold_s=800", "schedule.read_period_s=40",
+    "plant.tau_air_s=20", "plant.tau_dev_s=30",
+    "hsr.pulse_count=5", "hsr.retention_reads=5",
+    "baseline.settle_steps=5", "baseline.measure_steps=5",
+    "homeostasis.pattern=0.2:25,0.3:25",
+)]
+
+
+def _sweep_cases():
+    for key in REGISTRY:
+        if key in ("run.experiment", "run.out_dir"):
+            continue
+        for value in ("0", "-1", "nan", "abc", "1e9"):
+            marks = ()
+            if (key, value) == ("schedule.hold_s", "1e9"):
+                marks = pytest.mark.skip(
+                    reason="valid, but each 1e9 s hold is 25M plant steps "
+                           "at the sweep's 40 s read period")
+            yield pytest.param(key, value, marks=marks, id=f"{key}={value}")
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep")
+
+
+@pytest.mark.filterwarnings("error")   # a warning is a second stderr line
+@pytest.mark.parametrize("key, value", _sweep_cases())
+def test_every_key_and_value_keeps_the_exit_contract(
+        sweep_dir, capsys, key, value):
+    broken = []
+    for cmd in _READERS[key.partition(".")[0]]:
+        code = _run(cmd, "--out", str(sweep_dir / cmd), *_SHORT,
+                    "--set", f"{key}={value}")
+        err = capsys.readouterr().err
+        if code == 0:
+            ok = err == ""
+        else:
+            ok = (code in (1, 2, 3) and err.startswith("error: ")
+                  and err.count("\n") == 1 and err.endswith("\n"))
+        if not ok:
+            broken.append((cmd, code, err))
+    assert broken == []

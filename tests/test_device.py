@@ -294,6 +294,13 @@ def test_fraction_spread_is_voltage_dependent(params):
     assert _spread(at_15) <= 0.10
 
 
+@pytest.mark.parametrize("start, end", [(-1.0, 1.5), (0.0, 1.5), (1.5, 1.5)])
+def test_switching_params_reject_taper_outside_positive_order(start, end):
+    # the taper runs over 0 < taper_v_start < taper_v_end
+    with pytest.raises(ValueError, match="taper"):
+        SwitchingParams(taper_v_start=start, taper_v_end=end)
+
+
 # ---------------------------------------------------------------------------
 # pulse trains
 
