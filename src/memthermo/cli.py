@@ -9,7 +9,6 @@ machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -18,16 +17,14 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
-    ExtractionError,
     IVCurveSet,
-    ThermometerRangeError,
     extract_thermionic,
     fit_switch_curve,
     invert_temperature,
 )
 from .config import ConfigError, RunConfig, checked, resolve_config
 from .csvio import emit_csv, parse_csv, write_manifest
-from .device import CalibrationError, DeviceState, ResetError, ThermalFit
+from .device import DeviceState, ResetError, ThermalFit
 from .experiments import (
     CycleResult,
     ProtocolError,
@@ -41,25 +38,16 @@ from .neuron import (
     FeedforwardMap,
     InputPattern,
     NeuronSystem,
+    affine_gains,
     baseline_curve,
     calibrate_gain,
     run_homeostasis,
 )
 from .presets import LEVEL_ORDER, device_preset
 from .rng import substream
-from .thermal import TemperatureSchedule, scrambled_schedule
 
 EXPERIMENTS = ("cycle", "levels", "iv", "signature", "hsr", "nullcline",
                "thermometer", "baseline", "homeostasis", "calibrate")
-
-
-def _schedule(cfg: RunConfig):
-    hold = cfg["schedule.hold_s"]
-    explicit = cfg.floats("schedule.setpoints")
-    if explicit:
-        return checked("schedule.setpoints", TemperatureSchedule,
-                       entries=tuple((t, hold) for t in explicit))
-    return scrambled_schedule(cfg["run.seed"], hold_s=hold)
 
 
 def _device(cfg: RunConfig, fit: ThermalFit) -> DeviceState:
@@ -75,30 +63,15 @@ def _feedforward(cfg: RunConfig, system: NeuronSystem) -> FeedforwardMap:
         return FeedforwardMap(kappa=cfg["neuron.kappa"])
     if mode == "fixed":
         return FeedforwardMap(mode="fixed", t_fixed=cfg["neuron.t_fixed_k"])
-    return checked("calibrate.loads", calibrate_gain,
-                   cfg.floats("calibrate.loads"), system, mode="table",
-                   gamma=cfg["neuron.gamma"]).fmap
-
-
-def _build_system(cfg: RunConfig) -> NeuronSystem:
-    return NeuronSystem.build(
-        level=cfg["device.level"],
-        fmap=FeedforwardMap(kappa=0.0),
-        fit=cfg.thermal_fit(),
-        plant=cfg.plant(),
-        theta=cfg["neuron.theta"],
-        dt_s=cfg["neuron.dt_s"],
-        window=cfg["neuron.window"],
-        spread_sigma=cfg["neuron.spread_sigma"],
-        seed=cfg["run.seed"],
-    )
+    return calibrate_gain(cfg.floats("calibrate.loads"), system, mode="table",
+                          gamma=cfg["neuron.gamma"]).fmap
 
 
 def _cycle(cfg: RunConfig) -> CycleResult:
     fit = cfg.thermal_fit()
     return run_thermal_cycling(
         level=cfg["device.level"],
-        schedule=_schedule(cfg),
+        schedule=cfg.schedule(),
         seed=cfg["run.seed"],
         fit=fit,
         plant=cfg.plant(),
@@ -121,7 +94,7 @@ def _cmd_cycle(cfg: RunConfig, out: str) -> list[str]:
 
 def _cmd_levels(cfg: RunConfig, out: str) -> list[str]:
     sweep = run_level_sweep(
-        schedule=_schedule(cfg), seed=cfg["run.seed"], fit=cfg.thermal_fit(),
+        schedule=cfg.schedule(), seed=cfg["run.seed"], fit=cfg.thermal_fit(),
         read_period_s=cfg["schedule.read_period_s"],
         drift_scale=cfg["cycle.drift_scale"],
     )
@@ -139,8 +112,7 @@ def _cmd_levels(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _iv_sweep(cfg: RunConfig):
-    return checked(
-        "iv", run_iv_sweep,
+    return run_iv_sweep(
         level=cfg["device.level"],
         temperatures=cfg.floats("iv.temps_k"),
         v_min=cfg["iv.v_min_v"], v_max=cfg["iv.v_max_v"],
@@ -249,7 +221,7 @@ def _cmd_thermometer(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _cmd_baseline(cfg: RunConfig, out: str) -> list[str]:
-    system = _build_system(cfg)
+    system = cfg.neuron_system()
     if cfg["baseline.feedforward"] == "calibrated":
         system.fmap = _feedforward(cfg, system)
     rows = baseline_curve(
@@ -276,14 +248,11 @@ def _read_pattern(path, window: int) -> InputPattern:
 
 
 def _cmd_homeostasis(cfg: RunConfig, out: str) -> list[str]:
-    system = _build_system(cfg)
+    system = cfg.neuron_system()
     system.fmap = _feedforward(cfg, system)
     path = cfg["homeostasis.pattern_csv"]
-    if path:
-        pattern = checked(path, _read_pattern, path, cfg["neuron.window"])
-    else:
-        pattern = checked("homeostasis.pattern", InputPattern.parse,
-                          cfg["homeostasis.pattern"])
+    pattern = (checked(path, _read_pattern, path, cfg["neuron.window"]) if path
+               else InputPattern.parse(cfg["homeostasis.pattern"]))
     res = run_homeostasis(pattern, system)
     return [
         emit_csv(os.path.join(out, "homeostasis_rates.csv"),
@@ -299,14 +268,12 @@ def _cmd_homeostasis(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _cmd_calibrate(cfg: RunConfig, out: str) -> list[str]:
-    system = _build_system(cfg)
-    cal = checked(
-        "calibrate.loads", calibrate_gain,
+    system = cfg.neuron_system()
+    cal = calibrate_gain(
         cfg.floats("calibrate.loads"), system, mode=cfg["calibrate.mode"],
         gamma=cfg["neuron.gamma"],
-        kappa_grid=None if cfg["calibrate.mode"] == "table" else
-        [k * cfg["calibrate.kappa_step"] for k in
-         range(int(cfg["calibrate.kappa_max"] / cfg["calibrate.kappa_step"]) + 1)],
+        kappa_grid=affine_gains(cfg["calibrate.kappa_max"],
+                                cfg["calibrate.kappa_step"]),
     )
     fit = system.fit
     files = [
@@ -339,7 +306,6 @@ _HANDLERS = {
 }
 
 
-@functools.cache   # one parser serves every in-process dispatch
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memthermo",
@@ -396,8 +362,10 @@ def cli_dispatch(argv) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
-    except (ProtocolError, ResetError, CalibrationError, ExtractionError,
-            ThermometerRangeError, ArithmeticError) as exc:
+    except (ProtocolError, ResetError, ArithmeticError, ValueError) as exc:
+        # the configuration passed every check before the handler ran, so
+        # a ValueError from the model (CalibrationError, ExtractionError,
+        # ThermometerRangeError or a bare one) is a failure of the run
         print(f"error: protocol: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -6,7 +6,8 @@ free. Every physical parameter carries its documented default; unknown
 keys are rejected rather than ignored. Environment variables prefixed
 MEMTHERMO_ override file values (run.seed -> MEMTHERMO_RUN_SEED), and
 explicit CLI overrides sit on top. Each key checks its own domain;
-relations between keys are left to the constructors the builders call.
+relations between keys are left to the constructors, which
+resolve_config builds once so that every run rejects what they reject.
 """
 from __future__ import annotations
 
@@ -16,7 +17,10 @@ from dataclasses import dataclass, fields, replace
 
 from .constants import R_CEILING, R_FLOOR, T_MAX, T_MIN
 from .device import DEFAULT_ANCHORS, LevelAnchor, SwitchingParams, ThermalFit
-from .thermal import ThermalPlant
+from .experiments import sweep_voltages
+from .neuron import (FeedforwardMap, InputPattern, NeuronSystem,
+                     affine_gains, calibration_loads)
+from .thermal import ThermalPlant, TemperatureSchedule, scrambled_schedule
 
 
 class ConfigError(ValueError):
@@ -37,10 +41,6 @@ def _rule(ok, text):
 
 positive = _rule(lambda v: v > 0, "> 0")
 nonneg = _rule(lambda v: v >= 0, ">= 0")
-
-
-def at_least(n):
-    return _rule(lambda v: v >= n, f">= {n}")
 
 
 def within(lo, hi):
@@ -91,8 +91,7 @@ def _fit_entries():
         r_key, drop_key = _fit_keys(a.label)
         yield _k(r_key, float, a.r_ref, f"{a.label} anchor resistance",
                  within(R_FLOOR, R_CEILING))
-        yield _k(drop_key, float, a.total_drop,
-                 f"{a.label} 300->360 K drop", within(0, 1))
+        yield _k(drop_key, float, a.total_drop, f"{a.label} 300->360 K drop")
 
 
 # SwitchingParams fields whose config key carries a unit suffix
@@ -118,13 +117,12 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
 
     _k("plant.preset", str, "packaged", "packaged or on_wafer",
        choice("packaged", "on_wafer")),
-    _k("plant.tau_air_s", float, 180.0, "chamber air time constant", positive),
+    _k("plant.tau_air_s", float, 180.0, "chamber air time constant"),
     _k("plant.tau_dev_s", float, 0.0, "device time constant; 0 uses the "
-       "preset (720 packaged, 60 on-wafer)", nonneg),
+       "preset (720 packaged, 60 on-wafer)"),
 
     *(_k(_switching_key(f.name), float, f.default,
-         f"SwitchingParams.{f.name}",
-         nonneg if f.name == "beta" else positive)
+         f"SwitchingParams.{f.name}")
       for f in fields(SwitchingParams)),
 
     _k("schedule.hold_s", float, 3600.0, "hold per setpoint", positive),
@@ -138,15 +136,16 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
 
     _k("hsr.t_test_k", float, 360.0, "test temperature", within(T_MIN, T_MAX)),
     _k("hsr.v_prog_v", float, 1.5, "programming amplitude"),
-    _k("hsr.pulse_count", int, 200, "programming pulses", at_least(1)),
+    _k("hsr.pulse_count", int, 200, "programming pulses", positive),
     _k("hsr.retention_reads", int, 200, "retention reads", nonneg),
     _k("hsr.retention_period_s", float, 6.0, "retention read interval",
        positive),
 
-    _k("iv.temps_k", str, "300,330,360", "IV sweep temperatures", floats()),
-    _k("iv.v_min_v", float, 0.05, "smallest sweep amplitude", positive),
-    _k("iv.v_max_v", float, 0.4, "largest amplitude (< threshold)", positive),
-    _k("iv.points", int, 8, "points per polarity", at_least(3)),
+    _k("iv.temps_k", str, "300,330,360", "IV sweep temperatures",
+       floats(within(T_MIN, T_MAX))),
+    _k("iv.v_min_v", float, 0.05, "smallest sweep amplitude"),
+    _k("iv.v_max_v", float, 0.4, "largest sweep amplitude (< threshold)"),
+    _k("iv.points", int, 8, "points per polarity"),
     _k("iv.input_csv", str, "", "extract from this IV CSV instead of "
        "simulating (signature command)"),
 
@@ -154,19 +153,17 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
     _k("thermometer.trials", int, 1, "noisy inversions per settled hold",
        positive),
 
-    _k("neuron.theta", float, 12.5, "spike threshold", positive),
-    _k("neuron.window", int, 25, "steps (and spikes) per rate window",
-       at_least(1)),
-    _k("neuron.dt_s", float, 1.0, "seconds per step", positive),
+    _k("neuron.theta", float, 12.5, "spike threshold"),
+    _k("neuron.window", int, 25, "steps (and spikes) per rate window"),
+    _k("neuron.dt_s", float, 1.0, "seconds per step"),
     _k("neuron.map_mode", str, "table", "feedforward: affine, table, fixed",
        choice("affine", "table", "fixed")),
-    _k("neuron.kappa", float, 60.0, "affine map gain, K per load", nonneg),
-    _k("neuron.t_fixed_k", float, 300.0, "setpoint in fixed mode",
-       within(T_MIN, T_MAX)),
-    _k("neuron.gamma", float, 0.3, "residual slope of the table target",
-       _rule(lambda v: 0 < v < 1, "in (0, 1)")),
+    _k("neuron.kappa", float, 60.0, "affine feedforward gain, K per load"),
+    _k("neuron.t_fixed_k", float, 300.0, "setpoint in fixed mode"),
+    _k("neuron.gamma", float, 0.3, "residual slope of the table target"),
+    # at sigma = 1 the 25 draws already span about two decades
     _k("neuron.spread_sigma", float, 0.0, "device-to-device log-normal "
-       "spread of synapse resistance", nonneg),
+       "spread of synapse resistance", within(0, 1)),
 
     _k("homeostasis.pattern", str, "0.20:6000,0.30:6000",
        "inline segments load:steps,..."),
@@ -179,14 +176,14 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
        choice("off", "calibrated")),
     _k("baseline.settle_steps", int, 4000, "settling steps per load", nonneg),
     _k("baseline.measure_steps", int, 2000, "measurement steps per load",
-       at_least(1)),
+       positive),
 
-    _k("calibrate.mode", str, "table", "gain calibration mode",
-       choice("table", "affine")),
+    _k("calibrate.mode", str, "table", "gain calibration mode: table or "
+       "affine"),
     _k("calibrate.loads", str, "0.15,0.20,0.25,0.30,0.35,0.40",
        "calibration loads", floats(within(0, 1))),
-    _k("calibrate.kappa_max", float, 240.0, "affine grid upper edge", nonneg),
-    _k("calibrate.kappa_step", float, 1.0, "affine grid step", positive),
+    _k("calibrate.kappa_max", float, 240.0, "affine grid upper edge"),
+    _k("calibrate.kappa_step", float, 1.0, "affine grid step"),
 ]}
 
 
@@ -268,6 +265,22 @@ class RunConfig:
                        tau_air_s=self["plant.tau_air_s"],
                        tau_dev_s=self["plant.tau_dev_s"] or base.tau_dev_s)
 
+    def schedule(self) -> TemperatureSchedule:
+        hold, explicit = self["schedule.hold_s"], self.floats("schedule.setpoints")
+        if not explicit:
+            return scrambled_schedule(self["run.seed"], hold_s=hold)
+        return checked("schedule.setpoints", TemperatureSchedule,
+                       entries=tuple((t, hold) for t in explicit))
+
+    def neuron_system(self) -> NeuronSystem:
+        fit, plant = self.thermal_fit(), self.plant()
+        return checked(
+            "neuron", NeuronSystem.build, level=self["device.level"],
+            fmap=FeedforwardMap(kappa=0.0), fit=fit, plant=plant,
+            theta=self["neuron.theta"], dt_s=self["neuron.dt_s"],
+            window=self["neuron.window"],
+            spread_sigma=self["neuron.spread_sigma"], seed=self["run.seed"])
+
 
 def resolve_config(
     config_path: str | None = None,
@@ -309,4 +322,24 @@ def resolve_config(
         problem = key.check and key.check(value)
         if problem:
             raise ConfigError(f"{key.name} must be {problem}, got {value!r}")
-    return RunConfig(values)
+    # the rules between keys live in the constructors: build each cheap
+    # object once, so that every run rejects what any of them rejects
+    cfg = RunConfig(values)
+    v_th = cfg.switching_params().v_th
+    if cfg.floats("schedule.setpoints"):   # a scrambled one is valid as drawn
+        cfg.schedule()
+    cfg.neuron_system()   # builds thermal_fit() and plant() too
+    checked("neuron", FeedforwardMap, kappa=cfg["neuron.kappa"])
+    checked("neuron", FeedforwardMap, mode="fixed",
+            t_fixed=cfg["neuron.t_fixed_k"])
+    checked("iv", sweep_voltages, cfg["iv.v_min_v"], cfg["iv.v_max_v"],
+            cfg["iv.points"], v_th)
+    # the table feedforward reads the calibration loads in any mode
+    for mode in (cfg["calibrate.mode"], "table"):
+        checked("calibrate", calibration_loads,
+                cfg.floats("calibrate.loads"), mode, cfg["neuron.gamma"])
+    checked("calibrate", affine_gains, cfg["calibrate.kappa_max"],
+            cfg["calibrate.kappa_step"])
+    checked("homeostasis.pattern", InputPattern.parse,
+            cfg["homeostasis.pattern"])
+    return cfg

@@ -362,6 +362,24 @@ def run_nullcline_sweep(
     return NullclineResult(rows=rows, level=level)
 
 
+def sweep_voltages(v_min: float, v_max: float, points_per_polarity: int,
+                   v_th: float) -> list[float]:
+    """IV sweep amplitudes, both polarities; rejected outright if any
+    reaches the switching threshold v_th."""
+    if v_max >= v_th:
+        raise ValueError(
+            f"sweep amplitude {v_max} V crosses the switching threshold "
+            f"{v_th} V; this would no longer be non-switching"
+        )
+    if not (0 < v_min < v_max):
+        raise ValueError("need 0 < v_min < v_max")
+    if not 3 <= points_per_polarity <= 1000:
+        raise ValueError("need 3 to 1000 points per polarity")
+    step = (v_max - v_min) / (points_per_polarity - 1)
+    pos = [v_min + k * step for k in range(points_per_polarity)]
+    return [-v for v in reversed(pos)] + pos
+
+
 def run_iv_sweep(
     level: str = "pristine",
     temperatures=(300.0, 330.0, 360.0),
@@ -372,25 +390,11 @@ def run_iv_sweep(
     switching: SwitchingParams | None = None,
     fit: ThermalFit | None = None,
 ) -> IVCurveSet:
-    """Non-switching IV curves over a temperature list.
-
-    The sweep is rejected outright if any amplitude reaches the switching
-    threshold; below it the device state cannot change.
-    """
+    """Non-switching IV curves over a temperature list; below the
+    switching threshold the device state cannot change."""
     switching = switching or SwitchingParams()
-    if v_max >= switching.v_th:
-        raise ValueError(
-            f"sweep amplitude {v_max} V crosses the switching threshold "
-            f"{switching.v_th} V; this would no longer be non-switching"
-        )
-    if not (0 < v_min < v_max):
-        raise ValueError("need 0 < v_min < v_max")
-    if points_per_polarity < 3:
-        raise ValueError("need >= 3 points per polarity for extraction")
+    voltages = sweep_voltages(v_min, v_max, points_per_polarity, switching.v_th)
     params = params or iv_preset(level, fit)
-    step = (v_max - v_min) / (points_per_polarity - 1)
-    pos = [v_min + k * step for k in range(points_per_polarity)]
-    voltages = [-v for v in reversed(pos)] + pos
     curves = tuple(
         tuple((v, thermionic_current(v, T, params)) for v in voltages)
         for T in temperatures

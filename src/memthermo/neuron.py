@@ -85,7 +85,7 @@ class InputPattern:
             arr = np.atleast_1d(np.asarray(load, dtype=float))
             if arr.size not in (1, N_SYNAPSES):
                 raise ValueError(f"load must be scalar or length {N_SYNAPSES}")
-            if np.any(arr < 0) or np.any(arr > 1):
+            if not np.all((arr >= 0) & (arr <= 1)):
                 raise ValueError("loads must lie in [0, 1]")
 
     @property
@@ -337,6 +337,30 @@ class GainCalibration:
 DEFAULT_CALIBRATION_LOADS = (0.15, 0.20, 0.25, 0.30, 0.35, 0.40)
 
 
+def affine_gains(kappa_max: float = 240.0, step: float = 1.0) -> list[float]:
+    """Affine gains 0, step, 2*step, ... up to kappa_max; at most 2401,
+    ten times the default grid."""
+    if not (step > 0 and 0 <= kappa_max < 2401 * step):
+        raise ValueError("kappa grid needs step > 0 and 0 <= kappa_max "
+                         "< 2401 steps")
+    return [k * step for k in range(int(kappa_max / step) + 1)]
+
+
+def calibration_loads(loads, mode: str = "affine",
+                      gamma: float = 0.3) -> list[float]:
+    """Check the arguments of calibrate_gain; return its loads sorted."""
+    loads = sorted(float(l) for l in loads)
+    if mode not in ("affine", "table"):
+        raise ValueError(f"unknown calibration mode {mode!r}")
+    if not loads:
+        raise CalibrationError("no calibration loads given")
+    if mode == "table" and len(set(loads)) < max(3, len(loads)):
+        raise CalibrationError("table mode needs >= 3 distinct loads")
+    if mode == "table" and not (0.0 < gamma < 1.0):
+        raise CalibrationError("gamma must be in (0, 1)")
+    return loads
+
+
 def calibrate_gain(
     loads=DEFAULT_CALIBRATION_LOADS,
     system: NeuronSystem | None = None,
@@ -353,15 +377,13 @@ def calibrate_gain(
     keeping the settled rate strictly monotone in load (the residual is
     the low-resolution read-out of the input level).
     """
-    loads = sorted(float(l) for l in loads)
-    if not loads:
-        raise CalibrationError("no calibration loads given")
+    loads = calibration_loads(loads, mode, gamma)
     system = system or NeuronSystem.build()
     rates_k0 = [settled_rate(system, l, FeedforwardMap(kappa=0.0)) for l in loads]
 
     if mode == "affine":
         if kappa_grid is None:
-            kappa_grid = np.arange(0.0, 240.0 + 1e-9, 1.0)
+            kappa_grid = affine_gains()
         best_kappa, best_var = None, math.inf
         for kappa in kappa_grid:
             fmap = FeedforwardMap(kappa=float(kappa))
@@ -378,13 +400,6 @@ def calibrate_gain(
             rates_calibrated=[settled_rate(system, l, fmap) for l in loads],
             loads=loads,
         )
-
-    if mode != "table":
-        raise ValueError(f"unknown calibration mode {mode!r}")
-    if len(loads) < 3:
-        raise CalibrationError("table mode needs >= 3 loads")
-    if not (0.0 < gamma < 1.0):
-        raise CalibrationError("gamma must be in (0, 1)")
 
     theta = system.theta
     s_hot = float(system.weights_at(T_MAX).sum())

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from memthermo import cli
 from memthermo.cli import EXPERIMENTS, cli_dispatch
-from memthermo.config import REGISTRY, resolve_config
+from memthermo.config import REGISTRY, ConfigError, resolve_config
 from memthermo.csvio import parse_csv
 from memthermo.neuron import N_SYNAPSES, NeuronSystem
 
@@ -197,21 +198,33 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
                  "(0.0308, 1.0000) for the 300->360 K window",
                  id="levels-fit-drop-unreachable"),
     pytest.param(["baseline", "--set", "baseline.measure_steps=0"],
-                 "baseline.measure_steps must be >= 1, got 0",
+                 "baseline.measure_steps must be > 0, got 0",
                  id="baseline-measure-steps-0"),
     pytest.param(["calibrate", "--set", "calibrate.mode=affine",
                   "--set", "calibrate.kappa_step=0"],
-                 "calibrate.kappa_step must be > 0, got 0.0",
+                 "calibrate: kappa grid needs step > 0 and 0 <= kappa_max "
+                 "< 2401 steps",
                  id="calibrate-affine-kappa-step-0"),
+    # 1e9 K/load at 1 K/load once built a billion-entry grid
+    pytest.param(["calibrate", "--set", "calibrate.mode=affine",
+                  "--set", "calibrate.kappa_max=1e9"],
+                 "calibrate: kappa grid needs step > 0 and 0 <= kappa_max "
+                 "< 2401 steps",
+                 id="calibrate-affine-kappa-max-1e9"),
     pytest.param(["hsr", "--set", "hsr.pulse_count=0"],
-                 "hsr.pulse_count must be >= 1, got 0", id="hsr-pulses-0"),
+                 "hsr.pulse_count must be > 0, got 0", id="hsr-pulses-0"),
     pytest.param(["calibrate", "--set", "calibrate.mode=abc"],
-                 "calibrate.mode must be one of table, affine, got 'abc'",
+                 "calibrate: unknown calibration mode 'abc'",
                  id="calibrate-mode-abc"),
     pytest.param(["calibrate", "--set", "neuron.theta=-1"],
-                 "neuron.theta must be > 0, got -1.0", id="theta-neg"),
+                 "neuron: theta must be > 0", id="theta-neg"),
     pytest.param(["calibrate", "--set", "neuron.gamma=1.5"],
-                 "neuron.gamma must be in (0, 1), got 1.5", id="gamma-1.5"),
+                 "calibrate: gamma must be in (0, 1)", id="gamma-1.5"),
+    # 1e9 overflowed in exp; at a few hundred one of the 25 factors
+    # overflows or, at some seeds, underflows to a zero-ohm synapse
+    *(pytest.param(["homeostasis", "--set", f"neuron.spread_sigma={v}"],
+                   f"neuron.spread_sigma must be in [0, 1], got {float(v)!r}",
+                   id=f"homeostasis-spread-{v}") for v in ("1e9", "320")),
     pytest.param(["thermometer", "--set", "thermometer.noise_sigma=-0.01"],
                  "thermometer.noise_sigma must be >= 0, got -0.01",
                  id="thermometer-noise-neg"),
@@ -224,7 +237,13 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
                  "hsr.t_test_k must be in [300.0, 360.0], got 400.0",
                  id="hsr-t-test-400"),
     pytest.param(["cycle", "--set", "plant.tau_air_s=0"],
-                 "plant.tau_air_s must be > 0, got 0.0", id="tau-air-0"),
+                 "plant: time constants must be > 0", id="tau-air-0"),
+    pytest.param(["cycle", "--set", "schedule.setpoints=300,400"],
+                 "schedule.setpoints: setpoint 400.0 K outside chamber "
+                 "range [300.0, 360.0] K", id="cycle-setpoint-400"),
+    pytest.param(["iv", "--set", "iv.temps_k=-1,300,360"],
+                 "iv.temps_k must be in [300.0, 360.0], got '-1,300,360'",
+                 id="iv-temps-neg"),
     # relations between keys: the constructors' checks, as config errors
     pytest.param(["hsr", "--set", "switching.v_th_v=0.9"],
                  "switching: v_th must sit between reads (0.2 V) and the "
@@ -235,7 +254,7 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
     pytest.param(["iv", "--set", "iv.v_min_v=0.5"],
                  "iv: need 0 < v_min < v_max", id="iv-v-min-above-v-max"),
     pytest.param(["calibrate", "--set", "calibrate.loads=0.2,0.2,0.3"],
-                 "calibrate.loads: table loads must be strictly increasing",
+                 "calibrate: table mode needs >= 3 distinct loads",
                  id="calibrate-repeated-load"),
     pytest.param(["baseline", "--set", "baseline.loads=1.5"],
                  "baseline.loads must be in [0, 1], got '1.5'",
@@ -248,6 +267,17 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
     pytest.param(["hsr", "--set", "schedule.setpoints=abc"],
                  "schedule.setpoints must be a comma-separated float list, "
                  "got 'abc'", id="hsr-setpoints-abc"),
+    pytest.param(["hsr", "--set", "schedule.setpoints=305"],
+                 "schedule.setpoints: setpoint 305.0 K not on the 10 K grid",
+                 id="hsr-setpoint-off-grid"),
+    pytest.param(["calibrate", "--set", "homeostasis.pattern=abc"],
+                 "homeostasis.pattern: bad pattern segment 'abc'; expected "
+                 "load:steps", id="calibrate-pattern-abc"),
+    # the table feedforward of homeostasis reads the loads in any mode
+    pytest.param(["calibrate", "--set", "calibrate.mode=affine",
+                  "--set", "calibrate.loads=0.25"],
+                 "calibrate: table mode needs >= 3 distinct loads",
+                 id="calibrate-affine-one-load"),
 ])
 def test_config_mistake_fails_as_config_error_on_one_line(
         tmp_path, capsys, argv, reason):
@@ -259,21 +289,47 @@ def test_config_mistake_fails_as_config_error_on_one_line(
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, reason", [
-    # the first two once ended in an OverflowError traceback, the third
-    # printed a numpy RuntimeWarning before its error line
+    # both once ended in an OverflowError traceback
     pytest.param(["hsr", "--set", "hsr.v_prog_v=1e9"],
                  "math range error", id="hsr-v-prog-1e9"),
     pytest.param(["nullcline", "--set", "switching.beta_per_v=1e9",
                   "--set", "schedule.hold_s=800"],
                  "math range error", id="nullcline-beta-1e9"),
-    pytest.param(["homeostasis", "--set", "neuron.spread_sigma=1e9"],
-                 "overflow encountered in exp", id="homeostasis-spread-1e9"),
 ])
 def test_numeric_overflow_fails_as_protocol_error_on_one_line(
         tmp_path, capsys, argv, reason):
     code = _run(*argv, "--out", str(tmp_path))
     assert (code, capsys.readouterr().err) == (
         2, f"error: protocol: {reason}\n")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # an infeasible table is an outcome of the run, not of one key
+    pytest.param(["calibrate", "--set", "calibrate.loads=0.10,0.25,0.40"],
+                 "empty feasible range: the chamber span cannot flatten "
+                 "these loads with the requested residual slope",
+                 id="calibrate-infeasible"),
+    pytest.param(["signature", "--set", "iv.temps_k=300,360"],
+                 "stage 1: need at least three temperatures",
+                 id="signature-two-temperatures"),
+])
+def test_run_failure_fails_as_protocol_error_on_one_line(
+        tmp_path, capsys, argv, reason):
+    code = _run(*argv, "--out", str(tmp_path))
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: protocol: {reason}\n")
+
+
+def test_model_value_error_fails_as_protocol_error_on_one_line(
+        tmp_path, capsys, monkeypatch):
+    # a ValueError from the model on a configuration that passed every
+    # check is a failed run: one error line, never a traceback
+    def handler(cfg, out):
+        raise ValueError("r_persistent must be > 0")
+    monkeypatch.setitem(cli._HANDLERS, "cycle", handler)
+    assert (_run("cycle", "--out", str(tmp_path)),
+            capsys.readouterr().err) == (
+        2, "error: protocol: r_persistent must be > 0\n")
 
 
 @pytest.mark.parametrize("name, text, key, command, reason", [
@@ -367,6 +423,11 @@ def test_cli_import_pulls_in_no_scipy():
 # sweep gate: every key, every subcommand that reads its section
 
 
+_CALIBRATED = "baseline baseline.feedforward=calibrated"
+_AFFINE = "calibrate calibrate.mode=affine"
+
+# each way a section is read: a subcommand, with the mode key that routes
+# it through other code
 _READERS = {
     "run": EXPERIMENTS,
     "device": tuple(c for c in EXPERIMENTS if c != "levels"),
@@ -379,21 +440,23 @@ _READERS = {
     "hsr": ("hsr", "nullcline"),
     "iv": ("iv", "signature"),
     "thermometer": ("thermometer",),
-    "neuron": ("baseline", "homeostasis", "calibrate"),
+    "neuron": ("baseline", "homeostasis", "calibrate", _CALIBRATED, _AFFINE,
+               "homeostasis neuron.map_mode=affine",
+               "homeostasis neuron.map_mode=fixed"),
     "homeostasis": ("homeostasis",),
-    "baseline": ("baseline",),
+    "baseline": ("baseline", _CALIBRATED),
     # the default table feedforward of homeostasis reads calibrate.loads
-    "calibrate": ("calibrate", "homeostasis"),
+    "calibrate": ("calibrate", "homeostasis", _CALIBRATED, _AFFINE),
 }
 
 # short holds on a fast plant, few pulses and neuron steps
-_SHORT = [f"--set={kv}" for kv in (
+_SHORT = [
     "schedule.hold_s=800", "schedule.read_period_s=40",
     "plant.tau_air_s=20", "plant.tau_dev_s=30",
     "hsr.pulse_count=5", "hsr.retention_reads=5",
     "baseline.settle_steps=5", "baseline.measure_steps=5",
     "homeostasis.pattern=0.2:25,0.3:25",
-)]
+]
 
 
 def _sweep_cases():
@@ -418,9 +481,18 @@ def sweep_dir(tmp_path_factory):
 @pytest.mark.parametrize("key, value", _sweep_cases())
 def test_every_key_and_value_keeps_the_exit_contract(
         sweep_dir, capsys, key, value):
+    readers = _READERS[key.partition(".")[0]]
+    try:
+        resolve_config(overrides=dict(
+            kv.partition("=")[::2] for kv in _SHORT + [f"{key}={value}"]))
+    except ConfigError:
+        # rejected before any subcommand runs, so alike on all of them
+        readers = readers[:1]
     broken = []
-    for cmd in _READERS[key.partition(".")[0]]:
-        code = _run(cmd, "--out", str(sweep_dir / cmd), *_SHORT,
+    for reader in readers:
+        cmd, *mode = reader.split()
+        code = _run(cmd, "--out", str(sweep_dir / cmd),
+                    *(f"--set={kv}" for kv in _SHORT + mode),
                     "--set", f"{key}={value}")
         err = capsys.readouterr().err
         if code == 0:
@@ -429,5 +501,5 @@ def test_every_key_and_value_keeps_the_exit_contract(
             ok = (code in (1, 2, 3) and err.startswith("error: ")
                   and err.count("\n") == 1 and err.endswith("\n"))
         if not ok:
-            broken.append((cmd, code, err))
+            broken.append((reader, code, err))
     assert broken == []
