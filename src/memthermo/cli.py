@@ -24,7 +24,7 @@ from .calibration import (
 )
 from .config import ConfigError, RunConfig, checked, resolve_config
 from .csvio import emit_csv, parse_csv, write_manifest
-from .device import DeviceState, ResetError, ThermalFit
+from .device import ResetError
 from .experiments import (
     CycleResult,
     ProtocolError,
@@ -37,45 +37,41 @@ from .experiments import (
 from .neuron import (
     FeedforwardMap,
     InputPattern,
-    NeuronSystem,
-    affine_gains,
     baseline_curve,
     calibrate_gain,
     run_homeostasis,
 )
-from .presets import LEVEL_ORDER, device_preset
+from .presets import LEVEL_ORDER
 from .rng import substream
+from .thermal import TemperatureSchedule, scrambled_schedule
 
 EXPERIMENTS = ("cycle", "levels", "iv", "signature", "hsr", "nullcline",
                "thermometer", "baseline", "homeostasis", "calibrate")
 
 
-def _device(cfg: RunConfig, fit: ThermalFit) -> DeviceState:
-    r = cfg["device.r_ohm"]
-    if r > 0:
-        return DeviceState(r_persistent=r)
-    return device_preset(cfg["device.level"], fit)
-
-
-def _feedforward(cfg: RunConfig, system: NeuronSystem) -> FeedforwardMap:
+def _feedforward(cfg: RunConfig) -> FeedforwardMap:
     mode = cfg["neuron.map_mode"]
     if mode == "affine":
-        return FeedforwardMap(kappa=cfg["neuron.kappa"])
+        return cfg.affine_map
     if mode == "fixed":
-        return FeedforwardMap(mode="fixed", t_fixed=cfg["neuron.t_fixed_k"])
-    return calibrate_gain(cfg.floats("calibrate.loads"), system, mode="table",
-                          gamma=cfg["neuron.gamma"]).fmap
+        return cfg.fixed_map
+    return calibrate_gain(cfg.floats("calibrate.loads"), cfg.system,
+                          mode="table", gamma=cfg["neuron.gamma"]).fmap
+
+
+def _schedule(cfg: RunConfig) -> TemperatureSchedule:
+    return cfg.schedule or scrambled_schedule(cfg["run.seed"],
+                                              hold_s=cfg["schedule.hold_s"])
 
 
 def _cycle(cfg: RunConfig) -> CycleResult:
-    fit = cfg.thermal_fit()
     return run_thermal_cycling(
         level=cfg["device.level"],
-        schedule=cfg.schedule(),
+        schedule=_schedule(cfg),
         seed=cfg["run.seed"],
-        fit=fit,
-        plant=cfg.plant(),
-        state=_device(cfg, fit),
+        fit=cfg.fit,
+        plant=cfg.plant,
+        state=cfg.device,
         read_period_s=cfg["schedule.read_period_s"],
         drift_scale=cfg["cycle.drift_scale"],
     )
@@ -94,7 +90,7 @@ def _cmd_cycle(cfg: RunConfig, out: str) -> list[str]:
 
 def _cmd_levels(cfg: RunConfig, out: str) -> list[str]:
     sweep = run_level_sweep(
-        schedule=cfg.schedule(), seed=cfg["run.seed"], fit=cfg.thermal_fit(),
+        schedule=_schedule(cfg), seed=cfg["run.seed"], fit=cfg.fit,
         read_period_s=cfg["schedule.read_period_s"],
         drift_scale=cfg["cycle.drift_scale"],
     )
@@ -111,15 +107,10 @@ def _cmd_levels(cfg: RunConfig, out: str) -> list[str]:
     return files
 
 
-def _iv_sweep(cfg: RunConfig):
-    return run_iv_sweep(
-        level=cfg["device.level"],
-        temperatures=cfg.floats("iv.temps_k"),
-        v_min=cfg["iv.v_min_v"], v_max=cfg["iv.v_max_v"],
-        points_per_polarity=cfg["iv.points"],
-        switching=cfg.switching_params(),
-        fit=cfg.thermal_fit(),
-    )
+def _iv_sweep(cfg: RunConfig) -> IVCurveSet:
+    return run_iv_sweep(level=cfg["device.level"],
+                        temperatures=cfg.floats("iv.temps_k"),
+                        voltages=cfg.voltages, fit=cfg.fit)
 
 
 def _cmd_iv(cfg: RunConfig, out: str,
@@ -160,13 +151,12 @@ def _cmd_signature(cfg: RunConfig, out: str) -> list[str]:
 
 def _hsr_args(cfg: RunConfig) -> dict:
     """run_heat_stimulate_retention keywords shared by hsr and nullcline."""
-    fit = cfg.thermal_fit()
     return dict(
         level=cfg["device.level"],
-        fit=fit,
-        params=cfg.switching_params(),
-        plant=cfg.plant(),
-        state=_device(cfg, fit),
+        fit=cfg.fit,
+        params=cfg.switching,
+        plant=cfg.plant,
+        state=cfg.device,
         pulse_count=cfg["hsr.pulse_count"],
         retention_reads=cfg["hsr.retention_reads"],
         retention_period_s=cfg["hsr.retention_period_s"],
@@ -221,11 +211,10 @@ def _cmd_thermometer(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _cmd_baseline(cfg: RunConfig, out: str) -> list[str]:
-    system = cfg.neuron_system()
     if cfg["baseline.feedforward"] == "calibrated":
-        system.fmap = _feedforward(cfg, system)
+        cfg.system.fmap = _feedforward(cfg)
     rows = baseline_curve(
-        cfg.floats("baseline.loads"), system,
+        cfg.floats("baseline.loads"), cfg.system,
         settle_steps=cfg["baseline.settle_steps"],
         measure_steps=cfg["baseline.measure_steps"],
     )
@@ -248,12 +237,11 @@ def _read_pattern(path, window: int) -> InputPattern:
 
 
 def _cmd_homeostasis(cfg: RunConfig, out: str) -> list[str]:
-    system = cfg.neuron_system()
-    system.fmap = _feedforward(cfg, system)
+    cfg.system.fmap = _feedforward(cfg)
     path = cfg["homeostasis.pattern_csv"]
     pattern = (checked(path, _read_pattern, path, cfg["neuron.window"]) if path
-               else InputPattern.parse(cfg["homeostasis.pattern"]))
-    res = run_homeostasis(pattern, system)
+               else cfg.pattern)
+    res = run_homeostasis(pattern, cfg.system)
     return [
         emit_csv(os.path.join(out, "homeostasis_rates.csv"),
                  "homeostasis_rates", res.window_rates()),
@@ -268,14 +256,10 @@ def _cmd_homeostasis(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _cmd_calibrate(cfg: RunConfig, out: str) -> list[str]:
-    system = cfg.neuron_system()
     cal = calibrate_gain(
-        cfg.floats("calibrate.loads"), system, mode=cfg["calibrate.mode"],
-        gamma=cfg["neuron.gamma"],
-        kappa_grid=affine_gains(cfg["calibrate.kappa_max"],
-                                cfg["calibrate.kappa_step"]),
+        cfg.floats("calibrate.loads"), cfg.system, mode=cfg["calibrate.mode"],
+        gamma=cfg["neuron.gamma"], kappa_grid=cfg.kappa_grid,
     )
-    fit = system.fit
     files = [
         emit_csv(os.path.join(out, "calibrate_gain.csv"), "calibrate_gain",
                  [(cal.mode, cal.kappa, cal.spread_uncompensated,
@@ -283,7 +267,7 @@ def _cmd_calibrate(cfg: RunConfig, out: str) -> list[str]:
         emit_csv(os.path.join(out, "calibrate_barriers.csv"),
                  "calibrate_barriers",
                  ((a.label, a.r_ref, a.total_drop, phi)
-                  for a, phi in zip(fit.anchors, fit.phi_of_anchor))),
+                  for a, phi in zip(cfg.fit.anchors, cfg.fit.phi_of_anchor))),
     ]
     if cal.mode == "table":
         files.append(emit_csv(

@@ -6,8 +6,8 @@ free. Every physical parameter carries its documented default; unknown
 keys are rejected rather than ignored. Environment variables prefixed
 MEMTHERMO_ override file values (run.seed -> MEMTHERMO_RUN_SEED), and
 explicit CLI overrides sit on top. Each key checks its own domain;
-relations between keys are left to the constructors, which
-resolve_config builds once so that every run rejects what they reject.
+relations between keys are left to the constructors: resolve_config
+builds each configured object once, and the run uses those objects.
 """
 from __future__ import annotations
 
@@ -16,11 +16,13 @@ import os
 from dataclasses import dataclass, fields, replace
 
 from .constants import R_CEILING, R_FLOOR, T_MAX, T_MIN
-from .device import DEFAULT_ANCHORS, LevelAnchor, SwitchingParams, ThermalFit
+from .device import (DEFAULT_ANCHORS, DeviceState, LevelAnchor,
+                     SwitchingParams, ThermalFit)
 from .experiments import sweep_voltages
 from .neuron import (FeedforwardMap, InputPattern, NeuronSystem,
                      affine_gains, calibration_loads)
-from .thermal import ThermalPlant, TemperatureSchedule, scrambled_schedule
+from .presets import device_preset
+from .thermal import ThermalPlant, TemperatureSchedule
 
 
 class ConfigError(ValueError):
@@ -55,13 +57,15 @@ def _float_list(raw: str) -> list[float]:
     return [float(part) for part in raw.split(",")] if raw.strip() else []
 
 
-def floats(each=None):
+def floats(each=None, nonempty=False):
     """Check of a comma-separated list of finite floats that pass `each`."""
     def check(raw):
         try:
             values = _float_list(raw)
         except ValueError:
             return "a comma-separated float list"
+        if nonempty and not values:
+            return "a non-empty float list"
         if not all(map(math.isfinite, values)):
             return "finite"
         return next(filter(None, map(each, values)), None) if each else None
@@ -142,7 +146,7 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
        positive),
 
     _k("iv.temps_k", str, "300,330,360", "IV sweep temperatures",
-       floats(within(T_MIN, T_MAX))),
+       floats(within(T_MIN, T_MAX), nonempty=True)),
     _k("iv.v_min_v", float, 0.05, "smallest sweep amplitude"),
     _k("iv.v_max_v", float, 0.4, "largest sweep amplitude (< threshold)"),
     _k("iv.points", int, 8, "points per polarity"),
@@ -226,10 +230,57 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 class RunConfig:
-    """Resolved configuration: defaults, file, environment, overrides."""
+    """Resolved configuration: the value of every key, and the model
+    objects built from them once. The rules between keys live in the
+    constructors, so every run rejects what any of them rejects, and the
+    run uses the very objects that passed."""
 
     def __init__(self, values: dict[str, object]):
         self._values = values
+        self.switching = checked("switching", SwitchingParams,
+                                 **{f.name: self[_switching_key(f.name)]
+                                    for f in fields(SwitchingParams)})
+        explicit = self.floats("schedule.setpoints")
+        # None: the run draws the scrambled schedule (numpy.random) itself
+        self.schedule = checked(
+            "schedule.setpoints", TemperatureSchedule,
+            entries=tuple((t, self["schedule.hold_s"]) for t in explicit),
+        ) if explicit else None
+        anchors = tuple(
+            LevelAnchor(a.label, *(self[k] for k in _fit_keys(a.label)))
+            for a in DEFAULT_ANCHORS)
+        # CalibrationError (an unreachable drop) is a ValueError too
+        self.fit = checked("fit", ThermalFit, anchors=anchors)
+        base = getattr(ThermalPlant, self["plant.preset"])()
+        self.plant = checked(
+            "plant", replace, base, tau_air_s=self["plant.tau_air_s"],
+            tau_dev_s=self["plant.tau_dev_s"] or base.tau_dev_s)
+        r = self["device.r_ohm"]
+        self.device = (DeviceState(r_persistent=r) if r > 0
+                       else device_preset(self["device.level"], self.fit))
+        # the neuron template; each run sets its feedforward map
+        self.system = checked(
+            "neuron", NeuronSystem.build, level=self["device.level"],
+            fmap=FeedforwardMap(kappa=0.0), fit=self.fit, plant=self.plant,
+            theta=self["neuron.theta"], dt_s=self["neuron.dt_s"],
+            window=self["neuron.window"],
+            spread_sigma=self["neuron.spread_sigma"], seed=self["run.seed"])
+        self.affine_map = checked("neuron", FeedforwardMap,
+                                  kappa=self["neuron.kappa"])
+        self.fixed_map = checked("neuron", FeedforwardMap, mode="fixed",
+                                 t_fixed=self["neuron.t_fixed_k"])
+        self.voltages = checked("iv", sweep_voltages, self["iv.v_min_v"],
+                                self["iv.v_max_v"], self["iv.points"],
+                                self.switching.v_th)
+        # the table feedforward reads the calibration loads in any mode
+        for mode in (self["calibrate.mode"], "table"):
+            checked("calibrate", calibration_loads,
+                    self.floats("calibrate.loads"), mode, self["neuron.gamma"])
+        self.kappa_grid = checked("calibrate", affine_gains,
+                                  self["calibrate.kappa_max"],
+                                  self["calibrate.kappa_step"])
+        self.pattern = checked("homeostasis.pattern", InputPattern.parse,
+                               self["homeostasis.pattern"])
 
     def __getitem__(self, name: str):
         try:
@@ -244,42 +295,6 @@ class RunConfig:
         lines = [f"{name} = {_format_value(self._values[name])}"
                  for name in REGISTRY]
         return "\n".join(lines) + "\n"
-
-    # --- builders -------------------------------------------------------
-
-    def thermal_fit(self) -> ThermalFit:
-        anchors = tuple(
-            LevelAnchor(a.label, *(self[k] for k in _fit_keys(a.label)))
-            for a in DEFAULT_ANCHORS)
-        # CalibrationError (an unreachable drop) is a ValueError too
-        return checked("fit", ThermalFit, anchors=anchors)
-
-    def switching_params(self) -> SwitchingParams:
-        return checked("switching", SwitchingParams,
-                       **{f.name: self[_switching_key(f.name)]
-                          for f in fields(SwitchingParams)})
-
-    def plant(self) -> ThermalPlant:
-        base = getattr(ThermalPlant, self["plant.preset"])()
-        return checked("plant", replace, base,
-                       tau_air_s=self["plant.tau_air_s"],
-                       tau_dev_s=self["plant.tau_dev_s"] or base.tau_dev_s)
-
-    def schedule(self) -> TemperatureSchedule:
-        hold, explicit = self["schedule.hold_s"], self.floats("schedule.setpoints")
-        if not explicit:
-            return scrambled_schedule(self["run.seed"], hold_s=hold)
-        return checked("schedule.setpoints", TemperatureSchedule,
-                       entries=tuple((t, hold) for t in explicit))
-
-    def neuron_system(self) -> NeuronSystem:
-        fit, plant = self.thermal_fit(), self.plant()
-        return checked(
-            "neuron", NeuronSystem.build, level=self["device.level"],
-            fmap=FeedforwardMap(kappa=0.0), fit=fit, plant=plant,
-            theta=self["neuron.theta"], dt_s=self["neuron.dt_s"],
-            window=self["neuron.window"],
-            spread_sigma=self["neuron.spread_sigma"], seed=self["run.seed"])
 
 
 def resolve_config(
@@ -322,24 +337,4 @@ def resolve_config(
         problem = key.check and key.check(value)
         if problem:
             raise ConfigError(f"{key.name} must be {problem}, got {value!r}")
-    # the rules between keys live in the constructors: build each cheap
-    # object once, so that every run rejects what any of them rejects
-    cfg = RunConfig(values)
-    v_th = cfg.switching_params().v_th
-    if cfg.floats("schedule.setpoints"):   # a scrambled one is valid as drawn
-        cfg.schedule()
-    cfg.neuron_system()   # builds thermal_fit() and plant() too
-    checked("neuron", FeedforwardMap, kappa=cfg["neuron.kappa"])
-    checked("neuron", FeedforwardMap, mode="fixed",
-            t_fixed=cfg["neuron.t_fixed_k"])
-    checked("iv", sweep_voltages, cfg["iv.v_min_v"], cfg["iv.v_max_v"],
-            cfg["iv.points"], v_th)
-    # the table feedforward reads the calibration loads in any mode
-    for mode in (cfg["calibrate.mode"], "table"):
-        checked("calibrate", calibration_loads,
-                cfg.floats("calibrate.loads"), mode, cfg["neuron.gamma"])
-    checked("calibrate", affine_gains, cfg["calibrate.kappa_max"],
-            cfg["calibrate.kappa_step"])
-    checked("homeostasis.pattern", InputPattern.parse,
-            cfg["homeostasis.pattern"])
-    return cfg
+    return RunConfig(values)

@@ -383,17 +383,15 @@ def sweep_voltages(v_min: float, v_max: float, points_per_polarity: int,
 def run_iv_sweep(
     level: str = "pristine",
     temperatures=(300.0, 330.0, 360.0),
-    v_min: float = 0.05,
-    v_max: float = 0.4,
-    points_per_polarity: int = 8,
+    voltages=None,
     params: ThermionicParams | None = None,
-    switching: SwitchingParams | None = None,
     fit: ThermalFit | None = None,
 ) -> IVCurveSet:
-    """Non-switching IV curves over a temperature list; below the
+    """Non-switching IV curves over a temperature list at the amplitudes
+    of sweep_voltages (by default 0.05-0.4 V, 8 per polarity); below the
     switching threshold the device state cannot change."""
-    switching = switching or SwitchingParams()
-    voltages = sweep_voltages(v_min, v_max, points_per_polarity, switching.v_th)
+    if voltages is None:
+        voltages = sweep_voltages(0.05, 0.4, 8, SwitchingParams().v_th)
     params = params or iv_preset(level, fit)
     curves = tuple(
         tuple((v, thermionic_current(v, T, params)) for v in voltages)

@@ -137,6 +137,11 @@ class NeuronSystem:
             raise ValueError("theta must be > 0")
         if window < 1 or dt_s <= 0:
             raise ValueError("window >= 1 and dt_s > 0 required")
+        # weights and loads are <= 1 in the chamber window, so this bounds
+        # a step to about one rate window of spikes
+        if theta < N_SYNAPSES / window:
+            raise ValueError(f"theta must be >= {N_SYNAPSES}/window = "
+                             f"{N_SYNAPSES / window!r}")
         self.synapses = list(synapses)
         self.fit = fit
         self.plant = plant
@@ -257,12 +262,14 @@ class HomeostasisResult:
     def spike_count_windows(self) -> list[tuple[int, float, float, float]]:
         """Windows of `window` consecutive spikes: (index, t_start, t_end,
         rate in spikes per step)."""
-        spike_times = np.repeat(np.arange(self.steps) * self.dt_s, self.spikes)
+        # spike n (from 1) falls in the first step whose running count
+        # reaches n
+        counts = np.cumsum(self.spikes)
         out = []
         w = self.window
-        for k in range(spike_times.size // w):
-            t0 = spike_times[k * w]
-            t1 = spike_times[(k + 1) * w - 1]
+        for k in range(int(counts[-1]) // w if counts.size else 0):
+            t0 = np.searchsorted(counts, k * w + 1) * self.dt_s
+            t1 = np.searchsorted(counts, (k + 1) * w) * self.dt_s
             span = max(t1 - t0, self.dt_s)
             out.append((k, float(t0), float(t1), w / (span / self.dt_s)))
         return out

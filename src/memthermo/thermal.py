@@ -115,7 +115,6 @@ class TemperatureSchedule:
     """Ordered setpoint holds. Setpoints are the protocol's 10 K grid."""
 
     entries: tuple[tuple[float, float], ...]   # (setpoint K, hold s)
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.entries:
@@ -150,4 +149,4 @@ def scrambled_schedule(
     if order[-1] == revisits[0]:
         revisits.reverse()
     entries = tuple((t, float(hold_s)) for t in order + revisits)
-    return TemperatureSchedule(entries=entries, seed=seed)
+    return TemperatureSchedule(entries=entries)

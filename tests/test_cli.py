@@ -10,6 +10,7 @@ from memthermo import cli
 from memthermo.cli import EXPERIMENTS, cli_dispatch
 from memthermo.config import REGISTRY, ConfigError, resolve_config
 from memthermo.csvio import parse_csv
+from memthermo.device import SwitchingParams, ThermalFit
 from memthermo.neuron import N_SYNAPSES, NeuronSystem
 
 
@@ -218,6 +219,14 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
                  id="calibrate-mode-abc"),
     pytest.param(["calibrate", "--set", "neuron.theta=-1"],
                  "neuron: theta must be > 0", id="theta-neg"),
+    # a near-zero threshold once asked np.repeat for hundreds of GiB of
+    # spike times (1e-9) or failed the run on a spike count past int64
+    # (1e-300, exit 2)
+    *(pytest.param(["homeostasis", "--set", f"neuron.theta={v}",
+                    "--set", "homeostasis.pattern=0.2:10",
+                    "--set", "neuron.map_mode=affine"],
+                   "neuron: theta must be >= 25/window = 1.0",
+                   id=f"homeostasis-theta-{v}") for v in ("1e-9", "1e-300")),
     pytest.param(["calibrate", "--set", "neuron.gamma=1.5"],
                  "calibrate: gamma must be in (0, 1)", id="gamma-1.5"),
     # 1e9 overflowed in exp; at a few hundred one of the 25 factors
@@ -244,6 +253,10 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
     pytest.param(["iv", "--set", "iv.temps_k=-1,300,360"],
                  "iv.temps_k must be in [300.0, 360.0], got '-1,300,360'",
                  id="iv-temps-neg"),
+    # an empty list once failed the run as "empty curve set" (exit 2)
+    pytest.param(["iv", "--set", "iv.temps_k="],
+                 "iv.temps_k must be a non-empty float list, got ''",
+                 id="iv-temps-empty"),
     # relations between keys: the constructors' checks, as config errors
     pytest.param(["hsr", "--set", "switching.v_th_v=0.9"],
                  "switching: v_th must sit between reads (0.2 V) and the "
@@ -402,7 +415,7 @@ def test_fit_override_moves_the_level_presets(tmp_path, capsys):
                if float(r[1]) == 300.0 and float(r[2]) == 0.2]
     assert v / i == pytest.approx(2e6, rel=1e-9)
 
-    fit = resolve_config(env={}, overrides={"fit.r_l1_ohm": "2e6"}).thermal_fit()
+    fit = resolve_config(env={}, overrides={"fit.r_l1_ohm": "2e6"}).fit
     system = NeuronSystem.build("L1", fit=fit)
     assert [s.r_persistent for s in system.synapses] == [2e6] * N_SYNAPSES
 
@@ -503,3 +516,20 @@ def test_every_key_and_value_keeps_the_exit_contract(
         if not ok:
             broken.append((reader, code, err))
     assert broken == []
+
+
+@pytest.mark.parametrize("cmd", EXPERIMENTS)
+def test_each_configured_object_is_built_once(tmp_path, capsys, monkeypatch,
+                                              cmd):
+    # the run uses the objects resolve_config checked; it builds no second
+    counts = {}
+    for cls in (ThermalFit, SwitchingParams):
+        def counted(self, name=cls.__name__, init=cls.__post_init__):
+            counts[name] = counts.get(name, 0) + 1
+            init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    # levels cycles fresh packaged plants, which 800 s holds leave unsettled
+    hold = ["schedule.hold_s=3600"] if cmd == "levels" else []
+    assert _run(cmd, "--out", str(tmp_path),
+                *(f"--set={kv}" for kv in _SHORT + hold)) == 0
+    assert counts == {"ThermalFit": 1, "SwitchingParams": 1}

@@ -99,16 +99,14 @@ def test_float_list_parser():
 
 def test_builders_construct_model_objects():
     cfg = resolve_config(env={})
-    fit = cfg.thermal_fit()
-    assert [a.label for a in fit.anchors] == ["pristine", "L1", "L2", "L3", "L4"]
-    params = cfg.switching_params()
-    assert params.g_14_310 == 0.22
-    plant = cfg.plant()
-    assert plant.tau_dev_s == 720.0
+    assert [a.label for a in cfg.fit.anchors] == ["pristine", "L1", "L2",
+                                                  "L3", "L4"]
+    assert cfg.switching.g_14_310 == 0.22
+    assert cfg.plant.tau_dev_s == 720.0
     wafer = resolve_config(env={}, overrides={"plant.preset": "on_wafer"})
-    assert wafer.plant().tau_dev_s == 60.0
+    assert wafer.plant.tau_dev_s == 60.0
     with pytest.raises(ConfigError, match="plant.preset"):
-        resolve_config(env={}, overrides={"plant.preset": "floating"}).plant()
+        resolve_config(env={}, overrides={"plant.preset": "floating"})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from memthermo import (
     run_thermal_cycling,
 )
 from memthermo.csvio import SCHEMAS
-from memthermo.experiments import ProtocolError, TraceRecord
+from memthermo.experiments import ProtocolError, TraceRecord, sweep_voltages
 
 
 def test_trace_record_fields_are_the_row_schemas():
@@ -207,9 +207,9 @@ def test_iv_sweep_pristine_asymmetric(fit):
     assert abs(curve[0.4]) > abs(curve[-0.4]) * 1.05
 
 
-def test_iv_sweep_rejects_threshold_crossing(fit):
+def test_iv_sweep_rejects_threshold_crossing():
     with pytest.raises(ValueError, match="threshold"):
-        run_iv_sweep(level="L1", v_max=0.6, fit=fit)
+        sweep_voltages(0.05, 0.6, 8, SwitchingParams().v_th)
 
 
 def test_iv_sweep_feeds_extraction_round_trip(fit):
