@@ -175,7 +175,7 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
        "overriding the inline pattern"),
 
     _k("baseline.loads", str, "0.15,0.20,0.25,0.30,0.35,0.40",
-       "loads for the baseline curve", floats(within(0, 1))),
+       "loads for the baseline curve", floats(within(0, 1), nonempty=True)),
     _k("baseline.feedforward", str, "off", "off (gain 0) or calibrated",
        choice("off", "calibrated")),
     _k("baseline.settle_steps", int, 4000, "settling steps per load", nonneg),

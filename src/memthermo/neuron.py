@@ -7,8 +7,12 @@ load drives the chamber setpoint feedforward; sustained load increases
 therefore heat the synapses, pull the weights down, and return the firing
 rate toward baseline while transients pass through at full strength.
 
-The simulation loop is sequential (plant and accumulator are stateful);
-independent scenarios parallelise by owning separate systems.
+Per input segment, `NeuronSystem.drive` builds the constant 25-vector
+input, its mean and the feedforward setpoint once; per step,
+`NeuronSystem.step` only weighs the input at the device temperature,
+carries the accumulator and advances the plant. The loop is sequential
+(plant and accumulator are stateful); independent scenarios parallelise
+by owning separate systems.
 """
 from __future__ import annotations
 
@@ -92,15 +96,6 @@ class InputPattern:
     def total_steps(self) -> int:
         return sum(int(d) for d, _ in self.segments)
 
-    def per_step(self):
-        """Yield the 25-vector input for every step."""
-        for duration, load in self.segments:
-            x = np.broadcast_to(
-                np.atleast_1d(np.asarray(load, dtype=float)), (N_SYNAPSES,)
-            )
-            for _ in range(int(duration)):
-                yield x
-
     @classmethod
     def constant(cls, load: float, steps: int) -> "InputPattern":
         return cls(segments=((steps, float(load)),))
@@ -152,8 +147,8 @@ class NeuronSystem:
         self.accumulator = 0.0
         # weights are read per step; the synapse states are static during
         # homeostasis runs (thermal control only), so cache their barriers
-        self._r_eff = np.array([s.r_eff for s in self.synapses])
-        self._phi = np.array([fit.phi_for_state(r) for r in self._r_eff])
+        self._phi_over_kb = np.array(
+            [fit.phi_for_state(s.r_eff) for s in self.synapses]) / K_B_EV
 
     @classmethod
     def build(
@@ -197,31 +192,32 @@ class NeuronSystem:
     def weights_at(self, T: float) -> np.ndarray:
         """Per-synapse weights at device temperature T."""
         rho = (T_REF / T) ** 2 * np.exp(
-            (self._phi / K_B_EV) * (1.0 / T - 1.0 / T_REF)
+            self._phi_over_kb * (1.0 / T - 1.0 / T_REF)
         )
         return rho   # r_now / r_ref == rho since r_ref is the 300 K value
 
-    def weights(self) -> np.ndarray:
-        return self.weights_at(self.plant.t_dev)
+    def drive(self, load) -> tuple[np.ndarray, float, float]:
+        """Per-segment invariants of a constant load: x, mean, setpoint."""
+        x = np.broadcast_to(np.asarray(load, dtype=float), (N_SYNAPSES,))
+        mean = float(x.mean())
+        return x, mean, self.fmap.setpoint(mean)
 
-    def step(self, x) -> int:
-        """Advance one step; returns the number of spikes emitted (0 or 1
-        in normal operation).
+    def step(self, drive: tuple[np.ndarray, float, float]) -> int:
+        """Advance one step under `drive` (from `drive(load)`); returns the
+        number of spikes emitted (0 or 1 in normal operation).
 
         The weighted input accumulates; each threshold crossing emits a
         spike and carries the excess over, so the long-run rate equals
-        drive/theta exactly. The plant then advances one dt with the
-        setpoint taken from the feedforward map on the mean input.
+        drive/theta exactly. The plant then advances one dt toward the
+        drive's setpoint.
         """
-        x = np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)),
-                            (N_SYNAPSES,))
-        drive = float(self.weights() @ x)
-        self.accumulator += drive
+        x, _, t_set = drive
+        self.accumulator += float(self.weights_at(self.plant.t_dev) @ x)
         spikes = 0
         if self.accumulator >= self.theta:
             spikes = int(self.accumulator // self.theta)
             self.accumulator -= spikes * self.theta
-        self.plant.set_setpoint(self.fmap.setpoint(float(x.mean())))
+        self.plant.set_setpoint(t_set)
         self.plant.step(self.dt_s)
         return spikes
 
@@ -287,11 +283,14 @@ def run_homeostasis(pattern: InputPattern,
     mean_loads = np.zeros(n)
     t_dev = np.zeros(n)
     t_set = np.zeros(n)
-    for k, x in enumerate(pattern.per_step()):
-        t_dev[k] = system.plant.t_dev
-        spikes[k] = system.step(x)
-        mean_loads[k] = float(np.mean(x))
-        t_set[k] = system.plant.t_set
+    end = 0
+    for duration, load in pattern.segments:
+        start, end = end, end + int(duration)
+        drive = system.drive(load)
+        mean_loads[start:end], t_set[start:end] = drive[1:]
+        for k in range(start, end):
+            t_dev[k] = system.plant.t_dev
+            spikes[k] = system.step(drive)
     return HomeostasisResult(
         spikes=spikes, mean_loads=mean_loads, t_dev=t_dev, t_set=t_set,
         dt_s=system.dt_s, window=system.window,
@@ -312,9 +311,10 @@ def baseline_curve(
     out = []
     for load in loads:
         sim = system.copy()
+        drive = sim.drive(float(load))
         for _ in range(settle_steps):
-            sim.step(float(load))
-        count = sum(sim.step(float(load)) for _ in range(measure_steps))
+            sim.step(drive)
+        count = sum(sim.step(drive) for _ in range(measure_steps))
         out.append((float(load), count / measure_steps))
     return out
 

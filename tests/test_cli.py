@@ -272,6 +272,10 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
     pytest.param(["baseline", "--set", "baseline.loads=1.5"],
                  "baseline.loads must be in [0, 1], got '1.5'",
                  id="baseline-load-1.5"),
+    # an empty list once wrote a header-only baseline.csv (exit 0)
+    pytest.param(["baseline", "--set", "baseline.loads="],
+                 "baseline.loads must be a non-empty float list, got ''",
+                 id="baseline-loads-empty"),
     # a key the command does not read is still checked: the manifest
     # echoes it
     pytest.param(["calibrate", "--set", "neuron.map_mode=abc"],

@@ -1,6 +1,8 @@
 """Homeostatic neuron system tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memthermo import (
     CalibrationError,
@@ -12,7 +14,8 @@ from memthermo import (
     run_homeostasis,
     settled_rate,
 )
-from memthermo.neuron import DEFAULT_CALIBRATION_LOADS
+from memthermo.constants import K_B_EV, T_MAX, T_MIN, T_REF
+from memthermo.neuron import DEFAULT_CALIBRATION_LOADS, N_SYNAPSES
 
 
 def _system(fmap=None, **kwargs):
@@ -42,14 +45,16 @@ def test_weights_strictly_decreasing_in_temperature():
 
 def test_zero_input_never_spikes():
     system = _system()
+    drive = system.drive(0.0)
     for _ in range(100):
-        assert system.step(0.0) == 0
+        assert system.step(drive) == 0
     assert system.accumulator == 0.0
 
 
 def test_drive_equal_to_threshold_spikes_every_step():
     system = _system(theta=25.0)   # drive = 25 * 1.0 at full load, 300 K
-    fired = [system.step(1.0) for _ in range(20)]
+    drive = system.drive(1.0)
+    fired = [system.step(drive) for _ in range(20)]
     assert all(f == 1 for f in fired[:3])   # before any heating bites
 
 
@@ -59,7 +64,7 @@ def test_long_run_rate_matches_drive_over_theta():
     system = _system(fmap=FeedforwardMap(mode="fixed", t_fixed=300.0))
     drive = float(system.weights_at(300.0).sum()) * 0.25
     steps = 500
-    spikes = sum(system.step(0.25) for _ in range(steps))
+    spikes = sum(system.step(system.drive(0.25)) for _ in range(steps))
     acc, expected = 0.0, 0
     for _ in range(steps):
         acc += drive
@@ -72,8 +77,9 @@ def test_long_run_rate_matches_drive_over_theta():
 
 def test_accumulator_invariant_under_heavy_drive():
     system = _system(theta=3.0)
+    drive = system.drive(1.0)
     for _ in range(50):
-        system.step(1.0)
+        system.step(drive)
         assert 0.0 <= system.accumulator < system.theta
 
 
@@ -285,3 +291,87 @@ def test_system_requires_exactly_25_synapses(fit):
             fit=fit, plant=ThermalPlant.packaged(),
             fmap=FeedforwardMap(),
         )
+
+
+# ---------------------------------------------------------------------------
+# per-segment drives against the per-step loop
+
+
+def _per_step_reference(pattern, system):
+    """Transcription of the loop that rebuilt everything every step: it
+    broadcasts the input, divides phi by kB, weighs, and sets the plant
+    from the feedforward map on the input mean. Steps a copy of the
+    system's plant; returns (spikes, mean_loads, t_dev, t_set, acc)."""
+    r_eff = np.array([s.r_eff for s in system.synapses])
+    phi = np.array([system.fit.phi_for_state(r) for r in r_eff])
+    plant, acc = system.plant.copy(), system.accumulator
+    spikes, mean_loads, t_dev, t_set = [], [], [], []
+    for duration, load in pattern.segments:
+        x = np.broadcast_to(np.atleast_1d(np.asarray(load, dtype=float)),
+                            (N_SYNAPSES,))
+        for _ in range(int(duration)):
+            T = plant.t_dev
+            t_dev.append(T)
+            w = (T_REF / T) ** 2 * np.exp(
+                (phi / K_B_EV) * (1.0 / T - 1.0 / T_REF))
+            acc += float(w @ x)
+            n = 0
+            if acc >= system.theta:
+                n = int(acc // system.theta)
+                acc -= n * system.theta
+            spikes.append(n)
+            plant.set_setpoint(system.fmap.setpoint(float(x.mean())))
+            plant.step(system.dt_s)
+            mean_loads.append(float(np.mean(x)))
+            t_set.append(plant.t_set)
+    return spikes, mean_loads, t_dev, t_set, acc
+
+
+_loads = st.one_of(
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(0.0, 1.0), min_size=N_SYNAPSES,
+             max_size=N_SYNAPSES).map(tuple),
+)
+_maps = st.one_of(
+    st.builds(FeedforwardMap, kappa=st.floats(0.0, 200.0)),
+    st.lists(st.floats(T_MIN, T_MAX), min_size=3, max_size=3).map(
+        lambda temps: FeedforwardMap(mode="table",
+                                     table_loads=(0.0, 0.4, 1.0),
+                                     table_temps=tuple(sorted(temps)))),
+    st.builds(FeedforwardMap, mode=st.just("fixed"),
+              t_fixed=st.floats(T_MIN, T_MAX)),
+)
+_systems = st.builds(NeuronSystem.build, fmap=_maps,
+                     spread_sigma=st.sampled_from([0.0, 0.3]),
+                     seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=_systems,
+       segments=st.lists(st.tuples(st.integers(1, 300), _loads),
+                         min_size=1, max_size=4))
+def test_homeostasis_equals_per_step_loop_exactly(system, segments):
+    pattern = InputPattern(segments=tuple(segments))
+    spikes, mean_loads, t_dev, t_set, acc = _per_step_reference(pattern,
+                                                                system)
+    res = run_homeostasis(pattern, system)
+    assert res.spikes.tolist() == spikes
+    assert res.t_dev.tolist() == t_dev
+    assert res.t_set.tolist() == t_set
+    assert res.mean_loads.tolist() == mean_loads
+    assert system.accumulator == acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=_systems, loads=st.lists(st.floats(0.0, 1.0), min_size=1,
+                                       max_size=3),
+       settle=st.integers(0, 200), measure=st.integers(1, 200))
+def test_baseline_curve_equals_per_step_loop_exactly(system, loads, settle,
+                                                     measure):
+    expected = []
+    for load in loads:
+        segments = ((settle, load),) if settle else ()
+        spikes = _per_step_reference(
+            InputPattern(segments=segments + ((measure, load),)), system)[0]
+        expected.append((load, sum(spikes[settle:]) / measure))
+    assert baseline_curve(loads, system, settle, measure) == expected
