@@ -346,7 +346,14 @@ def cli_dispatch(argv) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
-    except (ProtocolError, ResetError, ArithmeticError, ValueError) as exc:
+    except ArithmeticError as exc:
+        tb = exc.__traceback__  # name the function that raised it
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        print(f"error: protocol: {tb.tb_frame.f_code.co_name}: {exc}",
+              file=sys.stderr)
+        return 2
+    except (ProtocolError, ResetError, ValueError) as exc:
         # the configuration passed every check before the handler ran, so
         # a ValueError from the model (CalibrationError, ExtractionError,
         # ThermometerRangeError or a bare one) is a failure of the run

@@ -45,12 +45,20 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _row_template(types) -> str | None:
+    """The %-template writing rows of these types as format_value does."""
+    exact = {int: "%d", str: "%s", type(None): "%.0s"}   # "%.0s" % None: ""
+    codes = ["%.9g" if issubclass(t, float) else exact.get(t) for t in types]
+    return None if None in codes else ",".join(codes)
+
+
 def emit_csv(path, schema_id: str, rows) -> str:
     """Write rows under the schema's pinned header; returns the path."""
     header = SCHEMAS.get(schema_id)
     if header is None:
         raise ValueError(f"unknown CSV schema {schema_id!r}")
     lines = [",".join(header)]
+    templates = {}
     for row in rows:
         row = tuple(row)
         if len(row) != len(header):
@@ -58,7 +66,12 @@ def emit_csv(path, schema_id: str, rows) -> str:
                 f"schema {schema_id}: row has {len(row)} fields, "
                 f"expected {len(header)}"
             )
-        lines.append(",".join(format_value(v) for v in row))
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = _row_template(types)
+        template = templates[types]   # None: some cell needs format_value
+        lines.append(template % row if template
+                     else ",".join(map(format_value, row)))
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -27,6 +27,7 @@ small frozen values, safe to copy and share across threads.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -161,8 +162,10 @@ def rho_temperature_factor(T: float, phi_app: float) -> float:
     Equals 1 at 300 K and is strictly decreasing on [300, 360] K for any
     phi_app above the monotonicity bound.
     """
-    T = _require_finite("T", T)
-    phi_app = _require_finite("phi_app", phi_app)
+    T, phi_app = float(T), float(phi_app)
+    if not math.isfinite(T + phi_app):  # one test on the hot path
+        _require_finite("T", T)
+        _require_finite("phi_app", phi_app)
     if not (T_MIN - 1e-9 <= T <= T_MAX + 1e-9):
         raise ValueError(f"T={T} outside [{T_MIN}, {T_MAX}] K")
     if phi_app <= PHI_APP_MIN:
@@ -295,14 +298,11 @@ class ThermalFit:
         xs, ys = self._log_r, self._phi_asc
         if x <= xs[0]:
             return ys[0]
-        if x >= xs[-1]:
+        if not x < xs[-1]:  # NaN clamps here too
             return ys[-1]
-        # bisect into the table; len(xs) is tiny so a scan is fine
-        for i in range(1, len(xs)):
-            if x <= xs[i]:
-                f = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
-                return ys[i - 1] + f * (ys[i] - ys[i - 1])
-        return ys[-1]
+        i = bisect.bisect_left(xs, x)   # the first xs[i] >= x
+        f = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+        return ys[i - 1] + f * (ys[i] - ys[i - 1])
 
 
 @dataclass(frozen=True)
@@ -490,34 +490,24 @@ def apply_pulse_train(
     return new_state, trace
 
 
-def retention_run(
-    state: DeviceState,
-    n_reads: int,
-    T: float,
-    params: SwitchingParams,
-    fit: ThermalFit,
-) -> tuple[DeviceState, list[float]]:
-    """Let the volatile excess relax while reading n_reads times.
+def retention_run(state: DeviceState, temps, params: SwitchingParams,
+                  fit: ThermalFit) -> tuple[DeviceState, list[float]]:
+    """Let the volatile excess relax while reading once at each temperature
+    of temps, in order.
 
     The excess decays by exp(-1/tau_ret) per read interval; the
     persistent part is untouched. Relaxation ends any train era.
     """
-    if n_reads < 1:
-        raise ValueError("n_reads must be >= 1")
+    if not temps:
+        raise ValueError("need at least one read temperature")
     decay = math.exp(-1.0 / params.tau_ret)
-    volatile = state.r_volatile_excess
+    persistent, volatile = state.r_persistent, state.r_volatile_excess
     trace = []
-    for _ in range(n_reads):
+    for T in temps:
         volatile *= decay
-        r_eff = state.r_persistent + volatile
+        r_eff = persistent + volatile
         trace.append(r_eff * rho_temperature_factor(T, fit.phi_for_state(r_eff)))
-    new_state = DeviceState(
-        r_persistent=state.r_persistent,
-        r_volatile_excess=volatile,
-        pulse_count=state.pulse_count,
-        era=None,
-    )
-    return new_state, trace
+    return replace(state, r_volatile_excess=volatile, era=None), trace
 
 
 @dataclass(frozen=True)

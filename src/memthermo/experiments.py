@@ -306,13 +306,18 @@ def run_heat_stimulate_retention(
     frac_at_t = trace[-1] / r_pre_at_t - 1.0
     frac_vs_300 = trace[-1] / r_ref_300 - 1.0
 
-    # retention at temperature, one decay interval per read
+    # retention at temperature, one decay interval and read per plant step
     vol_peak = state.r_volatile_excess
-    for k in range(1, retention_reads + 1):
+    steps = []
+    for _ in range(retention_reads):
         plant.step(retention_period_s)
         t += retention_period_s
-        state, rtrace = retention_run(state, 1, plant.t_dev, params, fit)
-        log(rtrace[0], PHASE_RETENTION, pulse_index=k)
+        steps.append((t, plant.t_set, plant.t_air, plant.t_dev))
+    if steps:
+        state, rtrace = retention_run(state, [s[-1] for s in steps], params, fit)
+        if keep_records:
+            records.extend(TraceRecord(*s, r, PHASE_RETENTION, k) for k, (s, r)
+                           in enumerate(zip(steps, rtrace), start=1))
     recovered = 0.0 if vol_peak == 0.0 else 1.0 - state.r_volatile_excess / vol_peak
 
     # back to the reference temperature

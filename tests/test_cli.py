@@ -306,12 +306,19 @@ def test_config_mistake_fails_as_config_error_on_one_line(
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, reason", [
-    # both once ended in an OverflowError traceback
+    # both once ended in an OverflowError traceback; the message names
+    # the function that overflowed
     pytest.param(["hsr", "--set", "hsr.v_prog_v=1e9"],
-                 "math range error", id="hsr-v-prog-1e9"),
+                 "train_switch_fraction: math range error",
+                 id="hsr-v-prog-1e9"),
     pytest.param(["nullcline", "--set", "switching.beta_per_v=1e9",
                   "--set", "schedule.hold_s=800"],
-                 "math range error", id="nullcline-beta-1e9"),
+                 "train_switch_fraction: math range error",
+                 id="nullcline-beta-1e9"),
+    # the read scatter exp(sigma * z) overflows on the first positive z
+    pytest.param(["thermometer", "--set", "thermometer.noise_sigma=1e9"],
+                 "_cmd_thermometer: math range error",
+                 id="thermometer-noise-1e9"),
 ])
 def test_numeric_overflow_fails_as_protocol_error_on_one_line(
         tmp_path, capsys, argv, reason):

@@ -1,7 +1,10 @@
 """Configuration resolution and CSV wire-format tests."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memthermo.config import (
     ConfigError,
@@ -146,6 +149,40 @@ def test_csv_round_trip_to_nine_digits(tmp_path):
     emit_csv(tmp_path / "again.csv", "nullcline",
              [tuple(float(x) for x in row) for row in parsed])
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+_CELLS = {
+    "none": st.none(),
+    "bool": st.booleans(),
+    "np.bool_": st.booleans().map(np.bool_),
+    "int": st.integers(-2**70, 2**70),
+    "np.int64": st.integers(-2**63, 2**63 - 1).map(np.int64),
+    "float": st.one_of(st.floats(), st.sampled_from(
+        (math.nan, math.inf, -math.inf, -0.0, 0.0))),
+    "np.float64": st.floats().map(np.float64),
+    "np.float32": st.floats(width=32).map(np.float32),
+    "str": st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(schema_id=st.sampled_from(sorted(SCHEMAS)), data=st.data())
+def test_emit_csv_equals_per_cell_writer(tmp_path_factory, schema_id, data):
+    header = SCHEMAS[schema_id]
+    # half the shapes use only the types a row template covers, so most
+    # draws mix templated rows and rows written cell by cell
+    pools = (sorted(_CELLS), ["float", "int", "np.float64", "str"])
+    kinds = st.sampled_from(pools).flatmap(lambda pool: st.lists(
+        st.sampled_from(pool), min_size=len(header), max_size=len(header)))
+    shapes = data.draw(st.lists(kinds, min_size=1, max_size=3))
+    rows = [tuple(data.draw(_CELLS[kind]) for kind in shape)
+            for shape in data.draw(st.lists(st.sampled_from(shapes),
+                                            max_size=12))]
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    emit_csv(path, schema_id, rows)
+    lines = [",".join(header)] + [
+        ",".join(format_value(v) for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_emit_validates_schema_and_row_width(tmp_path):

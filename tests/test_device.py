@@ -180,6 +180,34 @@ def test_rho_rejects_barrier_at_monotonicity_bound():
         rho_temperature_factor(330.0, PHI_APP_MIN)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("T, phi_app, message", [
+    (_NAN, 0.1, "T must be finite, got nan"),
+    (_INF, 0.1, "T must be finite, got inf"),
+    (-_INF, 0.1, "T must be finite, got -inf"),
+    (np.float64(_NAN), 0.1, "T must be finite, got nan"),
+    (330.0, _NAN, "phi_app must be finite, got nan"),
+    (330.0, _INF, "phi_app must be finite, got inf"),
+    (330.0, -_INF, "phi_app must be finite, got -inf"),
+    # T is checked first, and finiteness before the window
+    (_NAN, _NAN, "T must be finite, got nan"),
+    (_INF, -_INF, "T must be finite, got inf"),
+    (400, _NAN, "phi_app must be finite, got nan"),
+    (299.0, 0.1, "T=299.0 outside [300.0, 360.0] K"),
+    (361.0, 0.1, "T=361.0 outside [300.0, 360.0] K"),
+    (330.0, PHI_APP_MIN, "phi_app=-0.051704 eV at or below monotonicity "
+                         "bound -0.051704 eV"),
+    (330.0, PHI_APP_MIN - 1.0, "phi_app=-1.051704 eV at or below "
+                               "monotonicity bound -0.051704 eV"),
+])
+def test_rho_keeps_its_error_messages(T, phi_app, message):
+    with pytest.raises(ValueError) as info:
+        rho_temperature_factor(T, phi_app)
+    assert str(info.value) == message
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     drop=st.floats(min_value=0.05, max_value=0.95),
@@ -220,6 +248,45 @@ def test_phi_for_state_linear_in_log_resistance(fit):
 def test_phi_for_state_clamps_outside_table(fit):
     assert fit.phi_for_state(30e6) == fit.phi_of_anchor[0]
     assert fit.phi_for_state(1.5e3) == fit.phi_of_anchor[-1]
+
+
+def _phi_by_scan(fit, r_eff):
+    """ThermalFit.phi_for_state as a linear scan of the table."""
+    x = math.log10(r_eff)
+    xs, ys = fit._log_r, fit._phi_asc
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    for i in range(1, len(xs)):
+        if x <= xs[i]:
+            f = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+            return ys[i - 1] + f * (ys[i] - ys[i - 1])
+    return ys[-1]
+
+
+@st.composite
+def _fit_and_states(draw):
+    r_refs = sorted(draw(st.lists(st.floats(1e3, 3e7), min_size=1,
+                                  max_size=7, unique=True)), reverse=True)
+    drops = draw(st.lists(st.floats(0.05, 0.95), min_size=len(r_refs),
+                          max_size=len(r_refs)))
+    fit = ThermalFit(anchors=tuple(
+        LevelAnchor(f"a{k}", r, d) for k, (r, d) in enumerate(zip(r_refs, drops))))
+    on_anchor = st.sampled_from(r_refs)
+    between = st.floats(min(r_refs), max(r_refs))
+    outside = st.one_of(st.floats(1e-3, min(r_refs)), st.floats(max(r_refs), 1e12))
+    states = draw(st.lists(st.one_of(on_anchor, between, outside),
+                           min_size=1, max_size=20))
+    return fit, states
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fit_and_states())
+def test_phi_for_state_equals_table_scan(fit_states):
+    fit, states = fit_states
+    for r_eff in states:
+        assert fit.phi_for_state(r_eff) == _phi_by_scan(fit, r_eff)
 
 
 def test_fit_rejects_empty_and_unsorted_tables():
@@ -383,13 +450,18 @@ def test_train_rejects_bad_pulses(fit, params):
 
 def test_retention_flat_without_volatile_part(fit, params):
     state = DeviceState(r_persistent=1e6, r_volatile_excess=0.0)
-    _, trace = retention_run(state, 50, 330.0, params, fit)
+    _, trace = retention_run(state, [330.0] * 50, params, fit)
     assert len(set(trace)) == 1
+
+
+def test_retention_needs_a_read(fit, params):
+    with pytest.raises(ValueError, match="at least one read temperature"):
+        retention_run(DeviceState(r_persistent=1e6), [], params, fit)
 
 
 def test_retention_decay_limit(fit, params):
     state = DeviceState(r_persistent=1e6, r_volatile_excess=3e5)
-    new, _ = retention_run(state, 5000, 330.0, params, fit)
+    new, _ = retention_run(state, [330.0] * 5000, params, fit)
     limit = 1e6 * rho_temperature_factor(330.0, fit.phi_for_state(1e6))
     assert read_resistance(new, fit, 330.0) == pytest.approx(limit, rel=1e-9)
     assert new.r_persistent == state.r_persistent
@@ -400,7 +472,7 @@ def test_retention_recovery_incomplete_with_defaults(fit, params):
     # volatile part, hence (1 - eta_nv)*(1 - e^-4) < 1 of the total change
     state = DeviceState(r_persistent=1e6)
     trained, _ = apply_pulse_train(state, 1.5, 200, 330.0, params, fit)
-    rested, trace = retention_run(trained, 200, 330.0, params, fit)
+    rested, trace = retention_run(trained, [330.0] * 200, params, fit)
     recovered_volatile = 1.0 - rested.r_volatile_excess / trained.r_volatile_excess
     assert recovered_volatile == pytest.approx(0.98168436111126582, rel=1e-12)
     total_induced = trained.r_eff - state.r_eff

@@ -1,9 +1,15 @@
 """Experiment-runner protocol tests."""
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memthermo import (
+    DeviceState,
     SwitchingParams,
     TemperatureSchedule,
+    ThermalPlant,
     extract_thermionic,
     fit_switch_curve,
     run_heat_stimulate_retention,
@@ -12,8 +18,22 @@ from memthermo import (
     run_nullcline_sweep,
     run_thermal_cycling,
 )
+from memthermo.constants import V_READ
 from memthermo.csvio import SCHEMAS
-from memthermo.experiments import ProtocolError, TraceRecord, sweep_voltages
+from memthermo.device import (
+    apply_pulse_train,
+    read_resistance,
+    reset_to_reference,
+    rho_temperature_factor,
+)
+from memthermo.experiments import (
+    HsrResult,
+    ProtocolError,
+    TraceRecord,
+    _hold,
+    sweep_voltages,
+)
+from memthermo.presets import LEVEL_ORDER, device_preset
 
 
 def test_trace_record_fields_are_the_row_schemas():
@@ -152,6 +172,89 @@ def test_hsr_deterministic(fit, params):
     a = run_heat_stimulate_retention(level="L1", fit=fit, params=params)
     b = run_heat_stimulate_retention(level="L1", fit=fit, params=params)
     assert a.records == b.records
+
+
+def _hsr_read_by_read(level, t_test, v_prog, fit, params, pulse_count,
+                     retention_reads, retention_period_s, hold_s,
+                     keep_records, read_period_s=6.0, pulse_period_s=0.1):
+    """run_heat_stimulate_retention with one device state built per
+    retention read, each read taken right after its plant step."""
+    plant = ThermalPlant.packaged()
+    state0 = state = device_preset(level, fit)
+    records = []
+    kept = records if keep_records else None
+    t = 0.0
+
+    def log(r, phase, pulse_index=None, v=V_READ):
+        if keep_records:
+            records.append(TraceRecord(t, plant.t_set, plant.t_air,
+                                       plant.t_dev, r, phase, pulse_index, v))
+
+    r_ref_300 = read_resistance(state, fit, plant.t_dev)
+    log(r_ref_300, "read")
+    t = _hold(plant, state, fit, t_test, hold_s, read_period_s, t, kept)
+    t_train = plant.t_dev
+    r_pre_at_t = read_resistance(state, fit, t_train)
+    state, trace = apply_pulse_train(
+        state, v_prog, pulse_count, t_train, params, fit)
+    for k, r in enumerate(trace, start=1):
+        t += pulse_period_s
+        log(r, "program", pulse_index=k, v=v_prog)
+    plant.step(pulse_count * pulse_period_s)
+    frac_state = state.r_eff / state0.r_eff - 1.0
+    frac_at_t = trace[-1] / r_pre_at_t - 1.0
+    frac_vs_300 = trace[-1] / r_ref_300 - 1.0
+    vol_peak = state.r_volatile_excess
+    for k in range(1, retention_reads + 1):
+        plant.step(retention_period_s)
+        t += retention_period_s
+        volatile = state.r_volatile_excess * math.exp(-1.0 / params.tau_ret)
+        r_eff = state.r_persistent + volatile
+        r = r_eff * rho_temperature_factor(plant.t_dev, fit.phi_for_state(r_eff))
+        state = DeviceState(r_persistent=state.r_persistent,
+                            r_volatile_excess=volatile,
+                            pulse_count=state.pulse_count, era=None)
+        log(r, "retention", pulse_index=k)
+    recovered = 0.0 if vol_peak == 0.0 else 1.0 - state.r_volatile_excess / vol_peak
+    t = _hold(plant, state, fit, 300.0, hold_s, read_period_s, t, kept)
+    reset = reset_to_reference(state, state0.r_persistent, params, fit)
+    for k, r in enumerate(reset.resistances, start=1):
+        t += pulse_period_s
+        log(r, "program", pulse_index=k, v=-1.5)
+    return HsrResult(
+        records=records, t_test_K=t_test, v_prog_V=v_prog,
+        frac_state=frac_state, frac_at_t=frac_at_t, frac_vs_300=frac_vs_300,
+        recovered_frac=recovered, reset_pulses=reset.pulses,
+        state_initial=state0, state_final=reset.state,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    level=st.sampled_from(LEVEL_ORDER),
+    t_test=st.floats(300.0, 360.0),
+    v_prog=st.sampled_from((0.3, 0.9, 1.4, 1.5, -1.2)),
+    pulse_count=st.integers(1, 40),
+    retention_reads=st.integers(0, 60),
+    retention_period_s=st.floats(0.05, 60.0),
+    hold_s=st.sampled_from((6.0, 120.0, 600.0)),
+    keep_records=st.booleans(),
+)
+@example(level="L1", t_test=360.0, v_prog=1.5, pulse_count=200,
+         retention_reads=0, retention_period_s=6.0, hold_s=600.0,
+         keep_records=True)
+@example(level="L1", t_test=360.0, v_prog=1.5, pulse_count=200,
+         retention_reads=200, retention_period_s=6.0, hold_s=600.0,
+         keep_records=True)
+def test_hsr_equals_read_by_read_retention_exactly(
+        fit, params, level, t_test, v_prog, pulse_count, retention_reads,
+        retention_period_s, hold_s, keep_records):
+    kwargs = dict(level=level, t_test=t_test, v_prog=v_prog, fit=fit,
+                  params=params, pulse_count=pulse_count,
+                  retention_reads=retention_reads,
+                  retention_period_s=retention_period_s, hold_s=hold_s,
+                  keep_records=keep_records)
+    assert run_heat_stimulate_retention(**kwargs) == _hsr_read_by_read(**kwargs)
 
 
 # ---------------------------------------------------------------------------
