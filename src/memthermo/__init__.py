@@ -21,6 +21,7 @@ from .calibration import (
 from .constants import K_B_EV, R_CEILING, R_FLOOR, T_MAX, T_MIN, T_REF, V_READ
 from .device import (
     DEFAULT_ANCHORS,
+    LEVEL_ORDER,
     CalibrationError,
     DeviceState,
     LevelAnchor,
@@ -31,6 +32,7 @@ from .device import (
     apply_pulse_train,
     barrier_shift_response,
     calibrate_phi_from_drop,
+    iv_preset,
     read_resistance,
     reset_to_reference,
     retention_run,
@@ -56,7 +58,6 @@ from .neuron import (
     run_homeostasis,
     settled_rate,
 )
-from .presets import LEVEL_ORDER, device_preset, iv_preset
 from .thermal import (
     TemperatureSchedule,
     ThermalPlant,

@@ -13,7 +13,7 @@ Three fitting pipelines:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -267,7 +267,6 @@ class SwitchCurveFit:
     r2_temperature: float
 
     def as_switching_params(self, base: SwitchingParams | None = None) -> SwitchingParams:
-        from dataclasses import replace
         base = base or SwitchingParams()
         return replace(base, g_14_310=self.g_14_310,
                        g_14_360=self.g_14_360, beta=self.beta)

@@ -24,7 +24,7 @@ from .calibration import (
 )
 from .config import ConfigError, RunConfig, checked, resolve_config
 from .csvio import emit_csv, parse_csv, write_manifest
-from .device import ResetError
+from .device import LEVEL_ORDER, ResetError
 from .experiments import (
     CycleResult,
     ProtocolError,
@@ -41,13 +41,8 @@ from .neuron import (
     calibrate_gain,
     run_homeostasis,
 )
-from .presets import LEVEL_ORDER
 from .rng import substream
 from .thermal import TemperatureSchedule, scrambled_schedule
-
-EXPERIMENTS = ("cycle", "levels", "iv", "signature", "hsr", "nullcline",
-               "thermometer", "baseline", "homeostasis", "calibrate")
-
 
 def _feedforward(cfg: RunConfig) -> FeedforwardMap:
     mode = cfg["neuron.map_mode"]
@@ -91,7 +86,7 @@ def _cmd_cycle(cfg: RunConfig, out: str) -> list[str]:
 def _cmd_levels(cfg: RunConfig, out: str) -> list[str]:
     sweep = run_level_sweep(
         schedule=_schedule(cfg), seed=cfg["run.seed"], fit=cfg.fit,
-        read_period_s=cfg["schedule.read_period_s"],
+        plant=cfg.plant, read_period_s=cfg["schedule.read_period_s"],
         drift_scale=cfg["cycle.drift_scale"],
     )
     files = [emit_csv(
@@ -178,10 +173,10 @@ def _cmd_hsr(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _cmd_nullcline(cfg: RunConfig, out: str) -> list[str]:
-    res = run_nullcline_sweep(**_hsr_args(cfg))
-    curve = fit_switch_curve(res.rows)
+    rows = run_nullcline_sweep(**_hsr_args(cfg))
+    curve = fit_switch_curve(rows)
     return [
-        emit_csv(os.path.join(out, "nullcline.csv"), "nullcline", res.rows),
+        emit_csv(os.path.join(out, "nullcline.csv"), "nullcline", rows),
         emit_csv(os.path.join(out, "nullcline_fit.csv"), "nullcline_fit",
                  [(curve.g_14_310, curve.g_14_360, curve.beta,
                    curve.r2_voltage_min, curve.r2_temperature)]),
@@ -288,6 +283,7 @@ _HANDLERS = {
     "homeostasis": _cmd_homeostasis,
     "calibrate": _cmd_calibrate,
 }
+EXPERIMENTS = tuple(_HANDLERS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

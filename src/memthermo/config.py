@@ -16,12 +16,11 @@ import os
 from dataclasses import dataclass, fields, replace
 
 from .constants import R_CEILING, R_FLOOR, T_MAX, T_MIN
-from .device import (DEFAULT_ANCHORS, DeviceState, LevelAnchor,
+from .device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
                      SwitchingParams, ThermalFit)
 from .experiments import sweep_voltages
 from .neuron import (FeedforwardMap, InputPattern, NeuronSystem,
                      affine_gains, calibration_loads)
-from .presets import device_preset
 from .thermal import ThermalPlant, TemperatureSchedule
 
 
@@ -112,7 +111,7 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
     _k("run.out_dir", str, "out", "output directory"),
 
     _k("device.level", str, "pristine", "resistive level preset",
-       choice(*(a.label for a in DEFAULT_ANCHORS))),
+       choice(*LEVEL_ORDER)),
     _k("device.r_ohm", float, 0.0, "explicit 300 K resistance; 0 uses the "
        "level preset", _rule(lambda v: v == 0 or R_FLOOR <= v <= R_CEILING,
                              f"0 or in [{R_FLOOR}, {R_CEILING}]")),
@@ -246,18 +245,17 @@ class RunConfig:
             "schedule.setpoints", TemperatureSchedule,
             entries=tuple((t, self["schedule.hold_s"]) for t in explicit),
         ) if explicit else None
-        anchors = tuple(
-            LevelAnchor(a.label, *(self[k] for k in _fit_keys(a.label)))
-            for a in DEFAULT_ANCHORS)
+        anchors = tuple(replace(a, r_ref=self[r], total_drop=self[d])
+                        for a in DEFAULT_ANCHORS
+                        for r, d in [_fit_keys(a.label)])
         # CalibrationError (an unreachable drop) is a ValueError too
         self.fit = checked("fit", ThermalFit, anchors=anchors)
         base = getattr(ThermalPlant, self["plant.preset"])()
         self.plant = checked(
             "plant", replace, base, tau_air_s=self["plant.tau_air_s"],
             tau_dev_s=self["plant.tau_dev_s"] or base.tau_dev_s)
-        r = self["device.r_ohm"]
-        self.device = (DeviceState(r_persistent=r) if r > 0
-                       else device_preset(self["device.level"], self.fit))
+        self.device = DeviceState(r_persistent=self["device.r_ohm"] or
+                                  self.fit.anchor(self["device.level"]).r_ref)
         # the neuron template; each run sets its feedforward map
         self.system = checked(
             "neuron", NeuronSystem.build, level=self["device.level"],

@@ -32,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .constants import K_B_EV, R_CEILING, R_FLOOR, T_MAX, T_MIN, T_REF
+from .constants import K_B_EV, R_CEILING, R_FLOOR, T_MAX, T_MIN, T_REF, V_READ
 
 # phi_app at or below -2*kB*300 K would make R(T) non-monotone on the
 # chamber window; everything below is rejected at construction.
@@ -223,29 +223,35 @@ def calibrate_phi_from_drop(total_drop: float) -> float:
 
 @dataclass(frozen=True)
 class LevelAnchor:
-    """One calibrated resistive level: reference resistance and its
-    fractional drop over the full 300->360 K window."""
+    """One calibrated resistive level: reference resistance, its
+    fractional drop over the full 300->360 K window, and the IV
+    barrier-lowering factors (eV/sqrt(V)) per bias polarity."""
 
     label: str
     r_ref: float
     total_drop: float
+    alpha_pos: float = 0.0
+    alpha_neg: float = 0.0
 
 
-# The programmed levels, the one source of the level table: presets, the
-# fit.* config keys and the default fit all derive from it. Pristine
-# (61 %) and L4 (11 %) drops are measured end points; the L1-L3 drops are
-# set so their settled-trace sensitivities land at ~0.95, ~0.65 and ~0.37
-# %/K respectively. Pristine lands at ~1.0 %/K. L4's sensitivity, ~0.18
-# %/K, is fixed by its measured 11 % drop (no monotone R(T) with that drop
-# exceeds ~0.22 %/K on the default schedule), for a pristine/L4 factor of
-# ~5.5.
+# The programmed levels, the one level table: the fit.* config keys, the
+# default fit, the --preset choices and iv_preset all derive from it.
+# Pristine (61 %) and L4 (11 %) drops are measured end points; the L1-L3
+# drops are set so their settled-trace sensitivities land at ~0.95, ~0.65
+# and ~0.37 %/K respectively. Pristine lands at ~1.0 %/K. L4's
+# sensitivity, ~0.18 %/K, is fixed by its measured 11 % drop (no monotone
+# R(T) with that drop exceeds ~0.22 %/K on the default schedule), for a
+# pristine/L4 factor of ~5.5. Pristine and L1 get unequal barrier-lowering
+# factors (the high-resistance states show visibly asymmetric IVs); the
+# low levels are symmetric.
 DEFAULT_ANCHORS = (
-    LevelAnchor("pristine", 3e6, 0.61),
-    LevelAnchor("L1", 1e6, 0.58),
-    LevelAnchor("L2", 250e3, 0.39),
-    LevelAnchor("L3", 15e3, 0.22),
-    LevelAnchor("L4", 8e3, 0.11),
+    LevelAnchor("pristine", 3e6, 0.61, 0.050, 0.030),
+    LevelAnchor("L1", 1e6, 0.58, 0.040, 0.025),
+    LevelAnchor("L2", 250e3, 0.39, 0.020, 0.020),
+    LevelAnchor("L3", 15e3, 0.22, 0.060, 0.060),
+    LevelAnchor("L4", 8e3, 0.11, 0.100, 0.100),
 )
+LEVEL_ORDER = tuple(a.label for a in DEFAULT_ANCHORS)
 
 
 @dataclass(frozen=True)
@@ -259,13 +265,10 @@ class ThermalFit:
     """
 
     anchors: tuple[LevelAnchor, ...]
-    t_ref: float = T_REF
 
     def __post_init__(self):
         if not self.anchors:
             raise ValueError("anchor table must not be empty")
-        if self.t_ref != T_REF:
-            raise ValueError(f"t_ref is fixed at {T_REF} K")
         r_refs = [a.r_ref for a in self.anchors]
         if any(r <= 0 for r in r_refs):
             raise ValueError("anchor resistances must be > 0")
@@ -282,11 +285,11 @@ class ThermalFit:
         """The five-level table of DEFAULT_ANCHORS."""
         return cls(anchors=DEFAULT_ANCHORS)
 
-    def r_ref(self, label: str) -> float:
-        """Reference resistance of the anchor named label."""
+    def anchor(self, label: str) -> LevelAnchor:
+        """The anchor named label."""
         for anchor in self.anchors:
             if anchor.label == label:
-                return anchor.r_ref
+                return anchor
         labels = tuple(a.label for a in self.anchors)
         raise ValueError(f"unknown level {label!r}; choose from {labels}")
 
@@ -303,6 +306,28 @@ class ThermalFit:
         i = bisect.bisect_left(xs, x)   # the first xs[i] >= x
         f = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
         return ys[i - 1] + f * (ys[i] - ys[i - 1])
+
+
+def iv_preset(level: str, fit: ThermalFit | None = None) -> ThermionicParams:
+    """Thermionic parameters of the level's anchor in fit, chosen so that
+
+    * R(0.2 V, 300 K) reproduces the level's reference resistance, and
+    * the apparent barrier at the read voltage (phi_b - alpha_pos*sqrt(0.2))
+      equals the level's fitted thermal barrier,
+
+    which keeps the IV route and the read-out route mutually consistent.
+    """
+    fit = fit or ThermalFit.default()
+    anchor = fit.anchor(level)
+    phi_app = fit.phi_for_state(anchor.r_ref)
+    phi_b = phi_app + anchor.alpha_pos * math.sqrt(V_READ)
+    if phi_b < 0:
+        raise ValueError(f"level {level}: alpha_pos too small for its barrier")
+    a = V_READ / (anchor.r_ref * T_REF**2
+                  * math.exp(-phi_app / (K_B_EV * T_REF)))
+    return ThermionicParams(a_prefactor=a, phi_b=phi_b,
+                            alpha_pos=anchor.alpha_pos,
+                            alpha_neg=anchor.alpha_neg)
 
 
 @dataclass(frozen=True)
@@ -510,11 +535,17 @@ def retention_run(state: DeviceState, temps, params: SwitchingParams,
     return replace(state, r_volatile_excess=volatile, era=None), trace
 
 
+# Reset pulse amplitude (V) and the relative band around the target.
+RESET_V = 1.5
+RESET_TOLERANCE = 0.01
+
+
 @dataclass(frozen=True)
 class ResetResult:
     state: DeviceState
     pulses: int
     resistances: tuple[float, ...]   # 300 K read after each pulse
+    voltages: tuple[float, ...]      # amplitude of each pulse
 
 
 def reset_to_reference(
@@ -523,8 +554,6 @@ def reset_to_reference(
     params: SwitchingParams,
     fit: ThermalFit,
     T: float = T_REF,
-    v_amplitude: float = 1.5,
-    tolerance: float = 0.01,
     max_pulses: int = 10_000,
 ) -> ResetResult:
     """Drive the persistent state back to target_r with programming trains.
@@ -546,10 +575,10 @@ def reset_to_reference(
         )
 
     def in_band(r):
-        return abs(r - target_r) / target_r < tolerance
+        return abs(r - target_r) / target_r < RESET_TOLERANCE
 
     if state.r_volatile_excess == 0.0 and in_band(state.r_persistent):
-        return ResetResult(state=state, pulses=0, resistances=())
+        return ResetResult(state=state, pulses=0, resistances=(), voltages=())
 
     current = DeviceState(
         r_persistent=state.r_persistent,
@@ -558,18 +587,19 @@ def reset_to_reference(
         era=None,
     )
     reads: list[float] = []
-    pulses = 0
+    volts: list[float] = []
     while not in_band(current.r_persistent):
-        if pulses >= max_pulses:
+        if len(reads) >= max_pulses:
             raise ResetError(
                 f"no convergence to {target_r:.4g} Ohm within {max_pulses} "
-                f"pulses", last_resistance=current.r_persistent, pulses=pulses,
+                f"pulses", last_resistance=current.r_persistent,
+                pulses=len(reads),
             )
-        v = -v_amplitude if current.r_persistent > target_r else v_amplitude
+        v = -RESET_V if current.r_persistent > target_r else RESET_V
         before = current.r_persistent
         current, trace = apply_pulse_train(current, v, 1, T, params, fit)
-        pulses += 1
         reads.append(trace[-1])
+        volts.append(v)
         # era saturated without reaching the band: restart the curve
         if abs(current.r_persistent - before) < 1e-5 * target_r:
             current = replace(current, era=None)
@@ -580,4 +610,5 @@ def reset_to_reference(
         pulse_count=current.pulse_count,
         era=None,
     )
-    return ResetResult(state=final, pulses=pulses, resistances=tuple(reads))
+    return ResetResult(state=final, pulses=len(reads),
+                       resistances=tuple(reads), voltages=tuple(volts))

@@ -11,21 +11,22 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .calibration import IVCurveSet
+from .calibration import IVCurveSet, sensitivity_percent_per_K
 from .constants import V_READ
 from .device import (
+    LEVEL_ORDER,
     DeviceState,
     SwitchingParams,
     ThermalFit,
     ThermionicParams,
     apply_pulse_train,
+    iv_preset,
     read_resistance,
     reset_to_reference,
     retention_run,
     rho_temperature_factor,
     thermionic_current,
 )
-from .presets import LEVEL_ORDER, device_preset, iv_preset
 from .rng import substream
 from .thermal import (
     TemperatureSchedule,
@@ -80,7 +81,6 @@ class HoldSummary:
 
 @dataclass
 class CycleResult:
-    level: str
     records: list[TraceRecord]
     holds: list[HoldSummary]
     state: DeviceState
@@ -167,7 +167,8 @@ def run_thermal_cycling(
     fit = fit or ThermalFit.default()
     schedule = schedule or scrambled_schedule(seed)
     plant = plant.copy() if plant is not None else ThermalPlant.packaged()
-    state = state if state is not None else device_preset(level, fit)
+    if state is None:
+        state = DeviceState(r_persistent=fit.anchor(level).r_ref)
     phi = fit.phi_for_state(state.r_eff)
     factors = _drift_factors(drift_scale, seed, len(schedule.entries))
 
@@ -193,8 +194,7 @@ def run_thermal_cycling(
             r_first_ohm=hold[0].r_ohm, r_last_ohm=hold[-1].r_ohm,
             settled=True,
         ))
-    return CycleResult(level=level, records=records, holds=holds,
-                       state=state, fit=fit)
+    return CycleResult(records=records, holds=holds, state=state, fit=fit)
 
 
 @dataclass
@@ -209,18 +209,18 @@ def run_level_sweep(
     schedule: TemperatureSchedule | None = None,
     seed: int = 0,
     fit: ThermalFit | None = None,
+    plant: ThermalPlant | None = None,
     read_period_s: float = DEFAULT_READ_PERIOD_S,
     drift_scale: float = 0.0,
 ) -> LevelSweepResult:
-    """Run the thermal cycle once per programmed level with a fresh plant."""
-    from .calibration import sensitivity_percent_per_K
-
+    """Run the thermal cycle once per programmed level, each on a fresh
+    copy of plant (the packaged one by default)."""
     fit = fit or ThermalFit.default()
     schedule = schedule or scrambled_schedule(seed)
     results, drops, sens = {}, {}, {}
     for level in levels:
         res = run_thermal_cycling(
-            level=level, schedule=schedule, seed=seed, fit=fit,
+            level=level, schedule=schedule, seed=seed, fit=fit, plant=plant,
             read_period_s=read_period_s, drift_scale=drift_scale,
         )
         results[level] = res
@@ -274,7 +274,9 @@ def run_heat_stimulate_retention(
     fit = fit or ThermalFit.default()
     params = params or SwitchingParams()
     plant = plant.copy() if plant is not None else ThermalPlant.packaged()
-    state0 = state = state if state is not None else device_preset(level, fit)
+    if state is None:
+        state = DeviceState(r_persistent=fit.anchor(level).r_ref)
+    state0 = state
 
     records: list[TraceRecord] = []
     kept = records if keep_records else None
@@ -325,9 +327,10 @@ def run_heat_stimulate_retention(
 
     # reset to the initial 300 K reference level
     reset = reset_to_reference(state, state0.r_persistent, params, fit)
-    for k, r in enumerate(reset.resistances, start=1):
+    for k, (r, v) in enumerate(zip(reset.resistances, reset.voltages),
+                               start=1):
         t += pulse_period_s
-        log(r, PHASE_PROGRAM, pulse_index=k, v=-1.5)
+        log(r, PHASE_PROGRAM, pulse_index=k, v=v)
     state_final = reset.state
 
     return HsrResult(
@@ -338,12 +341,6 @@ def run_heat_stimulate_retention(
     )
 
 
-@dataclass
-class NullclineResult:
-    rows: list[tuple[float, float, float]]   # (v, T, fraction)
-    level: str
-
-
 def run_nullcline_sweep(
     level: str = "L1",
     voltages=tuple(round(0.7 + 0.1 * k, 1) for k in range(8)),
@@ -351,9 +348,9 @@ def run_nullcline_sweep(
     fit: ThermalFit | None = None,
     params: SwitchingParams | None = None,
     **hsr_kwargs,
-) -> NullclineResult:
+) -> list[tuple[float, float, float]]:
     """Heat-stimulate-retention per (v, T) on a freshly reset device,
-    collecting the final train fraction grid."""
+    collecting the final train fraction grid as (v, T, fraction) rows."""
     fit = fit or ThermalFit.default()
     params = params or SwitchingParams()
     rows = []
@@ -364,7 +361,7 @@ def run_nullcline_sweep(
                 fit=fit, params=params, keep_records=False, **hsr_kwargs,
             )
             rows.append((float(v), float(T), res.frac_state))
-    return NullclineResult(rows=rows, level=level)
+    return rows
 
 
 def sweep_voltages(v_min: float, v_max: float, points_per_polarity: int,

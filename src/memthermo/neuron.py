@@ -166,7 +166,7 @@ class NeuronSystem:
         """System of identical-level synapses, optionally with a seeded
         log-normal device-to-device spread of the reference resistance."""
         fit = fit or ThermalFit.default()
-        r0 = fit.r_ref(level)
+        r0 = fit.anchor(level).r_ref
         if spread_sigma > 0:
             rng = substream(seed, "spread")
             factors = np.exp(rng.normal(0.0, spread_sigma, N_SYNAPSES))

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import T_MAX, T_MIN
 from .rng import substream
 
-T_SET_MIN = 300.0
-T_SET_MAX = 360.0
 DEFAULT_TEMPS = tuple(float(t) for t in range(300, 361, 10))
 DEFAULT_HOLD_S = 3600.0
 
@@ -43,9 +42,9 @@ class ThermalPlant:
 
     @staticmethod
     def _check_setpoint(t):
-        if not (T_SET_MIN <= t <= T_SET_MAX):
+        if not (T_MIN <= t <= T_MAX):
             raise ValueError(f"setpoint {t} K outside chamber range "
-                             f"[{T_SET_MIN}, {T_SET_MAX}] K")
+                             f"[{T_MIN}, {T_MAX}] K")
 
     @classmethod
     def packaged(cls, t0: float = 300.0) -> "ThermalPlant":
@@ -82,12 +81,7 @@ class ThermalPlant:
         self.t_dev = self.t_set + dev
 
 
-def settled(
-    times_s,
-    resistances,
-    window_s: float = SETTLE_WINDOW_S,
-    threshold: float = SETTLE_THRESHOLD,
-) -> bool | None:
+def settled(times_s, resistances) -> bool | None:
     """Evaluate the per-6-minute settling criterion on a hold's history.
 
     `times_s`/`resistances` must cover the span since the setpoint change.
@@ -101,13 +95,13 @@ def settled(
     if np.any(np.diff(t) <= 0):
         raise ValueError("timestamps must be strictly increasing")
     span = t[-1] - t[0]
-    if span < window_s:
+    if span < SETTLE_WINDOW_S:
         return None
     # last sample at or before the window start
-    idx = int(np.searchsorted(t, t[-1] - window_s, side="right")) - 1
+    idx = int(np.searchsorted(t, t[-1] - SETTLE_WINDOW_S, side="right")) - 1
     trailing = abs(r[-1] - r[idx])
     total = abs(r[-1] - r[0])
-    return bool(trailing <= threshold * total)
+    return bool(trailing <= SETTLE_THRESHOLD * total)
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def test_c05_learning_rate_invariance(fit, params):
 
     grid = {(v, T): f
             for v, T, f in run_nullcline_sweep(level="L1", fit=fit,
-                                               params=params).rows}
+                                               params=params)}
     a310, a360 = grid[(1.4, 310.0)], grid[(1.4, 360.0)]
     ok = (spread <= 0.10 and abs(a310 - 0.22) <= 0.01
           and abs(a360 - 0.27) <= 0.01)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from memthermo import (
+    LEVEL_ORDER,
     DeviceState,
     IVCurveSet,
     NeuronSystem,
@@ -29,7 +30,6 @@ from memthermo import (
 from memthermo.calibration import ExtractionError, ThermometerRangeError
 from memthermo.constants import T_MAX, T_MIN
 from memthermo.device import MAX_TOTAL_DROP, MIN_TOTAL_DROP, PHI_APP_MIN, _brentq
-from memthermo.presets import LEVEL_ORDER
 from memthermo.rng import substream
 from memthermo.thermal import DEFAULT_TEMPS
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from memthermo import cli
+from memthermo import LEVEL_ORDER, cli
 from memthermo.cli import EXPERIMENTS, cli_dispatch
 from memthermo.config import REGISTRY, ConfigError, resolve_config
 from memthermo.csvio import parse_csv
@@ -395,6 +395,35 @@ def test_nullcline_honours_plant_and_device(tmp_path, capsys, override):
             != (tmp_path / "b" / "nullcline.csv").read_bytes())
 
 
+def test_levels_honours_plant(tmp_path, capsys):
+    # a declared change: levels once cycled packaged plants whatever
+    # plant.* said; levels.csv is built from steady values, so it stays
+    slow = ["--set", "schedule.read_period_s=30"]
+    assert _run("levels", "--out", str(tmp_path / "a"), *slow) == 0
+    assert _run("levels", "--out", str(tmp_path / "b"), *slow,
+                "--set", "plant.preset=on_wafer") == 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert ((a / "levels.csv").read_bytes()
+            == (b / "levels.csv").read_bytes())
+    for level in LEVEL_ORDER:
+        name = f"cycle_{level}.csv"
+        assert (a / name).read_bytes() != (b / name).read_bytes()
+
+
+def test_hsr_logs_each_reset_pulse_at_its_polarity(tmp_path, capsys):
+    # a declared change: reset pulses were all logged at -1.5 V; after a
+    # depressing train the reset potentiates, so each R step is upward
+    assert _run("hsr", "--out", str(tmp_path), "--preset", "L1",
+                "--set", "hsr.v_prog_v=-1.5") == 0
+    _, rows = parse_csv(tmp_path / "hsr.csv", "hsr")
+    # the reset is the program block that ends the trace
+    start = max(k for k, r in enumerate(rows) if r[5] != "program") + 1
+    assert len(rows) - start > 1
+    for before, row in zip(rows[start - 1:], rows[start:]):
+        v, step = float(row[7]), float(row[4]) - float(before[4])
+        assert v == 1.5 and step > 0
+
+
 def test_thermometer_reads_the_drifted_cycle(tmp_path, capsys):
     # with the drift on and no read noise, each reading is its hold's
     # drifted steady resistance, exactly as the cycle reports it
@@ -408,8 +437,8 @@ def test_thermometer_reads_the_drifted_cycle(tmp_path, capsys):
     assert r300[0] != r300[-1]   # the drift is on
 
 
-def test_fit_override_moves_the_level_presets(tmp_path, capsys):
-    # the level presets read their resistance from the configured fit
+def test_fit_override_moves_the_level_table(tmp_path, capsys):
+    # the levels read their resistance from the configured fit
     override = ["--set", "fit.r_l1_ohm=2e6"]
     levels = tmp_path / "levels"
     assert _run("levels", "--out", str(levels), *override,
@@ -456,8 +485,8 @@ _READERS = {
     "run": EXPERIMENTS,
     "device": tuple(c for c in EXPERIMENTS if c != "levels"),
     "fit": EXPERIMENTS,
-    "plant": ("cycle", "hsr", "nullcline", "thermometer", "baseline",
-              "homeostasis", "calibrate"),
+    "plant": ("cycle", "levels", "hsr", "nullcline", "thermometer",
+              "baseline", "homeostasis", "calibrate"),
     "switching": ("iv", "signature", "hsr", "nullcline"),
     "schedule": ("cycle", "levels", "hsr", "nullcline", "thermometer"),
     "cycle": ("cycle", "levels", "thermometer"),
@@ -539,8 +568,6 @@ def test_each_configured_object_is_built_once(tmp_path, capsys, monkeypatch,
             counts[name] = counts.get(name, 0) + 1
             init(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
-    # levels cycles fresh packaged plants, which 800 s holds leave unsettled
-    hold = ["schedule.hold_s=3600"] if cmd == "levels" else []
     assert _run(cmd, "--out", str(tmp_path),
-                *(f"--set={kv}" for kv in _SHORT + hold)) == 0
+                *(f"--set={kv}" for kv in _SHORT)) == 0
     assert counts == {"ThermalFit": 1, "SwitchingParams": 1}

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memthermo import (
+    LEVEL_ORDER,
     CalibrationError,
     DeviceState,
     LevelAnchor,
@@ -24,6 +25,7 @@ from memthermo import (
     apply_pulse_train,
     barrier_shift_response,
     calibrate_phi_from_drop,
+    iv_preset,
     read_resistance,
     reset_to_reference,
     retention_run,
@@ -31,7 +33,7 @@ from memthermo import (
     thermionic_current,
     train_switch_fraction,
 )
-from memthermo.constants import K_B_EV, T_MAX, T_REF
+from memthermo.constants import K_B_EV, T_MAX, T_REF, V_READ
 from memthermo.device import MAX_TOTAL_DROP, MIN_TOTAL_DROP, PHI_APP_MIN
 
 # ---------------------------------------------------------------------------
@@ -287,6 +289,30 @@ def test_phi_for_state_equals_table_scan(fit_states):
     fit, states = fit_states
     for r_eff in states:
         assert fit.phi_for_state(r_eff) == _phi_by_scan(fit, r_eff)
+
+
+# the IV half of the level table, as first calibrated; goldens and the
+# benchmark run iv and signature at pristine only
+_IV_FACTORS = {
+    "pristine": (0.050, 0.030),
+    "L1": (0.040, 0.025),
+    "L2": (0.020, 0.020),
+    "L3": (0.060, 0.060),
+    "L4": (0.100, 0.100),
+}
+
+
+@pytest.mark.parametrize("level", LEVEL_ORDER)
+def test_level_table_iv_half_is_consistent_with_its_thermal_half(fit, level):
+    r_ref = next(a.r_ref for a in fit.anchors if a.label == level)
+    iv = iv_preset(level, fit)
+    assert (iv.alpha_pos, iv.alpha_neg) == _IV_FACTORS[level]
+    # R(0.2 V, 300 K) is the level's reference resistance ...
+    assert V_READ / thermionic_current(V_READ, T_REF, iv) == pytest.approx(
+        r_ref, rel=1e-12)
+    # ... and the apparent barrier at the read voltage its fitted one
+    assert iv.phi_b - iv.alpha_pos * math.sqrt(V_READ) == pytest.approx(
+        fit.phi_for_state(r_ref), rel=1e-12, abs=1e-15)
 
 
 def test_fit_rejects_empty_and_unsorted_tables():

@@ -6,12 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memthermo import (
+    LEVEL_ORDER,
     DeviceState,
     SwitchingParams,
     TemperatureSchedule,
     ThermalPlant,
     extract_thermionic,
     fit_switch_curve,
+    iv_preset,
     run_heat_stimulate_retention,
     run_iv_sweep,
     run_level_sweep,
@@ -33,7 +35,6 @@ from memthermo.experiments import (
     _hold,
     sweep_voltages,
 )
-from memthermo.presets import LEVEL_ORDER, device_preset
 
 
 def test_trace_record_fields_are_the_row_schemas():
@@ -180,7 +181,7 @@ def _hsr_read_by_read(level, t_test, v_prog, fit, params, pulse_count,
     """run_heat_stimulate_retention with one device state built per
     retention read, each read taken right after its plant step."""
     plant = ThermalPlant.packaged()
-    state0 = state = device_preset(level, fit)
+    state0 = state = DeviceState(r_persistent=fit.anchor(level).r_ref)
     records = []
     kept = records if keep_records else None
     t = 0.0
@@ -218,9 +219,10 @@ def _hsr_read_by_read(level, t_test, v_prog, fit, params, pulse_count,
     recovered = 0.0 if vol_peak == 0.0 else 1.0 - state.r_volatile_excess / vol_peak
     t = _hold(plant, state, fit, 300.0, hold_s, read_period_s, t, kept)
     reset = reset_to_reference(state, state0.r_persistent, params, fit)
-    for k, r in enumerate(reset.resistances, start=1):
+    for k, (r, v) in enumerate(zip(reset.resistances, reset.voltages),
+                               start=1):
         t += pulse_period_s
-        log(r, "program", pulse_index=k, v=-1.5)
+        log(r, "program", pulse_index=k, v=v)
     return HsrResult(
         records=records, t_test_K=t_test, v_prog_V=v_prog,
         frac_state=frac_state, frac_at_t=frac_at_t, frac_vs_300=frac_vs_300,
@@ -267,14 +269,14 @@ def nullcline(fit, params):
 
 
 def test_nullcline_anchor_fractions(nullcline):
-    grid = {(v, T): f for v, T, f in nullcline.rows}
+    grid = {(v, T): f for v, T, f in nullcline}
     assert grid[(1.4, 310.0)] == pytest.approx(0.22, abs=0.01)
     assert grid[(1.4, 360.0)] == pytest.approx(0.27, abs=0.01)
 
 
 def test_nullcline_monotone_in_amplitude(nullcline):
     by_temp = {}
-    for v, T, f in nullcline.rows:
+    for v, T, f in nullcline:
         by_temp.setdefault(T, []).append((v, f))
     for pairs in by_temp.values():
         pairs.sort()
@@ -283,7 +285,7 @@ def test_nullcline_monotone_in_amplitude(nullcline):
 
 
 def test_nullcline_round_trips_through_switch_fit(nullcline, params):
-    fitres = fit_switch_curve(nullcline.rows)
+    fitres = fit_switch_curve(nullcline)
     # protocol grid carries the finite-train and plant-residual effects,
     # so recovery is near-exact rather than bit-exact
     assert fitres.g_14_310 == pytest.approx(params.g_14_310, abs=2e-3)
@@ -316,8 +318,6 @@ def test_iv_sweep_rejects_threshold_crossing():
 
 
 def test_iv_sweep_feeds_extraction_round_trip(fit):
-    from memthermo.presets import iv_preset
-
     truth = iv_preset("L1", fit)
     res = extract_thermionic(run_iv_sweep(level="L1", fit=fit))
     assert res.physical
