@@ -3,17 +3,18 @@
 drop, apparent barrier, settled-trace sensitivity, and IV parameters."""
 import numpy as np
 
-from memthermo import (
+from memthermo.calibration import sensitivity_percent_per_K
+from memthermo.device import (
+    DEFAULT_ANCHORS,
     DeviceState,
     ThermalFit,
     iv_preset,
     read_resistance,
-    sensitivity_percent_per_K,
 )
 
 
 def main() -> None:
-    fit = ThermalFit.default()
+    fit = ThermalFit(anchors=DEFAULT_ANCHORS)
     temps = np.arange(300.0, 361.0, 10.0)
     print(f"{'level':9s} {'R(300K)':>10s} {'drop':>6s} {'phi_app':>9s} "
           f"{'sens %/K':>9s} {'phi_b':>7s} {'a+':>6s} {'a-':>6s}")

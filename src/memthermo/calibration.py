@@ -13,14 +13,13 @@ Three fitting pipelines:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import K_B_EV, T_MAX, T_MIN
 from .device import (
     DeviceState,
-    SwitchingParams,
     ThermalFit,
     ThermionicParams,
     _brentq,
@@ -225,7 +224,7 @@ def invert_temperature(
     r_measured: float,
     fit: ThermalFit,
     r_eff: float,
-    guard: float = 0.02,
+    guard: float,
 ) -> float:
     """Temperature whose read-out equals r_measured (memristor thermometer).
 
@@ -265,11 +264,6 @@ class SwitchCurveFit:
     beta: float
     r2_voltage_min: float
     r2_temperature: float
-
-    def as_switching_params(self, base: SwitchingParams | None = None) -> SwitchingParams:
-        base = base or SwitchingParams()
-        return replace(base, g_14_310=self.g_14_310,
-                       g_14_360=self.g_14_360, beta=self.beta)
 
 
 def fit_switch_curve(grid) -> SwitchCurveFit:

@@ -51,7 +51,8 @@ def _feedforward(cfg: RunConfig) -> FeedforwardMap:
     if mode == "fixed":
         return cfg.fixed_map
     return calibrate_gain(cfg.floats("calibrate.loads"), cfg.system,
-                          mode="table", gamma=cfg["neuron.gamma"]).fmap
+                          mode="table", kappa_grid=cfg.kappa_grid,
+                          gamma=cfg["neuron.gamma"]).fmap
 
 
 def _schedule(cfg: RunConfig) -> TemperatureSchedule:
@@ -61,7 +62,6 @@ def _schedule(cfg: RunConfig) -> TemperatureSchedule:
 
 def _cycle(cfg: RunConfig) -> CycleResult:
     return run_thermal_cycling(
-        level=cfg["device.level"],
         schedule=_schedule(cfg),
         seed=cfg["run.seed"],
         fit=cfg.fit,
@@ -147,7 +147,6 @@ def _cmd_signature(cfg: RunConfig, out: str) -> list[str]:
 def _hsr_args(cfg: RunConfig) -> dict:
     """run_heat_stimulate_retention keywords shared by hsr and nullcline."""
     return dict(
-        level=cfg["device.level"],
         fit=cfg.fit,
         params=cfg.switching,
         plant=cfg.plant,
@@ -188,15 +187,19 @@ def _cmd_thermometer(cfg: RunConfig, out: str) -> list[str]:
     res = _cycle(cfg)
     sigma = cfg["thermometer.noise_sigma"]
     rng = substream(cfg["run.seed"], "noise")
-    # guard sized to the clipped noise so band-edge readings clamp
-    guard = max(0.02, 2.5 * sigma + 0.005)
+    clip = 2.5   # read noise is clipped at clip standard deviations
+    # in log space a reading is off the undrifted model by at most
+    # clip * sigma plus the drift half-band; a guard that covers both
+    # clamps every band-edge reading
+    guard = max(0.02, math.expm1(
+        clip * sigma + 0.5 * math.log1p(cfg["cycle.drift_scale"])) + 0.005)
     rows = []
     for hold in res.holds:
         for trial in range(trials):
             r = hold.r_steady_ohm
             if sigma > 0:
                 # clipped log-normal read scatter: bounded instrument noise
-                z = min(max(rng.standard_normal(), -2.5), 2.5)
+                z = min(max(rng.standard_normal(), -clip), clip)
                 r *= math.exp(sigma * z)
             t_est = invert_temperature(r, res.fit, res.state.r_eff,
                                        guard=guard)
@@ -217,11 +220,14 @@ def _cmd_baseline(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _read_pattern(path, window: int) -> InputPattern:
-    """CSV breakpoint rows (step, load): each load holds until the next
-    breakpoint, the final one for the longest preceding segment (one
-    window for a single-row file)."""
+    """CSV breakpoint rows (step, load), the first at step 0: each load
+    holds until the next breakpoint, the final one for the longest
+    preceding segment (one window for a single-row file)."""
     _, rows = parse_csv(path)
     breakpoints = [(int(step), float(load)) for step, load in rows]
+    if breakpoints and breakpoints[0][0] != 0:
+        raise ValueError(f"first breakpoint must be at step 0, got "
+                         f"{breakpoints[0][0]}")
     if any(b[0] <= a[0] for a, b in zip(breakpoints, breakpoints[1:])):
         raise ValueError("breakpoint steps must increase")
     durations = [b[0] - a[0] for a, b in zip(breakpoints, breakpoints[1:])]

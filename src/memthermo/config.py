@@ -2,12 +2,16 @@
 
 One plain-text format everywhere: `section.key = value` lines, `#`
 comments. Flat keys keep the files diffable and the parser dependency
-free. Every physical parameter carries its documented default; unknown
-keys are rejected rather than ignored. Environment variables prefixed
-MEMTHERMO_ override file values (run.seed -> MEMTHERMO_RUN_SEED), and
-explicit CLI overrides sit on top. Each key checks its own domain;
-relations between keys are left to the constructors: resolve_config
-builds each configured object once, and the run uses those objects.
+free. REGISTRY is the one home of every default: a key either states it
+or reads it from the model field it sets (SwitchingParams, the level
+anchors, ThermalPlant.tau_air_s, FeedforwardMap's kappa and t_fixed),
+and the runners and builders take every argument from the caller.
+Unknown keys are rejected rather than ignored. Environment variables
+prefixed MEMTHERMO_ override file values (run.seed ->
+MEMTHERMO_RUN_SEED), and explicit CLI overrides sit on top. Each key
+checks its own domain; relations between keys are left to the
+constructors: resolve_config builds each configured object once, and the
+run uses those objects.
 """
 from __future__ import annotations
 
@@ -120,7 +124,8 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
 
     _k("plant.preset", str, "packaged", "packaged or on_wafer",
        choice("packaged", "on_wafer")),
-    _k("plant.tau_air_s", float, 180.0, "chamber air time constant"),
+    _k("plant.tau_air_s", float, ThermalPlant.tau_air_s,
+       "chamber air time constant"),
     _k("plant.tau_dev_s", float, 0.0, "device time constant; 0 uses the "
        "preset (720 packaged, 60 on-wafer)"),
 
@@ -156,13 +161,16 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
     _k("thermometer.trials", int, 1, "noisy inversions per settled hold",
        positive),
 
-    _k("neuron.theta", float, 12.5, "spike threshold"),
+    _k("neuron.theta", float, 12.5, "spike threshold; 12.5 gives a settled "
+       "rate of 0.5 spikes/step at load 0.25, 300 K"),
     _k("neuron.window", int, 25, "steps (and spikes) per rate window"),
     _k("neuron.dt_s", float, 1.0, "seconds per step"),
     _k("neuron.map_mode", str, "table", "feedforward: affine, table, fixed",
        choice("affine", "table", "fixed")),
-    _k("neuron.kappa", float, 60.0, "affine feedforward gain, K per load"),
-    _k("neuron.t_fixed_k", float, 300.0, "setpoint in fixed mode"),
+    _k("neuron.kappa", float, FeedforwardMap.kappa,
+       "affine feedforward gain, K per load"),
+    _k("neuron.t_fixed_k", float, FeedforwardMap.t_fixed,
+       "setpoint in fixed mode"),
     _k("neuron.gamma", float, 0.3, "residual slope of the table target"),
     # at sigma = 1 the 25 draws already span about two decades
     _k("neuron.spread_sigma", float, 0.0, "device-to-device log-normal "

@@ -234,8 +234,9 @@ class LevelAnchor:
     alpha_neg: float = 0.0
 
 
-# The programmed levels, the one level table: the fit.* config keys, the
-# default fit, the --preset choices and iv_preset all derive from it.
+# The programmed levels, the one level table: the fit.* config keys (and
+# so the configured fit), the --preset choices and iv_preset all derive
+# from it.
 # Pristine (61 %) and L4 (11 %) drops are measured end points; the L1-L3
 # drops are set so their settled-trace sensitivities land at ~0.95, ~0.65
 # and ~0.37 %/K respectively. Pristine lands at ~1.0 %/K. L4's
@@ -280,11 +281,6 @@ class ThermalFit:
         object.__setattr__(self, "_phi_asc", tuple(reversed(phis)))
         object.__setattr__(self, "phi_of_anchor", phis)
 
-    @classmethod
-    def default(cls) -> "ThermalFit":
-        """The five-level table of DEFAULT_ANCHORS."""
-        return cls(anchors=DEFAULT_ANCHORS)
-
     def anchor(self, label: str) -> LevelAnchor:
         """The anchor named label."""
         for anchor in self.anchors:
@@ -308,7 +304,7 @@ class ThermalFit:
         return ys[i - 1] + f * (ys[i] - ys[i - 1])
 
 
-def iv_preset(level: str, fit: ThermalFit | None = None) -> ThermionicParams:
+def iv_preset(level: str, fit: ThermalFit) -> ThermionicParams:
     """Thermionic parameters of the level's anchor in fit, chosen so that
 
     * R(0.2 V, 300 K) reproduces the level's reference resistance, and
@@ -317,7 +313,6 @@ def iv_preset(level: str, fit: ThermalFit | None = None) -> ThermionicParams:
 
     which keeps the IV route and the read-out route mutually consistent.
     """
-    fit = fit or ThermalFit.default()
     anchor = fit.anchor(level)
     phi_app = fit.phi_for_state(anchor.r_ref)
     phi_b = phi_app + anchor.alpha_pos * math.sqrt(V_READ)
@@ -345,8 +340,6 @@ class TrainEra:
     fraction: float      # asymptotic train fraction, burn-in folded in
     n: int               # pulses already delivered on this curve
     r_start: float       # r_eff at era start
-    persistent_start: float
-    volatile_start: float
 
 
 @dataclass(frozen=True)
@@ -486,12 +479,7 @@ def apply_pulse_train(
         fraction = train_switch_fraction(v, T, params)
         if state.pulse_count == 0:
             fraction *= params.burn_in_gain
-        era = TrainEra(
-            v=v, T=T, fraction=fraction, n=0,
-            r_start=state.r_eff,
-            persistent_start=state.r_persistent,
-            volatile_start=state.r_volatile_excess,
-        )
+        era = TrainEra(v=v, T=T, fraction=fraction, n=0, r_start=state.r_eff)
 
     trace = []
     persistent = state.r_persistent

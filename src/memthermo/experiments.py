@@ -18,7 +18,6 @@ from .device import (
     DeviceState,
     SwitchingParams,
     ThermalFit,
-    ThermionicParams,
     apply_pulse_train,
     iv_preset,
     read_resistance,
@@ -28,19 +27,18 @@ from .device import (
     thermionic_current,
 )
 from .rng import substream
-from .thermal import (
-    TemperatureSchedule,
-    ThermalPlant,
-    scrambled_schedule,
-    settled,
-)
+from .thermal import TemperatureSchedule, ThermalPlant, settled
 
 PHASE_READ = "read"
 PHASE_PROGRAM = "program"
 PHASE_RETENTION = "retention"
 
-DEFAULT_READ_PERIOD_S = 6.0
-DEFAULT_PULSE_PERIOD_S = 0.1
+# Spacing of the programming pulses on the trace clock.
+PULSE_PERIOD_S = 0.1
+
+# The nullcline's (v, T) grid: 0.7-1.4 V by 0.1 V, 310-360 K by 10 K.
+NULLCLINE_VOLTAGES = tuple(round(0.7 + 0.1 * k, 1) for k in range(8))
+NULLCLINE_TEMPS = tuple(float(T) for T in range(310, 361, 10))
 
 
 class ProtocolError(RuntimeError):
@@ -148,27 +146,23 @@ def _hold(plant, state, fit, t_set, hold_s, read_period_s, t, records,
 
 
 def run_thermal_cycling(
-    level: str = "pristine",
-    schedule: TemperatureSchedule | None = None,
-    seed: int = 0,
-    fit: ThermalFit | None = None,
-    plant: ThermalPlant | None = None,
-    state: DeviceState | None = None,
-    read_period_s: float = DEFAULT_READ_PERIOD_S,
-    drift_scale: float = 0.0,
+    schedule: TemperatureSchedule,
+    seed: int,
+    fit: ThermalFit,
+    plant: ThermalPlant,
+    state: DeviceState,
+    read_period_s: float,
+    drift_scale: float,
 ) -> CycleResult:
-    """Hold each scheduled setpoint, reading at a fixed cadence.
+    """Hold each scheduled setpoint on a copy of plant, reading at a fixed
+    cadence; seed draws the drift factors.
 
     Raises ProtocolError when a hold fails the settling criterion at its
     end. Reads are non-perturbing, so the device state never changes;
     revisited setpoints reproduce the settled resistance exactly unless
     the drift model is enabled.
     """
-    fit = fit or ThermalFit.default()
-    schedule = schedule or scrambled_schedule(seed)
-    plant = plant.copy() if plant is not None else ThermalPlant.packaged()
-    if state is None:
-        state = DeviceState(r_persistent=fit.anchor(level).r_ref)
+    plant = plant.copy()
     phi = fit.phi_for_state(state.r_eff)
     factors = _drift_factors(drift_scale, seed, len(schedule.entries))
 
@@ -205,22 +199,21 @@ class LevelSweepResult:
 
 
 def run_level_sweep(
-    levels=LEVEL_ORDER,
-    schedule: TemperatureSchedule | None = None,
-    seed: int = 0,
-    fit: ThermalFit | None = None,
-    plant: ThermalPlant | None = None,
-    read_period_s: float = DEFAULT_READ_PERIOD_S,
-    drift_scale: float = 0.0,
+    schedule: TemperatureSchedule,
+    seed: int,
+    fit: ThermalFit,
+    plant: ThermalPlant,
+    read_period_s: float,
+    drift_scale: float,
 ) -> LevelSweepResult:
-    """Run the thermal cycle once per programmed level, each on a fresh
-    copy of plant (the packaged one by default)."""
-    fit = fit or ThermalFit.default()
-    schedule = schedule or scrambled_schedule(seed)
+    """Run the thermal cycle once per programmed level of LEVEL_ORDER, at
+    the level's reference resistance in fit, each on a fresh copy of
+    plant."""
     results, drops, sens = {}, {}, {}
-    for level in levels:
+    for level in LEVEL_ORDER:
         res = run_thermal_cycling(
-            level=level, schedule=schedule, seed=seed, fit=fit, plant=plant,
+            schedule=schedule, seed=seed, fit=fit, plant=plant,
+            state=DeviceState(r_persistent=fit.anchor(level).r_ref),
             read_period_s=read_period_s, drift_scale=drift_scale,
         )
         results[level] = res
@@ -254,28 +247,23 @@ class HsrResult:
 
 
 def run_heat_stimulate_retention(
-    level: str = "L1",
-    t_test: float = 360.0,
-    v_prog: float = 1.5,
-    fit: ThermalFit | None = None,
-    params: SwitchingParams | None = None,
-    plant: ThermalPlant | None = None,
-    state: DeviceState | None = None,
-    pulse_count: int = 200,
-    retention_reads: int = 200,
-    retention_period_s: float = DEFAULT_READ_PERIOD_S,
-    hold_s: float = 3600.0,
-    read_period_s: float = DEFAULT_READ_PERIOD_S,
-    pulse_period_s: float = DEFAULT_PULSE_PERIOD_S,
+    t_test: float,
+    v_prog: float,
+    fit: ThermalFit,
+    params: SwitchingParams,
+    plant: ThermalPlant,
+    state: DeviceState,
+    pulse_count: int,
+    retention_reads: int,
+    retention_period_s: float,
+    hold_s: float,
+    read_period_s: float,
     keep_records: bool = True,
 ) -> HsrResult:
-    """Reference read, heat and stabilise, 200-pulse train with per-pulse
-    reads, 200-read retention, cool down, reset back to the reference."""
-    fit = fit or ThermalFit.default()
-    params = params or SwitchingParams()
-    plant = plant.copy() if plant is not None else ThermalPlant.packaged()
-    if state is None:
-        state = DeviceState(r_persistent=fit.anchor(level).r_ref)
+    """Reference read, heat and stabilise, programming train with per-pulse
+    reads, retention reads, cool down, reset back to the reference; on a
+    copy of plant. Without keep_records no trace record is built."""
+    plant = plant.copy()
     state0 = state
 
     records: list[TraceRecord] = []
@@ -300,9 +288,9 @@ def run_heat_stimulate_retention(
     state, trace = apply_pulse_train(
         state, v_prog, pulse_count, t_train, params, fit)
     for k, r in enumerate(trace, start=1):
-        t += pulse_period_s
+        t += PULSE_PERIOD_S
         log(r, PHASE_PROGRAM, pulse_index=k, v=v_prog)
-    plant.step(pulse_count * pulse_period_s)
+    plant.step(pulse_count * PULSE_PERIOD_S)
 
     frac_state = state.r_eff / state0.r_eff - 1.0
     frac_at_t = trace[-1] / r_pre_at_t - 1.0
@@ -329,7 +317,7 @@ def run_heat_stimulate_retention(
     reset = reset_to_reference(state, state0.r_persistent, params, fit)
     for k, (r, v) in enumerate(zip(reset.resistances, reset.voltages),
                                start=1):
-        t += pulse_period_s
+        t += PULSE_PERIOD_S
         log(r, PHASE_PROGRAM, pulse_index=k, v=v)
     state_final = reset.state
 
@@ -341,27 +329,15 @@ def run_heat_stimulate_retention(
     )
 
 
-def run_nullcline_sweep(
-    level: str = "L1",
-    voltages=tuple(round(0.7 + 0.1 * k, 1) for k in range(8)),
-    temperatures=tuple(float(T) for T in range(310, 361, 10)),
-    fit: ThermalFit | None = None,
-    params: SwitchingParams | None = None,
-    **hsr_kwargs,
-) -> list[tuple[float, float, float]]:
-    """Heat-stimulate-retention per (v, T) on a freshly reset device,
-    collecting the final train fraction grid as (v, T, fraction) rows."""
-    fit = fit or ThermalFit.default()
-    params = params or SwitchingParams()
-    rows = []
-    for v in voltages:
-        for T in temperatures:
-            res = run_heat_stimulate_retention(
-                level=level, t_test=T, v_prog=v,
-                fit=fit, params=params, keep_records=False, **hsr_kwargs,
-            )
-            rows.append((float(v), float(T), res.frac_state))
-    return rows
+def run_nullcline_sweep(**hsr_kwargs) -> list[tuple[float, float, float]]:
+    """Heat-stimulate-retention per (v, T) of the nullcline grid on a
+    freshly reset device, collecting the final train fraction grid as
+    (v, T, fraction) rows. hsr_kwargs are run_heat_stimulate_retention's
+    arguments other than t_test, v_prog and keep_records."""
+    return [(v, T, run_heat_stimulate_retention(
+                t_test=T, v_prog=v, keep_records=False,
+                **hsr_kwargs).frac_state)
+            for v in NULLCLINE_VOLTAGES for T in NULLCLINE_TEMPS]
 
 
 def sweep_voltages(v_min: float, v_max: float, points_per_polarity: int,
@@ -382,19 +358,12 @@ def sweep_voltages(v_min: float, v_max: float, points_per_polarity: int,
     return [-v for v in reversed(pos)] + pos
 
 
-def run_iv_sweep(
-    level: str = "pristine",
-    temperatures=(300.0, 330.0, 360.0),
-    voltages=None,
-    params: ThermionicParams | None = None,
-    fit: ThermalFit | None = None,
-) -> IVCurveSet:
-    """Non-switching IV curves over a temperature list at the amplitudes
-    of sweep_voltages (by default 0.05-0.4 V, 8 per polarity); below the
-    switching threshold the device state cannot change."""
-    if voltages is None:
-        voltages = sweep_voltages(0.05, 0.4, 8, SwitchingParams().v_th)
-    params = params or iv_preset(level, fit)
+def run_iv_sweep(level: str, temperatures, voltages,
+                 fit: ThermalFit) -> IVCurveSet:
+    """Non-switching IV curves of the level's iv_preset over a temperature
+    list, at amplitudes from sweep_voltages; below the switching threshold
+    the device state cannot change."""
+    params = iv_preset(level, fit)
     curves = tuple(
         tuple((v, thermionic_current(v, T, params)) for v in voltages)
         for T in temperatures

@@ -27,8 +27,6 @@ from .rng import substream
 from .thermal import ThermalPlant
 
 N_SYNAPSES = 25
-DEFAULT_WINDOW = 25
-DEFAULT_THETA = 12.5   # settled rate 0.5 spikes/step at load 0.25, 300 K
 
 
 @dataclass(frozen=True)
@@ -122,9 +120,9 @@ class NeuronSystem:
         fit: ThermalFit,
         plant: ThermalPlant,
         fmap: FeedforwardMap,
-        theta: float = DEFAULT_THETA,
-        dt_s: float = 1.0,
-        window: int = DEFAULT_WINDOW,
+        theta: float,
+        dt_s: float,
+        window: int,
     ):
         if len(synapses) != N_SYNAPSES:
             raise ValueError(f"exactly {N_SYNAPSES} synapses required")
@@ -153,19 +151,19 @@ class NeuronSystem:
     @classmethod
     def build(
         cls,
-        level: str = "pristine",
-        fmap: FeedforwardMap | None = None,
-        fit: ThermalFit | None = None,
-        plant: ThermalPlant | None = None,
-        theta: float = DEFAULT_THETA,
-        dt_s: float = 1.0,
-        window: int = DEFAULT_WINDOW,
-        spread_sigma: float = 0.0,
-        seed: int = 0,
+        level: str,
+        fmap: FeedforwardMap,
+        fit: ThermalFit,
+        plant: ThermalPlant,
+        theta: float,
+        dt_s: float,
+        window: int,
+        spread_sigma: float,
+        seed: int,
     ) -> "NeuronSystem":
-        """System of identical-level synapses, optionally with a seeded
-        log-normal device-to-device spread of the reference resistance."""
-        fit = fit or ThermalFit.default()
+        """System of identical-level synapses on a copy of plant, optionally
+        with a seeded log-normal device-to-device spread of the reference
+        resistance."""
         r0 = fit.anchor(level).r_ref
         if spread_sigma > 0:
             rng = substream(seed, "spread")
@@ -173,12 +171,8 @@ class NeuronSystem:
         else:
             factors = np.ones(N_SYNAPSES)
         synapses = [DeviceState(r_persistent=r0 * f) for f in factors]
-        return cls(
-            synapses=synapses, fit=fit,
-            plant=plant.copy() if plant is not None else ThermalPlant.packaged(),
-            fmap=fmap or FeedforwardMap(),
-            theta=theta, dt_s=dt_s, window=window,
-        )
+        return cls(synapses=synapses, fit=fit, plant=plant.copy(), fmap=fmap,
+                   theta=theta, dt_s=dt_s, window=window)
 
     def copy(self) -> "NeuronSystem":
         clone = NeuronSystem(
@@ -223,10 +217,9 @@ class NeuronSystem:
 
 
 def settled_rate(system: NeuronSystem, load: float,
-                 fmap: FeedforwardMap | None = None) -> float:
-    """Asymptotic spike rate at a constant load: drive at the settled
-    setpoint divided by theta."""
-    fmap = fmap or system.fmap
+                 fmap: FeedforwardMap) -> float:
+    """Asymptotic spike rate of system under fmap at a constant load:
+    drive at the settled setpoint divided by theta."""
     t_inf = fmap.setpoint(load)
     w = system.weights_at(t_inf)
     return float(w.sum() * load / system.theta)
@@ -300,8 +293,8 @@ def run_homeostasis(pattern: InputPattern,
 def baseline_curve(
     loads,
     system: NeuronSystem,
-    settle_steps: int = 4000,
-    measure_steps: int = 2000,
+    settle_steps: int,
+    measure_steps: int,
 ) -> list[tuple[float, float]]:
     """Settled spike rate per constant load, measured by simulation.
 
@@ -341,10 +334,7 @@ class GainCalibration:
         return self._spread(self.rates_calibrated)
 
 
-DEFAULT_CALIBRATION_LOADS = (0.15, 0.20, 0.25, 0.30, 0.35, 0.40)
-
-
-def affine_gains(kappa_max: float = 240.0, step: float = 1.0) -> list[float]:
+def affine_gains(kappa_max: float, step: float) -> list[float]:
     """Affine gains 0, step, 2*step, ... up to kappa_max; at most 2401,
     ten times the default grid."""
     if not (step > 0 and 0 <= kappa_max < 2401 * step):
@@ -353,8 +343,7 @@ def affine_gains(kappa_max: float = 240.0, step: float = 1.0) -> list[float]:
     return [k * step for k in range(int(kappa_max / step) + 1)]
 
 
-def calibration_loads(loads, mode: str = "affine",
-                      gamma: float = 0.3) -> list[float]:
+def calibration_loads(loads, mode: str, gamma: float) -> list[float]:
     """Check the arguments of calibrate_gain; return its loads sorted."""
     loads = sorted(float(l) for l in loads)
     if mode not in ("affine", "table"):
@@ -369,28 +358,25 @@ def calibration_loads(loads, mode: str = "affine",
 
 
 def calibrate_gain(
-    loads=DEFAULT_CALIBRATION_LOADS,
-    system: NeuronSystem | None = None,
-    mode: str = "affine",
-    kappa_grid=None,
-    gamma: float = 0.3,
+    loads,
+    system: NeuronSystem,
+    mode: str,
+    kappa_grid,
+    gamma: float,
 ) -> GainCalibration:
     """Calibrate the feedforward so settled rates flatten across loads.
 
-    affine mode grid-searches the gain that minimises the variance of the
-    settled rates (ties resolved toward the smaller gain). table mode
-    builds a lookup that tracks a gently rising target curve
-    rate ~ load^gamma, which flattens the baseline much harder while
-    keeping the settled rate strictly monotone in load (the residual is
-    the low-resolution read-out of the input level).
+    affine mode grid-searches kappa_grid for the gain that minimises the
+    variance of the settled rates (ties resolved toward the smaller gain);
+    table mode ignores kappa_grid and builds a lookup that tracks a gently
+    rising target curve rate ~ load^gamma, which flattens the baseline much
+    harder while keeping the settled rate strictly monotone in load (the
+    residual is the low-resolution read-out of the input level).
     """
     loads = calibration_loads(loads, mode, gamma)
-    system = system or NeuronSystem.build()
     rates_k0 = [settled_rate(system, l, FeedforwardMap(kappa=0.0)) for l in loads]
 
     if mode == "affine":
-        if kappa_grid is None:
-            kappa_grid = affine_gains()
         best_kappa, best_var = None, math.inf
         for kappa in kappa_grid:
             fmap = FeedforwardMap(kappa=float(kappa))

@@ -17,8 +17,8 @@ import numpy as np
 from .constants import T_MAX, T_MIN
 from .rng import substream
 
-DEFAULT_TEMPS = tuple(float(t) for t in range(300, 361, 10))
-DEFAULT_HOLD_S = 3600.0
+# The protocol's 10 K setpoint grid over the chamber window.
+GRID_TEMPS = tuple(float(t) for t in range(300, 361, 10))
 
 # Trailing window and threshold of the settling criterion: the resistance
 # change over the trailing 6 minutes must stay under 2 % of the total
@@ -47,12 +47,12 @@ class ThermalPlant:
                              f"[{T_MIN}, {T_MAX}] K")
 
     @classmethod
-    def packaged(cls, t0: float = 300.0) -> "ThermalPlant":
-        return cls(t_set=t0, t_air=t0, t_dev=t0)
+    def packaged(cls) -> "ThermalPlant":
+        return cls()
 
     @classmethod
-    def on_wafer(cls, t0: float = 300.0) -> "ThermalPlant":
-        return cls(t_set=t0, t_air=t0, t_dev=t0, tau_dev_s=60.0)
+    def on_wafer(cls) -> "ThermalPlant":
+        return cls(tau_dev_s=60.0)
 
     def copy(self) -> "ThermalPlant":
         return ThermalPlant(self.t_set, self.t_air, self.t_dev,
@@ -125,12 +125,9 @@ class TemperatureSchedule:
         return tuple(e[0] for e in self.entries)
 
 
-def scrambled_schedule(
-    seed: int,
-    temps=DEFAULT_TEMPS,
-    hold_s: float = DEFAULT_HOLD_S,
-) -> TemperatureSchedule:
-    """Scrambled visit order plus second visits to 300 K and 360 K.
+def scrambled_schedule(seed: int, hold_s: float) -> TemperatureSchedule:
+    """Scrambled visit order of GRID_TEMPS plus second visits to 300 K and
+    360 K, each held for hold_s.
 
     The permutation is a deterministic function of the seed. The repeat
     visits check that cycling left the device unchanged; they are ordered
@@ -138,7 +135,7 @@ def scrambled_schedule(
     transient to settle).
     """
     rng = substream(seed, "schedule")
-    order = [float(temps[i]) for i in rng.permutation(len(temps))]
+    order = [GRID_TEMPS[i] for i in rng.permutation(len(GRID_TEMPS))]
     revisits = [300.0, 360.0]
     if order[-1] == revisits[0]:
         revisits.reverse()

@@ -19,30 +19,30 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from memthermo import (
-    DeviceState,
-    FeedforwardMap,
-    InputPattern,
-    NeuronSystem,
-    TemperatureSchedule,
-    ThermionicParams,
-    apply_pulse_train,
-    baseline_curve,
-    barrier_shift_response,
-    calibrate_gain,
+from memthermo.calibration import (
+    IVCurveSet,
     extract_thermionic,
     invert_temperature,
+)
+from memthermo.cli import cli_dispatch
+from memthermo.device import (
+    DeviceState,
+    ThermionicParams,
+    apply_pulse_train,
+    barrier_shift_response,
     read_resistance,
-    run_homeostasis,
-    run_level_sweep,
-    run_nullcline_sweep,
-    run_thermal_cycling,
     thermionic_current,
 )
-from memthermo.calibration import IVCurveSet
-from memthermo.cli import cli_dispatch
+from memthermo.experiments import run_level_sweep, run_nullcline_sweep
+from memthermo.neuron import (
+    FeedforwardMap,
+    InputPattern,
+    baseline_curve,
+    calibrate_gain,
+    run_homeostasis,
+)
 from memthermo.rng import substream
-from memthermo.thermal import settled
+from memthermo.thermal import TemperatureSchedule, settled
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -51,14 +51,16 @@ def _report(number: int, name: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def level_sweep(fit):
-    return run_level_sweep(seed=0, fit=fit)
+def level_sweep(cycle_args, fit):
+    return run_level_sweep(**{**cycle_args(0), "fit": fit})
 
 
 @pytest.fixture(scope="module")
-def table_map():
-    template = NeuronSystem.build(fmap=FeedforwardMap(kappa=0.0))
-    return calibrate_gain(system=template, mode="table").fmap
+def table_map(cfg, build_system):
+    template = build_system(fmap=FeedforwardMap(kappa=0.0))
+    return calibrate_gain(cfg.floats("calibrate.loads"), template,
+                          mode="table", kappa_grid=cfg.kappa_grid,
+                          gamma=cfg["neuron.gamma"]).fmap
 
 
 def test_c01_static_sensitivity_regression(level_sweep):
@@ -95,12 +97,12 @@ def test_c02_per_level_sensitivity(level_sweep):
     assert ordered, detail
 
 
-def test_c03_settling_criterion(fit):
+def test_c03_settling_criterion(cycle, fit):
     staircase = TemperatureSchedule(entries=tuple(
         (float(t), 3600.0)
         for t in [310, 320, 330, 340, 350, 360, 350, 340, 330, 320, 310, 300]
     ))
-    res = run_thermal_cycling(schedule=staircase, fit=fit)
+    res = cycle(schedule=staircase, fit=fit)
     checked = 0
     for hold in res.holds:
         in_hold = [(r.t_s, r.r_ohm) for r in res.records
@@ -117,13 +119,12 @@ def test_c03_settling_criterion(fit):
             f"{checked} ten-kelvin holds settled at 1 h, unsettled at 10 min")
 
 
-def test_c04_revisit_repeatability(fit):
+def test_c04_revisit_repeatability(cycle, fit):
     with_drift = [
-        run_thermal_cycling(seed=seed, fit=fit,
-                            drift_scale=0.05).revisit_discrepancy(300.0)
+        cycle(seed, fit=fit, drift_scale=0.05).revisit_discrepancy(300.0)
         for seed in range(5)
     ]
-    without = run_thermal_cycling(seed=0, fit=fit).revisit_discrepancy(300.0)
+    without = cycle(0, fit=fit).revisit_discrepancy(300.0)
     ok = max(with_drift) <= 0.05 and without <= 1e-9
     _report(4, "revisit-repeatability", ok,
             f"drift on max {max(with_drift):.4f}, drift off {without:.2e}")
@@ -131,7 +132,7 @@ def test_c04_revisit_repeatability(fit):
     assert without <= 1e-9
 
 
-def test_c05_learning_rate_invariance(fit, params):
+def test_c05_learning_rate_invariance(hsr_args, state_at, fit, params):
     temps = [310.0, 320.0, 330.0, 340.0, 350.0, 360.0]
     fractions = []
     for T in temps:
@@ -141,8 +142,9 @@ def test_c05_learning_rate_invariance(fit, params):
     spread = (max(fractions) - min(fractions)) / np.mean(fractions)
 
     grid = {(v, T): f
-            for v, T, f in run_nullcline_sweep(level="L1", fit=fit,
-                                               params=params)}
+            for v, T, f in run_nullcline_sweep(**{
+                **hsr_args, "state": state_at("L1"), "fit": fit,
+                "params": params})}
     a310, a360 = grid[(1.4, 310.0)], grid[(1.4, 360.0)]
     ok = (spread <= 0.10 and abs(a310 - 0.22) <= 0.01
           and abs(a360 - 0.27) <= 0.01)
@@ -195,7 +197,8 @@ def test_c08_thermometer_round_trip(fit):
     for T in range(300, 361, 10):
         r = read_resistance(state, fit, float(T))
         worst_clean = max(worst_clean,
-                          abs(invert_temperature(r, fit, 3e6) - T))
+                          abs(invert_temperature(r, fit, 3e6, guard=0.02)
+                              - T))
 
     rng = substream(2024, "noise")
     guard = 2.5 * 0.01 + 0.005
@@ -214,8 +217,8 @@ def test_c08_thermometer_round_trip(fit):
     assert worst_noisy <= 2.0
 
 
-def _step_response(table_map, load_a, load_b):
-    system = NeuronSystem.build(fmap=table_map)
+def _step_response(build_system, table_map, load_a, load_b):
+    system = build_system(fmap=table_map)
     pattern = InputPattern(segments=((6000, load_a), (6000, load_b)))
     res = run_homeostasis(pattern, system)
     rates = res.window_rates()
@@ -231,11 +234,13 @@ def _step_response(table_map, load_a, load_b):
     return base, first_post, peak, residual
 
 
-def test_c09_homeostasis_properties(table_map):
-    base_up, first_up, peak_up, resid_up = _step_response(table_map, 0.20, 0.30)
-    base_dn, first_dn, peak_dn, resid_dn = _step_response(table_map, 0.30, 0.20)
+def test_c09_homeostasis_properties(build_system, table_map):
+    base_up, first_up, peak_up, resid_up = _step_response(
+        build_system, table_map, 0.20, 0.30)
+    base_dn, first_dn, peak_dn, resid_dn = _step_response(
+        build_system, table_map, 0.30, 0.20)
 
-    system = NeuronSystem.build(fmap=table_map)
+    system = build_system(fmap=table_map)
     curve = baseline_curve((0.15, 0.20, 0.25, 0.30, 0.35, 0.40), system,
                            settle_steps=5000, measure_steps=2000)
     rates = [r for _, r in curve]
@@ -254,8 +259,8 @@ def test_c09_homeostasis_properties(table_map):
     assert monotone
 
 
-def test_c10_baseline_linearity():
-    system = NeuronSystem.build(fmap=FeedforwardMap(kappa=0.0))
+def test_c10_baseline_linearity(build_system):
+    system = build_system(fmap=FeedforwardMap(kappa=0.0))
     curve = baseline_curve((0.15, 0.20, 0.25, 0.30, 0.35, 0.40), system,
                            settle_steps=500, measure_steps=2000)
     loads = np.array([l for l, _ in curve])

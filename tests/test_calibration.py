@@ -4,6 +4,7 @@ Round-trip oracles: the forward model generates the synthetic data, the
 fits must recover the generating parameters.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,27 +12,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from memthermo import (
-    LEVEL_ORDER,
-    DeviceState,
+from memthermo.calibration import (
+    ExtractionError,
     IVCurveSet,
-    NeuronSystem,
-    ThermionicParams,
+    ThermometerRangeError,
     extract_thermionic,
     fit_switch_curve,
     invert_temperature,
+    sensitivity_percent_per_K,
+)
+from memthermo.constants import T_MAX, T_MIN
+from memthermo.device import (
+    LEVEL_ORDER,
+    MAX_TOTAL_DROP,
+    MIN_TOTAL_DROP,
+    PHI_APP_MIN,
+    DeviceState,
+    ThermionicParams,
+    _brentq,
     read_resistance,
     rho_temperature_factor,
-    scrambled_schedule,
-    sensitivity_percent_per_K,
     thermionic_current,
     train_switch_fraction,
 )
-from memthermo.calibration import ExtractionError, ThermometerRangeError
-from memthermo.constants import T_MAX, T_MIN
-from memthermo.device import MAX_TOTAL_DROP, MIN_TOTAL_DROP, PHI_APP_MIN, _brentq
 from memthermo.rng import substream
-from memthermo.thermal import DEFAULT_TEMPS
+from memthermo.thermal import GRID_TEMPS, scrambled_schedule
 
 TEMPS = (300.0, 330.0, 360.0)
 VOLTAGES = [0.05 + 0.05 * k for k in range(8)]
@@ -137,12 +142,12 @@ def test_sensitivity_low_levels_within_band(fit):
     seed=st.integers(0, 2**32 - 1),
     drop=st.floats(0.0, 0.12),
     r300=st.floats(1e3, 1e7),
-    steps=st.lists(st.floats(0.0, 1.0), min_size=len(DEFAULT_TEMPS) - 1,
-                   max_size=len(DEFAULT_TEMPS) - 1),
+    steps=st.lists(st.floats(0.0, 1.0), min_size=len(GRID_TEMPS) - 1,
+                   max_size=len(GRID_TEMPS) - 1),
 )
 # the extremal case: the whole 12 % drop in one step between 330 and 340 K
 @example(seed=0, drop=0.12, r300=8e3, steps=[0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-def test_sensitivity_ceiling_for_bounded_monotone_drop(seed, drop, r300,
+def test_sensitivity_ceiling_for_bounded_monotone_drop(cfg, seed, drop, r300,
                                                        steps):
     # For a monotone non-increasing R(T) the least-squares slope is largest
     # when the whole drop is one step between 330 and 340 K. On the nine
@@ -153,8 +158,8 @@ def test_sensitivity_ceiling_for_bounded_monotone_drop(seed, drop, r300,
     total = sum(steps)
     cum = np.concatenate(([0.0], np.cumsum(steps)))
     cum = cum / total if total > 0 else cum
-    r_of_t = dict(zip(DEFAULT_TEMPS, r300 * (1.0 - drop * cum)))
-    temps = scrambled_schedule(seed).setpoints
+    r_of_t = dict(zip(GRID_TEMPS, r300 * (1.0 - drop * cum)))
+    temps = scrambled_schedule(seed, cfg["schedule.hold_s"]).setpoints
     slope = sensitivity_percent_per_K(temps, [r_of_t[t] for t in temps])
     assert abs(slope) <= 0.236
 
@@ -176,7 +181,7 @@ def test_sensitivity_requires_300K_baseline():
 def test_invert_round_trip_at_anchor(fit):
     state = DeviceState(r_persistent=3e6)
     r = read_resistance(state, fit, 300.0)
-    assert invert_temperature(r, fit, 3e6) == 300.0
+    assert invert_temperature(r, fit, 3e6, guard=0.02) == 300.0
 
 
 @pytest.mark.parametrize("r_eff", [3e6, 8e3])
@@ -184,14 +189,14 @@ def test_invert_round_trip_noise_free(fit, r_eff):
     state = DeviceState(r_persistent=r_eff)
     for T in range(300, 361, 10):
         r = read_resistance(state, fit, float(T))
-        assert abs(invert_temperature(r, fit, r_eff) - T) <= 0.5
+        assert abs(invert_temperature(r, fit, r_eff, guard=0.02) - T) <= 0.5
 
 
 def test_invert_monotone_decreasing_in_resistance(fit):
     state = DeviceState(r_persistent=3e6)
     rs = np.linspace(read_resistance(state, fit, 360.0),
                      read_resistance(state, fit, 300.0), 40)
-    ts = [invert_temperature(r, fit, 3e6) for r in rs]
+    ts = [invert_temperature(r, fit, 3e6, guard=0.02) for r in rs]
     assert all(b < a for a, b in zip(ts, ts[1:]))
 
 
@@ -199,10 +204,10 @@ def test_invert_guard_clamps_band_edges(fit):
     state = DeviceState(r_persistent=3e6)
     r300 = read_resistance(state, fit, 300.0)
     r360 = read_resistance(state, fit, 360.0)
-    assert invert_temperature(r300 * 1.015, fit, 3e6) == 300.0
-    assert invert_temperature(r360 * 0.985, fit, 3e6) == 360.0
+    assert invert_temperature(r300 * 1.015, fit, 3e6, guard=0.02) == 300.0
+    assert invert_temperature(r360 * 0.985, fit, 3e6, guard=0.02) == 360.0
     with pytest.raises(ThermometerRangeError) as err:
-        invert_temperature(r300 * 1.05, fit, 3e6)
+        invert_temperature(r300 * 1.05, fit, 3e6, guard=0.02)
     lo, hi = err.value.band
     assert lo == pytest.approx(r360) and hi == pytest.approx(r300)
 
@@ -242,7 +247,8 @@ def test_switch_curve_exact_recovery(params):
     assert fitres.g_14_310 == pytest.approx(params.g_14_310, abs=1e-9)
     assert fitres.g_14_360 == pytest.approx(params.g_14_360, abs=1e-9)
     assert fitres.beta == pytest.approx(params.beta, abs=1e-9)
-    rebuilt = fitres.as_switching_params()
+    rebuilt = replace(params, g_14_310=fitres.g_14_310,
+                      g_14_360=fitres.g_14_360, beta=fitres.beta)
     assert train_switch_fraction(1.4, 310.0, rebuilt) == pytest.approx(0.22)
     assert train_switch_fraction(1.4, 360.0, rebuilt) == pytest.approx(0.27)
 
@@ -291,15 +297,17 @@ def test_brentq_parity_thermometer_residual(fit, log_r, u, xtol):
                    T_MIN, T_MAX, xtol)
 
 
-_SYSTEMS = {level: NeuronSystem.build(level) for level in LEVEL_ORDER}
+@pytest.fixture(scope="module")
+def systems(build_system):
+    return {level: build_system(level=level) for level in LEVEL_ORDER}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(LEVEL_ORDER),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        st.sampled_from([1e-6, 2e-12]))
-def test_brentq_parity_weight_sum_residual(level, u, xtol):
-    system = _SYSTEMS[level]
+def test_brentq_parity_weight_sum_residual(systems, level, u, xtol):
+    system = systems[level]
     s_hot = float(system.weights_at(T_MAX).sum())
     s_cold = float(system.weights_at(T_MIN).sum())
     target_sum = s_hot + u * (s_cold - s_hot)

@@ -1,4 +1,5 @@
 """Command-line contract tests: exit codes, outputs, reproducibility."""
+import inspect
 import os
 import subprocess
 import sys
@@ -6,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from memthermo import LEVEL_ORDER, cli
+from memthermo import cli, config
 from memthermo.cli import EXPERIMENTS, cli_dispatch
 from memthermo.config import REGISTRY, ConfigError, resolve_config
 from memthermo.csvio import parse_csv
-from memthermo.device import SwitchingParams, ThermalFit
-from memthermo.neuron import N_SYNAPSES, NeuronSystem
+from memthermo.device import (LEVEL_ORDER, SwitchingParams, ThermalFit,
+                              iv_preset)
+from memthermo.neuron import N_SYNAPSES, NeuronSystem, settled_rate
 
 
 def _run(*argv):
@@ -364,6 +366,11 @@ def test_model_value_error_fails_as_protocol_error_on_one_line(
                  id="iv-empty"),
     pytest.param("pattern.csv", "", "homeostasis.pattern_csv",
                  "homeostasis", "empty file", id="pattern-empty"),
+    # both once ran, the first shifted 100 steps early
+    *(pytest.param("pattern.csv", f"step,load\n{step},0.2\n150,0.3\n",
+                   "homeostasis.pattern_csv", "homeostasis",
+                   f"first breakpoint must be at step 0, got {step}",
+                   id=f"pattern-first-step-{step}") for step in (100, -50)),
 ])
 def test_malformed_input_file_fails_as_config_error(
         tmp_path, capsys, name, text, key, command, reason):
@@ -424,6 +431,19 @@ def test_hsr_logs_each_reset_pulse_at_its_polarity(tmp_path, capsys):
         assert v == 1.5 and step > 0
 
 
+@pytest.mark.parametrize("extra", [
+    pytest.param(["--set", "thermometer.noise_sigma=0.05",
+                  "--set", "thermometer.trials=200"], id="noise"),
+    pytest.param(["--set", "cycle.drift_scale=0.05"], id="drift"),
+])
+def test_thermometer_guard_covers_clipped_noise_and_drift(tmp_path, capsys,
+                                                          extra):
+    # both once failed a reading as outside the calibrated band (exit 2):
+    # the guard was below the clipped noise and ignored the drift
+    assert _run("thermometer", "--out", str(tmp_path), *extra) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_thermometer_reads_the_drifted_cycle(tmp_path, capsys):
     # with the drift on and no read noise, each reading is its hold's
     # drifted steady resistance, exactly as the cycle reports it
@@ -437,7 +457,7 @@ def test_thermometer_reads_the_drifted_cycle(tmp_path, capsys):
     assert r300[0] != r300[-1]   # the drift is on
 
 
-def test_fit_override_moves_the_level_table(tmp_path, capsys):
+def test_fit_override_moves_the_level_table(tmp_path, capsys, build_system):
     # the levels read their resistance from the configured fit
     override = ["--set", "fit.r_l1_ohm=2e6"]
     levels = tmp_path / "levels"
@@ -456,8 +476,32 @@ def test_fit_override_moves_the_level_table(tmp_path, capsys):
     assert v / i == pytest.approx(2e6, rel=1e-9)
 
     fit = resolve_config(env={}, overrides={"fit.r_l1_ohm": "2e6"}).fit
-    system = NeuronSystem.build("L1", fit=fit)
+    system = build_system(level="L1", fit=fit)
     assert [s.r_persistent for s in system.synapses] == [2e6] * N_SYNAPSES
+
+
+def _filled_from_cfg():
+    """The functions cli and RunConfig call with values from cfg, and the
+    ones those reach with a cfg value."""
+    for mod in (cli, config):
+        for obj in vars(mod).values():
+            if inspect.isfunction(obj) and obj.__module__ in (
+                    "memthermo.calibration", "memthermo.device",
+                    "memthermo.experiments", "memthermo.neuron",
+                    "memthermo.thermal"):
+                yield obj
+    yield from (NeuronSystem.__init__, NeuronSystem.build, iv_preset,
+                settled_rate)
+
+
+def test_arguments_filled_from_cfg_have_no_default():
+    # REGISTRY is the one home of each default: a second one in a
+    # signature would be read only by the tests; keep_records is no key
+    defaults = {(fn.__qualname__, name)
+                for fn in _filled_from_cfg()
+                for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not p.empty and name != "keep_records"}
+    assert defaults == set()
 
 
 def test_cli_import_pulls_in_no_scipy():

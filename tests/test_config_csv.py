@@ -200,11 +200,11 @@ def test_newlines_are_unix_and_utf8(tmp_path):
     assert raw.decode("utf-8").endswith("\n")
 
 
-def test_rng_substreams_are_independent():
+def test_rng_substreams_are_independent(cfg, cycle):
     # consuming one named stream never perturbs another, and the same
     # (seed, name) pair always replays identically
     from memthermo.rng import substream
-    from memthermo import run_thermal_cycling, scrambled_schedule
+    from memthermo.thermal import scrambled_schedule
 
     first = substream(7, "schedule").permutation(10)
     substream(7, "drift").standard_normal(1000)
@@ -216,8 +216,8 @@ def test_rng_substreams_are_independent():
         substream(7, "weather")
 
     # the drift stream consumer leaves the schedule untouched
-    quiet = run_thermal_cycling(seed=13)
-    drifty = run_thermal_cycling(seed=13, drift_scale=0.05)
+    quiet = cycle(13)
+    drifty = cycle(13, drift_scale=0.05)
     assert ([h.t_set_K for h in quiet.holds]
             == [h.t_set_K for h in drifty.holds]
-            == list(scrambled_schedule(13).setpoints))
+            == list(scrambled_schedule(13, cfg["schedule.hold_s"]).setpoints))

@@ -13,8 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memthermo import (
+from memthermo.constants import K_B_EV, T_MAX, T_REF, V_READ
+from memthermo.device import (
     LEVEL_ORDER,
+    MAX_TOTAL_DROP,
+    MIN_TOTAL_DROP,
+    PHI_APP_MIN,
     CalibrationError,
     DeviceState,
     LevelAnchor,
@@ -33,8 +37,6 @@ from memthermo import (
     thermionic_current,
     train_switch_fraction,
 )
-from memthermo.constants import K_B_EV, T_MAX, T_REF, V_READ
-from memthermo.device import MAX_TOTAL_DROP, MIN_TOTAL_DROP, PHI_APP_MIN
 
 # ---------------------------------------------------------------------------
 # thermionic conduction law
@@ -150,7 +152,7 @@ def _closed_form_phi(drop):
 @settings(max_examples=300, deadline=None)
 @given(st.floats(MIN_TOTAL_DROP, MAX_TOTAL_DROP,
                  exclude_min=True, exclude_max=True))
-@example(0.61)  # the five ThermalFit.default level anchors
+@example(0.61)  # the five DEFAULT_ANCHORS drops
 @example(0.58)
 @example(0.39)
 @example(0.22)

@@ -5,36 +5,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memthermo import (
-    LEVEL_ORDER,
-    DeviceState,
-    SwitchingParams,
-    TemperatureSchedule,
-    ThermalPlant,
-    extract_thermionic,
-    fit_switch_curve,
-    iv_preset,
-    run_heat_stimulate_retention,
-    run_iv_sweep,
-    run_level_sweep,
-    run_nullcline_sweep,
-    run_thermal_cycling,
-)
+from memthermo.calibration import extract_thermionic, fit_switch_curve
 from memthermo.constants import V_READ
 from memthermo.csvio import SCHEMAS
 from memthermo.device import (
+    LEVEL_ORDER,
+    DeviceState,
+    SwitchingParams,
     apply_pulse_train,
+    iv_preset,
     read_resistance,
     reset_to_reference,
     rho_temperature_factor,
 )
 from memthermo.experiments import (
+    PULSE_PERIOD_S,
     HsrResult,
     ProtocolError,
     TraceRecord,
     _hold,
+    run_heat_stimulate_retention,
+    run_iv_sweep,
+    run_level_sweep,
+    run_nullcline_sweep,
     sweep_voltages,
 )
+from memthermo.thermal import TemperatureSchedule
 
 
 def test_trace_record_fields_are_the_row_schemas():
@@ -44,64 +40,65 @@ def test_trace_record_fields_are_the_row_schemas():
 
 
 @pytest.mark.parametrize("run, kwargs", [
-    pytest.param(run_thermal_cycling, {"read_period_s": 0.0},
+    pytest.param("cycle", {"read_period_s": 0.0},
                  id="cycle-read-period-0"),
-    pytest.param(run_heat_stimulate_retention, {"hold_s": -5.0},
+    pytest.param("hsr", {"hold_s": -5.0},
                  id="hsr-hold-neg"),
-    pytest.param(run_heat_stimulate_retention, {"read_period_s": 0.0},
+    pytest.param("hsr", {"read_period_s": 0.0},
                  id="hsr-read-period-0"),
 ])
-def test_hold_rejects_non_positive_hold_or_read_period(fit, run, kwargs):
+def test_hold_rejects_non_positive_hold_or_read_period(request, fit, run,
+                                                       kwargs):
     with pytest.raises(ValueError, match="must be > 0"):
-        run(fit=fit, **kwargs)
+        request.getfixturevalue(run)(fit=fit, **kwargs)
 
 
-def test_cycle_holds_all_settled_and_steady_drop(fit):
-    res = run_thermal_cycling(level="pristine", seed=5, fit=fit)
+def test_cycle_holds_all_settled_and_steady_drop(cycle, state_at, fit):
+    res = cycle(5, state=state_at("pristine"), fit=fit)
     assert all(h.settled for h in res.holds)
     assert res.total_drop() == pytest.approx(0.61, abs=1e-9)
 
 
-def test_cycle_single_entry_schedule_flat_trace(fit):
+def test_cycle_single_entry_schedule_flat_trace(cycle, fit):
     sched = TemperatureSchedule(entries=((300.0, 3600.0),))
-    res = run_thermal_cycling(schedule=sched, fit=fit)
+    res = cycle(schedule=sched, fit=fit)
     values = {r.r_ohm for r in res.records}
     assert len(values) == 1
 
 
-def test_cycle_timestamps_strictly_increasing(fit):
-    res = run_thermal_cycling(seed=2, fit=fit)
+def test_cycle_timestamps_strictly_increasing(cycle, fit):
+    res = cycle(2, fit=fit)
     ts = [r.t_s for r in res.records]
     assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
-def test_cycle_revisit_exact_without_drift(fit):
-    res = run_thermal_cycling(seed=11, fit=fit)
+def test_cycle_revisit_exact_without_drift(cycle, fit):
+    res = cycle(11, fit=fit)
     assert res.revisit_discrepancy(300.0) <= 1e-9
     assert res.revisit_discrepancy(360.0) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_cycle_revisit_bounded_with_drift(fit, seed):
-    res = run_thermal_cycling(seed=seed, fit=fit, drift_scale=0.05)
+def test_cycle_revisit_bounded_with_drift(cycle, fit, seed):
+    res = cycle(seed, fit=fit, drift_scale=0.05)
     assert res.revisit_discrepancy(300.0) <= 0.05
     assert res.revisit_discrepancy(360.0) <= 0.05
 
 
-def test_cycle_deterministic_reruns(fit):
-    a = run_thermal_cycling(seed=9, fit=fit, drift_scale=0.05)
-    b = run_thermal_cycling(seed=9, fit=fit, drift_scale=0.05)
+def test_cycle_deterministic_reruns(cycle, fit):
+    a = cycle(9, fit=fit, drift_scale=0.05)
+    b = cycle(9, fit=fit, drift_scale=0.05)
     assert a.records == b.records
 
 
-def test_cycle_unsettled_hold_raises(fit):
+def test_cycle_unsettled_hold_raises(cycle, fit):
     sched = TemperatureSchedule(entries=((310.0, 900.0),))
     with pytest.raises(ProtocolError, match="not settled"):
-        run_thermal_cycling(schedule=sched, fit=fit)
+        cycle(schedule=sched, fit=fit)
 
 
-def test_level_sweep_ordering_and_ratio(fit):
-    sweep = run_level_sweep(seed=3, fit=fit)
+def test_level_sweep_ordering_and_ratio(cycle_args, fit):
+    sweep = run_level_sweep(**{**cycle_args(3), "fit": fit})
     drops = [sweep.drops[lvl] for lvl in ("pristine", "L1", "L2", "L3", "L4")]
     assert all(a > b for a, b in zip(drops, drops[1:]))
     ratio = sweep.drops["pristine"] / sweep.drops["L4"]
@@ -113,9 +110,8 @@ def test_level_sweep_ordering_and_ratio(fit):
 # heat-stimulate-retention
 
 
-def test_hsr_phase_blocks_do_not_interleave(fit, params):
-    res = run_heat_stimulate_retention(level="L1", t_test=340.0,
-                                       fit=fit, params=params)
+def test_hsr_phase_blocks_do_not_interleave(hsr, state_at, fit, params):
+    res = hsr(state=state_at("L1"), t_test=340.0, fit=fit, params=params)
     phases = [r.phase for r in res.records]
     transitions = sum(1 for a, b in zip(phases, phases[1:]) if a != b)
     # read -> program -> retention -> read -> program: four block changes
@@ -124,26 +120,27 @@ def test_hsr_phase_blocks_do_not_interleave(fit, params):
     assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
-def test_hsr_subthreshold_programming_is_flat(fit):
+def test_hsr_subthreshold_programming_is_flat(hsr, state_at, fit):
     params = SwitchingParams()
-    res = run_heat_stimulate_retention(level="L1", t_test=330.0, v_prog=0.3,
-                                       fit=fit, params=params)
+    res = hsr(state=state_at("L1"), t_test=330.0, v_prog=0.3,
+              fit=fit, params=params)
     prog = [r.r_ohm for r in res.records if r.phase == "program" and r.v_V == 0.3]
     assert len(set(prog)) == 1
     assert res.frac_state == 0.0
 
 
-def test_hsr_learning_rate_nearly_temperature_invariant(fit, params):
-    lo = run_heat_stimulate_retention(level="L1", t_test=310.0, v_prog=1.5,
-                                      fit=fit, params=params)
-    hi = run_heat_stimulate_retention(level="L1", t_test=360.0, v_prog=1.5,
-                                      fit=fit, params=params)
+def test_hsr_learning_rate_nearly_temperature_invariant(hsr, state_at, fit,
+                                                       params):
+    lo = hsr(state=state_at("L1"), t_test=310.0, v_prog=1.5,
+             fit=fit, params=params)
+    hi = hsr(state=state_at("L1"), t_test=360.0, v_prog=1.5,
+             fit=fit, params=params)
     assert abs(hi.frac_state - lo.frac_state) / lo.frac_state <= 0.10
 
 
-def test_hsr_retention_recovers_monotonically_but_incompletely(fit, params):
-    res = run_heat_stimulate_retention(level="L1", t_test=340.0,
-                                       fit=fit, params=params)
+def test_hsr_retention_recovers_monotonically_but_incompletely(
+        hsr, state_at, fit, params):
+    res = hsr(state=state_at("L1"), t_test=340.0, fit=fit, params=params)
     retention = [r.r_ohm for r in res.records if r.phase == "retention"]
     assert all(b < a for a, b in zip(retention, retention[1:]))
     program_end = [r.r_ohm for r in res.records if r.phase == "program"][-1]
@@ -152,36 +149,35 @@ def test_hsr_retention_recovers_monotonically_but_incompletely(fit, params):
     assert 0 < res.recovered_frac < 1
 
 
-def test_hsr_reset_restores_reference_within_one_percent(fit, params):
-    res = run_heat_stimulate_retention(level="L1", t_test=350.0,
-                                       fit=fit, params=params)
+def test_hsr_reset_restores_reference_within_one_percent(hsr, state_at, fit,
+                                                        params):
+    res = hsr(state=state_at("L1"), t_test=350.0, fit=fit, params=params)
     r0 = res.state_initial.r_persistent
     assert abs(res.state_final.r_persistent - r0) / r0 < 0.01
     assert res.state_final.r_volatile_excess == 0.0
 
 
-def test_hsr_emits_both_normalisations(fit, params):
-    res = run_heat_stimulate_retention(level="L1", t_test=360.0,
-                                       fit=fit, params=params)
+def test_hsr_emits_both_normalisations(hsr, state_at, fit, params):
+    res = hsr(state=state_at("L1"), t_test=360.0, fit=fit, params=params)
     # at temperature the reading sits far below the 300 K reference even
     # after potentiation, so the two normalisations differ in sign
     assert res.frac_at_t > 0
     assert res.frac_vs_300 < 0
 
 
-def test_hsr_deterministic(fit, params):
-    a = run_heat_stimulate_retention(level="L1", fit=fit, params=params)
-    b = run_heat_stimulate_retention(level="L1", fit=fit, params=params)
+def test_hsr_deterministic(hsr, state_at, fit, params):
+    a = hsr(state=state_at("L1"), fit=fit, params=params)
+    b = hsr(state=state_at("L1"), fit=fit, params=params)
     assert a.records == b.records
 
 
-def _hsr_read_by_read(level, t_test, v_prog, fit, params, pulse_count,
+def _hsr_read_by_read(t_test, v_prog, fit, params, plant, state, pulse_count,
                      retention_reads, retention_period_s, hold_s,
-                     keep_records, read_period_s=6.0, pulse_period_s=0.1):
+                     read_period_s, keep_records):
     """run_heat_stimulate_retention with one device state built per
     retention read, each read taken right after its plant step."""
-    plant = ThermalPlant.packaged()
-    state0 = state = DeviceState(r_persistent=fit.anchor(level).r_ref)
+    plant = plant.copy()
+    state0 = state
     records = []
     kept = records if keep_records else None
     t = 0.0
@@ -199,9 +195,9 @@ def _hsr_read_by_read(level, t_test, v_prog, fit, params, pulse_count,
     state, trace = apply_pulse_train(
         state, v_prog, pulse_count, t_train, params, fit)
     for k, r in enumerate(trace, start=1):
-        t += pulse_period_s
+        t += PULSE_PERIOD_S
         log(r, "program", pulse_index=k, v=v_prog)
-    plant.step(pulse_count * pulse_period_s)
+    plant.step(pulse_count * PULSE_PERIOD_S)
     frac_state = state.r_eff / state0.r_eff - 1.0
     frac_at_t = trace[-1] / r_pre_at_t - 1.0
     frac_vs_300 = trace[-1] / r_ref_300 - 1.0
@@ -221,7 +217,7 @@ def _hsr_read_by_read(level, t_test, v_prog, fit, params, pulse_count,
     reset = reset_to_reference(state, state0.r_persistent, params, fit)
     for k, (r, v) in enumerate(zip(reset.resistances, reset.voltages),
                                start=1):
-        t += pulse_period_s
+        t += PULSE_PERIOD_S
         log(r, "program", pulse_index=k, v=v)
     return HsrResult(
         records=records, t_test_K=t_test, v_prog_V=v_prog,
@@ -249,12 +245,13 @@ def _hsr_read_by_read(level, t_test, v_prog, fit, params, pulse_count,
          retention_reads=200, retention_period_s=6.0, hold_s=600.0,
          keep_records=True)
 def test_hsr_equals_read_by_read_retention_exactly(
-        fit, params, level, t_test, v_prog, pulse_count, retention_reads,
-        retention_period_s, hold_s, keep_records):
-    kwargs = dict(level=level, t_test=t_test, v_prog=v_prog, fit=fit,
-                  params=params, pulse_count=pulse_count,
-                  retention_reads=retention_reads,
+        cfg, state_at, fit, params, level, t_test, v_prog, pulse_count,
+        retention_reads, retention_period_s, hold_s, keep_records):
+    kwargs = dict(t_test=t_test, v_prog=v_prog, fit=fit, params=params,
+                  plant=cfg.plant, state=state_at(level),
+                  pulse_count=pulse_count, retention_reads=retention_reads,
                   retention_period_s=retention_period_s, hold_s=hold_s,
+                  read_period_s=cfg["schedule.read_period_s"],
                   keep_records=keep_records)
     assert run_heat_stimulate_retention(**kwargs) == _hsr_read_by_read(**kwargs)
 
@@ -264,8 +261,9 @@ def test_hsr_equals_read_by_read_retention_exactly(
 
 
 @pytest.fixture(scope="module")
-def nullcline(fit, params):
-    return run_nullcline_sweep(level="L1", fit=fit, params=params)
+def nullcline(hsr_args, state_at, fit, params):
+    return run_nullcline_sweep(**{**hsr_args, "state": state_at("L1"),
+                                  "fit": fit, "params": params})
 
 
 def test_nullcline_anchor_fractions(nullcline):
@@ -297,8 +295,13 @@ def test_nullcline_round_trips_through_switch_fit(nullcline, params):
 # IV sweeps
 
 
-def test_iv_sweep_symmetric_for_symmetric_levels(fit):
-    ivs = run_iv_sweep(level="L2", fit=fit)
+def _iv_sweep(cfg, level, fit):
+    return run_iv_sweep(level=level, temperatures=cfg.floats("iv.temps_k"),
+                        voltages=cfg.voltages, fit=fit)
+
+
+def test_iv_sweep_symmetric_for_symmetric_levels(cfg, fit):
+    ivs = _iv_sweep(cfg, "L2", fit)
     for curve in ivs.curves:
         by_v = dict(curve)
         for v, i in curve:
@@ -306,8 +309,8 @@ def test_iv_sweep_symmetric_for_symmetric_levels(fit):
                 assert abs(i) == pytest.approx(abs(by_v[-v]), rel=1e-12)
 
 
-def test_iv_sweep_pristine_asymmetric(fit):
-    ivs = run_iv_sweep(level="pristine", fit=fit)
+def test_iv_sweep_pristine_asymmetric(cfg, fit):
+    ivs = _iv_sweep(cfg, "pristine", fit)
     curve = dict(ivs.curves[0])
     assert abs(curve[0.4]) > abs(curve[-0.4]) * 1.05
 
@@ -317,9 +320,9 @@ def test_iv_sweep_rejects_threshold_crossing():
         sweep_voltages(0.05, 0.6, 8, SwitchingParams().v_th)
 
 
-def test_iv_sweep_feeds_extraction_round_trip(fit):
+def test_iv_sweep_feeds_extraction_round_trip(cfg, fit):
     truth = iv_preset("L1", fit)
-    res = extract_thermionic(run_iv_sweep(level="L1", fit=fit))
+    res = extract_thermionic(_iv_sweep(cfg, "L1", fit))
     assert res.physical
     assert res.params.phi_b == pytest.approx(truth.phi_b, rel=5e-3)
     assert res.params.alpha_pos == pytest.approx(truth.alpha_pos, rel=5e-3)

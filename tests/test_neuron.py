@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memthermo import (
-    CalibrationError,
+from memthermo.constants import K_B_EV, T_MAX, T_MIN, T_REF
+from memthermo.device import CalibrationError, DeviceState
+from memthermo.neuron import (
+    N_SYNAPSES,
     FeedforwardMap,
     InputPattern,
     NeuronSystem,
@@ -14,26 +16,33 @@ from memthermo import (
     run_homeostasis,
     settled_rate,
 )
-from memthermo.constants import K_B_EV, T_MAX, T_MIN, T_REF
-from memthermo.neuron import DEFAULT_CALIBRATION_LOADS, N_SYNAPSES
+from memthermo.thermal import ThermalPlant
 
 
-def _system(fmap=None, **kwargs):
-    return NeuronSystem.build(fmap=fmap or FeedforwardMap(kappa=0.0), **kwargs)
+@pytest.fixture(scope="module")
+def calibrate(cfg):
+    """calibrate_gain with the configured loads, grid and gamma; keywords
+    override."""
+    def run(system, mode, **kwargs):
+        return calibrate_gain(**{
+            "loads": cfg.floats("calibrate.loads"), "system": system,
+            "mode": mode, "kappa_grid": cfg.kappa_grid,
+            "gamma": cfg["neuron.gamma"], **kwargs})
+    return run
 
 
 # ---------------------------------------------------------------------------
 # weights
 
 
-def test_pristine_weight_at_hot_end(fit):
-    system = _system()
+def test_pristine_weight_at_hot_end(build_system, fit):
+    system = build_system()
     w = system.weights_at(360.0)
     assert w == pytest.approx(np.full(25, 0.39), abs=1e-9)
 
 
-def test_weights_strictly_decreasing_in_temperature():
-    system = _system()
+def test_weights_strictly_decreasing_in_temperature(build_system):
+    system = build_system()
     temps = np.arange(300.0, 361.0, 5.0)
     sums = [system.weights_at(T).sum() for T in temps]
     assert all(b < a for a, b in zip(sums, sums[1:]))
@@ -43,25 +52,25 @@ def test_weights_strictly_decreasing_in_temperature():
 # stepping
 
 
-def test_zero_input_never_spikes():
-    system = _system()
+def test_zero_input_never_spikes(build_system):
+    system = build_system()
     drive = system.drive(0.0)
     for _ in range(100):
         assert system.step(drive) == 0
     assert system.accumulator == 0.0
 
 
-def test_drive_equal_to_threshold_spikes_every_step():
-    system = _system(theta=25.0)   # drive = 25 * 1.0 at full load, 300 K
+def test_drive_equal_to_threshold_spikes_every_step(build_system):
+    system = build_system(theta=25.0)   # drive = 25 * 1.0 at full load, 300 K
     drive = system.drive(1.0)
     fired = [system.step(drive) for _ in range(20)]
     assert all(f == 1 for f in fired[:3])   # before any heating bites
 
 
-def test_long_run_rate_matches_drive_over_theta():
+def test_long_run_rate_matches_drive_over_theta(build_system):
     # fixed temperature, constant load: spike count follows the exact
     # carry-over accumulator, verified against a brute-force loop
-    system = _system(fmap=FeedforwardMap(mode="fixed", t_fixed=300.0))
+    system = build_system(fmap=FeedforwardMap(mode="fixed", t_fixed=300.0))
     drive = float(system.weights_at(300.0).sum()) * 0.25
     steps = 500
     spikes = sum(system.step(system.drive(0.25)) for _ in range(steps))
@@ -75,8 +84,8 @@ def test_long_run_rate_matches_drive_over_theta():
     assert abs(spikes / steps - drive / system.theta) <= 1.0 / system.window
 
 
-def test_accumulator_invariant_under_heavy_drive():
-    system = _system(theta=3.0)
+def test_accumulator_invariant_under_heavy_drive(build_system):
+    system = build_system(theta=3.0)
     drive = system.drive(1.0)
     for _ in range(50):
         system.step(drive)
@@ -116,35 +125,37 @@ def test_map_validation():
 # gain calibration
 
 
-def test_calibrate_single_load_tie_breaks_to_smallest_kappa():
-    cal = calibrate_gain([0.25], _system(), mode="affine")
+def test_calibrate_single_load_tie_breaks_to_smallest_kappa(build_system,
+                                                           calibrate):
+    cal = calibrate(build_system(), "affine", loads=[0.25])
     assert cal.kappa == 0.0
 
 
-def test_uncompensated_rates_strictly_increase_with_load():
-    cal = calibrate_gain(system=_system(), mode="affine")
+def test_uncompensated_rates_strictly_increase_with_load(build_system,
+                                                         calibrate):
+    cal = calibrate(build_system(), "affine")
     assert all(b > a for a, b in
                zip(cal.rates_uncompensated, cal.rates_uncompensated[1:]))
 
 
 @pytest.mark.parametrize("mode", ["affine", "table"])
-def test_calibration_shrinks_cross_load_spread(mode):
-    cal = calibrate_gain(system=_system(), mode=mode)
+def test_calibration_shrinks_cross_load_spread(build_system, calibrate, mode):
+    cal = calibrate(build_system(), mode)
     assert cal.spread_calibrated < cal.spread_uncompensated
     # compensation must not destroy the monotone residual read-out
     assert all(b > a for a, b in
                zip(cal.rates_calibrated, cal.rates_calibrated[1:]))
 
 
-def test_table_calibration_infeasible_range_raises():
+def test_table_calibration_infeasible_range_raises(build_system, calibrate):
     with pytest.raises(CalibrationError, match="feasible"):
-        calibrate_gain([0.10, 0.25, 0.40], _system(), mode="table")
+        calibrate(build_system(), "table", loads=[0.10, 0.25, 0.40])
 
 
-def test_settled_rate_fixed_point_matches_simulation():
-    cal = calibrate_gain(system=_system(), mode="table")
-    system = _system(fmap=cal.fmap)
-    predicted = settled_rate(system, 0.30)
+def test_settled_rate_fixed_point_matches_simulation(build_system, calibrate):
+    cal = calibrate(build_system(), "table")
+    system = build_system(fmap=cal.fmap)
+    predicted = settled_rate(system, 0.30, system.fmap)
     curve = baseline_curve([0.30], system, settle_steps=6000,
                            measure_steps=4000)
     assert curve[0][1] == pytest.approx(predicted, abs=2e-3)
@@ -155,26 +166,28 @@ def test_settled_rate_fixed_point_matches_simulation():
 
 
 @pytest.fixture(scope="module")
-def table_map():
-    return calibrate_gain(system=NeuronSystem.build(
-        fmap=FeedforwardMap(kappa=0.0)), mode="table").fmap
+def table_map(build_system, calibrate):
+    return calibrate(build_system(fmap=FeedforwardMap(kappa=0.0)),
+                     "table").fmap
 
 
-def test_negative_feedback_sign():
-    cold = _system(fmap=FeedforwardMap(mode="fixed", t_fixed=320.0))
-    hot = _system(fmap=FeedforwardMap(mode="fixed", t_fixed=350.0))
-    assert settled_rate(hot, 0.3) < settled_rate(cold, 0.3)
+def test_negative_feedback_sign(build_system):
+    cold = build_system(fmap=FeedforwardMap(mode="fixed", t_fixed=320.0))
+    hot = build_system(fmap=FeedforwardMap(mode="fixed", t_fixed=350.0))
+    assert (settled_rate(hot, 0.3, hot.fmap)
+            < settled_rate(cold, 0.3, cold.fmap))
 
 
-def test_constant_pattern_rate_constant_after_settling(table_map):
-    system = NeuronSystem.build(fmap=table_map)
+def test_constant_pattern_rate_constant_after_settling(build_system,
+                                                       table_map):
+    system = build_system(fmap=table_map)
     res = run_homeostasis(InputPattern.constant(0.25, 6000), system)
     rates = [r for _, t, r in res.window_rates() if t > 5000.0]
     assert max(rates) - min(rates) <= 1.0 / system.window + 1e-12
 
 
-def _step_response(table_map, load_a, load_b):
-    system = NeuronSystem.build(fmap=table_map)
+def _step_response(build_system, table_map, load_a, load_b):
+    system = build_system(fmap=table_map)
     pattern = InputPattern(segments=((6000, load_a), (6000, load_b)))
     res = run_homeostasis(pattern, system)
     rates = res.window_rates()
@@ -189,30 +202,32 @@ def _step_response(table_map, load_a, load_b):
     return base, first_post, post_peak, residual
 
 
-def test_step_up_polarity_and_transient_dominance(table_map):
-    base, first_post, peak, residual = _step_response(table_map, 0.20, 0.30)
+def test_step_up_polarity_and_transient_dominance(build_system, table_map):
+    base, first_post, peak, residual = _step_response(
+        build_system, table_map, 0.20, 0.30)
     assert first_post > base          # polarity matches the input change
     assert residual > 0               # small distinct baseline shift
     assert peak >= 3.0 * abs(residual)
 
 
-def test_step_down_polarity(table_map):
-    base, first_post, peak, residual = _step_response(table_map, 0.30, 0.20)
+def test_step_down_polarity(build_system, table_map):
+    base, first_post, peak, residual = _step_response(
+        build_system, table_map, 0.30, 0.20)
     assert first_post < base
     assert residual < 0
     assert peak >= 3.0 * abs(residual)
 
 
-def test_homeostasis_deterministic(table_map):
+def test_homeostasis_deterministic(build_system, table_map):
     pattern = InputPattern(segments=((500, 0.2), (500, 0.3)))
-    a = run_homeostasis(pattern, NeuronSystem.build(fmap=table_map))
-    b = run_homeostasis(pattern, NeuronSystem.build(fmap=table_map))
+    a = run_homeostasis(pattern, build_system(fmap=table_map))
+    b = run_homeostasis(pattern, build_system(fmap=table_map))
     assert np.array_equal(a.spikes, b.spikes)
     assert np.array_equal(a.t_dev, b.t_dev)
 
 
-def test_both_windowings_emitted(table_map):
-    system = NeuronSystem.build(fmap=table_map)
+def test_both_windowings_emitted(build_system, table_map):
+    system = build_system(fmap=table_map)
     res = run_homeostasis(InputPattern.constant(0.3, 2000), system)
     assert len(res.window_rates()) == 2000 // 25
     spike_windows = res.spike_count_windows()
@@ -225,14 +240,14 @@ def test_both_windowings_emitted(table_map):
 # baseline curve
 
 
-def test_baseline_zero_load_is_silent():
-    curve = baseline_curve([0.0], _system(), settle_steps=50,
+def test_baseline_zero_load_is_silent(build_system):
+    curve = baseline_curve([0.0], build_system(), settle_steps=50,
                            measure_steps=200)
     assert curve[0][1] == 0.0
 
 
-def test_baseline_without_feedforward_is_linear():
-    curve = baseline_curve(DEFAULT_CALIBRATION_LOADS, _system(),
+def test_baseline_without_feedforward_is_linear(cfg, build_system):
+    curve = baseline_curve(cfg.floats("calibrate.loads"), build_system(),
                            settle_steps=200, measure_steps=2000)
     loads = np.array([l for l, _ in curve])
     rates = np.array([r for _, r in curve])
@@ -243,10 +258,11 @@ def test_baseline_without_feedforward_is_linear():
     assert r2 >= 0.95
 
 
-def test_baseline_flattens_then_knees_above_operating_range(table_map):
+def test_baseline_flattens_then_knees_above_operating_range(build_system,
+                                                           table_map):
     # within the calibrated band compensation keeps the slope shallow;
     # past 0.40 the table clamps and the rate climbs uncompensated
-    system = NeuronSystem.build(fmap=table_map)
+    system = build_system(fmap=table_map)
     curve = baseline_curve([0.30, 0.40, 0.50, 0.60], system,
                            settle_steps=5000, measure_steps=2000)
     rates = dict(curve)
@@ -255,15 +271,16 @@ def test_baseline_flattens_then_knees_above_operating_range(table_map):
     assert slope_outside > 2.0 * slope_inside
 
 
-def test_vector_loads_drive_the_same_mean_feedforward(table_map):
+def test_vector_loads_drive_the_same_mean_feedforward(build_system,
+                                                      table_map):
     # a concentrated input and a uniform input with equal mean heat the
     # chamber identically but drive different synapse subsets
     hot = np.zeros(25)
     hot[:5] = 1.0
     uniform = InputPattern.constant(0.2, 300)
     concentrated = InputPattern(segments=((300, tuple(hot)),))
-    res_u = run_homeostasis(uniform, NeuronSystem.build(fmap=table_map))
-    res_c = run_homeostasis(concentrated, NeuronSystem.build(fmap=table_map))
+    res_u = run_homeostasis(uniform, build_system(fmap=table_map))
+    res_c = run_homeostasis(concentrated, build_system(fmap=table_map))
     assert np.allclose(res_u.t_set, res_c.t_set)
     # identical synapses: equal drive, equal spike trains
     assert np.array_equal(res_u.spikes, res_c.spikes)
@@ -282,14 +299,13 @@ def test_pattern_parsing_and_validation():
     assert vec.total_steps == 5
 
 
-def test_system_requires_exactly_25_synapses(fit):
-    from memthermo import DeviceState, ThermalPlant
-
+def test_system_requires_exactly_25_synapses(cfg, fit):
     with pytest.raises(ValueError, match="25"):
         NeuronSystem(
             synapses=[DeviceState(r_persistent=1e6)] * 10,
             fit=fit, plant=ThermalPlant.packaged(),
-            fmap=FeedforwardMap(),
+            fmap=FeedforwardMap(), theta=cfg["neuron.theta"],
+            dt_s=cfg["neuron.dt_s"], window=cfg["neuron.window"],
         )
 
 
@@ -341,16 +357,19 @@ _maps = st.one_of(
     st.builds(FeedforwardMap, mode=st.just("fixed"),
               t_fixed=st.floats(T_MIN, T_MAX)),
 )
-_systems = st.builds(NeuronSystem.build, fmap=_maps,
-                     spread_sigma=st.sampled_from([0.0, 0.3]),
-                     seed=st.integers(0, 2**32 - 1))
+# build_system keywords
+_system_args = st.fixed_dictionaries(dict(
+    fmap=_maps, spread_sigma=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(system=_systems,
+@given(system_args=_system_args,
        segments=st.lists(st.tuples(st.integers(1, 300), _loads),
                          min_size=1, max_size=4))
-def test_homeostasis_equals_per_step_loop_exactly(system, segments):
+def test_homeostasis_equals_per_step_loop_exactly(build_system, system_args,
+                                                  segments):
+    system = build_system(**system_args)
     pattern = InputPattern(segments=tuple(segments))
     spikes, mean_loads, t_dev, t_set, acc = _per_step_reference(pattern,
                                                                 system)
@@ -363,11 +382,13 @@ def test_homeostasis_equals_per_step_loop_exactly(system, segments):
 
 
 @settings(max_examples=40, deadline=None)
-@given(system=_systems, loads=st.lists(st.floats(0.0, 1.0), min_size=1,
-                                       max_size=3),
+@given(system_args=_system_args,
+       loads=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
        settle=st.integers(0, 200), measure=st.integers(1, 200))
-def test_baseline_curve_equals_per_step_loop_exactly(system, loads, settle,
-                                                     measure):
+def test_baseline_curve_equals_per_step_loop_exactly(build_system,
+                                                     system_args, loads,
+                                                     settle, measure):
+    system = build_system(**system_args)
     expected = []
     for load in loads:
         segments = ((settle, load),) if settle else ()

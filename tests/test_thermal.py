@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from memthermo import (
+from memthermo.thermal import (
     TemperatureSchedule,
     ThermalPlant,
     scrambled_schedule,
@@ -128,7 +128,7 @@ def test_on_wafer_preset_is_faster():
 
 
 def _simulated_hold(hold_s, dt=6.0, t_from=300.0, t_to=310.0, phi=0.0895):
-    plant = ThermalPlant.packaged(t0=t_from)
+    plant = ThermalPlant(t_set=t_from, t_air=t_from, t_dev=t_from)
     plant.set_setpoint(t_to)
     times, reads = [], []
     t = 0.0
@@ -169,12 +169,13 @@ def test_settled_rejects_non_monotonic_time():
 # schedules
 
 
-def test_scrambled_schedule_deterministic():
-    assert scrambled_schedule(42) == scrambled_schedule(42)
+def test_scrambled_schedule_deterministic(cfg):
+    hold_s = cfg["schedule.hold_s"]
+    assert scrambled_schedule(42, hold_s) == scrambled_schedule(42, hold_s)
 
 
-def test_scrambled_schedule_multiset_and_revisits():
-    sched = scrambled_schedule(7)
+def test_scrambled_schedule_multiset_and_revisits(cfg):
+    sched = scrambled_schedule(7, cfg["schedule.hold_s"])
     counts = {}
     for t in sched.setpoints:
         counts[t] = counts.get(t, 0) + 1
@@ -183,15 +184,16 @@ def test_scrambled_schedule_multiset_and_revisits():
     assert all(hold == 3600.0 for _, hold in sched.entries)
 
 
-def test_scrambled_schedule_orders_differ_between_seeds():
-    assert (scrambled_schedule(1).setpoints
-            != scrambled_schedule(2).setpoints)
+def test_scrambled_schedule_orders_differ_between_seeds(cfg):
+    hold_s = cfg["schedule.hold_s"]
+    assert (scrambled_schedule(1, hold_s).setpoints
+            != scrambled_schedule(2, hold_s).setpoints)
 
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_scrambled_schedule_never_repeats_adjacent_setpoints(seed):
-    points = scrambled_schedule(seed).setpoints
+def test_scrambled_schedule_never_repeats_adjacent_setpoints(cfg, seed):
+    points = scrambled_schedule(seed, cfg["schedule.hold_s"]).setpoints
     assert all(a != b for a, b in zip(points, points[1:]))
 
 
