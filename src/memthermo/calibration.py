@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import K_B_EV, T_MAX, T_MIN
 from .device import (
     DeviceState,
@@ -45,6 +43,7 @@ def _linear_fit(x, y) -> tuple[float, float, float]:
     A zero-variance target counts as perfectly fit when the residuals are
     zero (constant data is a valid degenerate line).
     """
+    import numpy as np
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2:
@@ -122,6 +121,7 @@ class ThermionicExtraction:
 
 def _stage1(ivs: IVCurveSet, polarity: int):
     """Per-voltage regressions of ln(|I|/T^2) on 1/T for one polarity."""
+    import numpy as np
     temps = np.asarray(ivs.temperatures, dtype=float)
     if temps.size < 3:
         raise ExtractionError("stage 1: need at least three temperatures")
@@ -167,6 +167,7 @@ def extract_thermionic(ivs: IVCurveSet) -> ThermionicExtraction:
     fits -kB*m(v) against sqrt(v) per polarity: intercept phi_b, slope
     -alpha.
     """
+    import numpy as np
     results = {}
     intercept_all = []
     stage1_r2 = []
@@ -208,6 +209,7 @@ def sensitivity_percent_per_K(temps, resistances) -> float:
 
     The baseline is the first settled 300 K point in the trace.
     """
+    import numpy as np
     temps = np.asarray(temps, dtype=float)
     resistances = np.asarray(resistances, dtype=float)
     if temps.size != resistances.size or temps.size < 2:
@@ -272,6 +274,7 @@ def fit_switch_curve(grid) -> SwitchCurveFit:
     Log-linear regression in v at each temperature pins beta; the
     fractions at 1.4 V regressed against T pin the two anchor values.
     """
+    import numpy as np
     rows = [(float(v), float(T), float(f)) for v, T, f in grid]
     if not rows:
         raise ExtractionError("empty nullcline grid")

@@ -11,13 +11,15 @@ prefixed MEMTHERMO_ override file values (run.seed ->
 MEMTHERMO_RUN_SEED), and explicit CLI overrides sit on top. Each key
 checks its own domain; relations between keys are left to the
 constructors: resolve_config builds each configured object once, and the
-run uses those objects.
+run uses those objects. The numpy neuron template alone is built on
+first use, by the neuron commands; its rules are checked up front.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .constants import R_CEILING, R_FLOOR, T_MAX, T_MIN
 from .device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
@@ -264,13 +266,8 @@ class RunConfig:
             tau_dev_s=self["plant.tau_dev_s"] or base.tau_dev_s)
         self.device = DeviceState(r_persistent=self["device.r_ohm"] or
                                   self.fit.anchor(self["device.level"]).r_ref)
-        # the neuron template; each run sets its feedforward map
-        self.system = checked(
-            "neuron", NeuronSystem.build, level=self["device.level"],
-            fmap=FeedforwardMap(kappa=0.0), fit=self.fit, plant=self.plant,
-            theta=self["neuron.theta"], dt_s=self["neuron.dt_s"],
-            window=self["neuron.window"],
-            spread_sigma=self["neuron.spread_sigma"], seed=self["run.seed"])
+        checked("neuron", NeuronSystem.check, self["neuron.theta"],
+                self["neuron.dt_s"], self["neuron.window"])
         self.affine_map = checked("neuron", FeedforwardMap,
                                   kappa=self["neuron.kappa"])
         self.fixed_map = checked("neuron", FeedforwardMap, mode="fixed",
@@ -287,6 +284,16 @@ class RunConfig:
                                   self["calibrate.kappa_step"])
         self.pattern = checked("homeostasis.pattern", InputPattern.parse,
                                self["homeostasis.pattern"])
+
+    @cached_property
+    def system(self) -> NeuronSystem:
+        """The neuron template, built on first use; runs set its fmap."""
+        return checked(
+            "neuron", NeuronSystem.build, level=self["device.level"],
+            fmap=FeedforwardMap(kappa=0.0), fit=self.fit, plant=self.plant,
+            theta=self["neuron.theta"], dt_s=self["neuron.dt_s"],
+            window=self["neuron.window"],
+            spread_sigma=self["neuron.spread_sigma"], seed=self["run.seed"])
 
     def __getitem__(self, name: str):
         try:

@@ -6,6 +6,8 @@ identical runs must produce identical bytes.
 """
 from __future__ import annotations
 
+import sys
+
 SCHEMAS: dict[str, tuple[str, ...]] = {
     "cycle": ("t_s", "t_set_K", "t_air_K", "t_dev_K", "r_ohm", "phase"),
     "cycle_holds": ("hold", "t_set_K", "r_steady_ohm", "r_first_ohm",
@@ -92,11 +94,16 @@ def parse_csv(path, schema_id: str | None = None):
 
 
 def write_manifest(path, config, experiment: str, version: str) -> str:
-    """Echo the fully resolved configuration; the manifest alone is enough
-    to reproduce the run byte for byte."""
+    """Echo the fully resolved configuration under the versions of Python
+    and of the numpy the run imported (looked up, never imported here);
+    the manifest alone is enough to reproduce the run byte for byte."""
+    python = ".".join(map(str, sys.version_info[:3]))
+    numpy = sys.modules.get("numpy")
     text = (
         f"# memthermo run manifest\n"
         f"# version = {version}\n"
+        f"# python = {python}\n"
+        f"# numpy = {numpy.__version__ if numpy else 'not imported'}\n"
         f"# experiment = {experiment}\n"
         + config.serialize()
     )

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import K_B_EV, T_MAX, T_MIN, T_REF
 from .device import CalibrationError, DeviceState, ThermalFit, _brentq
 from .rng import substream
 from .thermal import ThermalPlant
+
+if TYPE_CHECKING:
+    import numpy as np
 
 N_SYNAPSES = 25
 
@@ -69,6 +71,7 @@ class FeedforwardMap:
             return self.t_fixed
         if self.mode == "affine":
             return min(max(T_REF + self.kappa * load, T_MIN), T_MAX)
+        import numpy as np
         return float(np.interp(load, self.table_loads, self.table_temps))
 
 
@@ -84,10 +87,13 @@ class InputPattern:
         for duration, load in self.segments:
             if int(duration) < 1:
                 raise ValueError("segment duration must be >= 1 step")
-            arr = np.atleast_1d(np.asarray(load, dtype=float))
-            if arr.size not in (1, N_SYNAPSES):
+            try:
+                loads = [float(x) for x in load]
+            except TypeError:   # a scalar load
+                loads = [float(load)]
+            if len(loads) not in (1, N_SYNAPSES):
                 raise ValueError(f"load must be scalar or length {N_SYNAPSES}")
-            if not np.all((arr >= 0) & (arr <= 1)):
+            if not all(0 <= x <= 1 for x in loads):   # NaN fails too
                 raise ValueError("loads must lie in [0, 1]")
 
     @property
@@ -126,6 +132,25 @@ class NeuronSystem:
     ):
         if len(synapses) != N_SYNAPSES:
             raise ValueError(f"exactly {N_SYNAPSES} synapses required")
+        self.check(theta, dt_s, window)
+        self.synapses = list(synapses)
+        self.fit = fit
+        self.plant = plant
+        self.fmap = fmap
+        self.theta = float(theta)
+        self.dt_s = float(dt_s)
+        self.window = int(window)
+        self.accumulator = 0.0
+        import numpy as np
+        # weights are read per step; the synapse states are static during
+        # homeostasis runs (thermal control only), so cache their barriers
+        self._phi_over_kb = np.array(
+            [fit.phi_for_state(s.r_eff) for s in self.synapses]) / K_B_EV
+        self._exp = np.exp   # bound here: the per-step path imports nothing
+
+    @staticmethod
+    def check(theta: float, dt_s: float, window: int) -> None:
+        """The rules on the scalar arguments; raises ValueError."""
         if theta <= 0:
             raise ValueError("theta must be > 0")
         if window < 1 or dt_s <= 0:
@@ -135,18 +160,6 @@ class NeuronSystem:
         if theta < N_SYNAPSES / window:
             raise ValueError(f"theta must be >= {N_SYNAPSES}/window = "
                              f"{N_SYNAPSES / window!r}")
-        self.synapses = list(synapses)
-        self.fit = fit
-        self.plant = plant
-        self.fmap = fmap
-        self.theta = float(theta)
-        self.dt_s = float(dt_s)
-        self.window = int(window)
-        self.accumulator = 0.0
-        # weights are read per step; the synapse states are static during
-        # homeostasis runs (thermal control only), so cache their barriers
-        self._phi_over_kb = np.array(
-            [fit.phi_for_state(s.r_eff) for s in self.synapses]) / K_B_EV
 
     @classmethod
     def build(
@@ -164,6 +177,7 @@ class NeuronSystem:
         """System of identical-level synapses on a copy of plant, optionally
         with a seeded log-normal device-to-device spread of the reference
         resistance."""
+        import numpy as np
         r0 = fit.anchor(level).r_ref
         if spread_sigma > 0:
             rng = substream(seed, "spread")
@@ -185,13 +199,14 @@ class NeuronSystem:
 
     def weights_at(self, T: float) -> np.ndarray:
         """Per-synapse weights at device temperature T."""
-        rho = (T_REF / T) ** 2 * np.exp(
+        rho = (T_REF / T) ** 2 * self._exp(
             self._phi_over_kb * (1.0 / T - 1.0 / T_REF)
         )
         return rho   # r_now / r_ref == rho since r_ref is the 300 K value
 
     def drive(self, load) -> tuple[np.ndarray, float, float]:
         """Per-segment invariants of a constant load: x, mean, setpoint."""
+        import numpy as np
         x = np.broadcast_to(np.asarray(load, dtype=float), (N_SYNAPSES,))
         mean = float(x.mean())
         return x, mean, self.fmap.setpoint(mean)
@@ -253,6 +268,7 @@ class HomeostasisResult:
         rate in spikes per step)."""
         # spike n (from 1) falls in the first step whose running count
         # reaches n
+        import numpy as np
         counts = np.cumsum(self.spikes)
         out = []
         w = self.window
@@ -271,6 +287,7 @@ def run_homeostasis(pattern: InputPattern,
     Draws no random numbers: the result is a function of the pattern and
     the system (whose synapse spread, if any, was seeded at build time).
     """
+    import numpy as np
     n = pattern.total_steps
     spikes = np.zeros(n, dtype=np.int64)
     mean_loads = np.zeros(n)
@@ -377,6 +394,7 @@ def calibrate_gain(
     rates_k0 = [settled_rate(system, l, FeedforwardMap(kappa=0.0)) for l in loads]
 
     if mode == "affine":
+        import numpy as np
         best_kappa, best_var = None, math.inf
         for kappa in kappa_grid:
             fmap = FeedforwardMap(kappa=float(kappa))

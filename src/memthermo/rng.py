@@ -7,7 +7,10 @@ across platforms.
 """
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy
 
 _STREAMS = {
     "schedule": 1,   # temperature-order scrambling
@@ -17,10 +20,11 @@ _STREAMS = {
 }
 
 
-def substream(seed: int, name: str) -> np.random.Generator:
+def substream(seed: int, name: str) -> numpy.random.Generator:
     try:
         stream_id = _STREAMS[name]
     except KeyError:
         raise ValueError(f"unknown rng stream {name!r}; "
                          f"known: {sorted(_STREAMS)}") from None
+    import numpy as np   # only seeded draws need it
     return np.random.default_rng(np.random.SeedSequence((int(seed), stream_id)))

@@ -9,10 +9,9 @@ devices probed on the wafer respond much faster (tau_dev = 60 s).
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import T_MAX, T_MIN
 from .rng import substream
@@ -88,20 +87,20 @@ def settled(times_s, resistances) -> bool | None:
     Returns None (not enough data) when the history spans less than the
     trailing window — deliberately distinct from False.
     """
-    t = np.asarray(times_s, dtype=float)
-    r = np.asarray(resistances, dtype=float)
-    if t.size != r.size or t.size < 2:
+    t = [float(x) for x in times_s]
+    r = [float(x) for x in resistances]
+    if len(t) != len(r) or len(t) < 2:
         return None
-    if np.any(np.diff(t) <= 0):
+    if any(b <= a for a, b in zip(t, t[1:])):
         raise ValueError("timestamps must be strictly increasing")
     span = t[-1] - t[0]
     if span < SETTLE_WINDOW_S:
         return None
     # last sample at or before the window start
-    idx = int(np.searchsorted(t, t[-1] - SETTLE_WINDOW_S, side="right")) - 1
+    idx = bisect.bisect_right(t, t[-1] - SETTLE_WINDOW_S) - 1
     trailing = abs(r[-1] - r[idx])
     total = abs(r[-1] - r[0])
-    return bool(trailing <= SETTLE_THRESHOLD * total)
+    return trailing <= SETTLE_THRESHOLD * total
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from memthermo import cli, config
+from memthermo import __version__, cli, config
 from memthermo.cli import EXPERIMENTS, cli_dispatch
 from memthermo.config import REGISTRY, ConfigError, resolve_config
 from memthermo.csvio import parse_csv
@@ -504,16 +505,89 @@ def test_arguments_filled_from_cfg_have_no_default():
     assert defaults == set()
 
 
-def test_cli_import_pulls_in_no_scipy():
-    # scipy.optimize alone costs ~0.4 s of import on every cold CLI run
+def _python(code, *argv):
+    """Run `code` with argv in a fresh interpreter on the checkout's src."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run(
-        [sys.executable, "-c", "import memthermo.cli, sys; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def _cli_process(*argv, block_numpy=False):
+    """cli_dispatch(argv) in a fresh interpreter; with block_numpy, a None
+    entry in sys.modules makes every `import numpy` fail loudly."""
+    return _python("import sys\n"
+                   + ("sys.modules['numpy'] = None\n" if block_numpy else "")
+                   + "from memthermo.cli import cli_dispatch\n"
+                   "sys.exit(cli_dispatch(sys.argv[1:]))", *argv)
+
+
+def _imported_by_cli(package):
+    return _python(
+        "import memthermo.cli, sys; print(sorted("
+        f"m for m in sys.modules if m.split('.')[0] == {package!r}))")
+
+
+def test_cli_import_pulls_in_no_scipy():
+    # scipy.optimize alone costs ~0.4 s of import on every cold CLI run
+    assert _imported_by_cli("scipy").stdout.strip() == "[]"
+
+
+def test_cli_import_pulls_in_no_numpy():
+    # numpy costs ~0.1 s of import; hsr and iv never need it
+    assert _imported_by_cli("numpy").stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("cmd", cli.NUMPY_FREE)
+def test_numpy_free_commands_run_with_numpy_blocked(tmp_path, capsys, cmd):
+    blocked, ordinary = tmp_path / "blocked", tmp_path / "ordinary"
+    run = _cli_process(cmd, "--preset", "L1", "--out", str(blocked),
+                       block_numpy=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert _run(cmd, "--preset", "L1", "--out", str(ordinary)) == 0
+    names = sorted(p.name for p in ordinary.glob("*.csv"))
+    assert names == sorted(p.name for p in blocked.glob("*.csv")) != []
+    for name in names:
+        assert (blocked / name).read_bytes() == (ordinary / name).read_bytes()
+
+
+@pytest.mark.filterwarnings("error")   # an unguarded overflow only warns
+@pytest.mark.parametrize("cmd", [c for c in EXPERIMENTS
+                                 if c not in cli.NUMPY_FREE])
+def test_numpy_overflow_in_a_numpy_command_fails_on_one_line(
+        tmp_path, capsys, monkeypatch, cmd):
+    def handler(cfg, out):
+        np.exp(np.float64(1e3))
+        return []
+    monkeypatch.setitem(cli._HANDLERS, cmd, handler)
+    code = _run(cmd, "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: protocol: handler: overflow")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_manifest_names_python_and_numpy(tmp_path, capsys):
+    python = ".".join(map(str, sys.version_info[:3]))
+    # hsr imports no numpy, so its manifest names none
+    hsr = _cli_process("hsr", "--out", str(tmp_path / "hsr"),
+                       *(f"--set={kv}" for kv in _SHORT))
+    assert hsr.returncode == 0
+    assert _run("baseline", "--out", str(tmp_path / "baseline"),
+                *(f"--set={kv}" for kv in _SHORT)) == 0
+    for cmd, numpy in (("hsr", "not imported"), ("baseline", np.__version__)):
+        head = (tmp_path / cmd / "manifest.txt").read_text().splitlines()[:5]
+        assert head == ["# memthermo run manifest",
+                        f"# version = {__version__}", f"# python = {python}",
+                        f"# numpy = {numpy}", f"# experiment = {cmd}"]
+
+
+@pytest.mark.parametrize("cmd", EXPERIMENTS)
+def test_bad_neuron_value_fails_every_command(tmp_path, capsys, cmd):
+    # every run checks the neuron rules, though only three build a neuron
+    assert (_run(cmd, "--out", str(tmp_path), "--set", "neuron.theta=0"),
+            capsys.readouterr().err) == (
+        1, "error: config: neuron: theta must be > 0\n")
 
 
 # ---------------------------------------------------------------------------

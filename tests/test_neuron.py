@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memthermo.config import REGISTRY
 from memthermo.constants import K_B_EV, T_MAX, T_MIN, T_REF
 from memthermo.device import CalibrationError, DeviceState
 from memthermo.neuron import (
@@ -297,6 +298,34 @@ def test_pattern_parsing_and_validation():
         InputPattern(segments=((10, 1.5),))
     vec = InputPattern(segments=((5, tuple([0.5] * 25)),))
     assert vec.total_steps == 5
+
+
+@pytest.mark.parametrize("load", [
+    0.25, [0.5] * N_SYNAPSES, np.linspace(0.0, 1.0, N_SYNAPSES),
+], ids=["scalar", "list", "ndarray"])
+def test_pattern_accepts_scalar_and_vector_loads(load):
+    assert InputPattern(segments=((3, load),)).total_steps == 3
+
+
+@pytest.mark.parametrize("load, message", [
+    pytest.param([0.5] * (N_SYNAPSES - 1), "load must be scalar or length 25",
+                 id="length-24"),
+    pytest.param([0.5] * (N_SYNAPSES - 1) + [1.5], "loads must lie in [0, 1]",
+                 id="element-1.5"),
+    pytest.param(float("nan"), "loads must lie in [0, 1]", id="nan"),
+    pytest.param([0.5] * (N_SYNAPSES - 1) + [float("nan")],
+                 "loads must lie in [0, 1]", id="element-nan"),
+])
+def test_pattern_rejects_bad_loads_as_before(load, message):
+    # the messages of the numpy check the plain-Python one replaced
+    with pytest.raises(ValueError) as exc:
+        InputPattern(segments=((3, load),))
+    assert str(exc.value) == message
+
+
+def test_pattern_parses_the_default_pattern():
+    assert (InputPattern.parse(REGISTRY["homeostasis.pattern"].default)
+            == InputPattern(segments=((6000, 0.2), (6000, 0.3))))
 
 
 def test_system_requires_exactly_25_synapses(cfg, fit):

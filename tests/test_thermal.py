@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from memthermo.thermal import (
+    SETTLE_THRESHOLD,
+    SETTLE_WINDOW_S,
     TemperatureSchedule,
     ThermalPlant,
     scrambled_schedule,
@@ -163,6 +165,64 @@ def test_settled_insufficient_history_is_not_false():
 def test_settled_rejects_non_monotonic_time():
     with pytest.raises(ValueError):
         settled([0.0, 10.0, 5.0, 400.0], [1.0, 2.0, 3.0, 4.0])
+
+
+def _settled_numpy(times_s, resistances):
+    """settled as it was written on numpy arrays, before it ran on lists."""
+    t = np.asarray(times_s, dtype=float)
+    r = np.asarray(resistances, dtype=float)
+    if t.size != r.size or t.size < 2:
+        return None
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("timestamps must be strictly increasing")
+    span = t[-1] - t[0]
+    if span < SETTLE_WINDOW_S:
+        return None
+    idx = int(np.searchsorted(t, t[-1] - SETTLE_WINDOW_S, side="right")) - 1
+    trailing = abs(r[-1] - r[idx])
+    total = abs(r[-1] - r[0])
+    return bool(trailing <= SETTLE_THRESHOLD * total)
+
+
+@st.composite
+def _histories(draw, increasing=True):
+    """(times, resistances): 2-200 strictly increasing times whose span
+    falls on either side of the trailing window, some at a read cadence
+    that puts a sample exactly at the window start; arbitrary
+    resistances, now and then one more or one fewer than the times."""
+    cadence = draw(st.sampled_from([None, 6.0, 40.0, 120.0]))
+    longest = draw(st.sampled_from([6.0, 60.0, 600.0]))
+    gap = st.just(cadence) if cadence else st.floats(1e-3, longest)
+    gaps = draw(st.lists(gap, min_size=1, max_size=199))
+    times = [float(draw(st.integers(0, 10_000)))]
+    for step in gaps:
+        times.append(times[-1] + step)
+    if not increasing:
+        k = draw(st.integers(1, len(times) - 1))
+        times[k] = times[k - 1] - draw(st.sampled_from([0.0, 1e-3, 30.0]))
+    n = len(times) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return times, draw(st.lists(st.floats(), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(history=_histories())
+def test_settled_matches_the_numpy_form(history):
+    with np.errstate(all="ignore"):   # inf - inf in the reference
+        expected = _settled_numpy(*history)
+    assert settled(*history) is expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(history=_histories(increasing=False))
+def test_settled_rejects_what_the_numpy_form_rejects(history):
+    times, resistances = history
+    resistances = resistances[:len(times)] + [1.0] * (len(times)
+                                                      - len(resistances))
+    message = "^timestamps must be strictly increasing$"
+    with pytest.raises(ValueError, match=message):
+        _settled_numpy(times, resistances)
+    with pytest.raises(ValueError, match=message):
+        settled(times, resistances)
 
 
 # ---------------------------------------------------------------------------
