@@ -2,13 +2,15 @@
 
 One experiment per invocation; each run validates its configuration,
 simulates, and writes CSV files plus a manifest into the output
-directory. Exit codes: 0 success, 1 configuration error, 2 protocol,
-convergence or numeric-overflow error, 3 I/O error; failures print one
-machine-parsable line on stderr.
+directory. A subcommand's handler yields its tables as (file stem,
+schema, rows) and `cli_dispatch` writes them. Exit codes: 0 success,
+1 configuration error, 2 protocol, convergence or numeric-overflow
+error, 3 I/O error; failures print one machine-parsable line on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -19,6 +21,7 @@ from .calibration import (
     extract_thermionic,
     fit_switch_curve,
     invert_temperature,
+    thermometer_guard,
 )
 from .config import ConfigError, RunConfig, checked, resolve_config
 from .csvio import emit_csv, parse_csv, write_manifest
@@ -70,34 +73,25 @@ def _cycle(cfg: RunConfig) -> CycleResult:
     )
 
 
-def _cmd_cycle(cfg: RunConfig, out: str) -> list[str]:
+def _cmd_cycle(cfg: RunConfig):
     res = _cycle(cfg)
-    return [
-        emit_csv(os.path.join(out, "cycle.csv"), "cycle",
-                 (r[:6] for r in res.records)),
-        emit_csv(os.path.join(out, "cycle_holds.csv"), "cycle_holds",
-                 ((h.index, h.t_set_K, h.r_steady_ohm, h.r_first_ohm,
-                   h.r_last_ohm, h.settled) for h in res.holds)),
-    ]
+    yield "cycle", "cycle", (r[:6] for r in res.records)
+    yield "cycle_holds", "cycle_holds", (
+        (h.index, h.t_set_K, h.r_steady_ohm, h.r_first_ohm, h.r_last_ohm,
+         h.settled) for h in res.holds)
 
 
-def _cmd_levels(cfg: RunConfig, out: str) -> list[str]:
+def _cmd_levels(cfg: RunConfig):
     sweep = run_level_sweep(
         schedule=_schedule(cfg), seed=cfg["run.seed"], fit=cfg.fit,
         plant=cfg.plant, read_period_s=cfg["schedule.read_period_s"],
         drift_scale=cfg["cycle.drift_scale"],
     )
-    files = [emit_csv(
-        os.path.join(out, "levels.csv"), "levels",
-        ((level, res.state.r_eff, sweep.drops[level],
-          sweep.sensitivities[level])
-         for level, res in sweep.results.items()),
-    )]
+    yield "levels", "levels", (
+        (level, cfg.fit.anchor(level).r_ref, sweep.drops[level],
+         sweep.sensitivities[level]) for level in sweep.results)
     for level, res in sweep.results.items():
-        files.append(emit_csv(
-            os.path.join(out, f"cycle_{level}.csv"), "cycle",
-            (r[:6] for r in res.records)))
-    return files
+        yield f"cycle_{level}", "cycle", (r[:6] for r in res.records)
 
 
 def _iv_sweep(cfg: RunConfig) -> IVCurveSet:
@@ -106,40 +100,31 @@ def _iv_sweep(cfg: RunConfig) -> IVCurveSet:
                         voltages=cfg.voltages, fit=cfg.fit)
 
 
-def _cmd_iv(cfg: RunConfig, out: str,
-            ivs: IVCurveSet | None = None) -> list[str]:
-    if ivs is None:
-        ivs = _iv_sweep(cfg)
-    level = cfg["device.level"]
-    return [emit_csv(
-        os.path.join(out, "iv.csv"), "iv",
-        ((level, T, v, i)
-         for T, curve in zip(ivs.temperatures, ivs.curves)
-         for v, i in curve),
-    )]
+def _iv_table(level: str, ivs: IVCurveSet):
+    return "iv", "iv", ((level, T, v, i)
+                        for T, curve in zip(ivs.temperatures, ivs.curves)
+                        for v, i in curve)
 
 
-def _cmd_signature(cfg: RunConfig, out: str) -> list[str]:
+def _cmd_iv(cfg: RunConfig):
+    yield _iv_table(cfg["device.level"], _iv_sweep(cfg))
+
+
+def _cmd_signature(cfg: RunConfig):
     input_csv = cfg["iv.input_csv"]
     if input_csv:
         _, rows = checked(input_csv, parse_csv, input_csv, "iv")
         ivs = checked(input_csv, IVCurveSet.from_rows,
                       ((T, v, i) for _, T, v, i in rows))
-        files = []
     else:
         ivs = _iv_sweep(cfg)
-        files = _cmd_iv(cfg, out, ivs)
+        yield _iv_table(cfg["device.level"], ivs)
     fitres = extract_thermionic(ivs)
-    files.append(emit_csv(
-        os.path.join(out, "signature.csv"), "signature",
-        [("pos", fitres.a_prefactor, fitres.phi_b_pos, fitres.alpha_pos,
-          fitres.stage1_r2_min, fitres.stage2_r2_pos,
-          fitres.intercept_spread),
-         ("neg", fitres.a_prefactor, fitres.phi_b_neg, fitres.alpha_neg,
-          fitres.stage1_r2_min, fitres.stage2_r2_neg,
-          fitres.intercept_spread)],
-    ))
-    return files
+    yield "signature", "signature", [
+        ("pos", fitres.a_prefactor, fitres.phi_b_pos, fitres.alpha_pos,
+         fitres.stage1_r2_min, fitres.stage2_r2_pos, fitres.intercept_spread),
+        ("neg", fitres.a_prefactor, fitres.phi_b_neg, fitres.alpha_neg,
+         fitres.stage1_r2_min, fitres.stage2_r2_neg, fitres.intercept_spread)]
 
 
 def _hsr_args(cfg: RunConfig) -> dict:
@@ -157,40 +142,32 @@ def _hsr_args(cfg: RunConfig) -> dict:
     )
 
 
-def _cmd_hsr(cfg: RunConfig, out: str) -> list[str]:
-    res = run_heat_stimulate_retention(
-        t_test=cfg["hsr.t_test_k"], v_prog=cfg["hsr.v_prog_v"],
-        **_hsr_args(cfg))
-    return [
-        emit_csv(os.path.join(out, "hsr.csv"), "hsr", res.records),
-        emit_csv(os.path.join(out, "hsr_summary.csv"), "hsr_summary",
-                 [(res.t_test_K, res.v_prog_V, res.frac_state, res.frac_at_t,
-                   res.frac_vs_300, res.recovered_frac, res.reset_pulses)]),
-    ]
+def _cmd_hsr(cfg: RunConfig):
+    t_test, v_prog = cfg["hsr.t_test_k"], cfg["hsr.v_prog_v"]
+    res = run_heat_stimulate_retention(t_test=t_test, v_prog=v_prog,
+                                       **_hsr_args(cfg))
+    yield "hsr", "hsr", res.records
+    yield "hsr_summary", "hsr_summary", [
+        (t_test, v_prog, res.frac_state, res.frac_at_t, res.frac_vs_300,
+         res.recovered_frac, res.reset_pulses)]
 
 
-def _cmd_nullcline(cfg: RunConfig, out: str) -> list[str]:
+def _cmd_nullcline(cfg: RunConfig):
     rows = run_nullcline_sweep(**_hsr_args(cfg))
     curve = fit_switch_curve(rows)
-    return [
-        emit_csv(os.path.join(out, "nullcline.csv"), "nullcline", rows),
-        emit_csv(os.path.join(out, "nullcline_fit.csv"), "nullcline_fit",
-                 [(curve.g_14_310, curve.g_14_360, curve.beta,
-                   curve.r2_voltage_min, curve.r2_temperature)]),
-    ]
+    yield "nullcline", "nullcline", rows
+    yield "nullcline_fit", "nullcline_fit", [
+        (curve.g_14_310, curve.g_14_360, curve.beta, curve.r2_voltage_min,
+         curve.r2_temperature)]
 
 
-def _cmd_thermometer(cfg: RunConfig, out: str) -> list[str]:
+def _cmd_thermometer(cfg: RunConfig):
     trials = cfg["thermometer.trials"]
     res = _cycle(cfg)
     sigma = cfg["thermometer.noise_sigma"]
     rng = substream(cfg["run.seed"], "noise")
     clip = 2.5   # read noise is clipped at clip standard deviations
-    # in log space a reading is off the undrifted model by at most
-    # clip * sigma plus the drift half-band; a guard that covers both
-    # clamps every band-edge reading
-    guard = max(0.02, math.expm1(
-        clip * sigma + 0.5 * math.log1p(cfg["cycle.drift_scale"])) + 0.005)
+    guard = thermometer_guard(sigma, clip, cfg["cycle.drift_scale"])
     rows = []
     for hold in res.holds:
         for trial in range(trials):
@@ -199,22 +176,21 @@ def _cmd_thermometer(cfg: RunConfig, out: str) -> list[str]:
                 # clipped log-normal read scatter: bounded instrument noise
                 z = min(max(rng.standard_normal(), -clip), clip)
                 r *= math.exp(sigma * z)
-            t_est = invert_temperature(r, res.fit, res.state.r_eff,
+            t_est = invert_temperature(r, cfg.fit, cfg.device.r_eff,
                                        guard=guard)
             rows.append((hold.t_end_s, hold.t_set_K, trial, r, t_est,
                          t_est - hold.t_set_K))
-    return [emit_csv(os.path.join(out, "thermometer.csv"), "thermometer", rows)]
+    yield "thermometer", "thermometer", rows
 
 
-def _cmd_baseline(cfg: RunConfig, out: str) -> list[str]:
+def _cmd_baseline(cfg: RunConfig):
     if cfg["baseline.feedforward"] == "calibrated":
         cfg.system.fmap = _feedforward(cfg)
-    rows = baseline_curve(
+    yield "baseline", "baseline", baseline_curve(
         cfg.floats("baseline.loads"), cfg.system,
         settle_steps=cfg["baseline.settle_steps"],
         measure_steps=cfg["baseline.measure_steps"],
     )
-    return [emit_csv(os.path.join(out, "baseline.csv"), "baseline", rows)]
 
 
 def _read_pattern(path, window: int) -> InputPattern:
@@ -235,44 +211,34 @@ def _read_pattern(path, window: int) -> InputPattern:
         for (_, load), duration in zip(breakpoints, durations + [tail])))
 
 
-def _cmd_homeostasis(cfg: RunConfig, out: str) -> list[str]:
+def _cmd_homeostasis(cfg: RunConfig):
     cfg.system.fmap = _feedforward(cfg)
     path = cfg["homeostasis.pattern_csv"]
     pattern = (checked(path, _read_pattern, path, cfg["neuron.window"]) if path
                else cfg.pattern)
     res = run_homeostasis(pattern, cfg.system)
-    return [
-        emit_csv(os.path.join(out, "homeostasis_rates.csv"),
-                 "homeostasis_rates", res.window_rates()),
-        emit_csv(os.path.join(out, "homeostasis_spike_windows.csv"),
-                 "homeostasis_spike_windows", res.spike_count_windows()),
-        emit_csv(os.path.join(out, "homeostasis_trace.csv"),
-                 "homeostasis_trace",
-                 ((k, k * res.dt_s, res.mean_loads[k], res.t_set[k],
-                   res.t_dev[k], int(res.spikes[k]))
-                  for k in range(res.steps))),
-    ]
+    yield "homeostasis_rates", "homeostasis_rates", res.window_rates()
+    yield ("homeostasis_spike_windows", "homeostasis_spike_windows",
+           res.spike_count_windows())
+    yield "homeostasis_trace", "homeostasis_trace", (
+        (k, k * res.dt_s, res.mean_loads[k], res.t_set[k], res.t_dev[k],
+         int(res.spikes[k])) for k in range(res.steps))
 
 
-def _cmd_calibrate(cfg: RunConfig, out: str) -> list[str]:
+def _cmd_calibrate(cfg: RunConfig):
     cal = calibrate_gain(
         cfg.floats("calibrate.loads"), cfg.system, mode=cfg["calibrate.mode"],
         gamma=cfg["neuron.gamma"], kappa_grid=cfg.kappa_grid,
     )
-    files = [
-        emit_csv(os.path.join(out, "calibrate_gain.csv"), "calibrate_gain",
-                 [(cal.mode, cal.kappa, cal.spread_uncompensated,
-                   cal.spread_calibrated)]),
-        emit_csv(os.path.join(out, "calibrate_barriers.csv"),
-                 "calibrate_barriers",
-                 ((a.label, a.r_ref, a.total_drop, phi)
-                  for a, phi in zip(cfg.fit.anchors, cfg.fit.phi_of_anchor))),
-    ]
+    yield "calibrate_gain", "calibrate_gain", [
+        (cal.mode, cal.kappa, cal.spread_uncompensated,
+         cal.spread_calibrated)]
+    yield "calibrate_barriers", "calibrate_barriers", (
+        (a.label, a.r_ref, a.total_drop, phi)
+        for a, phi in zip(cfg.fit.anchors, cfg.fit.phi_of_anchor))
     if cal.mode == "table":
-        files.append(emit_csv(
-            os.path.join(out, "calibrate_table.csv"), "calibrate_table",
-            zip(cal.fmap.table_loads, cal.fmap.table_temps)))
-    return files
+        yield "calibrate_table", "calibrate_table", zip(
+            cal.fmap.table_loads, cal.fmap.table_temps)
 
 
 _HANDLERS = {
@@ -336,16 +302,21 @@ def cli_dispatch(argv) -> int:
 
         out = cfg["run.out_dir"]
         os.makedirs(out, exist_ok=True)
-        run = _HANDLERS[args.experiment]
-        if args.experiment not in NUMPY_FREE:
+        if args.experiment in NUMPY_FREE:
+            numpy, errstate = "not imported", contextlib.nullcontext()
+        else:
             import numpy as np
             # numeric overflow is reported as a protocol failure, not a warning
-            run = np.errstate(over="raise", invalid="raise",
-                              divide="raise")(run)
-        files = run(cfg, out)
+            numpy, errstate = np.__version__, np.errstate(
+                over="raise", invalid="raise", divide="raise")
+        with errstate:
+            # a handler yields each table once the run has computed it, so
+            # the files of a failed run are those written before it failed
+            files = [emit_csv(os.path.join(out, f"{stem}.csv"), schema, rows)
+                     for stem, schema, rows in _HANDLERS[args.experiment](cfg)]
         files.append(write_manifest(os.path.join(out, "manifest.txt"), cfg,
                                     experiment=args.experiment,
-                                    version=__version__))
+                                    version=__version__, numpy=numpy))
         for path in files:
             print(path)
         return 0

@@ -93,17 +93,18 @@ def parse_csv(path, schema_id: str | None = None):
     return header, rows
 
 
-def write_manifest(path, config, experiment: str, version: str) -> str:
+def write_manifest(path, config, experiment: str, version: str,
+                   numpy: str) -> str:
     """Echo the fully resolved configuration under the versions of Python
-    and of the numpy the run imported (looked up, never imported here);
-    the manifest alone is enough to reproduce the run byte for byte."""
+    and of the numpy the experiment imports (`numpy` is that version, or
+    "not imported"); the manifest alone is enough to reproduce the run
+    byte for byte."""
     python = ".".join(map(str, sys.version_info[:3]))
-    numpy = sys.modules.get("numpy")
     text = (
         f"# memthermo run manifest\n"
         f"# version = {version}\n"
         f"# python = {python}\n"
-        f"# numpy = {numpy.__version__ if numpy else 'not imported'}\n"
+        f"# numpy = {numpy}\n"
         f"# experiment = {experiment}\n"
         + config.serialize()
     )

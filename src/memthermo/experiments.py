@@ -81,8 +81,6 @@ class HoldSummary:
 class CycleResult:
     records: list[TraceRecord]
     holds: list[HoldSummary]
-    state: DeviceState
-    fit: ThermalFit
 
     def steady_values(self, t_set: float) -> list[float]:
         return [h.r_steady_ohm for h in self.holds if h.t_set_K == t_set]
@@ -188,7 +186,7 @@ def run_thermal_cycling(
             r_first_ohm=hold[0].r_ohm, r_last_ohm=hold[-1].r_ohm,
             settled=True,
         ))
-    return CycleResult(records=records, holds=holds, state=state, fit=fit)
+    return CycleResult(records=records, holds=holds)
 
 
 @dataclass
@@ -235,14 +233,11 @@ class HsrResult:
     """
 
     records: list[TraceRecord]
-    t_test_K: float
-    v_prog_V: float
     frac_state: float
     frac_at_t: float
     frac_vs_300: float
     recovered_frac: float
     reset_pulses: int
-    state_initial: DeviceState
     state_final: DeviceState
 
 
@@ -319,13 +314,12 @@ def run_heat_stimulate_retention(
                                start=1):
         t += PULSE_PERIOD_S
         log(r, PHASE_PROGRAM, pulse_index=k, v=v)
-    state_final = reset.state
 
     return HsrResult(
-        records=records, t_test_K=t_test, v_prog_V=v_prog,
+        records=records,
         frac_state=frac_state, frac_at_t=frac_at_t, frac_vs_300=frac_vs_300,
         recovered_frac=recovered, reset_pulses=reset.pulses,
-        state_initial=state0, state_final=state_final,
+        state_final=reset.state,
     )
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from memthermo.cli import _hsr_args
 from memthermo.config import resolve_config
 from memthermo.device import (DEFAULT_ANCHORS, DeviceState, SwitchingParams,
                               ThermalFit)
@@ -54,13 +55,7 @@ def cycle(cfg, cycle_args):
 @pytest.fixture(scope="session")
 def hsr_args(cfg):
     """The keywords `hsr` and `nullcline` pass to each hsr run."""
-    return dict(
-        fit=cfg.fit, params=cfg.switching, plant=cfg.plant, state=cfg.device,
-        pulse_count=cfg["hsr.pulse_count"],
-        retention_reads=cfg["hsr.retention_reads"],
-        retention_period_s=cfg["hsr.retention_period_s"],
-        hold_s=cfg["schedule.hold_s"],
-        read_period_s=cfg["schedule.read_period_s"])
+    return _hsr_args(cfg)
 
 
 @pytest.fixture(scope="session")

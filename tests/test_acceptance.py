@@ -23,6 +23,7 @@ from memthermo.calibration import (
     IVCurveSet,
     extract_thermionic,
     invert_temperature,
+    thermometer_guard,
 )
 from memthermo.cli import cli_dispatch
 from memthermo.device import (
@@ -43,6 +44,8 @@ from memthermo.neuron import (
 )
 from memthermo.rng import substream
 from memthermo.thermal import TemperatureSchedule, settled
+
+from test_golden import RUNS
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -201,7 +204,7 @@ def test_c08_thermometer_round_trip(fit):
                               - T))
 
     rng = substream(2024, "noise")
-    guard = 2.5 * 0.01 + 0.005
+    guard = thermometer_guard(0.01, 2.5, 0.0)
     worst_noisy = 0.0
     for T in range(300, 361, 10):
         r_true = read_resistance(state, fit, float(T))
@@ -276,25 +279,9 @@ def test_c10_baseline_linearity(build_system):
     assert r2 >= 0.95
 
 
-_DETERMINISM_RUNS = {
-    "cycle": [],
-    "levels": ["--set", "schedule.read_period_s=30"],
-    "iv": [],
-    "signature": [],
-    "hsr": [],
-    "nullcline": ["--preset", "L1"],
-    "thermometer": ["--set", "thermometer.noise_sigma=0.01",
-                    "--set", "thermometer.trials=5"],
-    "baseline": ["--set", "baseline.settle_steps=300",
-                 "--set", "baseline.measure_steps=500"],
-    "homeostasis": ["--set", "homeostasis.pattern=0.25:400"],
-    "calibrate": [],
-}
-
-
 def test_c11_determinism_all_subcommands(tmp_path, capsys):
     checked = 0
-    for command, extra in _DETERMINISM_RUNS.items():
+    for command, extra in RUNS.items():
         first = tmp_path / f"{command}_a"
         assert cli_dispatch([command, "--out", str(first), "--seed", "17",
                              *extra]) == 0

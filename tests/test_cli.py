@@ -318,9 +318,9 @@ def test_config_mistake_fails_as_config_error_on_one_line(
                   "--set", "schedule.hold_s=800"],
                  "train_switch_fraction: math range error",
                  id="nullcline-beta-1e9"),
-    # the read scatter exp(sigma * z) overflows on the first positive z
+    # the clamp band exp(2.5 * sigma) overflows before any read
     pytest.param(["thermometer", "--set", "thermometer.noise_sigma=1e9"],
-                 "_cmd_thermometer: math range error",
+                 "thermometer_guard: math range error",
                  id="thermometer-noise-1e9"),
 ])
 def test_numeric_overflow_fails_as_protocol_error_on_one_line(
@@ -347,11 +347,20 @@ def test_run_failure_fails_as_protocol_error_on_one_line(
         2, f"error: protocol: {reason}\n")
 
 
+def test_failed_run_keeps_only_the_tables_written_before_it(tmp_path, capsys):
+    # signature writes iv.csv before its extraction fails; no manifest is
+    # written and no path is printed
+    assert _run("signature", "--set", "iv.temps_k=300,360",
+                "--out", str(tmp_path)) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["iv.csv"]
+    assert capsys.readouterr().out == ""
+
+
 def test_model_value_error_fails_as_protocol_error_on_one_line(
         tmp_path, capsys, monkeypatch):
     # a ValueError from the model on a configuration that passed every
     # check is a failed run: one error line, never a traceback
-    def handler(cfg, out):
+    def handler(cfg):
         raise ValueError("r_persistent must be > 0")
     monkeypatch.setitem(cli._HANDLERS, "cycle", handler)
     assert (_run("cycle", "--out", str(tmp_path)),
@@ -556,7 +565,7 @@ def test_numpy_free_commands_run_with_numpy_blocked(tmp_path, capsys, cmd):
                                  if c not in cli.NUMPY_FREE])
 def test_numpy_overflow_in_a_numpy_command_fails_on_one_line(
         tmp_path, capsys, monkeypatch, cmd):
-    def handler(cfg, out):
+    def handler(cfg):
         np.exp(np.float64(1e3))
         return []
     monkeypatch.setitem(cli._HANDLERS, cmd, handler)
@@ -569,12 +578,11 @@ def test_numpy_overflow_in_a_numpy_command_fails_on_one_line(
 
 def test_manifest_names_python_and_numpy(tmp_path, capsys):
     python = ".".join(map(str, sys.version_info[:3]))
-    # hsr imports no numpy, so its manifest names none
-    hsr = _cli_process("hsr", "--out", str(tmp_path / "hsr"),
-                       *(f"--set={kv}" for kv in _SHORT))
-    assert hsr.returncode == 0
-    assert _run("baseline", "--out", str(tmp_path / "baseline"),
-                *(f"--set={kv}" for kv in _SHORT)) == 0
+    # hsr imports no numpy, so its manifest names none, even when run in
+    # a process that has loaded numpy, as this one has
+    for cmd in ("hsr", "baseline"):
+        assert _run(cmd, "--out", str(tmp_path / cmd),
+                    *(f"--set={kv}" for kv in _SHORT)) == 0
     for cmd, numpy in (("hsr", "not imported"), ("baseline", np.__version__)):
         head = (tmp_path / cmd / "manifest.txt").read_text().splitlines()[:5]
         assert head == ["# memthermo run manifest",

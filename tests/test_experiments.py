@@ -151,8 +151,9 @@ def test_hsr_retention_recovers_monotonically_but_incompletely(
 
 def test_hsr_reset_restores_reference_within_one_percent(hsr, state_at, fit,
                                                         params):
-    res = hsr(state=state_at("L1"), t_test=350.0, fit=fit, params=params)
-    r0 = res.state_initial.r_persistent
+    state = state_at("L1")
+    res = hsr(state=state, t_test=350.0, fit=fit, params=params)
+    r0 = state.r_persistent
     assert abs(res.state_final.r_persistent - r0) / r0 < 0.01
     assert res.state_final.r_volatile_excess == 0.0
 
@@ -220,10 +221,10 @@ def _hsr_read_by_read(t_test, v_prog, fit, params, plant, state, pulse_count,
         t += PULSE_PERIOD_S
         log(r, "program", pulse_index=k, v=v)
     return HsrResult(
-        records=records, t_test_K=t_test, v_prog_V=v_prog,
+        records=records,
         frac_state=frac_state, frac_at_t=frac_at_t, frac_vs_300=frac_vs_300,
         recovered_frac=recovered, reset_pulses=reset.pulses,
-        state_initial=state0, state_final=reset.state,
+        state_final=reset.state,
     )
 
 

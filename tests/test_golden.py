@@ -11,7 +11,8 @@ import pytest
 from memthermo.cli import cli_dispatch
 from memthermo.config import resolve_config
 
-# every subcommand, at the reduced step counts of test_c11
+# every subcommand at reduced step counts; test_c11 reruns each from its
+# manifest
 RUNS = {
     "cycle": [],
     "levels": ["--set", "schedule.read_period_s=30"],
