@@ -222,14 +222,17 @@ def sensitivity_percent_per_K(temps, resistances) -> float:
     return slope
 
 
-def thermometer_guard(noise_sigma: float, clip: float,
-                      drift_scale: float) -> float:
+# Read noise is clipped at NOISE_CLIP standard deviations.
+NOISE_CLIP = 2.5
+
+
+def thermometer_guard(noise_sigma: float, drift_scale: float) -> float:
     """Relative clamp band for invert_temperature. In log space a reading
-    is off the undrifted model by at most clip * noise_sigma (read noise
-    clipped at clip standard deviations) plus the drift half-band; a guard
-    that covers both clamps every band-edge reading."""
+    is off the undrifted model by at most NOISE_CLIP * noise_sigma (the
+    clipped read noise) plus the drift half-band; a guard that covers both
+    clamps every band-edge reading."""
     return max(0.02, math.expm1(
-        clip * noise_sigma + 0.5 * math.log1p(drift_scale)) + 0.005)
+        NOISE_CLIP * noise_sigma + 0.5 * math.log1p(drift_scale)) + 0.005)
 
 
 def invert_temperature(

@@ -17,6 +17,7 @@ import sys
 
 from . import __version__
 from .calibration import (
+    NOISE_CLIP,
     IVCurveSet,
     extract_thermionic,
     fit_switch_curve,
@@ -166,15 +167,14 @@ def _cmd_thermometer(cfg: RunConfig):
     res = _cycle(cfg)
     sigma = cfg["thermometer.noise_sigma"]
     rng = substream(cfg["run.seed"], "noise")
-    clip = 2.5   # read noise is clipped at clip standard deviations
-    guard = thermometer_guard(sigma, clip, cfg["cycle.drift_scale"])
+    guard = thermometer_guard(sigma, cfg["cycle.drift_scale"])
     rows = []
     for hold in res.holds:
         for trial in range(trials):
             r = hold.r_steady_ohm
             if sigma > 0:
                 # clipped log-normal read scatter: bounded instrument noise
-                z = min(max(rng.standard_normal(), -clip), clip)
+                z = min(max(rng.standard_normal(), -NOISE_CLIP), NOISE_CLIP)
                 r *= math.exp(sigma * z)
             t_est = invert_temperature(r, cfg.fit, cfg.device.r_eff,
                                        guard=guard)

@@ -6,9 +6,9 @@ free. REGISTRY is the one home of every default: a key either states it
 or reads it from the model field it sets (SwitchingParams, the level
 anchors, ThermalPlant.tau_air_s, FeedforwardMap's kappa and t_fixed),
 and the runners and builders take every argument from the caller.
-Unknown keys are rejected rather than ignored. Environment variables
-prefixed MEMTHERMO_ override file values (run.seed ->
-MEMTHERMO_RUN_SEED), and explicit CLI overrides sit on top. Each key
+Unknown keys are rejected rather than ignored. A run's values come from
+the defaults, the config file and the explicit CLI overrides, each on
+top of the one before, and from nowhere else. Each key
 checks its own domain; relations between keys are left to the
 constructors: resolve_config builds each configured object once, and the
 run uses those objects. The numpy neuron template alone is built on
@@ -17,7 +17,6 @@ first use, by the neuron commands; its rules are checked up front.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -159,7 +158,9 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
     _k("iv.input_csv", str, "", "extract from this IV CSV instead of "
        "simulating (signature command)"),
 
-    _k("thermometer.noise_sigma", float, 0.0, "relative read noise", nonneg),
+    # at 0.1 the clipped scatter moves R by up to 28 %, over L4's 11 % drop
+    _k("thermometer.noise_sigma", float, 0.0, "relative read noise",
+       within(0, 0.1)),
     _k("thermometer.trials", int, 1, "noisy inversions per settled hold",
        positive),
 
@@ -252,9 +253,8 @@ class RunConfig:
         explicit = self.floats("schedule.setpoints")
         # None: the run draws the scrambled schedule (numpy.random) itself
         self.schedule = checked(
-            "schedule.setpoints", TemperatureSchedule,
-            entries=tuple((t, self["schedule.hold_s"]) for t in explicit),
-        ) if explicit else None
+            "schedule.setpoints", TemperatureSchedule, tuple(explicit),
+            self["schedule.hold_s"]) if explicit else None
         anchors = tuple(replace(a, r_ref=self[r], total_drop=self[d])
                         for a in DEFAULT_ANCHORS
                         for r, d in [_fit_keys(a.label)])
@@ -312,7 +312,6 @@ class RunConfig:
 
 def resolve_config(
     config_path: str | None = None,
-    env: dict[str, str] | None = None,
     overrides: dict[str, str] | None = None,
 ) -> RunConfig:
     values: dict[str, object] = {k.name: k.default for k in REGISTRY.values()}
@@ -331,16 +330,6 @@ def resolve_config(
         except OSError as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from None
         apply(parse_config_text(text, source=config_path), config_path)
-
-    env = os.environ if env is None else env
-    env_lookup = {k.replace(".", "_").upper(): k for k in REGISTRY}
-    for var, raw in env.items():
-        if not var.startswith("MEMTHERMO_"):
-            continue
-        name = env_lookup.get(var[len("MEMTHERMO_"):])
-        if name is None:
-            raise ConfigError(f"unknown config key in environment: {var}")
-        values[name] = _parse_value(REGISTRY[name], raw)
 
     if overrides:
         apply(overrides, "command line")

@@ -523,9 +523,11 @@ def retention_run(state: DeviceState, temps, params: SwitchingParams,
     return replace(state, r_volatile_excess=volatile, era=None), trace
 
 
-# Reset pulse amplitude (V) and the relative band around the target.
+# Reset pulse amplitude (V), the relative band around the target and the
+# pulse budget.
 RESET_V = 1.5
 RESET_TOLERANCE = 0.01
+RESET_MAX_PULSES = 10_000
 
 
 @dataclass(frozen=True)
@@ -541,8 +543,6 @@ def reset_to_reference(
     target_r: float,
     params: SwitchingParams,
     fit: ThermalFit,
-    T: float = T_REF,
-    max_pulses: int = 10_000,
 ) -> ResetResult:
     """Drive the persistent state back to target_r with programming trains.
 
@@ -551,7 +551,7 @@ def reset_to_reference(
     polarity toward the target; when a train era saturates without
     reaching the band the era is restarted, so convergence is geometric
     from any starting point inside the hard resistance bounds. Fails with
-    the last achieved resistance after max_pulses.
+    the last achieved resistance after RESET_MAX_PULSES.
     """
     if target_r <= 0:
         raise ValueError("target_r must be > 0")
@@ -577,15 +577,15 @@ def reset_to_reference(
     reads: list[float] = []
     volts: list[float] = []
     while not in_band(current.r_persistent):
-        if len(reads) >= max_pulses:
+        if len(reads) >= RESET_MAX_PULSES:
             raise ResetError(
-                f"no convergence to {target_r:.4g} Ohm within {max_pulses} "
-                f"pulses", last_resistance=current.r_persistent,
-                pulses=len(reads),
+                f"no convergence to {target_r:.4g} Ohm within "
+                f"{RESET_MAX_PULSES} pulses",
+                last_resistance=current.r_persistent, pulses=len(reads),
             )
         v = -RESET_V if current.r_persistent > target_r else RESET_V
         before = current.r_persistent
-        current, trace = apply_pulse_train(current, v, 1, T, params, fit)
+        current, trace = apply_pulse_train(current, v, 1, T_REF, params, fit)
         reads.append(trace[-1])
         volts.append(v)
         # era saturated without reaching the band: restart the curve

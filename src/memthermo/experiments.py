@@ -162,22 +162,21 @@ def run_thermal_cycling(
     """
     plant = plant.copy()
     phi = fit.phi_for_state(state.r_eff)
-    factors = _drift_factors(drift_scale, seed, len(schedule.entries))
+    factors = _drift_factors(drift_scale, seed, len(schedule.setpoints))
 
     records: list[TraceRecord] = []
     holds: list[HoldSummary] = []
     t = 0.0
-    for index, ((t_set, hold_s), factor) in enumerate(
-            zip(schedule.entries, factors)):
+    for index, (t_set, factor) in enumerate(zip(schedule.setpoints, factors)):
         start = len(records)
-        t = _hold(plant, state, fit, t_set, hold_s, read_period_s, t,
-                  records, factor)
+        t = _hold(plant, state, fit, t_set, schedule.hold_s, read_period_s,
+                  t, records, factor)
         hold = records[start:]
         ok = settled([r.t_s for r in hold], [r.r_ohm for r in hold])
         if ok is not True:
             raise ProtocolError(
-                f"hold {index} at {t_set} K not settled after {hold_s} s "
-                f"(criterion: {ok})"
+                f"hold {index} at {t_set} K not settled after "
+                f"{schedule.hold_s} s (criterion: {ok})"
             )
         holds.append(HoldSummary(
             index=index, t_set_K=t_set,

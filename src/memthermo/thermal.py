@@ -105,23 +105,21 @@ def settled(times_s, resistances) -> bool | None:
 
 @dataclass(frozen=True)
 class TemperatureSchedule:
-    """Ordered setpoint holds. Setpoints are the protocol's 10 K grid."""
+    """Ordered setpoints, each held for hold_s. Setpoints are the
+    protocol's 10 K grid."""
 
-    entries: tuple[tuple[float, float], ...]   # (setpoint K, hold s)
+    setpoints: tuple[float, ...]   # K
+    hold_s: float
 
     def __post_init__(self):
-        if not self.entries:
+        if not self.setpoints:
             raise ValueError("schedule must contain at least one entry")
-        for t_set, hold in self.entries:
+        for t_set in self.setpoints:
             ThermalPlant._check_setpoint(t_set)
             if t_set % 10 != 0:
                 raise ValueError(f"setpoint {t_set} K not on the 10 K grid")
-            if hold <= 0:
-                raise ValueError("hold must be > 0 s")
-
-    @property
-    def setpoints(self) -> tuple[float, ...]:
-        return tuple(e[0] for e in self.entries)
+        if self.hold_s <= 0:
+            raise ValueError("hold must be > 0 s")
 
 
 def scrambled_schedule(seed: int, hold_s: float) -> TemperatureSchedule:
@@ -138,5 +136,4 @@ def scrambled_schedule(seed: int, hold_s: float) -> TemperatureSchedule:
     revisits = [300.0, 360.0]
     if order[-1] == revisits[0]:
         revisits.reverse()
-    entries = tuple((t, float(hold_s)) for t in order + revisits)
-    return TemperatureSchedule(entries=entries)
+    return TemperatureSchedule(tuple(order + revisits), float(hold_s))

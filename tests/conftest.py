@@ -14,7 +14,7 @@ from memthermo.thermal import scrambled_schedule
 def cfg():
     """The default configuration: every runner argument a test does not
     set itself comes from here, as the CLI passes it."""
-    return resolve_config(env={})
+    return resolve_config()
 
 
 @pytest.fixture(scope="session")

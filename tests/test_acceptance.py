@@ -101,10 +101,10 @@ def test_c02_per_level_sensitivity(level_sweep):
 
 
 def test_c03_settling_criterion(cycle, fit):
-    staircase = TemperatureSchedule(entries=tuple(
-        (float(t), 3600.0)
+    staircase = TemperatureSchedule(tuple(
+        float(t)
         for t in [310, 320, 330, 340, 350, 360, 350, 340, 330, 320, 310, 300]
-    ))
+    ), 3600.0)
     res = cycle(schedule=staircase, fit=fit)
     checked = 0
     for hold in res.holds:
@@ -204,7 +204,7 @@ def test_c08_thermometer_round_trip(fit):
                               - T))
 
     rng = substream(2024, "noise")
-    guard = thermometer_guard(0.01, 2.5, 0.0)
+    guard = thermometer_guard(0.01, 0.0)
     worst_noisy = 0.0
     for T in range(300, 361, 10):
         r_true = read_resistance(state, fit, float(T))

@@ -20,6 +20,7 @@ from memthermo.calibration import (
     fit_switch_curve,
     invert_temperature,
     sensitivity_percent_per_K,
+    thermometer_guard,
 )
 from memthermo.constants import T_MAX, T_MIN
 from memthermo.device import (
@@ -218,7 +219,7 @@ def test_invert_noisy_monte_carlo_within_two_kelvin(fit):
     # Guard widened to the noise clip so band-edge readings clamp.
     rng = substream(123, "noise")
     state = DeviceState(r_persistent=3e6)
-    guard = 2.5 * 0.01 + 0.005
+    guard = thermometer_guard(0.01, 0.0)
     worst = 0.0
     for T in range(300, 361, 10):
         r_true = read_resistance(state, fit, float(T))

@@ -65,11 +65,17 @@ def test_manifest_rerun_byte_identical(tmp_path, capsys):
     assert (a / "iv.csv").read_bytes() == (b / "iv.csv").read_bytes()
 
 
-def test_env_override_applies(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MEMTHERMO_RUN_SEED", "99")
-    out = tmp_path / "env"
-    assert _run("iv", "--out", str(out)) == 0
-    assert "run.seed = 99" in (out / "manifest.txt").read_text()
+def test_manifest_rerun_ignores_the_environment(tmp_path, monkeypatch,
+                                               capsys):
+    # a MEMTHERMO_* variable once overrode the manifest (a different iv.csv)
+    # or, naming no key, failed every run with exit 1
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert _run("iv", "--out", str(a)) == 0
+    monkeypatch.setenv("MEMTHERMO_DEVICE_LEVEL", "L4")
+    monkeypatch.setenv("MEMTHERMO_HOME", "/tmp")
+    assert _run("iv", "--config", str(a / "manifest.txt"),
+                "--out", str(b)) == 0
+    assert (a / "iv.csv").read_bytes() == (b / "iv.csv").read_bytes()
 
 
 def test_homeostasis_emits_both_windowings(tmp_path, capsys):
@@ -238,8 +244,13 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
                    f"neuron.spread_sigma must be in [0, 1], got {float(v)!r}",
                    id=f"homeostasis-spread-{v}") for v in ("1e9", "320")),
     pytest.param(["thermometer", "--set", "thermometer.noise_sigma=-0.01"],
-                 "thermometer.noise_sigma must be >= 0, got -0.01",
+                 "thermometer.noise_sigma must be in [0, 0.1], got -0.01",
                  id="thermometer-noise-neg"),
+    # the clamp band exp(2.5 * sigma) once overflowed (exit 2)
+    pytest.param(["thermometer", "--set", "thermometer.noise_sigma=1e9"],
+                 "thermometer.noise_sigma must be in [0, 0.1], got "
+                 "1000000000.0",
+                 id="thermometer-noise-1e9"),
     pytest.param(["cycle", "--set", "device.r_ohm=-5"],
                  "device.r_ohm must be 0 or in [1000.0, 30000000.0], got -5.0",
                  id="r-ohm-neg"),
@@ -318,10 +329,6 @@ def test_config_mistake_fails_as_config_error_on_one_line(
                   "--set", "schedule.hold_s=800"],
                  "train_switch_fraction: math range error",
                  id="nullcline-beta-1e9"),
-    # the clamp band exp(2.5 * sigma) overflows before any read
-    pytest.param(["thermometer", "--set", "thermometer.noise_sigma=1e9"],
-                 "thermometer_guard: math range error",
-                 id="thermometer-noise-1e9"),
 ])
 def test_numeric_overflow_fails_as_protocol_error_on_one_line(
         tmp_path, capsys, argv, reason):
@@ -485,7 +492,7 @@ def test_fit_override_moves_the_level_table(tmp_path, capsys, build_system):
                if float(r[1]) == 300.0 and float(r[2]) == 0.2]
     assert v / i == pytest.approx(2e6, rel=1e-9)
 
-    fit = resolve_config(env={}, overrides={"fit.r_l1_ohm": "2e6"}).fit
+    fit = resolve_config(overrides={"fit.r_l1_ohm": "2e6"}).fit
     system = build_system(level="L1", fit=fit)
     assert [s.r_persistent for s in system.synapses] == [2e6] * N_SYNAPSES
 

@@ -16,7 +16,7 @@ from memthermo.csvio import SCHEMAS, emit_csv, format_value, parse_csv
 
 
 def test_defaults_match_documented_values():
-    cfg = resolve_config(env={})
+    cfg = resolve_config()
     assert cfg["run.seed"] == 0
     assert cfg["switching.v_th_v"] == 0.5
     assert cfg["switching.g_14_310"] == 0.22
@@ -35,11 +35,9 @@ def test_unknown_keys_rejected_everywhere(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense.key = 1\n")
     with pytest.raises(ConfigError, match="nonsense.key"):
-        resolve_config(config_path=str(bad), env={})
-    with pytest.raises(ConfigError, match="MEMTHERMO_NO_SUCH"):
-        resolve_config(env={"MEMTHERMO_NO_SUCH": "1"})
+        resolve_config(config_path=str(bad))
     with pytest.raises(ConfigError, match="run.sneed"):
-        resolve_config(env={}, overrides={"run.sneed": "1"})
+        resolve_config(overrides={"run.sneed": "1"})
 
 
 def test_non_finite_floats_rejected_everywhere(tmp_path):
@@ -47,23 +45,22 @@ def test_non_finite_floats_rejected_everywhere(tmp_path):
     cfg_file.write_text("schedule.hold_s = inf\n")
     with pytest.raises(ConfigError,
                        match="^schedule.hold_s must be finite, got 'inf'$"):
-        resolve_config(config_path=str(cfg_file), env={})
+        resolve_config(config_path=str(cfg_file))
     with pytest.raises(ConfigError,
                        match="^neuron.theta must be finite, got '-inf'$"):
-        resolve_config(env={"MEMTHERMO_NEURON_THETA": "-inf"})
+        resolve_config(overrides={"neuron.theta": "-inf"})
     with pytest.raises(ConfigError,
                        match="^fit.drop_l1 must be finite, got 'NaN'$"):
-        resolve_config(env={}, overrides={"fit.drop_l1": "NaN"})
+        resolve_config(overrides={"fit.drop_l1": "NaN"})
     # a bad spelling is still reported as a type error
     with pytest.raises(ConfigError, match="is not float"):
-        resolve_config(env={}, overrides={"fit.drop_l1": "nope"})
+        resolve_config(overrides={"fit.drop_l1": "nope"})
 
 
 def test_precedence_file_env_override(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("run.seed = 1\nschedule.hold_s = 1800\n")
     cfg = resolve_config(config_path=str(cfg_file),
-                         env={"MEMTHERMO_RUN_SEED": "2"},
                          overrides={"run.seed": "3"})
     assert cfg["run.seed"] == 3
     assert cfg["schedule.hold_s"] == 1800.0
@@ -71,7 +68,7 @@ def test_precedence_file_env_override(tmp_path):
 
 def test_bad_value_type_reports_key(tmp_path):
     with pytest.raises(ConfigError, match="run.seed"):
-        resolve_config(env={}, overrides={"run.seed": "abc"})
+        resolve_config(overrides={"run.seed": "abc"})
 
 
 def test_parse_config_text_rejects_garbage():
@@ -82,34 +79,34 @@ def test_parse_config_text_rejects_garbage():
 
 
 def test_serialize_round_trips_exact_floats():
-    cfg = resolve_config(env={}, overrides={"switching.beta_per_v":
+    cfg = resolve_config(overrides={"switching.beta_per_v":
                                             repr(math.log(11.0) / 0.7)})
     text = cfg.serialize()
     reparsed = parse_config_text(text)
     assert len(reparsed) == len(REGISTRY)
-    cfg2 = resolve_config(env={}, overrides=reparsed)
+    cfg2 = resolve_config(overrides=reparsed)
     assert cfg2["switching.beta_per_v"] == cfg["switching.beta_per_v"]
     assert cfg2.serialize() == text
 
 
 def test_float_list_parser():
-    cfg = resolve_config(env={}, overrides={"baseline.loads": "0.1, 0.2,0.3"})
+    cfg = resolve_config(overrides={"baseline.loads": "0.1, 0.2,0.3"})
     assert cfg.floats("baseline.loads") == [0.1, 0.2, 0.3]
     with pytest.raises(ConfigError, match="baseline.loads"):
-        resolve_config(env={}, overrides={"baseline.loads": "a,b"}).floats(
+        resolve_config(overrides={"baseline.loads": "a,b"}).floats(
             "baseline.loads")
 
 
 def test_builders_construct_model_objects():
-    cfg = resolve_config(env={})
+    cfg = resolve_config()
     assert [a.label for a in cfg.fit.anchors] == ["pristine", "L1", "L2",
                                                   "L3", "L4"]
     assert cfg.switching.g_14_310 == 0.22
     assert cfg.plant.tau_dev_s == 720.0
-    wafer = resolve_config(env={}, overrides={"plant.preset": "on_wafer"})
+    wafer = resolve_config(overrides={"plant.preset": "on_wafer"})
     assert wafer.plant.tau_dev_s == 60.0
     with pytest.raises(ConfigError, match="plant.preset"):
-        resolve_config(env={}, overrides={"plant.preset": "floating"})
+        resolve_config(overrides={"plant.preset": "floating"})
 
 
 # ---------------------------------------------------------------------------

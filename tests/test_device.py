@@ -19,6 +19,7 @@ from memthermo.device import (
     MAX_TOTAL_DROP,
     MIN_TOTAL_DROP,
     PHI_APP_MIN,
+    RESET_MAX_PULSES,
     CalibrationError,
     DeviceState,
     LevelAnchor,
@@ -564,9 +565,9 @@ def test_reset_error_carries_last_resistance(fit, params):
     # resistance bottoms out before the persistent part can get there
     state = DeviceState(r_persistent=50e3)
     with pytest.raises(ResetError) as err:
-        reset_to_reference(state, 1.05e3, params, fit, max_pulses=2000)
+        reset_to_reference(state, 1.05e3, params, fit)
     assert err.value.last_resistance > 1.05e3
-    assert err.value.pulses == 2000
+    assert err.value.pulses == RESET_MAX_PULSES
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_cycle_holds_all_settled_and_steady_drop(cycle, state_at, fit):
 
 
 def test_cycle_single_entry_schedule_flat_trace(cycle, fit):
-    sched = TemperatureSchedule(entries=((300.0, 3600.0),))
+    sched = TemperatureSchedule((300.0,), 3600.0)
     res = cycle(schedule=sched, fit=fit)
     values = {r.r_ohm for r in res.records}
     assert len(values) == 1
@@ -92,7 +92,7 @@ def test_cycle_deterministic_reruns(cycle, fit):
 
 
 def test_cycle_unsettled_hold_raises(cycle, fit):
-    sched = TemperatureSchedule(entries=((310.0, 900.0),))
+    sched = TemperatureSchedule((310.0,), 900.0)
     with pytest.raises(ProtocolError, match="not settled"):
         cycle(schedule=sched, fit=fit)
 

@@ -155,5 +155,5 @@ def test_csv_outputs_match_golden(seed, tmp_path, capsys):
 
 
 def test_default_config_serialization_matches_golden():
-    text = resolve_config(env={}).serialize()
+    text = resolve_config().serialize()
     assert _sha(text.encode()) == DEFAULT_CONFIG_SHA

@@ -241,7 +241,7 @@ def test_scrambled_schedule_multiset_and_revisits(cfg):
         counts[t] = counts.get(t, 0) + 1
     assert counts == {300.0: 2, 310.0: 1, 320.0: 1, 330.0: 1, 340.0: 1,
                       350.0: 1, 360.0: 2}
-    assert all(hold == 3600.0 for _, hold in sched.entries)
+    assert sched.hold_s == 3600.0
 
 
 def test_scrambled_schedule_orders_differ_between_seeds(cfg):
@@ -259,10 +259,10 @@ def test_scrambled_schedule_never_repeats_adjacent_setpoints(cfg, seed):
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        TemperatureSchedule(entries=())
+        TemperatureSchedule((), 3600.0)
     with pytest.raises(ValueError, match="10 K grid"):
-        TemperatureSchedule(entries=((315.0, 3600.0),))
+        TemperatureSchedule((315.0,), 3600.0)
     with pytest.raises(ValueError):
-        TemperatureSchedule(entries=((370.0, 3600.0),))
+        TemperatureSchedule((370.0,), 3600.0)
     with pytest.raises(ValueError):
-        TemperatureSchedule(entries=((310.0, 0.0),))
+        TemperatureSchedule((310.0,), 0.0)
