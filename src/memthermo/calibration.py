@@ -40,25 +40,25 @@ class ThermometerRangeError(ValueError):
 def _linear_fit(x, y) -> tuple[float, float, float]:
     """Least-squares line fit returning (slope, intercept, r_squared).
 
-    A zero-variance target counts as perfectly fit when the residuals are
-    zero (constant data is a valid degenerate line).
+    Centred closed form on correctly rounded sums: slope sum(dx*dy)/sum(dx^2)
+    about the means; a constant target is a flat line with r^2 = 1.
     """
-    import numpy as np
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 2:
-        raise ExtractionError("need at least two points for a line fit")
-    if np.ptp(x) == 0.0:
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    n = len(x)
+    if n < 2 or len(y) != n:
+        raise ExtractionError("need at least two (x, y) points for a line fit")
+    if not all(map(math.isfinite, x + y)):
+        raise ExtractionError("non-finite sample in a line fit")
+    if min(x) == max(x):
         raise ExtractionError("singular design: all abscissae identical")
-    slope, intercept = np.polyfit(x, y, 1)
-    residuals = y - (slope * x + intercept)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    if min(y) == max(y):
+        return 0.0, y[0], 1.0
+    x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
+    dx, dy = [v - x_mean for v in x], [v - y_mean for v in y]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    intercept = y_mean - slope * x_mean
+    ss_res = math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(x, y))
+    return slope, intercept, 1.0 - ss_res / math.fsum(d * d for d in dy)
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,10 @@ class IVCurveSet:
             raise ValueError("one curve per temperature required")
         if len(self.temperatures) < 1:
             raise ValueError("empty curve set")
+        for T, curve in zip(self.temperatures, self.curves):
+            if not (0.0 < T < math.inf
+                    and all(math.isfinite(x) for vi in curve for x in vi)):
+                raise ValueError(f"T={T!r} K: need T > 0 and finite T, v and i")
 
     @classmethod
     def from_rows(cls, rows) -> "IVCurveSet":
@@ -120,11 +124,15 @@ class ThermionicExtraction:
 
 
 def _stage1(ivs: IVCurveSet, polarity: int):
-    """Per-voltage regressions of ln(|I|/T^2) on 1/T for one polarity."""
+    """Regressions of ln(|I|/T^2) on 1/T at each voltage of one polarity,
+    one LAPACK solve for all: the spread of their intercepts is round-off,
+    and its bytes follow the solver's operation order."""
     import numpy as np
     temps = np.asarray(ivs.temperatures, dtype=float)
     if temps.size < 3:
         raise ExtractionError("stage 1: need at least three temperatures")
+    if np.ptp(temps) == 0.0:
+        raise ExtractionError("singular design: all abscissae identical")
     by_voltage: dict[float, list[float]] = {}
     for T, curve in zip(temps, ivs.curves):
         for v, i in curve:
@@ -144,19 +152,19 @@ def _stage1(ivs: IVCurveSet, polarity: int):
         raise ExtractionError(
             "stage 1: need at least three voltages per polarity"
         )
-    slopes, intercepts, r2s = [], [], []
-    inv_t = 1.0 / temps
     for v in voltages:
-        ys = by_voltage[v]
-        if len(ys) != temps.size:
+        if len(by_voltage[v]) != temps.size:
             raise ExtractionError(
                 f"stage 1: voltage {v} V missing at some temperatures"
             )
-        slope, intercept, r2 = _linear_fit(inv_t, ys)
-        slopes.append(slope)
-        intercepts.append(intercept)
-        r2s.append(r2)
-    return np.array(voltages), np.array(slopes), np.array(intercepts), np.array(r2s)
+    inv_t = 1.0 / temps
+    ys = np.array([by_voltage[v] for v in voltages]).T   # column j: voltage j
+    slopes, intercepts = np.polyfit(inv_t, ys, 1)
+    ss_res = ((ys - (slopes * inv_t[:, None] + intercepts)) ** 2).sum(axis=0)
+    ss_tot = ((ys - ys.mean(axis=0)) ** 2).sum(axis=0)
+    r2s = [1.0 - a / b if b else float(a == 0.0)   # flat y: 1 if fit exactly
+           for a, b in zip(ss_res.tolist(), ss_tot.tolist())]
+    return np.array(voltages), slopes, intercepts, np.array(r2s)
 
 
 def extract_thermionic(ivs: IVCurveSet) -> ThermionicExtraction:
@@ -209,17 +217,14 @@ def sensitivity_percent_per_K(temps, resistances) -> float:
 
     The baseline is the first settled 300 K point in the trace.
     """
-    import numpy as np
-    temps = np.asarray(temps, dtype=float)
-    resistances = np.asarray(resistances, dtype=float)
-    if temps.size != resistances.size or temps.size < 2:
+    temps, resistances = list(map(float, temps)), list(map(float, resistances))
+    if len(temps) != len(resistances) or len(temps) < 2:
         raise ValueError("need >= 2 (T, R) pairs")
-    baseline = np.flatnonzero(np.abs(temps - 300.0) < 1e-6)
-    if baseline.size == 0:
+    baseline = [r for T, r in zip(temps, resistances) if abs(T - 300.0) < 1e-6]
+    if not baseline:
         raise ValueError("trace lacks the 300 K baseline point")
-    r300 = resistances[baseline[0]]
-    slope, _, _ = _linear_fit(temps - 300.0, 100.0 * (resistances / r300 - 1.0))
-    return slope
+    return _linear_fit([T - 300.0 for T in temps],
+                       [100.0 * (r / baseline[0] - 1.0) for r in resistances])[0]
 
 
 # Read noise is clipped at NOISE_CLIP standard deviations.
@@ -287,7 +292,6 @@ def fit_switch_curve(grid) -> SwitchCurveFit:
     Log-linear regression in v at each temperature pins beta; the
     fractions at 1.4 V regressed against T pin the two anchor values.
     """
-    import numpy as np
     rows = [(float(v), float(T), float(f)) for v, T, f in grid]
     if not rows:
         raise ExtractionError("empty nullcline grid")
@@ -307,9 +311,8 @@ def fit_switch_curve(grid) -> SwitchCurveFit:
     for T, pairs in sorted(by_temp.items()):
         if len({v for v, _ in pairs}) < 2:
             continue
-        vs = np.array([v for v, _ in pairs])
-        lf = np.log([f for _, f in pairs])
-        slope, _, r2 = _linear_fit(vs, lf)
+        slope, _, r2 = _linear_fit([v for v, _ in pairs],
+                                   [math.log(f) for _, f in pairs])
         slopes.append(slope)
         r2s.append(r2)
     if not slopes:
@@ -324,7 +327,7 @@ def fit_switch_curve(grid) -> SwitchCurveFit:
     return SwitchCurveFit(
         g_14_310=t_intercept + t_slope * 310.0,
         g_14_360=t_intercept + t_slope * 360.0,
-        beta=float(np.mean(slopes)),
-        r2_voltage_min=float(np.min(r2s)),
+        beta=math.fsum(slopes) / len(slopes),
+        r2_voltage_min=min(r2s),
         r2_temperature=r2_t,
     )

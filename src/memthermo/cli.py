@@ -254,8 +254,8 @@ _HANDLERS = {
     "calibrate": _cmd_calibrate,
 }
 EXPERIMENTS = tuple(_HANDLERS)
-# scalar recurrences on `math` alone, overflowing as Python's OverflowError
-NUMPY_FREE = ("hsr", "iv")
+# scalar work and line fits on `math` alone, overflowing as OverflowError
+NUMPY_FREE = ("hsr", "iv", "nullcline")
 
 
 def _build_parser() -> argparse.ArgumentParser:

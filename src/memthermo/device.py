@@ -280,6 +280,8 @@ class ThermalFit:
         object.__setattr__(self, "_log_r", tuple(math.log10(r) for r in reversed(r_refs)))
         object.__setattr__(self, "_phi_asc", tuple(reversed(phis)))
         object.__setattr__(self, "phi_of_anchor", phis)
+        # the last (r_eff, phi) pair: a hold reads one state many times
+        object.__setattr__(self, "_last", (None, 0.0))
 
     def anchor(self, label: str) -> LevelAnchor:
         """The anchor named label."""
@@ -293,15 +295,21 @@ class ThermalFit:
         """Apparent barrier for a device whose 300 K resistance is r_eff."""
         if r_eff <= 0:
             raise ValueError("r_eff must be > 0")
+        last_r, phi = self._last   # one read: the pair stays consistent
+        if r_eff == last_r:
+            return phi
         x = math.log10(r_eff)
         xs, ys = self._log_r, self._phi_asc
         if x <= xs[0]:
-            return ys[0]
-        if not x < xs[-1]:  # NaN clamps here too
-            return ys[-1]
-        i = bisect.bisect_left(xs, x)   # the first xs[i] >= x
-        f = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
-        return ys[i - 1] + f * (ys[i] - ys[i - 1])
+            phi = ys[0]
+        elif not x < xs[-1]:  # NaN clamps here too
+            phi = ys[-1]
+        else:
+            i = bisect.bisect_left(xs, x)   # the first xs[i] >= x
+            f = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+            phi = ys[i - 1] + f * (ys[i] - ys[i - 1])
+        object.__setattr__(self, "_last", (r_eff, phi))
+        return phi
 
 
 def iv_preset(level: str, fit: ThermalFit) -> ThermionicParams:

@@ -33,6 +33,7 @@ class ThermalPlant:
     t_dev: float = 300.0
     tau_air_s: float = 180.0
     tau_dev_s: float = 720.0
+    _flow = (None, 0.0, 0.0, False)   # not a field: see step
 
     def __post_init__(self):
         if self.tau_air_s <= 0 or self.tau_dev_s <= 0:
@@ -66,10 +67,13 @@ class ThermalPlant:
         if dt_s <= 0:
             raise ValueError("dt_s must be > 0")
         ta, td = self.tau_air_s, self.tau_dev_s
-        ea = math.exp(-dt_s / ta)
-        ed = math.exp(-dt_s / td)
+        key, ea, ed, equal = self._flow   # factors of the last (dt_s, ta, td)
+        if key != (dt_s, ta, td):
+            ea, ed = math.exp(-dt_s / ta), math.exp(-dt_s / td)
+            equal = abs(ta - td) < 1e-9 * max(ta, td)
+            self._flow = ((dt_s, ta, td), ea, ed, equal)
         b = self.t_air - self.t_set
-        if abs(ta - td) < 1e-9 * max(ta, td):
+        if equal:
             # equal time constants: the cross term degenerates to t*e^(-t/tau)
             dev = (b * dt_s / td) * ed + (self.t_dev - self.t_set) * ed
         else:

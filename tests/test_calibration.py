@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -16,6 +16,7 @@ from memthermo.calibration import (
     ExtractionError,
     IVCurveSet,
     ThermometerRangeError,
+    _linear_fit,
     extract_thermionic,
     fit_switch_curve,
     invert_temperature,
@@ -265,6 +266,56 @@ def test_switch_curve_requires_anchor_coverage(params):
             for v in (0.8, 1.0, 1.2, 1.4)]
     with pytest.raises(ExtractionError, match="1.4 V"):
         fit_switch_curve(rows)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form line fit against numpy's least squares
+
+
+def _polyfit_line(x, y):
+    """(slope, intercept, r2) as the fit was written on np.polyfit."""
+    x, y = np.asarray(x), np.asarray(y)
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = np.sum((y - (slope * x + intercept)) ** 2)
+    ss_tot = np.sum((y - y.mean()) ** 2)
+    return slope, intercept, 1.0 - ss_res / ss_tot
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=50, unique=True),
+       st.floats(1e-3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+       st.floats(-1e3, 1e3), st.floats(0.0, 1e2),
+       st.lists(st.floats(-1.0, 1.0), min_size=50, max_size=50))
+def test_linear_fit_matches_polyfit(ks, x_scale, x_offset, slope, intercept,
+                                    noise_scale, noise):
+    x = [x_offset + k * x_scale for k in ks]
+    y = [slope * xi + intercept + noise_scale * e for xi, e in zip(x, noise)]
+    # well conditioned: the target varies well above its round-off
+    assume(max(y) - min(y) > 1e-6 * max(map(abs, y)))
+    got, want = _linear_fit(x, y), _polyfit_line(x, y)
+    y_scale = max(map(abs, y))
+    tol = 1e-9 * np.array([y_scale / (max(x) - min(x)), y_scale, 1.0])
+    for g, w, t in zip(got, want, tol):
+        assert math.isclose(g, w, rel_tol=1e-9, abs_tol=t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50, unique=True),
+       st.floats(-1e6, 1e6))
+def test_linear_fit_constant_target_is_a_perfect_flat_line(x, c):
+    assert _linear_fit(x, [c] * len(x)) == (0.0, c, 1.0)
+
+
+@pytest.mark.parametrize("x, y, match", [
+    ([1.0], [2.0], "at least two"),
+    ([3.0, 3.0, 3.0], [1.0, 2.0, 3.0], "abscissae identical"),
+    ([1.0, 2.0, math.nan], [1.0, 2.0, 3.0], "non-finite"),
+    ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0], "non-finite"),
+    ([1.0, 2.0, 3.0], [math.nan] * 3, "non-finite"),
+])
+def test_linear_fit_rejects_degenerate_input(x, y, match):
+    with pytest.raises(ExtractionError, match=match):
+        _linear_fit(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,9 @@ def test_numeric_overflow_fails_as_protocol_error_on_one_line(
     pytest.param(["signature", "--set", "iv.temps_k=300,360"],
                  "stage 1: need at least three temperatures",
                  id="signature-two-temperatures"),
+    pytest.param(["signature", "--set", "iv.temps_k=300,300,300"],
+                 "singular design: all abscissae identical",
+                 id="signature-one-temperature-thrice"),
 ])
 def test_run_failure_fails_as_protocol_error_on_one_line(
         tmp_path, capsys, argv, reason):
@@ -383,6 +386,12 @@ def test_model_value_error_fails_as_protocol_error_on_one_line(
                  id="iv-empty"),
     pytest.param("pattern.csv", "", "homeostasis.pattern_csv",
                  "homeostasis", "empty file", id="pattern-empty"),
+    # T_K=0 once failed as a division by zero (exit 2)
+    *(pytest.param("iv.csv", f"level,T_K,v_V,i_A\npristine,{T},{v},1e-6\n",
+                   "iv.input_csv", "signature",
+                   f"T={float(T)!r} K: need T > 0 and finite T, v and i",
+                   id=f"iv-T-{T}-v-{v}")
+      for T, v in (("nan", 0.1), ("inf", 0.1), (0, 0.1), (300, "inf"))),
     # both once ran, the first shifted 100 steps early
     *(pytest.param("pattern.csv", f"step,load\n{step},0.2\n150,0.3\n",
                    "homeostasis.pattern_csv", "homeostasis",
@@ -397,6 +406,29 @@ def test_malformed_input_file_fails_as_config_error(
                 "--set", f"{key}={path}")
     assert (code, capsys.readouterr().err) == (
         1, f"error: config: {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("column, value, bad_T", [("i_A", "nan", 300.0),
+                                                  ("T_K", "-300", -300.0)])
+def test_iv_file_with_one_bad_value_fails_as_config_error(
+        tmp_path, capsys, column, value, bad_T):
+    # both once exited 0: nan in both signature rows, or a fit on negative
+    # temperatures; the first row's value is replaced wherever it occurs
+    assert _run("iv", "--out", str(tmp_path)) == 0
+    path = tmp_path / "iv.csv"
+    header, *rows = path.read_text().splitlines()
+    k = header.split(",").index(column)
+    cells = [row.split(",") for row in rows]
+    first = cells[0][k]
+    for row in cells:
+        row[k] = value if row[k] == first else row[k]
+    path.write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+    capsys.readouterr()
+    code = _run("signature", "--out", str(tmp_path / "sig"),
+                "--set", f"iv.input_csv={path}")
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: config: {path}: T={bad_T!r} K: need T > 0 and finite "
+           "T, v and i\n")
 
 
 def test_missing_input_file_fails_as_io_error(tmp_path, capsys):
@@ -550,7 +582,7 @@ def test_cli_import_pulls_in_no_scipy():
 
 
 def test_cli_import_pulls_in_no_numpy():
-    # numpy costs ~0.1 s of import; hsr and iv never need it
+    # numpy costs ~0.1 s of import; hsr, iv and nullcline never need it
     assert _imported_by_cli("numpy").stdout.strip() == "[]"
 
 

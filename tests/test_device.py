@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from memthermo.constants import K_B_EV, T_MAX, T_REF, V_READ
 from memthermo.device import (
+    DEFAULT_ANCHORS,
     LEVEL_ORDER,
     MAX_TOTAL_DROP,
     MIN_TOTAL_DROP,
@@ -292,6 +293,21 @@ def test_phi_for_state_equals_table_scan(fit_states):
     fit, states = fit_states
     for r_eff in states:
         assert fit.phi_for_state(r_eff) == _phi_by_scan(fit, r_eff)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([a.r_ref for a in DEFAULT_ANCHORS]
+                                          + [2e6, 30e6, 1.5e3]),
+                          st.floats(1e2, 1e8)),
+                min_size=1, max_size=20),
+       st.lists(st.sampled_from([0.0, 1e-12, -1e-6, 1e-3]), min_size=20,
+                max_size=20))
+def test_phi_for_state_remembers_nothing_but_its_answer(fit, rs, nudges):
+    # repeats, near repeats and changes of r_eff, interleaved, read exactly
+    # what a fit that has seen no earlier state reads
+    for r_eff in (r * (1.0 + n) for r, n in zip(rs, nudges)):
+        assert fit.phi_for_state(r_eff) == ThermalFit(
+            anchors=fit.anchors).phi_for_state(r_eff)
 
 
 # the IV half of the level table, as first calibrated; goldens and the

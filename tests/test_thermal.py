@@ -90,6 +90,49 @@ def test_plant_substep_invariance(dt, t_set, t_air, t_dev):
     assert one.t_air == pytest.approx(two.t_air, rel=1e-12, abs=1e-10)
 
 
+def _step_uncached(plant: ThermalPlant, dt_s: float):
+    """ThermalPlant.step as written before it kept its decay factors."""
+    ta, td = plant.tau_air_s, plant.tau_dev_s
+    ea = math.exp(-dt_s / ta)
+    ed = math.exp(-dt_s / td)
+    b = plant.t_air - plant.t_set
+    if abs(ta - td) < 1e-9 * max(ta, td):
+        dev = (b * dt_s / td) * ed + (plant.t_dev - plant.t_set) * ed
+    else:
+        k = b * ta / (ta - td)
+        c = (plant.t_dev - plant.t_set) - k
+        dev = k * ea + c * ed
+    plant.t_air = plant.t_set + b * ea
+    plant.t_dev = plant.t_set + dev
+
+
+_TAUS = st.one_of(st.sampled_from([60.0, 180.0, 720.0]),
+                  st.floats(1.0, 1e4))
+_PLANT_OPS = st.lists(st.one_of(
+    st.tuples(st.just("step"), st.one_of(st.sampled_from([0.1, 6.0, 30.0]),
+                                         st.floats(1e-3, 1e4))),
+    st.tuples(st.just("tau_air_s"), _TAUS),
+    st.tuples(st.just("tau_dev_s"), _TAUS),
+    st.tuples(st.just("t_set"), st.sampled_from([300.0, 330.0, 360.0])),
+), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PLANT_OPS)
+def test_plant_step_reuses_factors_bit_for_bit(ops):
+    # steps of mixed dt between edits of the time constants (equal ones
+    # included) track the uncached form with ==
+    plant, oracle = ThermalPlant.packaged(), ThermalPlant.packaged()
+    for op, value in ops:
+        if op == "step":
+            plant.step(value)
+            _step_uncached(oracle, value)
+        else:
+            setattr(plant, op, value)
+            setattr(oracle, op, value)
+        assert (plant.t_air, plant.t_dev) == (oracle.t_air, oracle.t_dev)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     setpoints=st.lists(
