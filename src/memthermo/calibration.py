@@ -57,8 +57,11 @@ def _linear_fit(x, y) -> tuple[float, float, float]:
     dx, dy = [v - x_mean for v in x], [v - y_mean for v in y]
     slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
     intercept = y_mean - slope * x_mean
-    ss_res = math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(x, y))
-    return slope, intercept, 1.0 - ss_res / math.fsum(d * d for d in dy)
+    e = -math.frexp(max(map(abs, dy)))[1]   # r^2 of y*2^e: no underflow
+    ss_res = math.fsum(math.ldexp(b - (slope * a + intercept), e) ** 2
+                       for a, b in zip(x, y))
+    return slope, intercept, 1.0 - ss_res / math.fsum(
+        d * d for d in (math.ldexp(d, e) for d in dy))
 
 
 @dataclass(frozen=True)

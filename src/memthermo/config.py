@@ -8,11 +8,11 @@ anchors, ThermalPlant.tau_air_s, FeedforwardMap's kappa and t_fixed),
 and the runners and builders take every argument from the caller.
 Unknown keys are rejected rather than ignored. A run's values come from
 the defaults, the config file and the explicit CLI overrides, each on
-top of the one before, and from nowhere else. Each key
-checks its own domain; relations between keys are left to the
-constructors: resolve_config builds each configured object once, and the
-run uses those objects. The numpy neuron template alone is built on
-first use, by the neuron commands; its rules are checked up front.
+top of the one before, and from nowhere else. Each key checks its own
+domain; relations between keys are left to the constructors:
+resolve_config builds each configured object once, and the run uses
+those objects. The neuron template alone, whose spread draws the seeded
+"spread" stream, is built on first use; its rules are checked up front.
 """
 from __future__ import annotations
 
@@ -74,6 +74,13 @@ def floats(each=None, nonempty=False):
             return "finite"
         return next(filter(None, map(each, values)), None) if each else None
     return check
+
+
+def distinct(check):
+    """A float-list check that also rejects a repeated value."""
+    return lambda raw: check(raw) or (
+        None if len(set(_float_list(raw))) == len(_float_list(raw))
+        else "a list without repeats")
 
 
 @dataclass(frozen=True)
@@ -151,7 +158,7 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
        positive),
 
     _k("iv.temps_k", str, "300,330,360", "IV sweep temperatures",
-       floats(within(T_MIN, T_MAX), nonempty=True)),
+       distinct(floats(within(T_MIN, T_MAX), nonempty=True))),
     _k("iv.v_min_v", float, 0.05, "smallest sweep amplitude"),
     _k("iv.v_max_v", float, 0.4, "largest sweep amplitude (< threshold)"),
     _k("iv.points", int, 8, "points per polarity"),

@@ -7,28 +7,38 @@ load drives the chamber setpoint feedforward; sustained load increases
 therefore heat the synapses, pull the weights down, and return the firing
 rate toward baseline while transients pass through at full strength.
 
-Per input segment, `NeuronSystem.drive` builds the constant 25-vector
-input, its mean and the feedforward setpoint once; per step,
-`NeuronSystem.step` only weighs the input at the device temperature,
-carries the accumulator and advances the plant. The loop is sequential
-(plant and accumulator are stateful); independent scenarios parallelise
-by owning separate systems.
+Per input segment, `NeuronSystem.drive` sums the loads on each distinct
+synapse barrier with `math.fsum` and sets the mean load and setpoint
+once; per step, `NeuronSystem.step` makes one `math.exp` per distinct
+barrier, adds the correctly rounded (so order-free) sum of weight times
+load sum, carries the accumulator and advances the plant. The loop is
+sequential (plant and accumulator are stateful); independent scenarios
+parallelise by owning separate systems.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .constants import K_B_EV, T_MAX, T_MIN, T_REF
 from .device import CalibrationError, DeviceState, ThermalFit, _brentq
 from .rng import substream
 from .thermal import ThermalPlant
 
-if TYPE_CHECKING:
-    import numpy as np
-
 N_SYNAPSES = 25
+
+
+def _synapse_loads(load) -> list[float]:
+    """A scalar or per-synapse load as one float per synapse."""
+    try:
+        loads = [float(x) for x in load]
+    except TypeError:   # a scalar load
+        loads = [float(load)]
+    if len(loads) not in (1, N_SYNAPSES):
+        raise ValueError(f"load must be scalar or length {N_SYNAPSES}")
+    return loads * (N_SYNAPSES // len(loads))
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,13 @@ class FeedforwardMap:
             return self.t_fixed
         if self.mode == "affine":
             return min(max(T_REF + self.kappa * load, T_MIN), T_MAX)
-        import numpy as np
-        return float(np.interp(load, self.table_loads, self.table_temps))
+        # as np.interp: end values outside the table, knot values on knots
+        xp, fp = self.table_loads, self.table_temps
+        j = bisect.bisect_right(xp, load) - 1
+        if j < 0 or j == len(xp) - 1 or xp[j] == load:
+            return float(fp[max(j, 0)])
+        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+        return slope * (load - xp[j]) + fp[j]
 
 
 @dataclass(frozen=True)
@@ -87,13 +102,7 @@ class InputPattern:
         for duration, load in self.segments:
             if int(duration) < 1:
                 raise ValueError("segment duration must be >= 1 step")
-            try:
-                loads = [float(x) for x in load]
-            except TypeError:   # a scalar load
-                loads = [float(load)]
-            if len(loads) not in (1, N_SYNAPSES):
-                raise ValueError(f"load must be scalar or length {N_SYNAPSES}")
-            if not all(0 <= x <= 1 for x in loads):   # NaN fails too
+            if not all(0 <= x <= 1 for x in _synapse_loads(load)):   # NaN too
                 raise ValueError("loads must lie in [0, 1]")
 
     @property
@@ -141,12 +150,10 @@ class NeuronSystem:
         self.dt_s = float(dt_s)
         self.window = int(window)
         self.accumulator = 0.0
-        import numpy as np
         # weights are read per step; the synapse states are static during
         # homeostasis runs (thermal control only), so cache their barriers
-        self._phi_over_kb = np.array(
-            [fit.phi_for_state(s.r_eff) for s in self.synapses]) / K_B_EV
-        self._exp = np.exp   # bound here: the per-step path imports nothing
+        self._phi_over_kb = [fit.phi_for_state(s.r_eff) / K_B_EV
+                             for s in self.synapses]
 
     @staticmethod
     def check(theta: float, dt_s: float, window: int) -> None:
@@ -177,41 +184,42 @@ class NeuronSystem:
         """System of identical-level synapses on a copy of plant, optionally
         with a seeded log-normal device-to-device spread of the reference
         resistance."""
-        import numpy as np
         r0 = fit.anchor(level).r_ref
+        draws = [0.0] * N_SYNAPSES   # exp(0.0) == 1.0: r0 exactly
         if spread_sigma > 0:
             rng = substream(seed, "spread")
-            factors = np.exp(rng.normal(0.0, spread_sigma, N_SYNAPSES))
-        else:
-            factors = np.ones(N_SYNAPSES)
-        synapses = [DeviceState(r_persistent=r0 * f) for f in factors]
+            draws = rng.normal(0.0, spread_sigma, N_SYNAPSES).tolist()
+        synapses = [DeviceState(r_persistent=r0 * math.exp(z)) for z in draws]
         return cls(synapses=synapses, fit=fit, plant=plant.copy(), fmap=fmap,
                    theta=theta, dt_s=dt_s, window=window)
 
     def copy(self) -> "NeuronSystem":
-        clone = NeuronSystem(
-            synapses=list(self.synapses), fit=self.fit,
-            plant=self.plant.copy(), fmap=self.fmap,
-            theta=self.theta, dt_s=self.dt_s, window=self.window,
-        )
+        clone = NeuronSystem(self.synapses, self.fit, self.plant.copy(),
+                             self.fmap, self.theta, self.dt_s, self.window)
         clone.accumulator = self.accumulator
         return clone
 
-    def weights_at(self, T: float) -> np.ndarray:
+    @staticmethod
+    def _ratios(T: float, barriers) -> list[float]:
+        """The weights R(T)/R(300 K) of barriers phi_app/kB at T."""
+        scale, inv = (T_REF / T) ** 2, 1.0 / T - 1.0 / T_REF
+        return [scale * math.exp(b * inv) for b in barriers]
+
+    def weights_at(self, T: float) -> list[float]:
         """Per-synapse weights at device temperature T."""
-        rho = (T_REF / T) ** 2 * self._exp(
-            self._phi_over_kb * (1.0 / T - 1.0 / T_REF)
-        )
-        return rho   # r_now / r_ref == rho since r_ref is the 300 K value
+        return self._ratios(T, self._phi_over_kb)
 
-    def drive(self, load) -> tuple[np.ndarray, float, float]:
-        """Per-segment invariants of a constant load: x, mean, setpoint."""
-        import numpy as np
-        x = np.broadcast_to(np.asarray(load, dtype=float), (N_SYNAPSES,))
-        mean = float(x.mean())
-        return x, mean, self.fmap.setpoint(mean)
+    def drive(self, load) -> tuple:
+        """Per-segment invariants of a constant load: the distinct barriers,
+        the fsum of the loads on each, the mean load and the setpoint."""
+        loads, groups = _synapse_loads(load), {}
+        for b, x in zip(self._phi_over_kb, loads):
+            groups.setdefault(b, []).append(x)
+        mean = math.fsum(loads) / N_SYNAPSES
+        return (tuple(groups), [math.fsum(xs) for xs in groups.values()],
+                mean, self.fmap.setpoint(mean))
 
-    def step(self, drive: tuple[np.ndarray, float, float]) -> int:
+    def step(self, drive) -> int:
         """Advance one step under `drive` (from `drive(load)`); returns the
         number of spikes emitted (0 or 1 in normal operation).
 
@@ -220,8 +228,9 @@ class NeuronSystem:
         drive/theta exactly. The plant then advances one dt toward the
         drive's setpoint.
         """
-        x, _, t_set = drive
-        self.accumulator += float(self.weights_at(self.plant.t_dev) @ x)
+        barriers, load_sums, _, t_set = drive
+        self.accumulator += math.fsum([w * x for w, x in zip(
+            self._ratios(self.plant.t_dev, barriers), load_sums)])
         spikes = 0
         if self.accumulator >= self.theta:
             spikes = int(self.accumulator // self.theta)
@@ -236,47 +245,42 @@ def settled_rate(system: NeuronSystem, load: float,
     """Asymptotic spike rate of system under fmap at a constant load:
     drive at the settled setpoint divided by theta."""
     t_inf = fmap.setpoint(load)
-    w = system.weights_at(t_inf)
-    return float(w.sum() * load / system.theta)
+    return math.fsum(system.weights_at(t_inf)) * load / system.theta
 
 
 @dataclass
 class HomeostasisResult:
-    spikes: np.ndarray        # spikes per step
-    mean_loads: np.ndarray
-    t_dev: np.ndarray
-    t_set: np.ndarray
+    spikes: list[int]         # spikes per step
+    mean_loads: list[float]
+    t_dev: list[float]
+    t_set: list[float]
     dt_s: float
     window: int
 
     @property
     def steps(self) -> int:
-        return int(self.spikes.size)
+        return len(self.spikes)
 
     def window_rates(self) -> list[tuple[int, float, float]]:
         """Non-overlapping fixed-step windows: (index, mid time, rate)."""
-        out = []
         w = self.window
-        for k in range(self.steps // w):
-            chunk = self.spikes[k * w:(k + 1) * w]
-            t_mid = (k + 0.5) * w * self.dt_s
-            out.append((k, t_mid, float(chunk.sum()) / w))
-        return out
+        return [(k, (k + 0.5) * w * self.dt_s,
+                 sum(self.spikes[k * w:(k + 1) * w]) / w)
+                for k in range(self.steps // w)]
 
     def spike_count_windows(self) -> list[tuple[int, float, float, float]]:
         """Windows of `window` consecutive spikes: (index, t_start, t_end,
         rate in spikes per step)."""
         # spike n (from 1) falls in the first step whose running count
         # reaches n
-        import numpy as np
-        counts = np.cumsum(self.spikes)
+        counts = list(itertools.accumulate(self.spikes))
         out = []
         w = self.window
-        for k in range(int(counts[-1]) // w if counts.size else 0):
-            t0 = np.searchsorted(counts, k * w + 1) * self.dt_s
-            t1 = np.searchsorted(counts, (k + 1) * w) * self.dt_s
+        for k in range(counts[-1] // w if counts else 0):
+            t0 = bisect.bisect_left(counts, k * w + 1) * self.dt_s
+            t1 = bisect.bisect_left(counts, (k + 1) * w) * self.dt_s
             span = max(t1 - t0, self.dt_s)
-            out.append((k, float(t0), float(t1), w / (span / self.dt_s)))
+            out.append((k, t0, t1, w / (span / self.dt_s)))
         return out
 
 
@@ -287,20 +291,15 @@ def run_homeostasis(pattern: InputPattern,
     Draws no random numbers: the result is a function of the pattern and
     the system (whose synapse spread, if any, was seeded at build time).
     """
-    import numpy as np
-    n = pattern.total_steps
-    spikes = np.zeros(n, dtype=np.int64)
-    mean_loads = np.zeros(n)
-    t_dev = np.zeros(n)
-    t_set = np.zeros(n)
-    end = 0
+    spikes, mean_loads, t_dev, t_set = [], [], [], []
     for duration, load in pattern.segments:
-        start, end = end, end + int(duration)
+        duration = int(duration)
         drive = system.drive(load)
-        mean_loads[start:end], t_set[start:end] = drive[1:]
-        for k in range(start, end):
-            t_dev[k] = system.plant.t_dev
-            spikes[k] = system.step(drive)
+        mean_loads += [drive[2]] * duration
+        t_set += [drive[3]] * duration
+        for _ in range(duration):
+            t_dev.append(system.plant.t_dev)
+            spikes.append(system.step(drive))
     return HomeostasisResult(
         spikes=spikes, mean_loads=mean_loads, t_dev=t_dev, t_set=t_set,
         dt_s=system.dt_s, window=system.window,
@@ -338,17 +337,13 @@ class GainCalibration:
     rates_calibrated: list[float]
     loads: list[float]
 
-    @staticmethod
-    def _spread(rates) -> float:
-        return max(rates) - min(rates)
-
     @property
     def spread_uncompensated(self) -> float:
-        return self._spread(self.rates_uncompensated)
+        return max(self.rates_uncompensated) - min(self.rates_uncompensated)
 
     @property
     def spread_calibrated(self) -> float:
-        return self._spread(self.rates_calibrated)
+        return max(self.rates_calibrated) - min(self.rates_calibrated)
 
 
 def affine_gains(kappa_max: float, step: float) -> list[float]:
@@ -394,27 +389,31 @@ def calibrate_gain(
     rates_k0 = [settled_rate(system, l, FeedforwardMap(kappa=0.0)) for l in loads]
 
     if mode == "affine":
-        import numpy as np
         best_kappa, best_var = None, math.inf
         for kappa in kappa_grid:
             fmap = FeedforwardMap(kappa=float(kappa))
             rates = [settled_rate(system, l, fmap) for l in loads]
-            var = float(np.var(rates))
+            mean = math.fsum(rates) / len(rates)   # two-pass variance
+            var = math.fsum((r - mean) * (r - mean) for r in rates) / len(rates)
             if var < best_var - 1e-15:
                 best_kappa, best_var = float(kappa), var
         if best_kappa is None:
             raise CalibrationError("empty kappa grid")
-        fmap = FeedforwardMap(kappa=best_kappa)
-        return GainCalibration(
-            fmap=fmap, mode=mode, kappa=best_kappa,
-            rates_uncompensated=rates_k0,
-            rates_calibrated=[settled_rate(system, l, fmap) for l in loads],
-            loads=loads,
-        )
+        fmap, kappa = FeedforwardMap(kappa=best_kappa), best_kappa
+    else:
+        fmap, kappa = _table_map(loads, system, gamma), math.nan
+    return GainCalibration(
+        fmap=fmap, mode=mode, kappa=kappa, rates_uncompensated=rates_k0,
+        rates_calibrated=[settled_rate(system, l, fmap) for l in loads],
+        loads=loads,
+    )
 
+
+def _table_map(loads, system: NeuronSystem, gamma: float) -> FeedforwardMap:
+    """The table feedforward of calibrate_gain at its sorted loads."""
     theta = system.theta
-    s_hot = float(system.weights_at(T_MAX).sum())
-    s_cold = float(system.weights_at(T_MIN).sum())
+    s_hot = math.fsum(system.weights_at(T_MAX))
+    s_cold = math.fsum(system.weights_at(T_MIN))
     l_min, l_max = loads[0], loads[-1]
     l_mid = loads[len(loads) // 2]
     # feasible band for the target-curve amplitude: the coldest point must
@@ -432,17 +431,8 @@ def calibrate_gain(
     for l in loads:
         target_sum = theta * amplitude * (l / l_mid) ** gamma / l
         temps.append(_brentq(
-            lambda T: float(system.weights_at(T).sum()) - target_sum,
+            lambda T: math.fsum(system.weights_at(T)) - target_sum,
             T_MIN, T_MAX, xtol=1e-6,
         ))
-    fmap = FeedforwardMap(
-        mode="table",
-        table_loads=tuple(loads),
-        table_temps=tuple(temps),
-    )
-    return GainCalibration(
-        fmap=fmap, mode=mode, kappa=float("nan"),
-        rates_uncompensated=rates_k0,
-        rates_calibrated=[settled_rate(system, l, fmap) for l in loads],
-        loads=loads,
-    )
+    return FeedforwardMap(mode="table", table_loads=tuple(loads),
+                          table_temps=tuple(temps))

@@ -4,6 +4,7 @@ Round-trip oracles: the forward model generates the synthetic data, the
 fits must recover the generating parameters.
 """
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -273,11 +274,14 @@ def test_switch_curve_requires_anchor_coverage(params):
 
 
 def _polyfit_line(x, y):
-    """(slope, intercept, r2) as the fit was written on np.polyfit."""
+    """(slope, intercept, r2) as the fit was written on np.polyfit, with
+    the deviations and residuals shifted by the power of two that brings
+    the largest deviation into [0.5, 1) before squaring."""
     x, y = np.asarray(x), np.asarray(y)
     slope, intercept = np.polyfit(x, y, 1)
-    ss_res = np.sum((y - (slope * x + intercept)) ** 2)
-    ss_tot = np.sum((y - y.mean()) ** 2)
+    e = -math.frexp(np.max(np.abs(y - y.mean())))[1]
+    ss_res = np.sum(np.ldexp(y - (slope * x + intercept), e) ** 2)
+    ss_tot = np.sum(np.ldexp(y - y.mean(), e) ** 2)
     return slope, intercept, 1.0 - ss_res / ss_tot
 
 
@@ -290,13 +294,24 @@ def test_linear_fit_matches_polyfit(ks, x_scale, x_offset, slope, intercept,
                                     noise_scale, noise):
     x = [x_offset + k * x_scale for k in ks]
     y = [slope * xi + intercept + noise_scale * e for xi, e in zip(x, noise)]
-    # well conditioned: the target varies well above its round-off
-    assume(max(y) - min(y) > 1e-6 * max(map(abs, y)))
+    # well conditioned: the target varies well above its round-off, which
+    # below the normal range is the absolute 5e-324 grid
+    assume(max(y) - min(y) > max(1e-6 * max(map(abs, y)), sys.float_info.min))
     got, want = _linear_fit(x, y), _polyfit_line(x, y)
     y_scale = max(map(abs, y))
-    tol = 1e-9 * np.array([y_scale / (max(x) - min(x)), y_scale, 1.0])
+    # a slope or intercept below the normal range rounds on that grid
+    tol = 1e-9 * np.maximum([y_scale / (max(x) - min(x)), y_scale, 1.0],
+                            sys.float_info.min)
     for g, w, t in zip(got, want, tol):
         assert math.isclose(g, w, rel_tol=1e-9, abs_tol=t)
+
+
+def test_linear_fit_tiny_target_keeps_a_finite_r2():
+    # the squared deviations of this target underflow to 0 unscaled: the
+    # fit once raised ZeroDivisionError here
+    y = [0.0, 1.150578019349456e-175]
+    assert _linear_fit([0.0, 1.0], y) == (y[1], 0.0, 1.0)
+    assert math.isclose(_polyfit_line([0.0, 1.0], y)[2], 1.0, rel_tol=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -360,10 +375,10 @@ def systems(build_system):
        st.sampled_from([1e-6, 2e-12]))
 def test_brentq_parity_weight_sum_residual(systems, level, u, xtol):
     system = systems[level]
-    s_hot = float(system.weights_at(T_MAX).sum())
-    s_cold = float(system.weights_at(T_MIN).sum())
+    s_hot = math.fsum(system.weights_at(T_MAX))
+    s_cold = math.fsum(system.weights_at(T_MIN))
     target_sum = s_hot + u * (s_cold - s_hot)
-    _same_as_scipy(lambda T: float(system.weights_at(T).sum()) - target_sum,
+    _same_as_scipy(lambda T: math.fsum(system.weights_at(T)) - target_sum,
                    T_MIN, T_MAX, xtol)
 
 

@@ -153,6 +153,25 @@ def test_signature_accepts_external_iv_csv(tmp_path, capsys):
         assert float(a[3]) == pytest.approx(float(b[3]), rel=1e-6)
 
 
+def test_signature_reads_back_its_own_four_temperature_iv_csv(tmp_path,
+                                                              capsys):
+    # every temperature is a curve of its own, so the read-back fits the
+    # same curves; the file carries 9 significant digits, and the
+    # round-off column intercept_spread follows them
+    sim, back = tmp_path / "sim", tmp_path / "back"
+    assert _run("signature", "--out", str(sim),
+                "--set", "iv.temps_k=300,310,330,360") == 0
+    assert _run("signature", "--out", str(back),
+                "--set", f"iv.input_csv={sim / 'iv.csv'}") == 0
+    _, sim_rows = parse_csv(sim / "signature.csv", "signature")
+    _, back_rows = parse_csv(back / "signature.csv", "signature")
+    assert [r[0] for r in back_rows] == [r[0] for r in sim_rows] != []
+    for a, b in zip(sim_rows, back_rows):
+        assert [float(v) for v in b[1:6]] == pytest.approx(
+            [float(v) for v in a[1:6]], rel=1e-6)
+        assert float(b[6]) < 1e-6
+
+
 def test_version_flag(capsys):
     assert _run("--version") == 0
     assert "memthermo" in capsys.readouterr().out
@@ -271,6 +290,14 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
     pytest.param(["iv", "--set", "iv.temps_k="],
                  "iv.temps_k must be a non-empty float list, got ''",
                  id="iv-temps-empty"),
+    # signature could not read back the iv.csv such a run wrote (exit 2)
+    pytest.param(["signature", "--set", "iv.temps_k=300,300,330,360"],
+                 "iv.temps_k must be a list without repeats, got "
+                 "'300,300,330,360'", id="signature-temps-repeated"),
+    # once a singular stage-1 fit (exit 2)
+    pytest.param(["signature", "--set", "iv.temps_k=300,300,300"],
+                 "iv.temps_k must be a list without repeats, got "
+                 "'300,300,300'", id="iv-temps-thrice"),
     # relations between keys: the constructors' checks, as config errors
     pytest.param(["hsr", "--set", "switching.v_th_v=0.9"],
                  "switching: v_th must sit between reads (0.2 V) and the "
@@ -346,9 +373,6 @@ def test_numeric_overflow_fails_as_protocol_error_on_one_line(
     pytest.param(["signature", "--set", "iv.temps_k=300,360"],
                  "stage 1: need at least three temperatures",
                  id="signature-two-temperatures"),
-    pytest.param(["signature", "--set", "iv.temps_k=300,300,300"],
-                 "singular design: all abscissae identical",
-                 id="signature-one-temperature-thrice"),
 ])
 def test_run_failure_fails_as_protocol_error_on_one_line(
         tmp_path, capsys, argv, reason):
@@ -553,21 +577,23 @@ def test_arguments_filled_from_cfg_have_no_default():
     assert defaults == set()
 
 
-def _python(code, *argv):
-    """Run `code` with argv in a fresh interpreter on the checkout's src."""
+def _python(code, *argv, block_numpy=False):
+    """Run `code` with argv in a fresh interpreter on the checkout's src;
+    with block_numpy, a None entry in sys.modules makes every
+    `import numpy` fail loudly."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
+    if block_numpy:
+        code = "import sys\nsys.modules['numpy'] = None\n" + code
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True)
 
 
 def _cli_process(*argv, block_numpy=False):
-    """cli_dispatch(argv) in a fresh interpreter; with block_numpy, a None
-    entry in sys.modules makes every `import numpy` fail loudly."""
-    return _python("import sys\n"
-                   + ("sys.modules['numpy'] = None\n" if block_numpy else "")
-                   + "from memthermo.cli import cli_dispatch\n"
-                   "sys.exit(cli_dispatch(sys.argv[1:]))", *argv)
+    """cli_dispatch(argv) in a fresh interpreter."""
+    return _python("import sys\nfrom memthermo.cli import cli_dispatch\n"
+                   "sys.exit(cli_dispatch(sys.argv[1:]))", *argv,
+                   block_numpy=block_numpy)
 
 
 def _imported_by_cli(package):
@@ -597,6 +623,32 @@ def test_numpy_free_commands_run_with_numpy_blocked(tmp_path, capsys, cmd):
     assert names == sorted(p.name for p in blocked.glob("*.csv")) != []
     for name in names:
         assert (blocked / name).read_bytes() == (ordinary / name).read_bytes()
+
+
+# the three neuron runners as the neuron commands call them, at the
+# default zero spread; `result` is the repr of what they return
+_NEURON_RUNS = """\
+from memthermo.config import resolve_config
+from memthermo.neuron import (InputPattern, baseline_curve, calibrate_gain,
+                              run_homeostasis)
+cfg = resolve_config()
+system = cfg.system
+cal = calibrate_gain(cfg.floats("calibrate.loads"), system, mode="table",
+                     kappa_grid=cfg.kappa_grid, gamma=cfg["neuron.gamma"])
+system.fmap = cal.fmap
+curve = baseline_curve([0.2, 0.3], system, 300, 500)
+res = run_homeostasis(InputPattern.parse("0.2:600,0.3:600"), system.copy())
+result = repr((cal.fmap, cal.rates_calibrated, curve, res.spikes,
+               res.mean_loads, res.t_set, res.t_dev))
+"""
+
+
+def test_neuron_runners_run_with_numpy_blocked():
+    run = _python(_NEURON_RUNS + "print(result)", block_numpy=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    scope = {}
+    exec(_NEURON_RUNS, scope)
+    assert run.stdout == scope["result"] + "\n"
 
 
 @pytest.mark.filterwarnings("error")   # an unguarded overflow only warns

@@ -1,4 +1,6 @@
 """Homeostatic neuron system tests."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,7 +47,7 @@ def test_pristine_weight_at_hot_end(build_system, fit):
 def test_weights_strictly_decreasing_in_temperature(build_system):
     system = build_system()
     temps = np.arange(300.0, 361.0, 5.0)
-    sums = [system.weights_at(T).sum() for T in temps]
+    sums = [math.fsum(system.weights_at(T)) for T in temps]
     assert all(b < a for a, b in zip(sums, sums[1:]))
 
 
@@ -72,7 +74,7 @@ def test_long_run_rate_matches_drive_over_theta(build_system):
     # fixed temperature, constant load: spike count follows the exact
     # carry-over accumulator, verified against a brute-force loop
     system = build_system(fmap=FeedforwardMap(mode="fixed", t_fixed=300.0))
-    drive = float(system.weights_at(300.0).sum()) * 0.25
+    drive = math.fsum(system.weights_at(300.0)) * 0.25
     steps = 500
     spikes = sum(system.step(system.drive(0.25)) for _ in range(steps))
     acc, expected = 0.0, 0
@@ -233,7 +235,7 @@ def test_both_windowings_emitted(build_system, table_map):
     assert len(res.window_rates()) == 2000 // 25
     spike_windows = res.spike_count_windows()
     assert spike_windows, "no spike-count windows recorded"
-    total_spikes = int(res.spikes.sum())
+    total_spikes = sum(res.spikes)
     assert len(spike_windows) == total_spikes // 25
 
 
@@ -343,31 +345,35 @@ def test_system_requires_exactly_25_synapses(cfg, fit):
 
 
 def _per_step_reference(pattern, system):
-    """Transcription of the loop that rebuilt everything every step: it
-    broadcasts the input, divides phi by kB, weighs, and sets the plant
-    from the feedforward map on the input mean. Steps a copy of the
-    system's plant; returns (spikes, mean_loads, t_dev, t_set, acc)."""
-    r_eff = np.array([s.r_eff for s in system.synapses])
-    phi = np.array([system.fit.phi_for_state(r) for r in r_eff])
+    """Transcription of the loop that rebuilds everything every step: it
+    broadcasts the input, divides phi by kB, weighs each distinct barrier
+    with one exp, adds the correctly rounded sum of weight times the sum
+    of the loads on that barrier, and sets the plant from the feedforward
+    map on the correctly rounded input mean. Steps a copy of the system's
+    plant; returns (spikes, mean_loads, t_dev, t_set, acc)."""
+    phi = [system.fit.phi_for_state(s.r_eff) / K_B_EV
+           for s in system.synapses]
     plant, acc = system.plant.copy(), system.accumulator
     spikes, mean_loads, t_dev, t_set = [], [], [], []
     for duration, load in pattern.segments:
         x = np.broadcast_to(np.atleast_1d(np.asarray(load, dtype=float)),
-                            (N_SYNAPSES,))
+                            (N_SYNAPSES,)).tolist()
         for _ in range(int(duration)):
             T = plant.t_dev
             t_dev.append(T)
-            w = (T_REF / T) ** 2 * np.exp(
-                (phi / K_B_EV) * (1.0 / T - 1.0 / T_REF))
-            acc += float(w @ x)
+            acc += math.fsum(
+                (T_REF / T) ** 2 * math.exp(b * (1.0 / T - 1.0 / T_REF))
+                * math.fsum(xi for p, xi in zip(phi, x) if p == b)
+                for b in sorted(set(phi)))
             n = 0
             if acc >= system.theta:
                 n = int(acc // system.theta)
                 acc -= n * system.theta
             spikes.append(n)
-            plant.set_setpoint(system.fmap.setpoint(float(x.mean())))
+            mean = math.fsum(x) / N_SYNAPSES
+            plant.set_setpoint(system.fmap.setpoint(mean))
             plant.step(system.dt_s)
-            mean_loads.append(float(np.mean(x)))
+            mean_loads.append(mean)
             t_set.append(plant.t_set)
     return spikes, mean_loads, t_dev, t_set, acc
 
@@ -403,10 +409,10 @@ def test_homeostasis_equals_per_step_loop_exactly(build_system, system_args,
     spikes, mean_loads, t_dev, t_set, acc = _per_step_reference(pattern,
                                                                 system)
     res = run_homeostasis(pattern, system)
-    assert res.spikes.tolist() == spikes
-    assert res.t_dev.tolist() == t_dev
-    assert res.t_set.tolist() == t_set
-    assert res.mean_loads.tolist() == mean_loads
+    assert res.spikes == spikes
+    assert res.t_dev == t_dev
+    assert res.t_set == t_set
+    assert res.mean_loads == mean_loads
     assert system.accumulator == acc
 
 
@@ -425,3 +431,40 @@ def test_baseline_curve_equals_per_step_loop_exactly(build_system,
             InputPattern(segments=segments + ((measure, load),)), system)[0]
         expected.append((load, sum(spikes[settle:]) / measure))
     assert baseline_curve(loads, system, settle, measure) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(T_MIN, T_MAX), spread_sigma=st.sampled_from([0.0, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1), load=_loads)
+def test_step_increment_within_1e_12_of_the_array_formula(
+        build_system, T, spread_sigma, seed, load):
+    # the increment the step made as `float(weights_at(T) @ x)` on arrays:
+    # np.exp and a BLAS dot against one exp per barrier and fsum
+    system = build_system(theta=1e300, spread_sigma=spread_sigma, seed=seed)
+    system.plant.t_dev = T
+    system.step(system.drive(load))
+    phi = np.array([system.fit.phi_for_state(s.r_eff)
+                    for s in system.synapses]) / K_B_EV
+    w = (T_REF / T) ** 2 * np.exp(phi * (1.0 / T - 1.0 / T_REF))
+    x = np.broadcast_to(np.asarray(load, dtype=float), (N_SYNAPSES,))
+    # below the normal range each product rounds on the 5e-324 grid
+    assert math.isclose(system.accumulator, float(w @ x), rel_tol=1e-12,
+                        abs_tol=N_SYNAPSES * 5e-324)
+
+
+_knots = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_knots.flatmap(lambda loads: st.tuples(
+           st.just(tuple(sorted(loads))),
+           st.lists(st.floats(T_MIN, T_MAX), min_size=len(loads),
+                    max_size=len(loads)).map(lambda t: tuple(sorted(t))))),
+       drawn=st.lists(st.floats(0.0, 1.0), max_size=5))
+def test_table_setpoint_equals_np_interp(table, drawn):
+    loads, temps = table
+    fmap = FeedforwardMap(mode="table", table_loads=loads, table_temps=temps)
+    # the knots, the ends of the load range (outside the table unless a
+    # knot sits there) and loads between
+    for load in [*loads, 0.0, 1.0, *drawn]:
+        assert fmap.setpoint(load) == float(np.interp(load, loads, temps))
