@@ -23,6 +23,7 @@ from .device import (
     _brentq,
     read_resistance,
 )
+from .rng import numpy
 
 
 class ExtractionError(ValueError):
@@ -130,7 +131,7 @@ def _stage1(ivs: IVCurveSet, polarity: int):
     """Regressions of ln(|I|/T^2) on 1/T at each voltage of one polarity,
     one LAPACK solve for all: the spread of their intercepts is round-off,
     and its bytes follow the solver's operation order."""
-    import numpy as np
+    np = numpy()
     temps = np.asarray(ivs.temperatures, dtype=float)
     if temps.size < 3:
         raise ExtractionError("stage 1: need at least three temperatures")
@@ -178,19 +179,21 @@ def extract_thermionic(ivs: IVCurveSet) -> ThermionicExtraction:
     fits -kB*m(v) against sqrt(v) per polarity: intercept phi_b, slope
     -alpha.
     """
-    import numpy as np
+    np = numpy()
     results = {}
     intercept_all = []
     stage1_r2 = []
-    for polarity in (+1, -1):
-        voltages, slopes, intercepts, r2s = _stage1(ivs, polarity)
-        y = -K_B_EV * slopes
-        slope2, phi_b, r2_2 = _linear_fit(np.sqrt(voltages), y)
-        results[polarity] = (phi_b, -slope2, r2_2)
-        intercept_all.extend(intercepts.tolist())
-        stage1_r2.extend(r2s.tolist())
-
-    a = math.exp(float(np.mean(intercept_all)))
+    # an overflow in the numpy arithmetic fails the run, not just warns
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for polarity in (+1, -1):
+            voltages, slopes, intercepts, r2s = _stage1(ivs, polarity)
+            y = -K_B_EV * slopes
+            slope2, phi_b, r2_2 = _linear_fit(np.sqrt(voltages), y)
+            results[polarity] = (phi_b, -slope2, r2_2)
+            intercept_all.extend(intercepts.tolist())
+            stage1_r2.extend(r2s.tolist())
+        a = math.exp(float(np.mean(intercept_all)))
+        spread = float(np.ptp(intercept_all))
     phi_pos, alpha_pos, r2_pos = results[+1]
     phi_neg, alpha_neg, r2_neg = results[-1]
     phi_b = 0.5 * (phi_pos + phi_neg)
@@ -211,7 +214,7 @@ def extract_thermionic(ivs: IVCurveSet) -> ThermionicExtraction:
         stage1_r2_min=float(np.min(stage1_r2)),
         stage2_r2_pos=r2_pos,
         stage2_r2_neg=r2_neg,
-        intercept_spread=float(np.ptp(intercept_all)),
+        intercept_spread=spread,
     )
 
 

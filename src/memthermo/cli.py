@@ -10,12 +10,11 @@ error, 3 I/O error; failures print one machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
 
-from . import __version__
+from . import __version__, rng
 from .calibration import (
     NOISE_CLIP,
     IVCurveSet,
@@ -43,7 +42,6 @@ from .neuron import (
     calibrate_gain,
     run_homeostasis,
 )
-from .rng import substream
 from .thermal import TemperatureSchedule, scrambled_schedule
 
 def _feedforward(cfg: RunConfig) -> FeedforwardMap:
@@ -166,7 +164,7 @@ def _cmd_thermometer(cfg: RunConfig):
     trials = cfg["thermometer.trials"]
     res = _cycle(cfg)
     sigma = cfg["thermometer.noise_sigma"]
-    rng = substream(cfg["run.seed"], "noise")
+    noise = rng.substream(cfg["run.seed"], "noise") if sigma > 0 else None
     guard = thermometer_guard(sigma, cfg["cycle.drift_scale"])
     rows = []
     for hold in res.holds:
@@ -174,7 +172,7 @@ def _cmd_thermometer(cfg: RunConfig):
             r = hold.r_steady_ohm
             if sigma > 0:
                 # clipped log-normal read scatter: bounded instrument noise
-                z = min(max(rng.standard_normal(), -NOISE_CLIP), NOISE_CLIP)
+                z = min(max(noise.standard_normal(), -NOISE_CLIP), NOISE_CLIP)
                 r *= math.exp(sigma * z)
             t_est = invert_temperature(r, cfg.fit, cfg.device.r_eff,
                                        guard=guard)
@@ -254,8 +252,6 @@ _HANDLERS = {
     "calibrate": _cmd_calibrate,
 }
 EXPERIMENTS = tuple(_HANDLERS)
-# scalar work and line fits on `math` alone, overflowing as OverflowError
-NUMPY_FREE = ("hsr", "iv", "nullcline")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -302,21 +298,15 @@ def cli_dispatch(argv) -> int:
 
         out = cfg["run.out_dir"]
         os.makedirs(out, exist_ok=True)
-        if args.experiment in NUMPY_FREE:
-            numpy, errstate = "not imported", contextlib.nullcontext()
-        else:
-            import numpy as np
-            # numeric overflow is reported as a protocol failure, not a warning
-            numpy, errstate = np.__version__, np.errstate(
-                over="raise", invalid="raise", divide="raise")
-        with errstate:
-            # a handler yields each table once the run has computed it, so
-            # the files of a failed run are those written before it failed
-            files = [emit_csv(os.path.join(out, f"{stem}.csv"), schema, rows)
-                     for stem, schema, rows in _HANDLERS[args.experiment](cfg)]
+        rng.numpy_version = "not imported"   # until this run imports it
+        # a handler yields each table once the run has computed it, so
+        # the files of a failed run are those written before it failed
+        files = [emit_csv(os.path.join(out, f"{stem}.csv"), schema, rows)
+                 for stem, schema, rows in _HANDLERS[args.experiment](cfg)]
         files.append(write_manifest(os.path.join(out, "manifest.txt"), cfg,
                                     experiment=args.experiment,
-                                    version=__version__, numpy=numpy))
+                                    version=__version__,
+                                    numpy=rng.numpy_version))
         for path in files:
             print(path)
         return 0

@@ -96,7 +96,7 @@ def parse_csv(path, schema_id: str | None = None):
 def write_manifest(path, config, experiment: str, version: str,
                    numpy: str) -> str:
     """Echo the fully resolved configuration under the versions of Python
-    and of the numpy the experiment imports (`numpy` is that version, or
+    and of the numpy the run imported (`numpy` is that version, or
     "not imported"); the manifest alone is enough to reproduce the run
     byte for byte."""
     python = ".".join(map(str, sys.version_info[:3]))

@@ -3,14 +3,9 @@
 Every consumer of randomness draws from its own named stream derived from
 the single run seed, so adding or removing draws in one consumer never
 perturbs the others, and identical (seed, config) reruns are bit-exact
-across platforms.
+across platforms. numpy, ~0.1 s of import, is loaded only by `numpy()`.
 """
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy
 
 _STREAMS = {
     "schedule": 1,   # temperature-order scrambling
@@ -19,12 +14,24 @@ _STREAMS = {
     "noise": 4,      # read noise for thermometer studies
 }
 
+# the numpy this run imported, for the manifest; cli_dispatch resets it
+numpy_version = "not imported"
 
-def substream(seed: int, name: str) -> numpy.random.Generator:
+
+def numpy():
+    """numpy, for a seeded draw or the signature fit, noted as imported."""
+    global numpy_version
+    import numpy as np
+    numpy_version = np.__version__
+    return np
+
+
+def substream(seed: int, name: str):
+    """The numpy Generator of the named stream under the run seed."""
     try:
         stream_id = _STREAMS[name]
     except KeyError:
         raise ValueError(f"unknown rng stream {name!r}; "
                          f"known: {sorted(_STREAMS)}") from None
-    import numpy as np   # only seeded draws need it
+    np = numpy()
     return np.random.default_rng(np.random.SeedSequence((int(seed), stream_id)))

@@ -364,6 +364,25 @@ def test_numeric_overflow_fails_as_protocol_error_on_one_line(
         2, f"error: protocol: {reason}\n")
 
 
+@pytest.mark.filterwarnings("error")   # an unguarded numpy error only warns
+def test_signature_fit_divide_by_zero_fails_on_one_line(tmp_path, capsys):
+    # 300 K read as 1e-300 K: 1/T^2 divides by zero in the numpy stage-1
+    # fit, which once also printed four RuntimeWarning/RankWarning lines
+    assert _run("iv", "--out", str(tmp_path)) == 0
+    path = tmp_path / "iv.csv"
+    path.write_text(path.read_text().replace(",300,", ",1e-300,"))
+    argv = ("signature", "--out", str(tmp_path / "sig"),
+            "--set", f"iv.input_csv={path}")
+    reason = "error: protocol: _stage1: divide by zero encountered"
+    run = _cli_process(*argv)
+    assert run.returncode == 2
+    assert run.stderr.startswith(reason) and run.stderr.count("\n") == 1
+    capsys.readouterr()
+    assert _run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(reason) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, reason", [
     # an infeasible table is an outcome of the run, not of one key
     pytest.param(["calibrate", "--set", "calibrate.loads=0.10,0.25,0.40"],
@@ -608,77 +627,62 @@ def test_cli_import_pulls_in_no_scipy():
 
 
 def test_cli_import_pulls_in_no_numpy():
-    # numpy costs ~0.1 s of import; hsr, iv and nullcline never need it
+    # numpy costs ~0.1 s of import, paid only by a run that draws from a
+    # seeded stream or runs the signature fit
     assert _imported_by_cli("numpy").stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("cmd", cli.NUMPY_FREE)
+# runs that neither draw from a seeded stream nor fit a signature: the
+# neuron commands at zero spread, and the cycle commands on explicit
+# setpoints without read noise
+_NUMPY_FREE_RUNS = {
+    "hsr": ("--preset", "L1"),
+    "iv": ("--preset", "L1"),
+    "nullcline": ("--preset", "L1"),
+    "baseline": (),
+    "calibrate": (),
+    "homeostasis": (),
+    "cycle": ("--set", "schedule.setpoints=300,360,300"),
+    "levels": ("--set", "schedule.setpoints=300,360,300"),
+    "thermometer": ("--set", "schedule.setpoints=300,360,300"),
+}
+
+
+@pytest.mark.parametrize("cmd", _NUMPY_FREE_RUNS)
 def test_numpy_free_commands_run_with_numpy_blocked(tmp_path, capsys, cmd):
     blocked, ordinary = tmp_path / "blocked", tmp_path / "ordinary"
-    run = _cli_process(cmd, "--preset", "L1", "--out", str(blocked),
-                       block_numpy=True)
+    args = _NUMPY_FREE_RUNS[cmd]
+    run = _cli_process(cmd, *args, "--out", str(blocked), block_numpy=True)
     assert (run.returncode, run.stderr) == (0, "")
-    assert _run(cmd, "--preset", "L1", "--out", str(ordinary)) == 0
+    assert "# numpy = not imported\n" in (blocked / "manifest.txt").read_text()
+    assert _run(cmd, *args, "--out", str(ordinary)) == 0
     names = sorted(p.name for p in ordinary.glob("*.csv"))
     assert names == sorted(p.name for p in blocked.glob("*.csv")) != []
     for name in names:
         assert (blocked / name).read_bytes() == (ordinary / name).read_bytes()
 
 
-# the three neuron runners as the neuron commands call them, at the
-# default zero spread; `result` is the repr of what they return
-_NEURON_RUNS = """\
-from memthermo.config import resolve_config
-from memthermo.neuron import (InputPattern, baseline_curve, calibrate_gain,
-                              run_homeostasis)
-cfg = resolve_config()
-system = cfg.system
-cal = calibrate_gain(cfg.floats("calibrate.loads"), system, mode="table",
-                     kappa_grid=cfg.kappa_grid, gamma=cfg["neuron.gamma"])
-system.fmap = cal.fmap
-curve = baseline_curve([0.2, 0.3], system, 300, 500)
-res = run_homeostasis(InputPattern.parse("0.2:600,0.3:600"), system.copy())
-result = repr((cal.fmap, cal.rates_calibrated, curve, res.spikes,
-               res.mean_loads, res.t_set, res.t_dev))
-"""
-
-
-def test_neuron_runners_run_with_numpy_blocked():
-    run = _python(_NEURON_RUNS + "print(result)", block_numpy=True)
-    assert (run.returncode, run.stderr) == (0, "")
-    scope = {}
-    exec(_NEURON_RUNS, scope)
-    assert run.stdout == scope["result"] + "\n"
-
-
-@pytest.mark.filterwarnings("error")   # an unguarded overflow only warns
-@pytest.mark.parametrize("cmd", [c for c in EXPERIMENTS
-                                 if c not in cli.NUMPY_FREE])
-def test_numpy_overflow_in_a_numpy_command_fails_on_one_line(
-        tmp_path, capsys, monkeypatch, cmd):
-    def handler(cfg):
-        np.exp(np.float64(1e3))
-        return []
-    monkeypatch.setitem(cli._HANDLERS, cmd, handler)
-    code = _run(cmd, "--out", str(tmp_path))
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: protocol: handler: overflow")
-    assert err.count("\n") == 1 and err.endswith("\n")
-
-
 def test_manifest_names_python_and_numpy(tmp_path, capsys):
     python = ".".join(map(str, sys.version_info[:3]))
-    # hsr imports no numpy, so its manifest names none, even when run in
-    # a process that has loaded numpy, as this one has
-    for cmd in ("hsr", "baseline"):
-        assert _run(cmd, "--out", str(tmp_path / cmd),
+    # the line names the numpy the run imported, whether or not the
+    # calling process had loaded it, as this one has
+    runs = {"hsr": ("hsr", "not imported"),
+            "baseline": ("baseline", "not imported"),
+            "spread": ("baseline", np.__version__,
+                       "--set", "neuron.spread_sigma=0.3"),
+            "cycle": ("cycle", np.__version__)}
+    for out, (cmd, numpy, *args) in runs.items():
+        assert _run(cmd, "--out", str(tmp_path / out), *args,
                     *(f"--set={kv}" for kv in _SHORT)) == 0
-    for cmd, numpy in (("hsr", "not imported"), ("baseline", np.__version__)):
-        head = (tmp_path / cmd / "manifest.txt").read_text().splitlines()[:5]
+        head = (tmp_path / out / "manifest.txt").read_text().splitlines()[:5]
         assert head == ["# memthermo run manifest",
                         f"# version = {__version__}", f"# python = {python}",
                         f"# numpy = {numpy}", f"# experiment = {cmd}"]
+    spread, rerun = tmp_path / "spread", tmp_path / "rerun"
+    assert _run("baseline", "--config", str(spread / "manifest.txt"),
+                "--out", str(rerun)) == 0
+    assert (rerun / "baseline.csv").read_bytes() == (
+        spread / "baseline.csv").read_bytes()
 
 
 @pytest.mark.parametrize("cmd", EXPERIMENTS)
