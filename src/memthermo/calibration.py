@@ -23,7 +23,7 @@ from .device import (
     _brentq,
     read_resistance,
 )
-from .rng import numpy
+from .rng import numpy, raising
 
 
 class ExtractionError(ValueError):
@@ -184,7 +184,7 @@ def extract_thermionic(ivs: IVCurveSet) -> ThermionicExtraction:
     intercept_all = []
     stage1_r2 = []
     # an overflow in the numpy arithmetic fails the run, not just warns
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
+    with raising():
         for polarity in (+1, -1):
             voltages, slopes, intercepts, r2s = _stage1(ivs, polarity)
             y = -K_B_EV * slopes

@@ -26,6 +26,15 @@ def numpy():
     return np
 
 
+def raising():
+    """A block in which numpy overflow, invalid and divide errors raise.
+
+    numpy's default only warns; under this block each is a
+    FloatingPointError, which the CLI reports as a failed run.
+    """
+    return numpy().errstate(over="raise", invalid="raise", divide="raise")
+
+
 def substream(seed: int, name: str):
     """The numpy Generator of the named stream under the run seed."""
     try:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memthermo import __version__, cli, config
+from memthermo import __version__, cli, config, rng
 from memthermo.cli import EXPERIMENTS, cli_dispatch
 from memthermo.config import REGISTRY, ConfigError, resolve_config
 from memthermo.csvio import parse_csv
@@ -381,6 +381,27 @@ def test_signature_fit_divide_by_zero_fails_on_one_line(tmp_path, capsys):
     assert _run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(reason) and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")   # an unguarded overflow only warns
+@pytest.mark.parametrize("cmd", ["baseline", "calibrate", "cycle",
+                                 "homeostasis", "levels", "signature",
+                                 "thermometer"])
+def test_numpy_overflow_in_a_numpy_command_fails_on_one_line(
+        tmp_path, capsys, monkeypatch, cmd):
+    # the commands whose runs can import numpy, for a seeded draw or the
+    # signature fit; numpy arithmetic runs under rng.raising()
+    def handler(cfg):
+        np = rng.numpy()
+        with rng.raising():
+            np.exp(np.float64(1e3))
+        return []
+    monkeypatch.setitem(cli._HANDLERS, cmd, handler)
+    code = _run(cmd, "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: protocol: handler: overflow")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("argv, reason", [
