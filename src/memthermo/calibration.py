@@ -78,21 +78,26 @@ class IVCurveSet:
         if len(self.temperatures) < 1:
             raise ValueError("empty curve set")
         for T, curve in zip(self.temperatures, self.curves):
-            if not (0.0 < T < math.inf
+            if not (T_MIN <= T <= T_MAX
                     and all(math.isfinite(x) for vi in curve for x in vi)):
-                raise ValueError(f"T={T!r} K: need T > 0 and finite T, v and i")
+                raise ValueError(f"T={T!r} K: need T in [{T_MIN}, {T_MAX}] K "
+                                 "and finite v and i")
 
     @classmethod
     def from_rows(cls, rows) -> "IVCurveSet":
         """Build from flat (T, v, i) records, e.g. a parsed IV CSV."""
-        by_temp: dict[float, list[tuple[float, float]]] = {}
+        by_temp: dict[float, dict[float, float]] = {}
         for T, v, i in rows:
-            by_temp.setdefault(float(T), []).append((float(v), float(i)))
+            curve = by_temp.setdefault(float(T), {})
+            if float(v) in curve:
+                raise ValueError(f"T={float(T)!r} K, v={float(v)!r} V: "
+                                 "sample given twice")
+            curve[float(v)] = float(i)
         if not by_temp:
             raise ValueError("no IV rows")
         temps = tuple(sorted(by_temp))
         return cls(temperatures=temps,
-                   curves=tuple(tuple(by_temp[T]) for T in temps))
+                   curves=tuple(tuple(by_temp[T].items()) for T in temps))
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,11 @@ def _stage1(ivs: IVCurveSet, polarity: int):
             )
     inv_t = 1.0 / temps
     ys = np.array([by_voltage[v] for v in voltages]).T   # column j: voltage j
-    slopes, intercepts = np.polyfit(inv_t, ys, 1)
+    # numpy only warns of a rank-deficient fit; full=True returns the rank
+    (slopes, intercepts), _, rank, _, _ = np.polyfit(inv_t, ys, 1, full=True)
+    if rank < 2:
+        raise ExtractionError("stage 1: temperatures too close for a line "
+                              "fit (rank-deficient)")
     ss_res = ((ys - (slopes * inv_t[:, None] + intercepts)) ** 2).sum(axis=0)
     ss_tot = ((ys - ys.mean(axis=0)) ** 2).sum(axis=0)
     r2s = [1.0 - a / b if b else float(a == 0.0)   # flat y: 1 if fit exactly

@@ -1,11 +1,14 @@
 """Command-line surface.
 
-One experiment per invocation; each run validates its configuration,
-simulates, and writes CSV files plus a manifest into the output
-directory. A subcommand's handler yields its tables as (file stem,
-schema, rows) and `cli_dispatch` writes them. Exit codes: 0 success,
-1 configuration error, 2 protocol, convergence or numeric-overflow
-error, 3 I/O error; failures print one machine-parsable line on stderr.
+One experiment per invocation, named by the subcommand; `--out`,
+`--seed` and `--preset` spell the config keys `run.out_dir`, `run.seed`
+and `device.level`. Each run validates its configuration, simulates, and
+writes CSV files plus a manifest into the output directory. A
+subcommand's handler yields its tables as (file stem, schema, rows) and
+`cli_dispatch` writes them. Exit codes: 0 success, 1 configuration error
+(a malformed command line too), 2 protocol, convergence or
+numeric-overflow error, 3 I/O error; failures print one
+machine-parsable line on stderr.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .calibration import (
 )
 from .config import ConfigError, RunConfig, checked, resolve_config
 from .csvio import emit_csv, parse_csv, write_manifest
-from .device import LEVEL_ORDER, ResetError
+from .device import ResetError
 from .experiments import (
     CycleResult,
     ProtocolError,
@@ -254,46 +257,40 @@ _HANDLERS = {
 EXPERIMENTS = tuple(_HANDLERS)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a command-line mistake is a config mistake
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="memthermo",
-        description="Temperature-dependent memristor simulator and "
-                    "calibration toolkit",
-    )
+    parser = _Parser(prog="memthermo", description="Temperature-dependent "
+                     "memristor simulator and calibration toolkit")
     parser.add_argument("--version", action="version",
                         version=f"memthermo {__version__}")
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="config or manifest file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="run seed")
-        p.add_argument("--preset", choices=LEVEL_ORDER,
-                       help="device level preset")
-        p.add_argument("--set", action="append", default=[], metavar="K=V",
-                       dest="assignments", help="override one config key")
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--config", help="config or manifest file")
+    parser.add_argument("--set", action="append", default=[], metavar="K=V",
+                        dest="assignments", help="override one config key")
+    parser.add_argument("--out", dest="run.out_dir", help="output directory")
+    parser.add_argument("--seed", dest="run.seed", help="run seed")
+    parser.add_argument("--preset", dest="device.level",
+                        help="device level preset")
     return parser
 
 
 def cli_dispatch(argv) -> int:
     try:
         args = _build_parser().parse_args(list(argv))
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-
-    try:
-        overrides = {"run.experiment": args.experiment}
+        overrides = {}
         for assignment in args.assignments:
             key, sep, value = assignment.partition("=")
             if not sep:
                 raise ConfigError(f"--set expects key=value, got {assignment!r}")
             overrides[key.strip()] = value.strip()
-        if args.seed is not None:
-            overrides["run.seed"] = str(args.seed)
-        if args.out is not None:
-            overrides["run.out_dir"] = args.out
-        if args.preset is not None:
-            overrides["device.level"] = args.preset
+        # a flag beats --set, and the subcommand names the run
+        overrides.update((key, value) for key, value in vars(args).items()
+                         if "." in key and value is not None)
+        overrides["run.experiment"] = args.experiment
         cfg = resolve_config(config_path=args.config, overrides=overrides)
 
         out = cfg["run.out_dir"]
@@ -309,6 +306,8 @@ def cli_dispatch(argv) -> int:
                                     numpy=rng.numpy_version))
         for path in files:
             print(path)
+        return 0
+    except SystemExit:   # --help or --version printed its text
         return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

@@ -120,7 +120,8 @@ def _switching_key(field: str) -> str:
 REGISTRY: dict[str, _Key] = {k.name: k for k in [
     _k("run.experiment", str, "", "subcommand that produced the run"),
     _k("run.seed", int, 0, "seed of every named rng sub-stream", nonneg),
-    _k("run.out_dir", str, "out", "output directory"),
+    _k("run.out_dir", str, "out", "output directory",
+       _rule(bool, "non-empty")),
 
     _k("device.level", str, "pristine", "resistive level preset",
        choice(*LEVEL_ORDER)),

@@ -177,6 +177,63 @@ def test_version_flag(capsys):
     assert "memthermo" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["cycle", "--help"]])
+def test_help_and_version_exit_zero_without_stderr(capsys, argv):
+    assert _run(*argv) == 0
+    captured = capsys.readouterr()
+    assert "memthermo" in captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # all but seed-neg and set-no-value once printed a usage block and
+    # "memthermo: error: ..." (the parser's own type and choices restated
+    # the key checks)
+    pytest.param(["cycle", "--seed", "abc"],
+                 "bad value for run.seed: 'abc' is not int", id="seed-abc"),
+    pytest.param(["cycle", "--seed", "-1"],
+                 "run.seed must be >= 0, got -1", id="seed-neg"),
+    pytest.param(["cycle", "--preset", "L9"],
+                 "device.level must be one of pristine, L1, L2, L3, L4, got "
+                 "'L9'", id="preset-L9"),
+    pytest.param(["nosuch"], "argument experiment: invalid choice: 'nosuch'",
+                 id="nosuch"),
+    pytest.param([], "the following arguments are required: experiment",
+                 id="no-arguments"),
+    pytest.param(["cycle", "--bogus"], "unrecognized arguments: --bogus",
+                 id="bogus-flag"),
+    pytest.param(["cycle", "extra"], "unrecognized arguments: extra",
+                 id="extra-argument"),
+    pytest.param(["iv", "--se", "3"], "ambiguous option: --se could match",
+                 id="ambiguous-se"),
+    pytest.param(["iv", "--set", "run.seed"],
+                 "--set expects key=value, got 'run.seed'", id="set-no-value"),
+])
+def test_command_line_mistake_fails_as_config_error_on_one_line(
+        tmp_path, capsys, monkeypatch, argv, reason):
+    # argparse words some messages differently across Python versions, so
+    # the reason is the start of the line; a run would write into ./out
+    monkeypatch.chdir(tmp_path)
+    assert _run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {reason}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "usage:" not in err and not list(tmp_path.iterdir())
+    if argv in (["cycle", "--seed", "abc"], ["nosuch"]):
+        run = _cli_process(*argv)
+        assert (run.returncode, run.stdout, run.stderr) == (1, "", err)
+
+
+def test_flags_and_subcommand_beat_set(tmp_path, capsys):
+    # a flag beats --set for its key, and the manifest names the
+    # subcommand that ran, whatever --set said
+    assert _run("iv", "--out", str(tmp_path), "--seed", "3",
+                "--set", "run.seed=5", "--set", "run.experiment=levels") == 0
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert "# experiment = iv" in manifest
+    assert "run.experiment = iv" in manifest and "run.seed = 3" in manifest
+
+
 @pytest.mark.parametrize("argv, key, raw", [
     # each once reached the simulation: a NaN in the gain table's root
     # find (exit 2), an OverflowError traceback, a silent zero-spike run
@@ -336,10 +393,14 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
                   "--set", "calibrate.loads=0.25"],
                  "calibrate: table mode needs >= 3 distinct loads",
                  id="calibrate-affine-one-load"),
+    # once exit 3, "No such file or directory: ''"
+    pytest.param(["iv", "--out", ""], "run.out_dir must be non-empty, got ''",
+                 id="iv-out-empty"),
 ])
 def test_config_mistake_fails_as_config_error_on_one_line(
         tmp_path, capsys, argv, reason):
-    code = _run(*argv, "--out", str(tmp_path))
+    # the default --out comes first, so a case's own --out beats it
+    code = _run("--out", str(tmp_path), *argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: config: {reason}\n"
@@ -364,23 +425,18 @@ def test_numeric_overflow_fails_as_protocol_error_on_one_line(
         2, f"error: protocol: {reason}\n")
 
 
-@pytest.mark.filterwarnings("error")   # an unguarded numpy error only warns
-def test_signature_fit_divide_by_zero_fails_on_one_line(tmp_path, capsys):
-    # 300 K read as 1e-300 K: 1/T^2 divides by zero in the numpy stage-1
-    # fit, which once also printed four RuntimeWarning/RankWarning lines
-    assert _run("iv", "--out", str(tmp_path)) == 0
-    path = tmp_path / "iv.csv"
-    path.write_text(path.read_text().replace(",300,", ",1e-300,"))
-    argv = ("signature", "--out", str(tmp_path / "sig"),
-            "--set", f"iv.input_csv={path}")
-    reason = "error: protocol: _stage1: divide by zero encountered"
+@pytest.mark.filterwarnings("error")   # numpy only warns of a bad fit
+def test_signature_rank_deficient_fit_fails_on_one_line(tmp_path, capsys):
+    # three distinct temperatures within a few ulps: the numpy stage-1
+    # fit is rank-deficient, and once exited 0 after four RankWarning
+    # lines with r2_stage1_min = -11
+    argv = ("signature", "--out", str(tmp_path),
+            "--set", "iv.temps_k=300,300.00000000000006,300.0000000000001")
+    reason = ("error: protocol: stage 1: temperatures too close for a line "
+              "fit (rank-deficient)\n")
     run = _cli_process(*argv)
-    assert run.returncode == 2
-    assert run.stderr.startswith(reason) and run.stderr.count("\n") == 1
-    capsys.readouterr()
-    assert _run(*argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(reason) and err.count("\n") == 1
+    assert (run.returncode, run.stderr) == (2, reason)
+    assert (_run(*argv), capsys.readouterr().err) == (2, reason)
 
 
 @pytest.mark.filterwarnings("error")   # an unguarded overflow only warns
@@ -453,9 +509,13 @@ def test_model_value_error_fails_as_protocol_error_on_one_line(
     # T_K=0 once failed as a division by zero (exit 2)
     *(pytest.param("iv.csv", f"level,T_K,v_V,i_A\npristine,{T},{v},1e-6\n",
                    "iv.input_csv", "signature",
-                   f"T={float(T)!r} K: need T > 0 and finite T, v and i",
-                   id=f"iv-T-{T}-v-{v}")
+                   f"T={float(T)!r} K: need T in [300.0, 360.0] K and "
+                   "finite v and i", id=f"iv-T-{T}-v-{v}")
       for T, v in (("nan", 0.1), ("inf", 0.1), (0, 0.1), (300, "inf"))),
+    # once merged into one curve of twice the length (exit 0)
+    pytest.param("iv.csv", "level,T_K,v_V,i_A\npristine,300,0.1,1e-6\n"
+                 "pristine,300,0.1,2e-6\n", "iv.input_csv", "signature",
+                 "T=300.0 K, v=0.1 V: sample given twice", id="iv-row-twice"),
     # both once ran, the first shifted 100 steps early
     *(pytest.param("pattern.csv", f"step,load\n{step},0.2\n150,0.3\n",
                    "homeostasis.pattern_csv", "homeostasis",
@@ -472,12 +532,14 @@ def test_malformed_input_file_fails_as_config_error(
         1, f"error: config: {path}: {reason}\n")
 
 
-@pytest.mark.parametrize("column, value, bad_T", [("i_A", "nan", 300.0),
-                                                  ("T_K", "-300", -300.0)])
+@pytest.mark.parametrize("column, value, bad_T", [
+    ("i_A", "nan", 300.0), ("T_K", "-300", -300.0), ("T_K", "5", 5.0),
+    ("T_K", "1e-300", 1e-300)])
 def test_iv_file_with_one_bad_value_fails_as_config_error(
         tmp_path, capsys, column, value, bad_T):
-    # both once exited 0: nan in both signature rows, or a fit on negative
-    # temperatures; the first row's value is replaced wherever it occurs
+    # each once ran: nan in both signature rows or a fit on a temperature
+    # outside the chamber (exit 0), or a division by zero at 1e-300 K
+    # (exit 2); the first row's value is replaced wherever it occurs
     assert _run("iv", "--out", str(tmp_path)) == 0
     path = tmp_path / "iv.csv"
     header, *rows = path.read_text().splitlines()
@@ -491,8 +553,8 @@ def test_iv_file_with_one_bad_value_fails_as_config_error(
     code = _run("signature", "--out", str(tmp_path / "sig"),
                 "--set", f"iv.input_csv={path}")
     assert (code, capsys.readouterr().err) == (
-        1, f"error: config: {path}: T={bad_T!r} K: need T > 0 and finite "
-           "T, v and i\n")
+        1, f"error: config: {path}: T={bad_T!r} K: need T in [300.0, 360.0] "
+           "K and finite v and i\n")
 
 
 def test_missing_input_file_fails_as_io_error(tmp_path, capsys):
