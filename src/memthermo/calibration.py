@@ -67,25 +67,28 @@ def _linear_fit(x, y) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class IVCurveSet:
-    """Per-temperature IV samples: curves[i] belongs to temperatures[i]."""
+    """IV samples on one grid: currents[j][k] is the current at
+    temperatures[j] and voltages[k]. The rows of iv.csv are its rows(),
+    read back by from_rows."""
 
     temperatures: tuple[float, ...]
-    curves: tuple[tuple[tuple[float, float], ...], ...]   # ((v, i), ...)
+    voltages: tuple[float, ...]
+    currents: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if len(self.temperatures) != len(self.curves):
-            raise ValueError("one curve per temperature required")
-        if len(self.temperatures) < 1:
-            raise ValueError("empty curve set")
-        for T, curve in zip(self.temperatures, self.curves):
+        if not self.temperatures or [len(row) for row in self.currents] != [
+                len(self.voltages)] * len(self.temperatures):
+            raise ValueError("need a current at each temperature and voltage")
+        for T, row in zip(self.temperatures, self.currents):
             if not (T_MIN <= T <= T_MAX
-                    and all(math.isfinite(x) for vi in curve for x in vi)):
+                    and all(map(math.isfinite, (*self.voltages, *row)))):
                 raise ValueError(f"T={T!r} K: need T in [{T_MIN}, {T_MAX}] K "
                                  "and finite v and i")
 
     @classmethod
     def from_rows(cls, rows) -> "IVCurveSet":
-        """Build from flat (T, v, i) records, e.g. a parsed IV CSV."""
+        """Build from flat (T, v, i) records, e.g. a parsed IV CSV; every
+        temperature must carry the same voltages."""
         by_temp: dict[float, dict[float, float]] = {}
         for T, v, i in rows:
             curve = by_temp.setdefault(float(T), {})
@@ -96,8 +99,21 @@ class IVCurveSet:
         if not by_temp:
             raise ValueError("no IV rows")
         temps = tuple(sorted(by_temp))
-        return cls(temperatures=temps,
-                   curves=tuple(tuple(by_temp[T].items()) for T in temps))
+        first = by_temp[temps[0]]
+        # a gap reads 0 until the grid check, so a bad value is named first
+        ivs = cls(temperatures=temps, voltages=tuple(first),
+                  currents=tuple(tuple(by_temp[T].get(v, 0.0) for v in first)
+                                 for T in temps))
+        for T in temps[1:]:
+            if by_temp[T].keys() != first.keys():
+                raise ValueError(f"T={T!r} K: voltages differ from those at "
+                                 f"T={temps[0]!r} K")
+        return ivs
+
+    def rows(self):
+        """Flat (T, v, i) records, temperature-major: what from_rows reads."""
+        return ((T, v, i) for T, row in zip(self.temperatures, self.currents)
+                for v, i in zip(self.voltages, row))
 
 
 @dataclass(frozen=True)
@@ -124,50 +140,34 @@ class ThermionicExtraction:
     intercept_spread: float
 
     @property
-    def phi_b(self) -> float:
-        return 0.5 * (self.phi_b_pos + self.phi_b_neg)
-
-    @property
     def physical(self) -> bool:
         return self.params is not None
 
 
 def _stage1(ivs: IVCurveSet, polarity: int):
-    """Regressions of ln(|I|/T^2) on 1/T at each voltage of one polarity,
-    one LAPACK solve for all: the spread of their intercepts is round-off,
-    and its bytes follow the solver's operation order."""
+    """Regressions of ln(|I|/T^2) on 1/T at each voltage column of one
+    polarity, in ascending |v|, one LAPACK solve for all: the spread of
+    their intercepts is round-off, and its bytes follow the solver's
+    operation order. Returns lists of |v|, slopes, intercepts and r^2."""
     np = numpy()
-    temps = np.asarray(ivs.temperatures, dtype=float)
-    if temps.size < 3:
+    temps = ivs.temperatures
+    if len(temps) < 3:
         raise ExtractionError("stage 1: need at least three temperatures")
-    if np.ptp(temps) == 0.0:
-        raise ExtractionError("singular design: all abscissae identical")
-    by_voltage: dict[float, list[float]] = {}
-    for T, curve in zip(temps, ivs.curves):
-        for v, i in curve:
-            if polarity > 0 and v <= 0:
-                continue
-            if polarity < 0 and v >= 0:
-                continue
-            if i * polarity <= 0:
-                raise ExtractionError(
-                    f"stage 1: non-positive current magnitude at v={v}, T={T}"
-                )
-            by_voltage.setdefault(round(abs(v), 12), []).append(
-                math.log(abs(i) / T**2)
-            )
-    voltages = sorted(by_voltage)
-    if len(voltages) < 3:
+    cols = sorted((k for k, v in enumerate(ivs.voltages) if v * polarity > 0),
+                  key=lambda k: abs(ivs.voltages[k]))
+    for T, row in zip(temps, ivs.currents):
+        for k in cols:
+            if row[k] * polarity <= 0:
+                raise ExtractionError("stage 1: non-positive current magnitude "
+                                      f"at v={ivs.voltages[k]}, T={T}")
+    if len(cols) < 3:
         raise ExtractionError(
             "stage 1: need at least three voltages per polarity"
         )
-    for v in voltages:
-        if len(by_voltage[v]) != temps.size:
-            raise ExtractionError(
-                f"stage 1: voltage {v} V missing at some temperatures"
-            )
-    inv_t = 1.0 / temps
-    ys = np.array([by_voltage[v] for v in voltages]).T   # column j: voltage j
+    inv_t = 1.0 / np.asarray(temps, dtype=float)
+    ys = np.array([[math.log(abs(row[k]) / T**2)
+                    for T, row in zip(temps, ivs.currents)]
+                   for k in cols]).T   # F-order: fixes the sums' order
     # numpy only warns of a rank-deficient fit; full=True returns the rank
     (slopes, intercepts), _, rank, _, _ = np.polyfit(inv_t, ys, 1, full=True)
     if rank < 2:
@@ -177,7 +177,8 @@ def _stage1(ivs: IVCurveSet, polarity: int):
     ss_tot = ((ys - ys.mean(axis=0)) ** 2).sum(axis=0)
     r2s = [1.0 - a / b if b else float(a == 0.0)   # flat y: 1 if fit exactly
            for a, b in zip(ss_res.tolist(), ss_tot.tolist())]
-    return np.array(voltages), slopes, intercepts, np.array(r2s)
+    return ([abs(ivs.voltages[k]) for k in cols], slopes.tolist(),
+            intercepts.tolist(), r2s)
 
 
 def extract_thermionic(ivs: IVCurveSet) -> ThermionicExtraction:
@@ -196,11 +197,11 @@ def extract_thermionic(ivs: IVCurveSet) -> ThermionicExtraction:
     with raising():
         for polarity in (+1, -1):
             voltages, slopes, intercepts, r2s = _stage1(ivs, polarity)
-            y = -K_B_EV * slopes
-            slope2, phi_b, r2_2 = _linear_fit(np.sqrt(voltages), y)
+            slope2, phi_b, r2_2 = _linear_fit(
+                map(math.sqrt, voltages), [-K_B_EV * m for m in slopes])
             results[polarity] = (phi_b, -slope2, r2_2)
-            intercept_all.extend(intercepts.tolist())
-            stage1_r2.extend(r2s.tolist())
+            intercept_all.extend(intercepts)
+            stage1_r2.extend(r2s)
         a = math.exp(float(np.mean(intercept_all)))
         spread = float(np.ptp(intercept_all))
     phi_pos, alpha_pos, r2_pos = results[+1]
@@ -220,7 +221,7 @@ def extract_thermionic(ivs: IVCurveSet) -> ThermionicExtraction:
         phi_b_neg=phi_neg,
         alpha_pos=alpha_pos,
         alpha_neg=alpha_neg,
-        stage1_r2_min=float(np.min(stage1_r2)),
+        stage1_r2_min=min(stage1_r2),
         stage2_r2_pos=r2_pos,
         stage2_r2_neg=r2_neg,
         intercept_spread=spread,

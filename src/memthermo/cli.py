@@ -103,9 +103,7 @@ def _iv_sweep(cfg: RunConfig) -> IVCurveSet:
 
 
 def _iv_table(level: str, ivs: IVCurveSet):
-    return "iv", "iv", ((level, T, v, i)
-                        for T, curve in zip(ivs.temperatures, ivs.curves)
-                        for v, i in curve)
+    return "iv", "iv", ((level, *row) for row in ivs.rows())
 
 
 def _cmd_iv(cfg: RunConfig):

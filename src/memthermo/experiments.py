@@ -357,9 +357,8 @@ def run_iv_sweep(level: str, temperatures, voltages,
     list, at amplitudes from sweep_voltages; below the switching threshold
     the device state cannot change."""
     params = iv_preset(level, fit)
-    curves = tuple(
-        tuple((v, thermionic_current(v, T, params)) for v in voltages)
-        for T in temperatures
-    )
-    return IVCurveSet(temperatures=tuple(float(T) for T in temperatures),
-                      curves=curves)
+    return IVCurveSet(
+        temperatures=tuple(float(T) for T in temperatures),
+        voltages=tuple(voltages),
+        currents=tuple(tuple(thermionic_current(v, T, params)
+                             for v in voltages) for T in temperatures))

@@ -173,11 +173,12 @@ def test_c07_signature_round_trip():
     truth = ThermionicParams(a_prefactor=2.4e-11, phi_b=0.112,
                              alpha_pos=0.05, alpha_neg=0.03)
     voltages = [0.05 + 0.05 * k for k in range(8)]
-    vs = [-v for v in reversed(voltages)] + voltages
+    vs = tuple(-v for v in reversed(voltages)) + tuple(voltages)
     ivs = IVCurveSet(
         temperatures=(300.0, 330.0, 360.0),
-        curves=tuple(tuple((v, thermionic_current(v, T, truth)) for v in vs)
-                     for T in (300.0, 330.0, 360.0)),
+        voltages=vs,
+        currents=tuple(tuple(thermionic_current(v, T, truth) for v in vs)
+                       for T in (300.0, 330.0, 360.0)),
     )
     res = extract_thermionic(ivs)
     errs = [

@@ -47,12 +47,13 @@ VOLTAGES = [0.05 + 0.05 * k for k in range(8)]
 
 def _synthetic_ivs(params: ThermionicParams,
                    temps=TEMPS, voltages=VOLTAGES) -> IVCurveSet:
-    vs = [-v for v in reversed(voltages)] + list(voltages)
-    curves = tuple(
-        tuple((v, thermionic_current(v, T, params)) for v in vs)
+    vs = tuple(-v for v in reversed(voltages)) + tuple(voltages)
+    currents = tuple(
+        tuple(thermionic_current(v, T, params) for v in vs)
         for T in temps
     )
-    return IVCurveSet(temperatures=tuple(temps), curves=curves)
+    return IVCurveSet(temperatures=tuple(temps), voltages=vs,
+                      currents=currents)
 
 
 def test_extraction_round_trip_noise_free():
@@ -75,8 +76,8 @@ def test_extraction_regenerates_currents_within_one_percent():
     ivs = _synthetic_ivs(truth)
     fitted = extract_thermionic(ivs).params
     worst = 0.0
-    for T, curve in zip(ivs.temperatures, ivs.curves):
-        for v, i in curve:
+    for T, row in zip(ivs.temperatures, ivs.currents):
+        for v, i in zip(ivs.voltages, row):
             regenerated = thermionic_current(v, T, fitted)
             worst = max(worst, abs(regenerated - i) / abs(i))
     assert worst <= 0.01
@@ -91,9 +92,10 @@ def test_extraction_zero_alpha_degenerate_case():
 
 def test_extraction_exposes_ohmic_misfit():
     # ohmic data: current independent of temperature, linear in voltage
-    vs = [-v for v in reversed(VOLTAGES)] + list(VOLTAGES)
-    curves = tuple(tuple((v, v / 1e5) for v in vs) for _ in TEMPS)
-    res = extract_thermionic(IVCurveSet(temperatures=TEMPS, curves=curves))
+    vs = tuple(-v for v in reversed(VOLTAGES)) + tuple(VOLTAGES)
+    currents = tuple(tuple(v / 1e5 for v in vs) for _ in TEMPS)
+    res = extract_thermionic(IVCurveSet(temperatures=TEMPS, voltages=vs,
+                                        currents=currents))
     assert not res.physical
     assert res.params is None
     assert res.phi_b_pos < 0   # wrong-sign slope betrays the misfit
@@ -105,10 +107,11 @@ def test_extraction_exposes_ohmic_misfit():
 
 
 def test_extraction_rejects_nonpositive_currents():
-    vs = [0.1, 0.2, 0.3]
-    curves = tuple(tuple((v, 0.0) for v in vs) for _ in TEMPS)
+    vs = (0.1, 0.2, 0.3)
+    currents = tuple(tuple(0.0 for v in vs) for _ in TEMPS)
     with pytest.raises(ExtractionError, match="stage 1"):
-        extract_thermionic(IVCurveSet(temperatures=TEMPS, curves=curves))
+        extract_thermionic(IVCurveSet(temperatures=TEMPS, voltages=vs,
+                                      currents=currents))
 
 
 def test_extraction_requires_minimum_coverage():

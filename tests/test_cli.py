@@ -172,6 +172,27 @@ def test_signature_reads_back_its_own_four_temperature_iv_csv(tmp_path,
         assert float(b[6]) < 1e-6
 
 
+def test_signature_reads_back_voltages_1e_14_v_apart(tmp_path, capsys):
+    # a second sample 1e-14 V above 0.05 V at every temperature is a
+    # voltage of its own; the fit once merged the two and failed the run,
+    # "voltage 0.05 V missing at some temperatures" (exit 2)
+    sim, back = tmp_path / "sim", tmp_path / "back"
+    assert _run("signature", "--out", str(sim)) == 0
+    path = sim / "iv.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines) + "".join(
+        line.replace(",0.05,", f",{0.05 + 1e-14!r},")
+        for line in lines if ",0.05," in line))
+    assert _run("signature", "--out", str(back),
+                "--set", f"iv.input_csv={path}") == 0
+    _, sim_rows = parse_csv(sim / "signature.csv", "signature")
+    _, back_rows = parse_csv(back / "signature.csv", "signature")
+    assert [r[0] for r in back_rows] == ["pos", "neg"]
+    for a, b in zip(sim_rows, back_rows):
+        assert float(b[2]) == pytest.approx(float(a[2]), rel=1e-6)
+        assert float(b[3]) == pytest.approx(float(a[3]), rel=1e-6)
+
+
 def test_version_flag(capsys):
     assert _run("--version") == 0
     assert "memthermo" in capsys.readouterr().out
@@ -396,6 +417,12 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
     # once exit 3, "No such file or directory: ''"
     pytest.param(["iv", "--out", ""], "run.out_dir must be non-empty, got ''",
                  id="iv-out-empty"),
+    # both once ran: at 1e308 cycle wrote r_steady_ohm of 1.6e-40 down to
+    # 1.3e-148 Ohm; at 1 the thermometer's worst error was 22 K
+    *(pytest.param([cmd, "--set", f"cycle.drift_scale={v}"],
+                   f"cycle.drift_scale must be in [0, 0.1], got {float(v)!r}",
+                   id=f"drift-{v}")
+      for cmd, v in (("thermometer", "1"), ("cycle", "1e308"))),
 ])
 def test_config_mistake_fails_as_config_error_on_one_line(
         tmp_path, capsys, argv, reason):
@@ -516,6 +543,18 @@ def test_model_value_error_fails_as_protocol_error_on_one_line(
     pytest.param("iv.csv", "level,T_K,v_V,i_A\npristine,300,0.1,1e-6\n"
                  "pristine,300,0.1,2e-6\n", "iv.input_csv", "signature",
                  "T=300.0 K, v=0.1 V: sample given twice", id="iv-row-twice"),
+    # each nan is a key of its own: values are checked before the grid
+    pytest.param("iv.csv", "level,T_K,v_V,i_A\npristine,nan,0.1,1e-6\n"
+                 "pristine,nan,0.2,1e-6\n", "iv.input_csv", "signature",
+                 "T=nan K: need T in [300.0, 360.0] K and finite v and i",
+                 id="iv-T-nan-curve"),
+    # once failed the run, "voltage 0.1 V missing at some temperatures"
+    # (exit 2)
+    pytest.param("iv.csv", "level,T_K,v_V,i_A\n" + "".join(
+        f"pristine,{T},{v},1e-6\n" for T in (300, 330, 360)
+        for v in (0.1, 0.2, 0.3) if (T, v) != (330, 0.1)),
+        "iv.input_csv", "signature",
+        "T=330.0 K: voltages differ from those at T=300.0 K", id="iv-ragged"),
     # both once ran, the first shifted 100 steps early
     *(pytest.param("pattern.csv", f"step,load\n{step},0.2\n150,0.3\n",
                    "homeostasis.pattern_csv", "homeostasis",

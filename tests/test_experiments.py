@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memthermo.calibration import extract_thermionic, fit_switch_curve
+from memthermo.calibration import (IVCurveSet, extract_thermionic,
+                                   fit_switch_curve)
 from memthermo.constants import V_READ
 from memthermo.csvio import SCHEMAS
 from memthermo.device import (
@@ -303,17 +304,31 @@ def _iv_sweep(cfg, level, fit):
 
 def test_iv_sweep_symmetric_for_symmetric_levels(cfg, fit):
     ivs = _iv_sweep(cfg, "L2", fit)
-    for curve in ivs.curves:
-        by_v = dict(curve)
-        for v, i in curve:
+    for row in ivs.currents:
+        by_v = dict(zip(ivs.voltages, row))
+        for v, i in by_v.items():
             if v > 0:
                 assert abs(i) == pytest.approx(abs(by_v[-v]), rel=1e-12)
 
 
 def test_iv_sweep_pristine_asymmetric(cfg, fit):
     ivs = _iv_sweep(cfg, "pristine", fit)
-    curve = dict(ivs.curves[0])
+    curve = dict(zip(ivs.voltages, ivs.currents[0]))
     assert abs(curve[0.4]) > abs(curve[-0.4]) * 1.05
+
+
+@settings(max_examples=60, deadline=None)
+@given(level=st.sampled_from(LEVEL_ORDER),
+       temps=st.lists(st.floats(300.0, 360.0), min_size=3, max_size=7,
+                      unique=True).map(sorted),
+       points=st.integers(3, 50))
+def test_iv_sweep_grid_survives_its_rows(cfg, fit, level, temps, points):
+    # iv.csv holds rows(), and signature reads it back through from_rows
+    voltages = sweep_voltages(cfg["iv.v_min_v"], cfg["iv.v_max_v"], points,
+                              cfg.switching.v_th)
+    ivs = run_iv_sweep(level=level, temperatures=temps, voltages=voltages,
+                       fit=fit)
+    assert IVCurveSet.from_rows(ivs.rows()) == ivs
 
 
 def test_iv_sweep_rejects_threshold_crossing():
