@@ -3,7 +3,9 @@
 Every consumer of randomness draws from its own named stream derived from
 the single run seed, so adding or removing draws in one consumer never
 perturbs the others, and identical (seed, config) reruns are bit-exact
-across platforms. numpy, ~0.1 s of import, is loaded only by `numpy()`.
+across platforms. numpy, ~0.1 s of import, is loaded only by `numpy()`:
+the "schedule" stream only permutes, and is a pure-Python port of numpy's
+generator (`pcg64`); the streams that draw normals are numpy Generators.
 """
 from __future__ import annotations
 
@@ -36,11 +38,17 @@ def raising():
 
 
 def substream(seed: int, name: str):
-    """The numpy Generator of the named stream under the run seed."""
+    """The generator of the named stream under SeedSequence((seed, id)):
+    `pcg64.PCG64`, numpy's permutation bit for bit, for "schedule"; a numpy
+    Generator for the streams that draw normals, as numpy's ziggurat tables
+    are literals in its C source."""
     try:
         stream_id = _STREAMS[name]
     except KeyError:
         raise ValueError(f"unknown rng stream {name!r}; "
                          f"known: {sorted(_STREAMS)}") from None
+    if name == "schedule":
+        from .pcg64 import PCG64
+        return PCG64((int(seed), stream_id))
     np = numpy()
     return np.random.default_rng(np.random.SeedSequence((int(seed), stream_id)))

@@ -754,26 +754,29 @@ def test_cli_import_pulls_in_no_numpy():
     assert _imported_by_cli("numpy").stdout.strip() == "[]"
 
 
-# runs that neither draw from a seeded stream nor fit a signature: the
-# neuron commands at zero spread, and the cycle commands on explicit
-# setpoints without read noise
+# runs that draw no normal and fit no signature: every command but
+# signature at default config (the cycle commands' scrambled schedule is
+# the pure-Python "schedule" stream), and the cycle commands again on
+# explicit setpoints, which draw nothing
 _NUMPY_FREE_RUNS = {
-    "hsr": ("--preset", "L1"),
-    "iv": ("--preset", "L1"),
-    "nullcline": ("--preset", "L1"),
-    "baseline": (),
-    "calibrate": (),
-    "homeostasis": (),
-    "cycle": ("--set", "schedule.setpoints=300,360,300"),
-    "levels": ("--set", "schedule.setpoints=300,360,300"),
-    "thermometer": ("--set", "schedule.setpoints=300,360,300"),
+    "hsr": ("hsr", "--preset", "L1"),
+    "iv": ("iv", "--preset", "L1"),
+    "nullcline": ("nullcline", "--preset", "L1"),
+    "baseline": ("baseline",),
+    "calibrate": ("calibrate",),
+    "homeostasis": ("homeostasis",),
+    "cycle": ("cycle",),
+    "levels": ("levels",),
+    "thermometer": ("thermometer",),
+    **{f"{cmd}-setpoints": (cmd, "--set", "schedule.setpoints=300,360,300")
+       for cmd in ("cycle", "levels", "thermometer")},
 }
 
 
-@pytest.mark.parametrize("cmd", _NUMPY_FREE_RUNS)
-def test_numpy_free_commands_run_with_numpy_blocked(tmp_path, capsys, cmd):
+@pytest.mark.parametrize("case", _NUMPY_FREE_RUNS)
+def test_numpy_free_commands_run_with_numpy_blocked(tmp_path, capsys, case):
     blocked, ordinary = tmp_path / "blocked", tmp_path / "ordinary"
-    args = _NUMPY_FREE_RUNS[cmd]
+    cmd, *args = _NUMPY_FREE_RUNS[case]
     run = _cli_process(cmd, *args, "--out", str(blocked), block_numpy=True)
     assert (run.returncode, run.stderr) == (0, "")
     assert "# numpy = not imported\n" in (blocked / "manifest.txt").read_text()
@@ -792,7 +795,9 @@ def test_manifest_names_python_and_numpy(tmp_path, capsys):
             "baseline": ("baseline", "not imported"),
             "spread": ("baseline", np.__version__,
                        "--set", "neuron.spread_sigma=0.3"),
-            "cycle": ("cycle", np.__version__)}
+            "cycle": ("cycle", "not imported"),
+            "drift": ("cycle", np.__version__,
+                      "--set", "cycle.drift_scale=0.05")}
     for out, (cmd, numpy, *args) in runs.items():
         assert _run(cmd, "--out", str(tmp_path / out), *args,
                     *(f"--set={kv}" for kv in _SHORT)) == 0
