@@ -260,7 +260,7 @@ class RunConfig:
                                  **{f.name: self[_switching_key(f.name)]
                                     for f in fields(SwitchingParams)})
         explicit = self.floats("schedule.setpoints")
-        # None: the run draws the scrambled schedule (numpy.random) itself
+        # None: the run draws the scrambled schedule (the "schedule" stream)
         self.schedule = checked(
             "schedule.setpoints", TemperatureSchedule, tuple(explicit),
             self["schedule.hold_s"]) if explicit else None

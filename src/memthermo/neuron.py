@@ -188,7 +188,7 @@ class NeuronSystem:
         draws = [0.0] * N_SYNAPSES   # exp(0.0) == 1.0: r0 exactly
         if spread_sigma > 0:
             rng = substream(seed, "spread")
-            draws = rng.normal(0.0, spread_sigma, N_SYNAPSES).tolist()
+            draws = rng.normal(0.0, spread_sigma, N_SYNAPSES)
         synapses = [DeviceState(r_persistent=r0 * math.exp(z)) for z in draws]
         return cls(synapses=synapses, fit=fit, plant=plant.copy(), fmap=fmap,
                    theta=theta, dt_s=dt_s, window=window)

@@ -3,9 +3,10 @@
 Every consumer of randomness draws from its own named stream derived from
 the single run seed, so adding or removing draws in one consumer never
 perturbs the others, and identical (seed, config) reruns are bit-exact
-across platforms. numpy, ~0.1 s of import, is loaded only by `numpy()`:
-the "schedule" stream only permutes, and is a pure-Python port of numpy's
-generator (`pcg64`); the streams that draw normals are numpy Generators.
+across platforms. Every stream is `pcg64.PCG64`, a pure-Python port of
+numpy's generator that draws numpy's permutations and normals bit for bit.
+numpy, ~0.1 s of import, is loaded only by `numpy()`, for the signature
+fit.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ numpy_version = "not imported"
 
 
 def numpy():
-    """numpy, for a seeded draw or the signature fit, noted as imported."""
+    """numpy, for the signature fit, noted as imported."""
     global numpy_version
     import numpy as np
     numpy_version = np.__version__
@@ -38,17 +39,12 @@ def raising():
 
 
 def substream(seed: int, name: str):
-    """The generator of the named stream under SeedSequence((seed, id)):
-    `pcg64.PCG64`, numpy's permutation bit for bit, for "schedule"; a numpy
-    Generator for the streams that draw normals, as numpy's ziggurat tables
-    are literals in its C source."""
+    """The generator of the named stream: `pcg64.PCG64((seed, id))`, which
+    draws what numpy's `default_rng(SeedSequence((seed, id)))` draws."""
     try:
         stream_id = _STREAMS[name]
     except KeyError:
         raise ValueError(f"unknown rng stream {name!r}; "
                          f"known: {sorted(_STREAMS)}") from None
-    if name == "schedule":
-        from .pcg64 import PCG64
-        return PCG64((int(seed), stream_id))
-    np = numpy()
-    return np.random.default_rng(np.random.SeedSequence((int(seed), stream_id)))
+    from .pcg64 import PCG64
+    return PCG64((int(seed), stream_id))

@@ -472,8 +472,9 @@ def test_signature_rank_deficient_fit_fails_on_one_line(tmp_path, capsys):
                                  "thermometer"])
 def test_numpy_overflow_in_a_numpy_command_fails_on_one_line(
         tmp_path, capsys, monkeypatch, cmd):
-    # the commands whose runs can import numpy, for a seeded draw or the
-    # signature fit; numpy arithmetic runs under rng.raising()
+    # only the signature fit imports numpy now, and its arithmetic runs
+    # under rng.raising(); the other cases, once commands that drew from
+    # numpy streams, pin that the guard fails any command on one line
     def handler(cfg):
         np = rng.numpy()
         with rng.raising():
@@ -749,15 +750,15 @@ def test_cli_import_pulls_in_no_scipy():
 
 
 def test_cli_import_pulls_in_no_numpy():
-    # numpy costs ~0.1 s of import, paid only by a run that draws from a
-    # seeded stream or runs the signature fit
+    # numpy costs ~0.1 s of import, paid only by a run of the signature
+    # fit
     assert _imported_by_cli("numpy").stdout.strip() == "[]"
 
 
-# runs that draw no normal and fit no signature: every command but
-# signature at default config (the cycle commands' scrambled schedule is
-# the pure-Python "schedule" stream), and the cycle commands again on
-# explicit setpoints, which draw nothing
+# runs that fit no signature: every command but signature at default
+# config, the cycle commands again on explicit setpoints, which draw
+# nothing, and the three runs that draw normals (read noise, drift and
+# device spread); every stream is the pure-Python `pcg64`
 _NUMPY_FREE_RUNS = {
     "hsr": ("hsr", "--preset", "L1"),
     "iv": ("iv", "--preset", "L1"),
@@ -770,6 +771,10 @@ _NUMPY_FREE_RUNS = {
     "thermometer": ("thermometer",),
     **{f"{cmd}-setpoints": (cmd, "--set", "schedule.setpoints=300,360,300")
        for cmd in ("cycle", "levels", "thermometer")},
+    "thermometer-noise": ("thermometer", "--set",
+                          "thermometer.noise_sigma=0.01"),
+    "cycle-drift": ("cycle", "--set", "cycle.drift_scale=0.05"),
+    "baseline-spread": ("baseline", "--set", "neuron.spread_sigma=0.3"),
 }
 
 
@@ -793,11 +798,12 @@ def test_manifest_names_python_and_numpy(tmp_path, capsys):
     # calling process had loaded it, as this one has
     runs = {"hsr": ("hsr", "not imported"),
             "baseline": ("baseline", "not imported"),
-            "spread": ("baseline", np.__version__,
+            "spread": ("baseline", "not imported",
                        "--set", "neuron.spread_sigma=0.3"),
             "cycle": ("cycle", "not imported"),
-            "drift": ("cycle", np.__version__,
-                      "--set", "cycle.drift_scale=0.05")}
+            "drift": ("cycle", "not imported",
+                      "--set", "cycle.drift_scale=0.05"),
+            "signature": ("signature", np.__version__)}
     for out, (cmd, numpy, *args) in runs.items():
         assert _run(cmd, "--out", str(tmp_path / out), *args,
                     *(f"--set={kv}" for kv in _SHORT)) == 0
