@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import K_B_EV, T_MAX, T_MIN
+from .constants import K_B_EV, T_MAX, T_MIN, T_REF
 from .device import (
+    T_ANCHORS,
+    V_ANCHOR,
     DeviceState,
     ThermalFit,
     ThermionicParams,
@@ -236,10 +238,11 @@ def sensitivity_percent_per_K(temps, resistances) -> float:
     temps, resistances = list(map(float, temps)), list(map(float, resistances))
     if len(temps) != len(resistances) or len(temps) < 2:
         raise ValueError("need >= 2 (T, R) pairs")
-    baseline = [r for T, r in zip(temps, resistances) if abs(T - 300.0) < 1e-6]
+    baseline = [r for T, r in zip(temps, resistances)
+                if abs(T - T_REF) < 1e-6]
     if not baseline:
         raise ValueError("trace lacks the 300 K baseline point")
-    return _linear_fit([T - 300.0 for T in temps],
+    return _linear_fit([T - T_REF for T in temps],
                        [100.0 * (r / baseline[0] - 1.0) for r in resistances])[0]
 
 
@@ -334,15 +337,16 @@ def fit_switch_curve(grid) -> SwitchCurveFit:
     if not slopes:
         raise ExtractionError("grid needs >= 2 voltages at some temperature")
 
-    anchors = sorted((T, f) for v, T, f in active if abs(v - 1.4) < 1e-9)
+    anchors = sorted((T, f) for v, T, f in active if abs(v - V_ANCHOR) < 1e-9)
     if len({T for T, _ in anchors}) < 2:
         raise ExtractionError("grid must include 1.4 V at >= 2 temperatures")
     t_slope, t_intercept, r2_t = _linear_fit(
         [T for T, _ in anchors], [f for _, f in anchors]
     )
+    t_lo, t_hi = T_ANCHORS
     return SwitchCurveFit(
-        g_14_310=t_intercept + t_slope * 310.0,
-        g_14_360=t_intercept + t_slope * 360.0,
+        g_14_310=t_intercept + t_slope * t_lo,
+        g_14_360=t_intercept + t_slope * t_hi,
         beta=math.fsum(slopes) / len(slopes),
         r2_voltage_min=min(r2s),
         r2_temperature=r2_t,

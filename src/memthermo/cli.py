@@ -28,13 +28,11 @@ from .calibration import (
 )
 from .config import ConfigError, RunConfig, checked, resolve_config
 from .csvio import emit_csv, parse_csv, write_manifest
-from .device import ResetError
+from .device import LEVEL_ORDER, DeviceState, ResetError
 from .experiments import (
-    CycleResult,
     ProtocolError,
     run_heat_stimulate_retention,
     run_iv_sweep,
-    run_level_sweep,
     run_nullcline_sweep,
     run_thermal_cycling,
 )
@@ -63,20 +61,21 @@ def _schedule(cfg: RunConfig) -> TemperatureSchedule:
                                               hold_s=cfg["schedule.hold_s"])
 
 
-def _cycle(cfg: RunConfig) -> CycleResult:
+def _cycle(cfg: RunConfig, states):
+    """run_thermal_cycling of the configured run, reading states."""
     return run_thermal_cycling(
         schedule=_schedule(cfg),
         seed=cfg["run.seed"],
         fit=cfg.fit,
         plant=cfg.plant,
-        state=cfg.device,
+        states=states,
         read_period_s=cfg["schedule.read_period_s"],
         drift_scale=cfg["cycle.drift_scale"],
     )
 
 
 def _cmd_cycle(cfg: RunConfig):
-    res = _cycle(cfg)
+    [res] = _cycle(cfg, [cfg.device])
     yield "cycle", "cycle", (r[:6] for r in res.records)
     yield "cycle_holds", "cycle_holds", (
         (h.index, h.t_set_K, h.r_steady_ohm, h.r_first_ohm, h.r_last_ohm,
@@ -84,15 +83,12 @@ def _cmd_cycle(cfg: RunConfig):
 
 
 def _cmd_levels(cfg: RunConfig):
-    sweep = run_level_sweep(
-        schedule=_schedule(cfg), seed=cfg["run.seed"], fit=cfg.fit,
-        plant=cfg.plant, read_period_s=cfg["schedule.read_period_s"],
-        drift_scale=cfg["cycle.drift_scale"],
-    )
-    yield "levels", "levels", (
-        (level, cfg.fit.anchor(level).r_ref, sweep.drops[level],
-         sweep.sensitivities[level]) for level in sweep.results)
-    for level, res in sweep.results.items():
+    r_refs = [cfg.fit.anchor(level).r_ref for level in LEVEL_ORDER]
+    results = _cycle(cfg, [DeviceState(r_persistent=r) for r in r_refs])
+    yield "levels", "levels", [
+        (level, r_ref, res.total_drop(), res.sensitivity())
+        for level, r_ref, res in zip(LEVEL_ORDER, r_refs, results)]
+    for level, res in zip(LEVEL_ORDER, results):
         yield f"cycle_{level}", "cycle", (r[:6] for r in res.records)
 
 
@@ -163,7 +159,7 @@ def _cmd_nullcline(cfg: RunConfig):
 
 def _cmd_thermometer(cfg: RunConfig):
     trials = cfg["thermometer.trials"]
-    res = _cycle(cfg)
+    [res] = _cycle(cfg, [cfg.device])
     sigma = cfg["thermometer.noise_sigma"]
     noise = rng.substream(cfg["run.seed"], "noise") if sigma > 0 else None
     guard = thermometer_guard(sigma, cfg["cycle.drift_scale"])

@@ -383,6 +383,12 @@ def read_resistance(state: DeviceState, fit: ThermalFit, T: float) -> float:
     return r_eff * rho_temperature_factor(T, fit.phi_for_state(r_eff))
 
 
+# The switching calibration point: g_14_310 and g_14_360 are the train
+# fractions at V_ANCHOR and at each of T_ANCHORS.
+V_ANCHOR = 1.4
+T_ANCHORS = (310.0, 360.0)
+
+
 @dataclass(frozen=True)
 class SwitchingParams:
     """Pulse-train switching behaviour.
@@ -448,9 +454,11 @@ def train_switch_fraction(v: float, T: float, params: SwitchingParams) -> float:
     v_abs = abs(v)
     if v_abs < params.v_th:
         return 0.0
-    g = params.g_14_310 * math.exp(params.beta * (v_abs - 1.4))
-    t_clamped = min(max(T, 310.0), 360.0)
-    ramp = (t_clamped - 310.0) / 50.0 * (params.g_14_360 / params.g_14_310 - 1.0)
+    t_lo, t_hi = T_ANCHORS
+    g = params.g_14_310 * math.exp(params.beta * (v_abs - V_ANCHOR))
+    t_clamped = min(max(T, t_lo), t_hi)
+    ramp = ((t_clamped - t_lo) / (t_hi - t_lo)
+            * (params.g_14_360 / params.g_14_310 - 1.0))
     s = 1.0 + ramp * _ramp_coupling(v_abs, params)
     return math.copysign(g * s, v)
 

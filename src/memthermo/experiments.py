@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .calibration import IVCurveSet, sensitivity_percent_per_K
-from .constants import V_READ
+from .constants import T_MAX, T_MIN, T_REF, V_READ
 from .device import (
-    LEVEL_ORDER,
+    T_ANCHORS,
+    V_ANCHOR,
     DeviceState,
     SwitchingParams,
     ThermalFit,
@@ -27,7 +28,7 @@ from .device import (
     thermionic_current,
 )
 from .rng import substream
-from .thermal import TemperatureSchedule, ThermalPlant, settled
+from .thermal import GRID_TEMPS, TemperatureSchedule, ThermalPlant, settled
 
 PHASE_READ = "read"
 PHASE_PROGRAM = "program"
@@ -36,9 +37,12 @@ PHASE_RETENTION = "retention"
 # Spacing of the programming pulses on the trace clock.
 PULSE_PERIOD_S = 0.1
 
-# The nullcline's (v, T) grid: 0.7-1.4 V by 0.1 V, 310-360 K by 10 K.
-NULLCLINE_VOLTAGES = tuple(round(0.7 + 0.1 * k, 1) for k in range(8))
-NULLCLINE_TEMPS = tuple(float(T) for T in range(310, 361, 10))
+# The nullcline's (v, T) grid: 0.7 V up to the switching anchor by 0.1 V,
+# and the setpoint grid across the anchor temperatures (310-360 K).
+NULLCLINE_VOLTAGES = tuple(round(V_ANCHOR - 0.1 * k, 1)
+                           for k in reversed(range(8)))
+NULLCLINE_TEMPS = tuple(T for T in GRID_TEMPS
+                        if T_ANCHORS[0] <= T <= T_ANCHORS[1])
 
 
 class ProtocolError(RuntimeError):
@@ -85,7 +89,7 @@ class CycleResult:
     def steady_values(self, t_set: float) -> list[float]:
         return [h.r_steady_ohm for h in self.holds if h.t_set_K == t_set]
 
-    def revisit_discrepancy(self, t_set: float = 300.0) -> float:
+    def revisit_discrepancy(self, t_set: float = T_MIN) -> float:
         """Relative difference between the first and last settled visits."""
         values = self.steady_values(t_set)
         if len(values) < 2:
@@ -94,17 +98,16 @@ class CycleResult:
 
     def total_drop(self) -> float:
         """Fractional settled drop from 300 K to 360 K."""
-        r300 = self.steady_values(300.0)
-        r360 = self.steady_values(360.0)
+        r300 = self.steady_values(T_MIN)
+        r360 = self.steady_values(T_MAX)
         if not r300 or not r360:
             raise ProtocolError("schedule lacks 300 K or 360 K holds")
         return 1.0 - r360[0] / r300[0]
 
-    def settled_trace(self) -> tuple[list[float], list[float]]:
-        """(T, R) pairs of per-hold settled values, in visit order."""
-        temps = [h.t_set_K for h in self.holds]
-        res = [h.r_steady_ohm for h in self.holds]
-        return temps, res
+    def sensitivity(self) -> float:
+        """Sensitivity in %/K of the per-hold settled values."""
+        return sensitivity_percent_per_K([h.t_set_K for h in self.holds],
+                                         [h.r_steady_ohm for h in self.holds])
 
 
 def _drift_factors(scale: float, seed: int, n: int) -> list[float]:
@@ -118,7 +121,7 @@ def _drift_factors(scale: float, seed: int, n: int) -> list[float]:
     half_band = 0.5 * math.log1p(scale)
     log_f, factors = 0.0, []
     for _ in range(n):
-        step = rng.normal(0.0, half_band / 2.0)
+        step = half_band / 2.0 * rng.standard_normal()
         log_f = min(max(log_f + step, -half_band), half_band)
         factors.append(math.exp(log_f))
     return factors
@@ -148,76 +151,58 @@ def run_thermal_cycling(
     seed: int,
     fit: ThermalFit,
     plant: ThermalPlant,
-    state: DeviceState,
+    states: Sequence[DeviceState],
     read_period_s: float,
     drift_scale: float,
-) -> CycleResult:
+) -> list[CycleResult]:
     """Hold each scheduled setpoint on a copy of plant, reading at a fixed
-    cadence; seed draws the drift factors.
+    cadence; seed draws the drift factors. Returns one CycleResult per
+    device state, in order.
 
-    Raises ProtocolError when a hold fails the settling criterion at its
-    end. Reads are non-perturbing, so the device state never changes;
-    revisited setpoints reproduce the settled resistance exactly unless
-    the drift model is enabled.
+    The chamber does not depend on the device inside it, so one plant run
+    is read by every state: the holds read the first state, and every
+    other state is read at each recorded (t, t_set, t_air, t_dev) with
+    that hold's drift factor. Raises ProtocolError at the first hold that
+    fails the settling criterion at its end, checking state by state in
+    the given order. Reads are non-perturbing, so the device states never
+    change; revisited setpoints reproduce the settled resistance exactly
+    unless the drift model is enabled.
     """
     plant = plant.copy()
-    phi = fit.phi_for_state(state.r_eff)
     factors = _drift_factors(drift_scale, seed, len(schedule.setpoints))
+    first_reads, t = [], 0.0   # the first state's reads, hold by hold
+    for t_set, factor in zip(schedule.setpoints, factors):
+        first_reads.append([])
+        t = _hold(plant, states[0], fit, t_set, schedule.hold_s,
+                  read_period_s, t, first_reads[-1], factor)
 
-    records: list[TraceRecord] = []
-    holds: list[HoldSummary] = []
-    t = 0.0
-    for index, (t_set, factor) in enumerate(zip(schedule.setpoints, factors)):
-        start = len(records)
-        t = _hold(plant, state, fit, t_set, schedule.hold_s, read_period_s,
-                  t, records, factor)
-        hold = records[start:]
-        ok = settled([r.t_s for r in hold], [r.r_ohm for r in hold])
-        if ok is not True:
-            raise ProtocolError(
-                f"hold {index} at {t_set} K not settled after "
-                f"{schedule.hold_s} s (criterion: {ok})"
-            )
-        holds.append(HoldSummary(
-            index=index, t_set_K=t_set,
-            t_start_s=hold[0].t_s, t_end_s=t,
-            r_steady_ohm=state.r_eff * rho_temperature_factor(t_set, phi) * factor,
-            r_first_ohm=hold[0].r_ohm, r_last_ohm=hold[-1].r_ohm,
-            settled=True,
-        ))
-    return CycleResult(records=records, holds=holds)
-
-
-@dataclass
-class LevelSweepResult:
-    results: dict[str, CycleResult]
-    drops: dict[str, float]
-    sensitivities: dict[str, float]
-
-
-def run_level_sweep(
-    schedule: TemperatureSchedule,
-    seed: int,
-    fit: ThermalFit,
-    plant: ThermalPlant,
-    read_period_s: float,
-    drift_scale: float,
-) -> LevelSweepResult:
-    """Run the thermal cycle once per programmed level of LEVEL_ORDER, at
-    the level's reference resistance in fit, each on a fresh copy of
-    plant."""
-    results, drops, sens = {}, {}, {}
-    for level in LEVEL_ORDER:
-        res = run_thermal_cycling(
-            schedule=schedule, seed=seed, fit=fit, plant=plant,
-            state=DeviceState(r_persistent=fit.anchor(level).r_ref),
-            read_period_s=read_period_s, drift_scale=drift_scale,
-        )
-        results[level] = res
-        drops[level] = res.total_drop()
-        temps, settled_r = res.settled_trace()
-        sens[level] = sensitivity_percent_per_K(temps, settled_r)
-    return LevelSweepResult(results=results, drops=drops, sensitivities=sens)
+    results = []
+    for n, state in enumerate(states):
+        phi = fit.phi_for_state(state.r_eff)
+        records: list[TraceRecord] = []
+        holds: list[HoldSummary] = []
+        for index, (t_set, factor, hold) in enumerate(
+                zip(schedule.setpoints, factors, first_reads)):
+            if n:
+                hold = [r._replace(r_ohm=read_resistance(state, fit, r.t_dev_K)
+                                   * factor) for r in hold]
+            ok = settled([r.t_s for r in hold], [r.r_ohm for r in hold])
+            if ok is not True:
+                raise ProtocolError(
+                    f"hold {index} at {t_set} K not settled after "
+                    f"{schedule.hold_s} s (criterion: {ok})"
+                )
+            records += hold
+            holds.append(HoldSummary(
+                index=index, t_set_K=t_set,
+                t_start_s=hold[0].t_s, t_end_s=hold[-1].t_s,
+                r_steady_ohm=state.r_eff * rho_temperature_factor(t_set, phi)
+                * factor,
+                r_first_ohm=hold[0].r_ohm, r_last_ohm=hold[-1].r_ohm,
+                settled=True,
+            ))
+        results.append(CycleResult(records=records, holds=holds))
+    return results
 
 
 @dataclass
@@ -305,7 +290,7 @@ def run_heat_stimulate_retention(
     recovered = 0.0 if vol_peak == 0.0 else 1.0 - state.r_volatile_excess / vol_peak
 
     # back to the reference temperature
-    t = _hold(plant, state, fit, 300.0, hold_s, read_period_s, t, kept)
+    t = _hold(plant, state, fit, T_REF, hold_s, read_period_s, t, kept)
 
     # reset to the initial 300 K reference level
     reset = reset_to_reference(state, state0.r_persistent, params, fit)

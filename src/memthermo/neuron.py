@@ -52,7 +52,7 @@ class FeedforwardMap:
 
     mode: str = "affine"
     kappa: float = 60.0
-    t_fixed: float = 300.0
+    t_fixed: float = T_REF
     table_loads: tuple[float, ...] = ()
     table_temps: tuple[float, ...] = ()
 
@@ -188,7 +188,8 @@ class NeuronSystem:
         draws = [0.0] * N_SYNAPSES   # exp(0.0) == 1.0: r0 exactly
         if spread_sigma > 0:
             rng = substream(seed, "spread")
-            draws = rng.normal(0.0, spread_sigma, N_SYNAPSES)
+            draws = [spread_sigma * z
+                     for z in rng.standard_normal(N_SYNAPSES)]
         synapses = [DeviceState(r_persistent=r0 * math.exp(z)) for z in draws]
         return cls(synapses=synapses, fit=fit, plant=plant.copy(), fmap=fmap,
                    theta=theta, dt_s=dt_s, window=window)

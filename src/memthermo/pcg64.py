@@ -2,7 +2,7 @@
 
 `PCG64(entropy)` draws what numpy's `PCG64(SeedSequence(entropy))` draws,
 for a tuple of non-negative ints: the same `random_raw(k)` words, and the
-`permutation(n)`, `standard_normal` and `normal` of
+`permutation(n)` and `standard_normal` of
 `default_rng(SeedSequence(entropy))`. It ports four published algorithms:
 `SeedSequence`'s entropy mixing (after O'Neill's `seed_seq_fe`), the PCG64
 XSL-RR generator (O'Neill, HMC-CS-2014-0905,
@@ -117,14 +117,6 @@ class PCG64:
         if size is None:
             return self._standard_normal()
         return [self._standard_normal() for _ in range(size)]
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0,
-               size: int | None = None):
-        """`loc + scale * z` for a standard normal z and a `scale >= 0`, or a
-        list of `size`."""
-        if size is None:
-            return loc + scale * self._standard_normal()
-        return [loc + scale * self._standard_normal() for _ in range(size)]
 
     def _standard_normal(self) -> float:
         """numpy's ziggurat. One 64-bit word picks a layer (its low 8 bits),

@@ -4,9 +4,9 @@ Every consumer of randomness draws from its own named stream derived from
 the single run seed, so adding or removing draws in one consumer never
 perturbs the others, and identical (seed, config) reruns are bit-exact
 across platforms. Every stream is `pcg64.PCG64`, a pure-Python port of
-numpy's generator that draws numpy's permutations and normals bit for bit.
-numpy, ~0.1 s of import, is loaded only by `numpy()`, for the signature
-fit.
+numpy's generator that draws numpy's permutations and standard normals
+bit for bit. numpy, ~0.1 s of import, is loaded only by `numpy()`, for
+the signature fit.
 """
 from __future__ import annotations
 

@@ -13,11 +13,11 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .constants import T_MAX, T_MIN
+from .constants import T_MAX, T_MIN, T_REF
 from .rng import substream
 
 # The protocol's 10 K setpoint grid over the chamber window.
-GRID_TEMPS = tuple(float(t) for t in range(300, 361, 10))
+GRID_TEMPS = tuple(float(t) for t in range(int(T_MIN), int(T_MAX) + 1, 10))
 
 # Trailing window and threshold of the settling criterion: the resistance
 # change over the trailing 6 minutes must stay under 2 % of the total
@@ -28,9 +28,9 @@ SETTLE_THRESHOLD = 0.02
 
 @dataclass
 class ThermalPlant:
-    t_set: float = 300.0
-    t_air: float = 300.0
-    t_dev: float = 300.0
+    t_set: float = T_REF
+    t_air: float = T_REF
+    t_dev: float = T_REF
     tau_air_s: float = 180.0
     tau_dev_s: float = 720.0
     _flow = (None, 0.0, 0.0, False)   # not a field: see step
@@ -137,7 +137,7 @@ def scrambled_schedule(seed: int, hold_s: float) -> TemperatureSchedule:
     """
     rng = substream(seed, "schedule")
     order = [GRID_TEMPS[i] for i in rng.permutation(len(GRID_TEMPS))]
-    revisits = [300.0, 360.0]
+    revisits = [T_MIN, T_MAX]
     if order[-1] == revisits[0]:
         revisits.reverse()
     return TemperatureSchedule(tuple(order + revisits), float(hold_s))

@@ -2,8 +2,8 @@ import pytest
 
 from memthermo.cli import _hsr_args
 from memthermo.config import resolve_config
-from memthermo.device import (DEFAULT_ANCHORS, DeviceState, SwitchingParams,
-                              ThermalFit)
+from memthermo.device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
+                              SwitchingParams, ThermalFit)
 from memthermo.experiments import (run_heat_stimulate_retention,
                                    run_thermal_cycling)
 from memthermo.neuron import NeuronSystem
@@ -45,10 +45,23 @@ def cycle_args(cfg):
 
 @pytest.fixture(scope="session")
 def cycle(cfg, cycle_args):
-    """run_thermal_cycling as `cycle` calls it; keywords override."""
+    """run_thermal_cycling as `cycle` calls it, reading one state: its
+    CycleResult; keywords override."""
+    def run(seed=0, state=cfg.device, **kwargs):
+        [res] = run_thermal_cycling(
+            **{**cycle_args(seed), "states": [state], **kwargs})
+        return res
+    return run
+
+
+@pytest.fixture(scope="session")
+def level_runs(cycle_args, state_at):
+    """run_thermal_cycling as `levels` calls it: {level: CycleResult};
+    keywords override."""
     def run(seed=0, **kwargs):
-        return run_thermal_cycling(
-            **{**cycle_args(seed), "state": cfg.device, **kwargs})
+        states = [state_at(level) for level in LEVEL_ORDER]
+        return dict(zip(LEVEL_ORDER, run_thermal_cycling(
+            **{**cycle_args(seed), "states": states, **kwargs})))
     return run
 
 

@@ -15,6 +15,7 @@ sensitivity", which criterion 2 checks as a pristine/L4 ratio in
 """
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from memthermo.device import (
     read_resistance,
     thermionic_current,
 )
-from memthermo.experiments import run_level_sweep, run_nullcline_sweep
+from memthermo.experiments import run_nullcline_sweep
 from memthermo.neuron import (
     FeedforwardMap,
     InputPattern,
@@ -54,8 +55,12 @@ def _report(number: int, name: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def level_sweep(cycle_args, fit):
-    return run_level_sweep(**{**cycle_args(0), "fit": fit})
+def level_sweep(level_runs, fit):
+    """Each level's drop and sensitivity, as `levels` writes them."""
+    runs = level_runs(0, fit=fit)
+    return SimpleNamespace(
+        drops={lvl: res.total_drop() for lvl, res in runs.items()},
+        sensitivities={lvl: res.sensitivity() for lvl, res in runs.items()})
 
 
 @pytest.fixture(scope="module")

@@ -27,11 +27,11 @@ from memthermo.experiments import (
     _hold,
     run_heat_stimulate_retention,
     run_iv_sweep,
-    run_level_sweep,
     run_nullcline_sweep,
+    run_thermal_cycling,
     sweep_voltages,
 )
-from memthermo.thermal import TemperatureSchedule
+from memthermo.thermal import TemperatureSchedule, ThermalPlant
 
 
 def test_trace_record_fields_are_the_row_schemas():
@@ -98,13 +98,33 @@ def test_cycle_unsettled_hold_raises(cycle, fit):
         cycle(schedule=sched, fit=fit)
 
 
-def test_level_sweep_ordering_and_ratio(cycle_args, fit):
-    sweep = run_level_sweep(**{**cycle_args(3), "fit": fit})
-    drops = [sweep.drops[lvl] for lvl in ("pristine", "L1", "L2", "L3", "L4")]
+def test_level_sweep_ordering_and_ratio(level_runs, fit):
+    runs = level_runs(3, fit=fit)
+    drops = [runs[lvl].total_drop()
+             for lvl in ("pristine", "L1", "L2", "L3", "L4")]
     assert all(a > b for a, b in zip(drops, drops[1:]))
-    ratio = sweep.drops["pristine"] / sweep.drops["L4"]
+    ratio = runs["pristine"].total_drop() / runs["L4"].total_drop()
     assert 5.0 <= ratio <= 7.0
-    assert abs(sweep.sensitivities["L1"]) == pytest.approx(1.0, abs=0.15)
+    assert abs(runs["L1"].sensitivity()) == pytest.approx(1.0, abs=0.15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), drift_scale=st.floats(0.0, 0.1),
+       plant=st.sampled_from([ThermalPlant.packaged(),
+                              ThermalPlant.on_wafer()]),
+       levels=st.lists(st.sampled_from(LEVEL_ORDER), min_size=1,
+                       unique=True))
+def test_one_cycle_run_reads_each_state_as_its_own_run(
+        cycle, cycle_args, state_at, seed, drift_scale, plant, levels):
+    # the chamber does not depend on the device: one plant run read by
+    # several states gives each state's own run, records and holds alike
+    kwargs = {"plant": plant, "drift_scale": drift_scale,
+              "read_period_s": 60.0}
+    together = run_thermal_cycling(**{
+        **cycle_args(seed), **kwargs,
+        "states": [state_at(lvl) for lvl in levels]})
+    assert list(together) == [cycle(seed, state=state_at(lvl), **kwargs)
+                              for lvl in levels]
 
 
 # ---------------------------------------------------------------------------
