@@ -13,7 +13,7 @@ Three fitting pipelines:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import K_B_EV, T_MAX, T_MIN, T_REF
 from .device import (
@@ -67,17 +67,18 @@ def _linear_fit(x, y) -> tuple[float, float, float]:
         d * d for d in (math.ldexp(d, e) for d in dy))
 
 
-@dataclass(frozen=True)
 class IVCurveSet:
     """IV samples on one grid: currents[j][k] is the current at
     temperatures[j] and voltages[k]. The rows of iv.csv are its rows(),
     read back by from_rows."""
 
-    temperatures: tuple[float, ...]
-    voltages: tuple[float, ...]
-    currents: tuple[tuple[float, ...], ...]
+    __slots__ = ("temperatures", "voltages", "currents")
 
-    def __post_init__(self):
+    def __init__(self, temperatures: tuple[float, ...],
+                 voltages: tuple[float, ...],
+                 currents: tuple[tuple[float, ...], ...]):
+        self.temperatures, self.voltages = temperatures, voltages
+        self.currents = currents
         if not self.temperatures or [len(row) for row in self.currents] != [
                 len(self.voltages)] * len(self.temperatures):
             raise ValueError("need a current at each temperature and voltage")
@@ -86,6 +87,12 @@ class IVCurveSet:
                     and all(map(math.isfinite, (*self.voltages, *row)))):
                 raise ValueError(f"T={T!r} K: need T in [{T_MIN}, {T_MAX}] K "
                                  "and finite v and i")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.temperatures, self.voltages, self.currents) == (
+            other.temperatures, other.voltages, other.currents)
 
     @classmethod
     def from_rows(cls, rows) -> "IVCurveSet":
@@ -118,8 +125,7 @@ class IVCurveSet:
                 for v, i in zip(self.voltages, row))
 
 
-@dataclass(frozen=True)
-class ThermionicExtraction:
+class ThermionicExtraction(NamedTuple):
     """Extraction output with per-stage diagnostics.
 
     `params` is populated only when the fitted values are physical
@@ -294,8 +300,7 @@ def invert_temperature(
     )
 
 
-@dataclass(frozen=True)
-class SwitchCurveFit:
+class SwitchCurveFit(NamedTuple):
     """Recovered train-fraction parameters plus regression diagnostics."""
 
     g_14_310: float

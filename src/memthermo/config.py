@@ -17,8 +17,8 @@ those objects. The neuron template alone, whose spread draws the seeded
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .constants import R_CEILING, R_FLOOR, T_MAX, T_MIN
 from .device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
@@ -83,8 +83,7 @@ def distinct(check):
         else "a list without repeats")
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(NamedTuple):
     name: str
     type: type
     default: object
@@ -133,14 +132,14 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
 
     _k("plant.preset", str, "packaged", "packaged or on_wafer",
        choice("packaged", "on_wafer")),
-    _k("plant.tau_air_s", float, ThermalPlant.tau_air_s,
+    _k("plant.tau_air_s", float, ThermalPlant().tau_air_s,
        "chamber air time constant"),
     _k("plant.tau_dev_s", float, 0.0, "device time constant; 0 uses the "
        "preset (720 packaged, 60 on-wafer)"),
 
-    *(_k(_switching_key(f.name), float, f.default,
-         f"SwitchingParams.{f.name}")
-      for f in fields(SwitchingParams)),
+    *(_k(_switching_key(name), float, getattr(SwitchingParams(), name),
+         f"SwitchingParams.{name}")
+      for name in SwitchingParams.__slots__),
 
     _k("schedule.hold_s", float, 3600.0, "hold per setpoint", positive),
     _k("schedule.read_period_s", float, 6.0, "read cadence during holds",
@@ -179,9 +178,9 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
     _k("neuron.dt_s", float, 1.0, "seconds per step"),
     _k("neuron.map_mode", str, "table", "feedforward: affine, table, fixed",
        choice("affine", "table", "fixed")),
-    _k("neuron.kappa", float, FeedforwardMap.kappa,
+    _k("neuron.kappa", float, FeedforwardMap().kappa,
        "affine feedforward gain, K per load"),
-    _k("neuron.t_fixed_k", float, FeedforwardMap.t_fixed,
+    _k("neuron.t_fixed_k", float, FeedforwardMap().t_fixed,
        "setpoint in fixed mode"),
     _k("neuron.gamma", float, 0.3, "residual slope of the table target"),
     # at sigma = 1 the 25 draws already span about two decades
@@ -257,21 +256,22 @@ class RunConfig:
     def __init__(self, values: dict[str, object]):
         self._values = values
         self.switching = checked("switching", SwitchingParams,
-                                 **{f.name: self[_switching_key(f.name)]
-                                    for f in fields(SwitchingParams)})
+                                 **{name: self[_switching_key(name)]
+                                    for name in SwitchingParams.__slots__})
         explicit = self.floats("schedule.setpoints")
         # None: the run draws the scrambled schedule (the "schedule" stream)
         self.schedule = checked(
             "schedule.setpoints", TemperatureSchedule, tuple(explicit),
             self["schedule.hold_s"]) if explicit else None
-        anchors = tuple(replace(a, r_ref=self[r], total_drop=self[d])
+        anchors = tuple(a._replace(r_ref=self[r], total_drop=self[d])
                         for a in DEFAULT_ANCHORS
                         for r, d in [_fit_keys(a.label)])
         # CalibrationError (an unreachable drop) is a ValueError too
         self.fit = checked("fit", ThermalFit, anchors=anchors)
         base = getattr(ThermalPlant, self["plant.preset"])()
         self.plant = checked(
-            "plant", replace, base, tau_air_s=self["plant.tau_air_s"],
+            "plant", ThermalPlant, base.t_set, base.t_air, base.t_dev,
+            tau_air_s=self["plant.tau_air_s"],
             tau_dev_s=self["plant.tau_dev_s"] or base.tau_dev_s)
         self.device = DeviceState(r_persistent=self["device.r_ohm"] or
                                   self.fit.anchor(self["device.level"]).r_ref)

@@ -22,15 +22,16 @@ calibrated at 1.4 V to +22 % (310 K) and +27 % (360 K), and the
 temperature ramp tapers above 1.4 V so that 1.5 V trains stay within a
 10 % cross-temperature spread.
 
-All operations are pure functions of their inputs; device states are
-small frozen values, safe to copy and share across threads.
+All operations are pure functions of their inputs: none changes a
+device state it is given, each returns a new one, so a state can be
+shared across threads.
 """
 from __future__ import annotations
 
 import bisect
 import math
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .constants import K_B_EV, R_CEILING, R_FLOOR, T_MAX, T_MIN, T_REF, V_READ
 
@@ -114,7 +115,6 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-@dataclass(frozen=True)
 class ThermionicParams:
     """Parameters of the thermionic IV law.
 
@@ -124,13 +124,13 @@ class ThermionicParams:
     the asymmetric IV response seen on high-resistance states.
     """
 
-    a_prefactor: float
-    phi_b: float
-    alpha_pos: float = 0.0
-    alpha_neg: float = 0.0
+    __slots__ = ("a_prefactor", "phi_b", "alpha_pos", "alpha_neg")
 
-    def __post_init__(self):
-        for name in ("a_prefactor", "phi_b", "alpha_pos", "alpha_neg"):
+    def __init__(self, a_prefactor: float, phi_b: float,
+                 alpha_pos: float = 0.0, alpha_neg: float = 0.0):
+        self.a_prefactor, self.phi_b = a_prefactor, phi_b
+        self.alpha_pos, self.alpha_neg = alpha_pos, alpha_neg
+        for name in self.__slots__:
             _require_finite(name, getattr(self, name))
         if self.a_prefactor <= 0:
             raise ValueError("a_prefactor must be > 0")
@@ -221,8 +221,7 @@ def calibrate_phi_from_drop(total_drop: float) -> float:
     return phi
 
 
-@dataclass(frozen=True)
-class LevelAnchor:
+class LevelAnchor(NamedTuple):
     """One calibrated resistive level: reference resistance, its
     fractional drop over the full 300->360 K window, and the IV
     barrier-lowering factors (eV/sqrt(V)) per bias polarity."""
@@ -255,7 +254,6 @@ DEFAULT_ANCHORS = (
 LEVEL_ORDER = tuple(a.label for a in DEFAULT_ANCHORS)
 
 
-@dataclass(frozen=True)
 class ThermalFit:
     """Apparent-barrier table mapping resistive state to thermal sensitivity.
 
@@ -265,7 +263,11 @@ class ThermalFit:
     the end anchors.
     """
 
-    anchors: tuple[LevelAnchor, ...]
+    __slots__ = ("anchors", "phi_of_anchor", "_log_r", "_phi_asc", "_last")
+
+    def __init__(self, anchors: tuple[LevelAnchor, ...]):
+        self.anchors = anchors
+        self.__post_init__()   # its own method: perfbench counts the builds
 
     def __post_init__(self):
         if not self.anchors:
@@ -277,11 +279,11 @@ class ThermalFit:
             raise ValueError("anchors must be strictly decreasing in r_ref")
         phis = tuple(calibrate_phi_from_drop(a.total_drop) for a in self.anchors)
         # ascending in log10(r) for interpolation
-        object.__setattr__(self, "_log_r", tuple(math.log10(r) for r in reversed(r_refs)))
-        object.__setattr__(self, "_phi_asc", tuple(reversed(phis)))
-        object.__setattr__(self, "phi_of_anchor", phis)
+        self._log_r = tuple(math.log10(r) for r in reversed(r_refs))
+        self._phi_asc = tuple(reversed(phis))
+        self.phi_of_anchor = phis
         # the last (r_eff, phi) pair: a hold reads one state many times
-        object.__setattr__(self, "_last", (None, 0.0))
+        self._last = (None, 0.0)
 
     def anchor(self, label: str) -> LevelAnchor:
         """The anchor named label."""
@@ -308,7 +310,7 @@ class ThermalFit:
             i = bisect.bisect_left(xs, x)   # the first xs[i] >= x
             f = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
             phi = ys[i - 1] + f * (ys[i] - ys[i - 1])
-        object.__setattr__(self, "_last", (r_eff, phi))
+        self._last = (r_eff, phi)
         return phi
 
 
@@ -333,8 +335,7 @@ def iv_preset(level: str, fit: ThermalFit) -> ThermionicParams:
                             alpha_neg=anchor.alpha_neg)
 
 
-@dataclass(frozen=True)
-class TrainEra:
+class TrainEra(NamedTuple):
     """Progress along one saturating pulse-train curve.
 
     A train era is pinned to the (v, T) it started with; consecutive
@@ -350,23 +351,31 @@ class TrainEra:
     r_start: float       # r_eff at era start
 
 
-@dataclass(frozen=True)
 class DeviceState:
     """Plastic state of one device: 300 K resistance split into a
     persistent part and a volatile excess, plus the lifetime pulse count."""
 
-    r_persistent: float
-    r_volatile_excess: float = 0.0
-    pulse_count: int = 0
-    era: TrainEra | None = None
+    __slots__ = ("r_persistent", "r_volatile_excess", "pulse_count", "era")
 
-    def __post_init__(self):
+    def __init__(self, r_persistent: float, r_volatile_excess: float = 0.0,
+                 pulse_count: int = 0, era: TrainEra | None = None):
+        self.r_persistent = r_persistent
+        self.r_volatile_excess = r_volatile_excess
+        self.pulse_count = pulse_count
+        self.era = era
         _require_finite("r_persistent", self.r_persistent)
         _require_finite("r_volatile_excess", self.r_volatile_excess)
         if self.r_persistent <= 0:
             raise ValueError("r_persistent must be > 0")
         if self.r_persistent + self.r_volatile_excess <= 0:
             raise ValueError("effective resistance must be > 0")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.r_persistent, self.r_volatile_excess, self.pulse_count,
+                 self.era) == (other.r_persistent, other.r_volatile_excess,
+                               other.pulse_count, other.era))
 
     @property
     def r_eff(self) -> float:
@@ -389,7 +398,6 @@ V_ANCHOR = 1.4
 T_ANCHORS = (310.0, 360.0)
 
 
-@dataclass(frozen=True)
 class SwitchingParams:
     """Pulse-train switching behaviour.
 
@@ -408,19 +416,22 @@ class SwitchingParams:
     by burn_in_gain. Voltages are in V, so beta is per V.
     """
 
-    v_th: float = 0.5
-    g_14_310: float = 0.22
-    g_14_360: float = 0.27
-    beta: float = math.log(11.0) / 0.7   # G(0.7 V) = 0.02
-    n_tau: float = 20.0
-    eta_nv: float = 0.4
-    tau_ret: float = 50.0
-    burn_in_gain: float = 1.0
-    taper_v_start: float = 1.4
-    taper_v_end: float = 1.5
-    taper_min: float = 0.35
+    __slots__ = ("v_th", "g_14_310", "g_14_360", "beta", "n_tau", "eta_nv",
+                 "tau_ret", "burn_in_gain", "taper_v_start", "taper_v_end",
+                 "taper_min")
 
-    def __post_init__(self):
+    def __init__(self, v_th: float = 0.5, g_14_310: float = 0.22,
+                 g_14_360: float = 0.27,
+                 beta: float = math.log(11.0) / 0.7,   # G(0.7 V) = 0.02
+                 n_tau: float = 20.0, eta_nv: float = 0.4,
+                 tau_ret: float = 50.0, burn_in_gain: float = 1.0,
+                 taper_v_start: float = 1.4, taper_v_end: float = 1.5,
+                 taper_min: float = 0.35):
+        self.v_th, self.g_14_310, self.g_14_360 = v_th, g_14_310, g_14_360
+        self.beta, self.n_tau, self.eta_nv = beta, n_tau, eta_nv
+        self.tau_ret, self.burn_in_gain = tau_ret, burn_in_gain
+        self.taper_v_start, self.taper_v_end = taper_v_start, taper_v_end
+        self.taper_min = taper_min
         if not (0.0 < self.v_th < 0.7):
             raise ValueError("v_th must sit between reads (0.2 V) and the "
                              "lowest programming amplitude (0.7 V)")
@@ -514,7 +525,7 @@ def apply_pulse_train(
         r_persistent=persistent,
         r_volatile_excess=volatile,
         pulse_count=state.pulse_count + count,
-        era=replace(era, n=era.n + count),
+        era=era._replace(n=era.n + count),
     )
     return new_state, trace
 
@@ -536,7 +547,7 @@ def retention_run(state: DeviceState, temps, params: SwitchingParams,
         volatile *= decay
         r_eff = persistent + volatile
         trace.append(r_eff * rho_temperature_factor(T, fit.phi_for_state(r_eff)))
-    return replace(state, r_volatile_excess=volatile, era=None), trace
+    return DeviceState(persistent, volatile, state.pulse_count), trace
 
 
 # Reset pulse amplitude (V), the relative band around the target and the
@@ -546,8 +557,7 @@ RESET_TOLERANCE = 0.01
 RESET_MAX_PULSES = 10_000
 
 
-@dataclass(frozen=True)
-class ResetResult:
+class ResetResult(NamedTuple):
     state: DeviceState
     pulses: int
     resistances: tuple[float, ...]   # 300 K read after each pulse
@@ -606,7 +616,9 @@ def reset_to_reference(
         volts.append(v)
         # era saturated without reaching the band: restart the curve
         if abs(current.r_persistent - before) < 1e-5 * target_r:
-            current = replace(current, era=None)
+            current = DeviceState(current.r_persistent,
+                                  current.r_volatile_excess,
+                                  current.pulse_count)
 
     final = DeviceState(
         r_persistent=current.r_persistent,

@@ -8,7 +8,6 @@ to the optional slow drift model and flows from a named sub-stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .calibration import IVCurveSet, sensitivity_percent_per_K
@@ -63,8 +62,7 @@ class TraceRecord(NamedTuple):
     v_V: float = V_READ
 
 
-@dataclass(frozen=True)
-class HoldSummary:
+class HoldSummary(NamedTuple):
     """One settled hold: setpoint, steady-state estimate and end-of-hold data.
 
     r_steady_ohm is the model's asymptotic read-out at the setpoint (what
@@ -81,8 +79,7 @@ class HoldSummary:
     settled: bool
 
 
-@dataclass
-class CycleResult:
+class CycleResult(NamedTuple):
     records: list[TraceRecord]
     holds: list[HoldSummary]
 
@@ -205,8 +202,7 @@ def run_thermal_cycling(
     return results
 
 
-@dataclass
-class HsrResult:
+class HsrResult(NamedTuple):
     """Heat-stimulate-retention run.
 
     Train fractions come in the three normalisations the protocol admits:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import K_B_EV, T_MAX, T_MIN, T_REF
 from .device import CalibrationError, DeviceState, ThermalFit, _brentq
@@ -41,7 +41,6 @@ def _synapse_loads(load) -> list[float]:
     return loads * (N_SYNAPSES // len(loads))
 
 
-@dataclass(frozen=True)
 class FeedforwardMap:
     """Input load -> chamber setpoint, monotone non-decreasing.
 
@@ -50,13 +49,13 @@ class FeedforwardMap:
     fixed:  constant setpoint (no feedforward), for probing the loop.
     """
 
-    mode: str = "affine"
-    kappa: float = 60.0
-    t_fixed: float = T_REF
-    table_loads: tuple[float, ...] = ()
-    table_temps: tuple[float, ...] = ()
+    __slots__ = ("mode", "kappa", "t_fixed", "table_loads", "table_temps")
 
-    def __post_init__(self):
+    def __init__(self, mode: str = "affine", kappa: float = 60.0,
+                 t_fixed: float = T_REF, table_loads: tuple[float, ...] = (),
+                 table_temps: tuple[float, ...] = ()):
+        self.mode, self.kappa, self.t_fixed = mode, kappa, t_fixed
+        self.table_loads, self.table_temps = table_loads, table_temps
         if self.mode not in ("affine", "table", "fixed"):
             raise ValueError(f"unknown feedforward mode {self.mode!r}")
         if self.mode == "affine" and self.kappa < 0:
@@ -90,13 +89,13 @@ class FeedforwardMap:
         return slope * (load - xp[j]) + fp[j]
 
 
-@dataclass(frozen=True)
 class InputPattern:
     """Piecewise-constant input: (duration in steps, load or 25-vector)."""
 
-    segments: tuple[tuple[int, object], ...]
+    __slots__ = ("segments",)
 
-    def __post_init__(self):
+    def __init__(self, segments: tuple[tuple[int, object], ...]):
+        self.segments = segments
         if not self.segments:
             raise ValueError("pattern must have at least one segment")
         for duration, load in self.segments:
@@ -104,6 +103,11 @@ class InputPattern:
                 raise ValueError("segment duration must be >= 1 step")
             if not all(0 <= x <= 1 for x in _synapse_loads(load)):   # NaN too
                 raise ValueError("loads must lie in [0, 1]")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.segments == other.segments
 
     @property
     def total_steps(self) -> int:
@@ -249,8 +253,7 @@ def settled_rate(system: NeuronSystem, load: float,
     return math.fsum(system.weights_at(t_inf)) * load / system.theta
 
 
-@dataclass
-class HomeostasisResult:
+class HomeostasisResult(NamedTuple):
     spikes: list[int]         # spikes per step
     mean_loads: list[float]
     t_dev: list[float]
@@ -329,8 +332,7 @@ def baseline_curve(
     return out
 
 
-@dataclass
-class GainCalibration:
+class GainCalibration(NamedTuple):
     fmap: FeedforwardMap
     mode: str
     kappa: float                      # nan in table mode

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 from .constants import T_MAX, T_MIN, T_REF
 from .rng import substream
@@ -26,19 +25,18 @@ SETTLE_WINDOW_S = 360.0
 SETTLE_THRESHOLD = 0.02
 
 
-@dataclass
 class ThermalPlant:
-    t_set: float = T_REF
-    t_air: float = T_REF
-    t_dev: float = T_REF
-    tau_air_s: float = 180.0
-    tau_dev_s: float = 720.0
-    _flow = (None, 0.0, 0.0, False)   # not a field: see step
+    __slots__ = ("t_set", "t_air", "t_dev", "tau_air_s", "tau_dev_s", "_flow")
 
-    def __post_init__(self):
-        if self.tau_air_s <= 0 or self.tau_dev_s <= 0:
+    def __init__(self, t_set: float = T_REF, t_air: float = T_REF,
+                 t_dev: float = T_REF, tau_air_s: float = 180.0,
+                 tau_dev_s: float = 720.0):
+        if tau_air_s <= 0 or tau_dev_s <= 0:
             raise ValueError("time constants must be > 0")
-        self._check_setpoint(self.t_set)
+        self._check_setpoint(t_set)
+        self.t_set, self.t_air, self.t_dev = t_set, t_air, t_dev
+        self.tau_air_s, self.tau_dev_s = tau_air_s, tau_dev_s
+        self._flow = (None, 0.0, 0.0, False)   # see step
 
     @staticmethod
     def _check_setpoint(t):
@@ -107,15 +105,14 @@ def settled(times_s, resistances) -> bool | None:
     return trailing <= SETTLE_THRESHOLD * total
 
 
-@dataclass(frozen=True)
 class TemperatureSchedule:
-    """Ordered setpoints, each held for hold_s. Setpoints are the
+    """Ordered setpoints (K), each held for hold_s. Setpoints are the
     protocol's 10 K grid."""
 
-    setpoints: tuple[float, ...]   # K
-    hold_s: float
+    __slots__ = ("setpoints", "hold_s")
 
-    def __post_init__(self):
+    def __init__(self, setpoints: tuple[float, ...], hold_s: float):
+        self.setpoints, self.hold_s = setpoints, hold_s
         if not self.setpoints:
             raise ValueError("schedule must contain at least one entry")
         for t_set in self.setpoints:
@@ -124,6 +121,11 @@ class TemperatureSchedule:
                 raise ValueError(f"setpoint {t_set} K not on the 10 K grid")
         if self.hold_s <= 0:
             raise ValueError("hold must be > 0 s")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.setpoints, self.hold_s) == (other.setpoints, other.hold_s)
 
 
 def scrambled_schedule(seed: int, hold_s: float) -> TemperatureSchedule:

@@ -14,7 +14,6 @@ sensitivity", which criterion 2 checks as a pristine/L4 ratio in
 [5.0, 7.0], the band criterion 1 applies to the drop ratio.
 """
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -166,7 +165,8 @@ def test_c05_learning_rate_invariance(hsr_args, state_at, fit, params):
 def test_c06_read_purity(fit):
     state = DeviceState(r_persistent=1e6, r_volatile_excess=1.5e4,
                         pulse_count=3)
-    snapshot = replace(state)
+    snapshot = DeviceState(state.r_persistent, state.r_volatile_excess,
+                           state.pulse_count, state.era)
     for k in range(10_000):
         read_resistance(state, fit, 300.0 + (k % 61))
     ok = state == snapshot

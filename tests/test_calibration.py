@@ -5,7 +5,6 @@ fits must recover the generating parameters.
 """
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from memthermo.device import (
     MIN_TOTAL_DROP,
     PHI_APP_MIN,
     DeviceState,
+    SwitchingParams,
     ThermionicParams,
     _brentq,
     read_resistance,
@@ -253,8 +253,10 @@ def test_switch_curve_exact_recovery(params):
     assert fitres.g_14_310 == pytest.approx(params.g_14_310, abs=1e-9)
     assert fitres.g_14_360 == pytest.approx(params.g_14_360, abs=1e-9)
     assert fitres.beta == pytest.approx(params.beta, abs=1e-9)
-    rebuilt = replace(params, g_14_310=fitres.g_14_310,
-                      g_14_360=fitres.g_14_360, beta=fitres.beta)
+    rebuilt = SwitchingParams(**{
+        name: getattr(params, name) for name in SwitchingParams.__slots__
+    } | dict(g_14_310=fitres.g_14_310, g_14_360=fitres.g_14_360,
+             beta=fitres.beta))
     assert train_switch_fraction(1.4, 310.0, rebuilt) == pytest.approx(0.22)
     assert train_switch_fraction(1.4, 360.0, rebuilt) == pytest.approx(0.27)
 

@@ -6,14 +6,17 @@ bisection for the barrier inversion, closed-form algebra for trains and
 retention) before being pinned here.
 """
 import math
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memthermo.constants import K_B_EV, T_MAX, T_REF, V_READ
+from memthermo import device
+from memthermo.config import resolve_config
+from memthermo.constants import (K_B_EV, R_CEILING, R_FLOOR, T_MAX, T_MIN,
+                                 T_REF, V_READ)
 from memthermo.device import (
     DEFAULT_ANCHORS,
     LEVEL_ORDER,
@@ -28,6 +31,7 @@ from memthermo.device import (
     SwitchingParams,
     ThermalFit,
     ThermionicParams,
+    TrainEra,
     apply_pulse_train,
     barrier_shift_response,
     calibrate_phi_from_drop,
@@ -39,6 +43,8 @@ from memthermo.device import (
     thermionic_current,
     train_switch_fraction,
 )
+from memthermo.thermal import (TemperatureSchedule, ThermalPlant,
+                               scrambled_schedule)
 
 # ---------------------------------------------------------------------------
 # thermionic conduction law
@@ -362,7 +368,8 @@ def test_read_pristine_and_l4_drops(fit):
 
 def test_reads_never_mutate_state(fit):
     state = DeviceState(r_persistent=1e6, r_volatile_excess=2e4, pulse_count=7)
-    snapshot = replace(state)
+    snapshot = DeviceState(state.r_persistent, state.r_volatile_excess,
+                           state.pulse_count, state.era)
     for T in (300.0, 325.0, 352.5, 360.0):
         read_resistance(state, fit, T)
     assert state == snapshot
@@ -557,7 +564,8 @@ def test_reset_converges_from_above(fit, params):
         replay, _ = apply_pulse_train(replay, v, 1, 300.0, params, fit)
         pulses += 1
         if abs(replay.r_persistent - before) < 1e-5 * 1e6:
-            replay = replace(replay, era=None)
+            replay = DeviceState(replay.r_persistent,
+                                 replay.r_volatile_excess, replay.pulse_count)
         assert pulses <= 10_000
     assert pulses == res.pulses
     assert replay.r_persistent == pytest.approx(
@@ -615,3 +623,148 @@ def test_barrier_shift_response_matches_direct_difference():
     )
     assert barrier_shift_response(340.0, 0.05, 1e-4) == pytest.approx(
         expected, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# every way of building a checked object runs its checks
+#
+# The copies with changes (a retention run, a stalled reset's curve
+# restart, the configured plant and switching parameters, a schedule)
+# each call the constructor; built without it, a value past a rule edge
+# would pass. A train's era (`TrainEra._replace`) carries no rule.
+
+
+def _built(build, *args, **kwargs):
+    """What build returns, or the text of the ValueError it raises."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _fields(obj):
+    if isinstance(obj, str):
+        return obj
+    return tuple(getattr(obj, name) for name in type(obj).__slots__
+                 if not name.startswith("_"))
+
+
+def _past(edges):
+    """A value at one of edges, or one ulp either side of it."""
+    return st.tuples(st.sampled_from(edges), st.sampled_from((-1, 0, 1))).map(
+        lambda e: math.nextafter(e[0], math.copysign(math.inf, e[1]))
+        if e[1] else e[0])
+
+
+class _Stop(Exception):
+    pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(r_persistent=st.one_of(_past((0.0,)), st.sampled_from(
+           (math.nan, math.inf)), st.floats(R_FLOOR, 1e7)),
+       volatile=st.one_of(st.sampled_from((math.nan, math.inf, -math.inf)),
+                          st.floats(-1.0, 1.0), st.floats(-1e7, 1e7)),
+       at_edge=st.sampled_from((-1, 0, 1, None)))
+def test_device_state_copies_check_what_the_constructor_checks(
+        r_persistent, volatile, at_edge):
+    if at_edge is not None and math.isfinite(r_persistent):
+        # -r_persistent makes the effective resistance exactly 0
+        volatile = -r_persistent if at_edge == 0 else math.nextafter(
+            -r_persistent, at_edge * math.inf)
+    direct = _fields(_built(DeviceState, r_persistent, volatile, 3))
+    stub_fit = SimpleNamespace(phi_for_state=lambda r: 0.0)
+    # a read interval of tau_ret = inf keeps the excess as it is
+    relaxed = _built(retention_run, SimpleNamespace(
+        r_persistent=r_persistent, r_volatile_excess=volatile, pulse_count=3,
+        era=None), [T_REF], SwitchingParams(tau_ret=math.inf), stub_fit)
+    assert _fields(relaxed if isinstance(relaxed, str) else relaxed[0]) \
+        == direct
+    if not (math.isfinite(r_persistent) and r_persistent > 0):
+        return
+    # a reset whose train leaves r_persistent where it was restarts the
+    # curve from the train's state; the next train receives the restart
+    trains = []
+
+    def stalled_train(current, v, count, T, params, fit):
+        if trains:
+            raise _Stop(current)
+        trains.append(v)
+        return SimpleNamespace(r_persistent=current.r_persistent,
+                               r_volatile_excess=volatile, pulse_count=3,
+                               era=TrainEra(v, T, 0.1, 1, 1.0)), [1.0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(device, "apply_pulse_train", stalled_train)
+        try:
+            restarted = _built(reset_to_reference, DeviceState(r_persistent),
+                               R_CEILING, SwitchingParams(), stub_fit)
+        except _Stop as stop:
+            restarted = stop.args[0]
+    assert _fields(restarted) == direct
+
+
+_SWITCHING_EDGES = {
+    "v_th": (0.0, 0.7), "g_14_310": (0.0, 0.27), "g_14_360": (0.22,),
+    "beta": (0.0,), "n_tau": (0.0,), "eta_nv": (0.0, 1.0),
+    "tau_ret": (0.0,), "burn_in_gain": (0.0,), "taper_v_start": (0.0, 1.5),
+    "taper_v_end": (1.4,), "taper_min": (0.0, 1.0),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_SWITCHING_EDGES)).flatmap(
+    lambda name: st.tuples(st.just(name), _past(_SWITCHING_EDGES[name]))))
+def test_configured_switching_params_check_what_the_constructor_checks(edge):
+    name, value = edge
+    direct = _fields(_built(SwitchingParams, **{name: value}))
+    key = "switching." + {"v_th": "v_th_v", "beta": "beta_per_v"}.get(name,
+                                                                      name)
+    configured = _built(resolve_config, overrides={key: repr(value)})
+    if isinstance(direct, str):
+        assert configured == f"switching: {direct}"
+    elif not isinstance(configured, str):   # another key may reject it
+        assert _fields(configured.switching) == direct
+    else:
+        assert not configured.startswith("switching: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("t_set"), _past((T_MIN, T_MAX))),
+    st.tuples(st.sampled_from(("tau_air_s", "tau_dev_s")), _past((0.0,)))),
+    st.sampled_from(("packaged", "on_wafer")))
+def test_plant_copies_check_what_the_constructor_checks(edge, preset):
+    name, value = edge
+    base = getattr(ThermalPlant, preset)()
+    values = dict(zip(("t_set", "t_air", "t_dev", "tau_air_s", "tau_dev_s"),
+                      _fields(base)), **{name: value})
+    direct = _fields(_built(ThermalPlant, **values))
+    assert _fields(_built(ThermalPlant.copy, SimpleNamespace(**values))) \
+        == direct
+    if name == "t_set" or value == 0.0:   # tau_dev_s = 0 picks the preset
+        return
+    configured = _built(resolve_config, overrides={
+        "plant.preset": preset, f"plant.{name}": repr(value)})
+    if isinstance(direct, str):
+        assert configured == f"plant: {direct}"
+    else:
+        assert _fields(configured.plant) == direct
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_past((T_MIN, 320.0, T_MAX)), min_size=1, max_size=3),
+       st.one_of(_past((0.0,)), st.just(3600.0)))
+def test_schedules_check_what_the_constructor_checks(setpoints, hold_s):
+    direct = _fields(_built(TemperatureSchedule, tuple(setpoints), hold_s))
+    if hold_s > 0:   # the schedule.hold_s key rejects the rest itself
+        configured = _built(resolve_config, overrides={
+            "schedule.setpoints": ",".join(map(repr, setpoints)),
+            "schedule.hold_s": repr(hold_s)})
+        assert (configured == f"schedule.setpoints: {direct}"
+                if isinstance(direct, str)
+                else _fields(configured.schedule) == direct)
+    scrambled = _built(scrambled_schedule, 0, hold_s)
+    assert _fields(scrambled) == _fields(_built(
+        TemperatureSchedule, getattr(scrambled, "setpoints", (T_MIN,)),
+        hold_s))
