@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from itertools import repeat
 
 from . import __version__, rng
 from .calibration import (
@@ -27,9 +28,10 @@ from .calibration import (
     thermometer_guard,
 )
 from .config import ConfigError, RunConfig, checked, resolve_config
-from .csvio import emit_csv, parse_csv, write_manifest
+from .csvio import emit_csv, format_value, parse_csv, write_manifest
 from .device import LEVEL_ORDER, DeviceState, ResetError
 from .experiments import (
+    PHASE_READ,
     ProtocolError,
     run_heat_stimulate_retention,
     run_iv_sweep,
@@ -76,7 +78,7 @@ def _cycle(cfg: RunConfig, states):
 
 def _cmd_cycle(cfg: RunConfig):
     [res] = _cycle(cfg, [cfg.device])
-    yield "cycle", "cycle", (r[:6] for r in res.records)
+    yield "cycle", "cycle", zip(*res[:5], repeat(PHASE_READ))
     yield "cycle_holds", "cycle_holds", (
         (h.index, h.t_set_K, h.r_steady_ohm, h.r_first_ohm, h.r_last_ohm,
          h.settled) for h in res.holds)
@@ -88,8 +90,11 @@ def _cmd_levels(cfg: RunConfig):
     yield "levels", "levels", [
         (level, r_ref, res.total_drop(), res.sensitivity())
         for level, r_ref, res in zip(LEVEL_ORDER, r_refs, results)]
+    # every level shares the chamber columns: format them once, not per file
+    chamber_text = [list(map(format_value, col)) for col in results[0][:4]]
     for level, res in zip(LEVEL_ORDER, results):
-        yield f"cycle_{level}", "cycle", (r[:6] for r in res.records)
+        yield f"cycle_{level}", "cycle", zip(*chamber_text, res.r_ohm,
+                                            repeat(PHASE_READ))
 
 
 def _iv_sweep(cfg: RunConfig) -> IVCurveSet:

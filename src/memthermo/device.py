@@ -440,9 +440,9 @@ class SwitchingParams:
         if not (0.0 < self.eta_nv < 1.0):
             raise ValueError("eta_nv must be in (0, 1): recovery exists "
                              "but is incomplete")
-        if self.beta < 0 or self.n_tau <= 0 or self.tau_ret <= 0:
+        if not (self.beta >= 0 and self.n_tau > 0 and self.tau_ret > 0):
             raise ValueError("beta >= 0, n_tau > 0, tau_ret > 0 required")
-        if self.burn_in_gain <= 0:
+        if not (self.burn_in_gain > 0):
             raise ValueError("burn_in_gain must be > 0")
         if not (0.0 < self.taper_min <= 1.0
                 and 0.0 < self.taper_v_start < self.taper_v_end):

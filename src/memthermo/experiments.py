@@ -1,9 +1,9 @@
 """Protocol runners reproducing the characterisation experiments.
 
 Each runner plays one measurement protocol against a simulated device and
-plant, emitting tagged trace records plus a compact summary. Runners are
-deterministic functions of (configuration, seed); randomness is limited
-to the optional slow drift model and flows from a named sub-stream.
+plant, returning its trace (columns, or hsr's tagged records) and a summary.
+Runners are deterministic in (configuration, seed); the only randomness,
+the optional slow drift, flows from a named sub-stream.
 """
 from __future__ import annotations
 
@@ -49,8 +49,8 @@ class ProtocolError(RuntimeError):
 
 
 class TraceRecord(NamedTuple):
-    """One trace row; the fields follow `SCHEMAS["hsr"]`, and the first
-    six are `SCHEMAS["cycle"]`, so a record is written as it stands."""
+    """One heat-stimulate-retention trace row, written as it stands: the
+    fields follow `SCHEMAS["hsr"]`, whose first six are `SCHEMAS["cycle"]`."""
 
     t_s: float
     t_set_K: float
@@ -80,7 +80,15 @@ class HoldSummary(NamedTuple):
 
 
 class CycleResult(NamedTuple):
-    records: list[TraceRecord]
+    """One state's reads as `SCHEMAS["cycle"]` columns, and its holds. The
+    chamber columns, t_s to t_dev_K, are the same lists for every result of
+    one run_thermal_cycling call."""
+
+    t_s: list[float]
+    t_set_K: list[float]
+    t_air_K: list[float]
+    t_dev_K: list[float]
+    r_ohm: list[float]
     holds: list[HoldSummary]
 
     def steady_values(self, t_set: float) -> list[float]:
@@ -157,48 +165,46 @@ def run_thermal_cycling(
     device state, in order.
 
     The chamber does not depend on the device inside it, so one plant run
-    is read by every state: the holds read the first state, and every
-    other state is read at each recorded (t, t_set, t_air, t_dev) with
-    that hold's drift factor. Raises ProtocolError at the first hold that
-    fails the settling criterion at its end, checking state by state in
-    the given order. Reads are non-perturbing, so the device states never
-    change; revisited setpoints reproduce the settled resistance exactly
-    unless the drift model is enabled.
+    is read by every state: `_hold` reads the first, and every other state
+    is read over each hold's t_dev column with that hold's drift factor.
+    The first hold that fails the settling criterion at its end raises
+    ProtocolError, state by state in the given order. Reads are
+    non-perturbing, so revisited setpoints reproduce the settled
+    resistance exactly unless the drift model is enabled.
     """
     plant = plant.copy()
     factors = _drift_factors(drift_scale, seed, len(schedule.setpoints))
-    first_reads, t = [], 0.0   # the first state's reads, hold by hold
+    chamber = ([], [], [], [])   # t_s, t_set_K, t_air_K, t_dev_K
+    hold_cols, t = [], 0.0       # each hold's record fields, as columns
     for t_set, factor in zip(schedule.setpoints, factors):
-        first_reads.append([])
+        hold: list[TraceRecord] = []
         t = _hold(plant, states[0], fit, t_set, schedule.hold_s,
-                  read_period_s, t, first_reads[-1], factor)
+                  read_period_s, t, hold, factor)
+        hold_cols.append(list(zip(*hold)))
+        for column, values in zip(chamber, hold_cols[-1]):
+            column += values
 
     results = []
     for n, state in enumerate(states):
         phi = fit.phi_for_state(state.r_eff)
-        records: list[TraceRecord] = []
-        holds: list[HoldSummary] = []
-        for index, (t_set, factor, hold) in enumerate(
-                zip(schedule.setpoints, factors, first_reads)):
+        r_ohm, holds = [], []
+        for index, (t_set, factor, (ts, _, _, t_dev, r, *_)) in enumerate(
+                zip(schedule.setpoints, factors, hold_cols)):
             if n:
-                hold = [r._replace(r_ohm=read_resistance(state, fit, r.t_dev_K)
-                                   * factor) for r in hold]
-            ok = settled([r.t_s for r in hold], [r.r_ohm for r in hold])
+                r = [read_resistance(state, fit, T) * factor for T in t_dev]
+            ok = settled(ts, r)
             if ok is not True:
                 raise ProtocolError(
                     f"hold {index} at {t_set} K not settled after "
                     f"{schedule.hold_s} s (criterion: {ok})"
                 )
-            records += hold
+            r_ohm += r
             holds.append(HoldSummary(
-                index=index, t_set_K=t_set,
-                t_start_s=hold[0].t_s, t_end_s=hold[-1].t_s,
+                index=index, t_set_K=t_set, t_start_s=ts[0], t_end_s=ts[-1],
                 r_steady_ohm=state.r_eff * rho_temperature_factor(t_set, phi)
                 * factor,
-                r_first_ohm=hold[0].r_ohm, r_last_ohm=hold[-1].r_ohm,
-                settled=True,
-            ))
-        results.append(CycleResult(records=records, holds=holds))
+                r_first_ohm=r[0], r_last_ohm=r[-1], settled=True))
+        results.append(CycleResult(*chamber, r_ohm, holds))
     return results
 
 

@@ -58,7 +58,7 @@ class FeedforwardMap:
         self.table_loads, self.table_temps = table_loads, table_temps
         if self.mode not in ("affine", "table", "fixed"):
             raise ValueError(f"unknown feedforward mode {self.mode!r}")
-        if self.mode == "affine" and self.kappa < 0:
+        if self.mode == "affine" and not (self.kappa >= 0):
             raise ValueError("kappa must be >= 0 (heating with load)")
         if self.mode == "fixed" and not (T_MIN <= self.t_fixed <= T_MAX):
             raise ValueError("fixed setpoint outside chamber range")
@@ -162,9 +162,9 @@ class NeuronSystem:
     @staticmethod
     def check(theta: float, dt_s: float, window: int) -> None:
         """The rules on the scalar arguments; raises ValueError."""
-        if theta <= 0:
+        if not (theta > 0):
             raise ValueError("theta must be > 0")
-        if window < 1 or dt_s <= 0:
+        if window < 1 or not (dt_s > 0):
             raise ValueError("window >= 1 and dt_s > 0 required")
         # weights and loads are <= 1 in the chamber window, so this bounds
         # a step to about one rate window of spikes

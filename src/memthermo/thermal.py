@@ -31,7 +31,7 @@ class ThermalPlant:
     def __init__(self, t_set: float = T_REF, t_air: float = T_REF,
                  t_dev: float = T_REF, tau_air_s: float = 180.0,
                  tau_dev_s: float = 720.0):
-        if tau_air_s <= 0 or tau_dev_s <= 0:
+        if not (tau_air_s > 0 and tau_dev_s > 0):
             raise ValueError("time constants must be > 0")
         self._check_setpoint(t_set)
         self.t_set, self.t_air, self.t_dev = t_set, t_air, t_dev
@@ -119,7 +119,7 @@ class TemperatureSchedule:
             ThermalPlant._check_setpoint(t_set)
             if t_set % 10 != 0:
                 raise ValueError(f"setpoint {t_set} K not on the 10 K grid")
-        if self.hold_s <= 0:
+        if not (self.hold_s > 0):
             raise ValueError("hold must be > 0 s")
 
     def __eq__(self, other):

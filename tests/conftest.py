@@ -46,7 +46,7 @@ def cycle_args(cfg):
 @pytest.fixture(scope="session")
 def cycle(cfg, cycle_args):
     """run_thermal_cycling as `cycle` calls it, reading one state: its
-    CycleResult; keywords override."""
+    CycleResult, the trace as columns; keywords override."""
     def run(seed=0, state=cfg.device, **kwargs):
         [res] = run_thermal_cycling(
             **{**cycle_args(seed), "states": [state], **kwargs})
@@ -56,8 +56,8 @@ def cycle(cfg, cycle_args):
 
 @pytest.fixture(scope="session")
 def level_runs(cycle_args, state_at):
-    """run_thermal_cycling as `levels` calls it: {level: CycleResult};
-    keywords override."""
+    """run_thermal_cycling as `levels` calls it: {level: CycleResult},
+    the levels sharing one list per chamber column; keywords override."""
     def run(seed=0, **kwargs):
         states = [state_at(level) for level in LEVEL_ORDER]
         return dict(zip(LEVEL_ORDER, run_thermal_cycling(

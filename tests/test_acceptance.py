@@ -112,8 +112,8 @@ def test_c03_settling_criterion(cycle, fit):
     res = cycle(schedule=staircase, fit=fit)
     checked = 0
     for hold in res.holds:
-        in_hold = [(r.t_s, r.r_ohm) for r in res.records
-                   if hold.t_start_s <= r.t_s <= hold.t_end_s]
+        in_hold = [(t, r) for t, r in zip(res.t_s, res.r_ohm)
+                   if hold.t_start_s <= t <= hold.t_end_s]
         times = [t for t, _ in in_hold]
         reads = [r for _, r in in_hold]
         assert settled(times, reads) is True

@@ -632,6 +632,23 @@ def test_levels_honours_plant(tmp_path, capsys):
         assert (a / name).read_bytes() != (b / name).read_bytes()
 
 
+def test_levels_cycle_files_share_the_chamber_columns(tmp_path, capsys):
+    # one chamber run is read by every level: the five cycle files agree in
+    # t_s, t_set_K, t_air_K and t_dev_K, and each is `cycle` of its level
+    run = ["--set", "schedule.read_period_s=30",
+           "--set", "cycle.drift_scale=0.05"]
+    assert _run("levels", "--out", str(tmp_path / "levels"), *run) == 0
+    chambers = set()
+    for level in LEVEL_ORDER:
+        written = (tmp_path / "levels" / f"cycle_{level}.csv").read_bytes()
+        chambers.add(tuple(line.rsplit(b",", 2)[0]
+                           for line in written.splitlines()))
+        assert _run("cycle", "--out", str(tmp_path / level), *run,
+                    "--preset", level) == 0
+        assert written == (tmp_path / level / "cycle.csv").read_bytes()
+    assert len(chambers) == 1
+
+
 def test_hsr_logs_each_reset_pulse_at_its_polarity(tmp_path, capsys):
     # a declared change: reset pulses were all logged at -1.5 V; after a
     # depressing train the reset potentiates, so each R step is upward

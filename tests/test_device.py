@@ -6,6 +6,8 @@ bisection for the barrier inversion, closed-form algebra for trains and
 retention) before being pinned here.
 """
 import math
+import re
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,6 +45,7 @@ from memthermo.device import (
     thermionic_current,
     train_switch_fraction,
 )
+from memthermo.neuron import FeedforwardMap, NeuronSystem
 from memthermo.thermal import (TemperatureSchedule, ThermalPlant,
                                scrambled_schedule)
 
@@ -768,3 +771,32 @@ def test_schedules_check_what_the_constructor_checks(setpoints, hold_s):
     assert _fields(scrambled) == _fields(_built(
         TemperatureSchedule, getattr(scrambled, "setpoints", (T_MIN,)),
         hold_s))
+
+
+_SWITCHING_RULE = "beta >= 0, n_tau > 0, tau_ret > 0 required"
+_NEURON_RULE = "window >= 1 and dt_s > 0 required"
+
+
+@pytest.mark.parametrize("build, field, message", [
+    pytest.param(build, field, message, id=f"{name}-{field}")
+    for name, build, field, message in [
+        ("plant", ThermalPlant, "tau_air_s", "time constants must be > 0"),
+        ("plant", ThermalPlant, "tau_dev_s", "time constants must be > 0"),
+        ("switching", SwitchingParams, "beta", _SWITCHING_RULE),
+        ("switching", SwitchingParams, "n_tau", _SWITCHING_RULE),
+        ("switching", SwitchingParams, "tau_ret", _SWITCHING_RULE),
+        ("switching", SwitchingParams, "burn_in_gain",
+         "burn_in_gain must be > 0"),
+        ("feedforward", FeedforwardMap, "kappa",
+         "kappa must be >= 0 (heating with load)"),
+        ("neuron", partial(NeuronSystem.check, theta=1.0, dt_s=1.0,
+                           window=100), "theta", "theta must be > 0"),
+        ("neuron", partial(NeuronSystem.check, theta=1.0, dt_s=1.0,
+                           window=100), "dt_s", _NEURON_RULE),
+        ("schedule", partial(TemperatureSchedule, (T_MIN,)), "hold_s",
+         "hold must be > 0 s"),
+    ]])
+def test_rules_reject_nan(build, field, message):
+    # a rule written as a rejection of x <= 0 would let NaN through
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(**{field: math.nan})
