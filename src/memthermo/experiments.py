@@ -132,23 +132,20 @@ def _drift_factors(scale: float, seed: int, n: int) -> list[float]:
     return factors
 
 
-def _hold(plant, state, fit, t_set, hold_s, read_period_s, t, records,
-          factor=1.0):
-    """Hold the chamber at t_set for hold_s, stepping the plant and reading
-    the device once per read period; returns the end time. Each read,
-    scaled by `factor`, is appended to `records` unless that is None."""
-    if hold_s <= 0 or read_period_s <= 0:
+def _hold(plant, t_set, hold_s, period_s, t):
+    """Hold the chamber at t_set for hold_s from time t, stepping the plant
+    once per period; returns the (t_s, t_set_K, t_air_K, t_dev_K) columns
+    at the end of each step, where the reads are taken."""
+    if not (hold_s > 0 and period_s > 0):
         raise ValueError(f"hold ({hold_s} s) and read period "
-                         f"({read_period_s} s) must be > 0")
+                         f"({period_s} s) must be > 0")
     plant.set_setpoint(t_set)
-    for _ in range(max(1, int(round(hold_s / read_period_s)))):
-        plant.step(read_period_s)
-        t += read_period_s
-        r = read_resistance(state, fit, plant.t_dev) * factor
-        if records is not None:
-            records.append(TraceRecord(t, plant.t_set, plant.t_air,
-                                       plant.t_dev, r, PHASE_READ))
-    return t
+    rows = []
+    for _ in range(max(1, int(round(hold_s / period_s)))):
+        plant.step(period_s)
+        t += period_s
+        rows.append((t, plant.t_set, plant.t_air, plant.t_dev))
+    return list(zip(*rows))
 
 
 def run_thermal_cycling(
@@ -165,33 +162,30 @@ def run_thermal_cycling(
     device state, in order.
 
     The chamber does not depend on the device inside it, so one plant run
-    is read by every state: `_hold` reads the first, and every other state
-    is read over each hold's t_dev column with that hold's drift factor.
-    The first hold that fails the settling criterion at its end raises
-    ProtocolError, state by state in the given order. Reads are
-    non-perturbing, so revisited setpoints reproduce the settled
-    resistance exactly unless the drift model is enabled.
+    is read by every state: each state is read over each hold's t_dev
+    column with that hold's drift factor. The first hold that fails the
+    settling criterion at its end raises ProtocolError, state by state in
+    the given order. Reads are non-perturbing, so revisited setpoints
+    reproduce the settled resistance exactly unless the drift model is
+    enabled.
     """
     plant = plant.copy()
     factors = _drift_factors(drift_scale, seed, len(schedule.setpoints))
     chamber = ([], [], [], [])   # t_s, t_set_K, t_air_K, t_dev_K
-    hold_cols, t = [], 0.0       # each hold's record fields, as columns
-    for t_set, factor in zip(schedule.setpoints, factors):
-        hold: list[TraceRecord] = []
-        t = _hold(plant, states[0], fit, t_set, schedule.hold_s,
-                  read_period_s, t, hold, factor)
-        hold_cols.append(list(zip(*hold)))
-        for column, values in zip(chamber, hold_cols[-1]):
+    runs, t = [], 0.0            # each hold's chamber columns
+    for t_set in schedule.setpoints:
+        runs.append(_hold(plant, t_set, schedule.hold_s, read_period_s, t))
+        for column, values in zip(chamber, runs[-1]):
             column += values
+        t = chamber[0][-1]
 
     results = []
-    for n, state in enumerate(states):
+    for state in states:
         phi = fit.phi_for_state(state.r_eff)
         r_ohm, holds = [], []
-        for index, (t_set, factor, (ts, _, _, t_dev, r, *_)) in enumerate(
-                zip(schedule.setpoints, factors, hold_cols)):
-            if n:
-                r = [read_resistance(state, fit, T) * factor for T in t_dev]
+        for index, (t_set, factor, (ts, _, _, t_dev)) in enumerate(
+                zip(schedule.setpoints, factors, runs)):
+            r = [read_resistance(state, fit, T) * factor for T in t_dev]
             ok = settled(ts, r)
             if ok is not True:
                 raise ProtocolError(
@@ -248,7 +242,6 @@ def run_heat_stimulate_retention(
     state0 = state
 
     records: list[TraceRecord] = []
-    kept = records if keep_records else None
     t = 0.0
 
     def log(r, phase, pulse_index=None, v=V_READ):
@@ -256,12 +249,21 @@ def run_heat_stimulate_retention(
             records.append(TraceRecord(t, plant.t_set, plant.t_air,
                                        plant.t_dev, r, phase, pulse_index, v))
 
+    def hold(t_set, state):
+        """A settling hold read over its t_dev column; returns its end time."""
+        chamber = _hold(plant, t_set, hold_s, read_period_s, t)
+        r = [read_resistance(state, fit, T) for T in chamber[3]]
+        if keep_records:
+            records.extend(TraceRecord(*row, PHASE_READ)
+                           for row in zip(*chamber, r))
+        return chamber[0][-1]
+
     # reference read at 300 K
     r_ref_300 = read_resistance(state, fit, plant.t_dev)
     log(r_ref_300, PHASE_READ)
 
     # heat to the test temperature and stabilise
-    t = _hold(plant, state, fit, t_test, hold_s, read_period_s, t, kept)
+    t = hold(t_test, state)
 
     # programming train at the (now settled) device temperature
     t_train = plant.t_dev
@@ -279,20 +281,18 @@ def run_heat_stimulate_retention(
 
     # retention at temperature, one decay interval and read per plant step
     vol_peak = state.r_volatile_excess
-    steps = []
-    for _ in range(retention_reads):
-        plant.step(retention_period_s)
-        t += retention_period_s
-        steps.append((t, plant.t_set, plant.t_air, plant.t_dev))
-    if steps:
-        state, rtrace = retention_run(state, [s[-1] for s in steps], params, fit)
+    if retention_reads > 0:
+        chamber = _hold(plant, t_test, retention_reads * retention_period_s,
+                        retention_period_s, t)
+        t = chamber[0][-1]
+        state, rtrace = retention_run(state, chamber[3], params, fit)
         if keep_records:
-            records.extend(TraceRecord(*s, r, PHASE_RETENTION, k) for k, (s, r)
-                           in enumerate(zip(steps, rtrace), start=1))
+            records.extend(TraceRecord(*row, PHASE_RETENTION, k) for k, row
+                           in enumerate(zip(*chamber, rtrace), start=1))
     recovered = 0.0 if vol_peak == 0.0 else 1.0 - state.r_volatile_excess / vol_peak
 
     # back to the reference temperature
-    t = _hold(plant, state, fit, T_REF, hold_s, read_period_s, t, kept)
+    t = hold(T_REF, state)
 
     # reset to the initial 300 K reference level
     reset = reset_to_reference(state, state0.r_persistent, params, fit)

@@ -66,11 +66,11 @@ class FeedforwardMap:
             loads, temps = self.table_loads, self.table_temps
             if len(loads) < 2 or len(loads) != len(temps):
                 raise ValueError("table needs >= 2 (load, T) points")
-            if any(b <= a for a, b in zip(loads, loads[1:])):
+            if any(not (b > a) for a, b in zip(loads, loads[1:])):
                 raise ValueError("table loads must be strictly increasing")
-            if any(b < a for a, b in zip(temps, temps[1:])):
+            if any(not (b >= a) for a, b in zip(temps, temps[1:])):
                 raise ValueError("table temps must be non-decreasing")
-            if temps[0] < T_MIN or temps[-1] > T_MAX:
+            if not all(T_MIN <= x <= T_MAX for x in temps):
                 raise ValueError("table temps outside chamber range")
 
     def setpoint(self, load: float) -> float:

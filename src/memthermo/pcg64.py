@@ -67,8 +67,7 @@ def _seed_words(entropy: tuple[int, ...]) -> list[int]:
 
 class PCG64:
     """numpy's PCG64 bit generator under `SeedSequence(entropy)`, with the
-    `permutation`, `standard_normal` and `normal` of the Generator it would
-    drive."""
+    `permutation` and `standard_normal` of the Generator it would drive."""
 
     def __init__(self, entropy: tuple[int, ...]):
         s_hi, s_lo, i_hi, i_lo = _seed_words(entropy)

@@ -33,6 +33,8 @@ class ThermalPlant:
                  tau_dev_s: float = 720.0):
         if not (tau_air_s > 0 and tau_dev_s > 0):
             raise ValueError("time constants must be > 0")
+        if not (math.isfinite(t_air) and math.isfinite(t_dev)):
+            raise ValueError("air and device temperatures must be finite")
         self._check_setpoint(t_set)
         self.t_set, self.t_air, self.t_dev = t_set, t_air, t_dev
         self.tau_air_s, self.tau_dev_s = tau_air_s, tau_dev_s
@@ -62,7 +64,7 @@ class ThermalPlant:
 
     def step(self, dt_s: float) -> None:
         """Advance both stages by dt_s using the exact cascade solution."""
-        if dt_s <= 0:
+        if not (dt_s > 0):
             raise ValueError("dt_s must be > 0")
         ta, td = self.tau_air_s, self.tau_dev_s
         key, ea, ed, equal = self._flow   # factors of the last (dt_s, ta, td)

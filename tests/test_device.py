@@ -775,6 +775,7 @@ def test_schedules_check_what_the_constructor_checks(setpoints, hold_s):
 
 _SWITCHING_RULE = "beta >= 0, n_tau > 0, tau_ret > 0 required"
 _NEURON_RULE = "window >= 1 and dt_s > 0 required"
+_PLANT_TEMPS_RULE = "air and device temperatures must be finite"
 
 
 @pytest.mark.parametrize("build, field, message", [
@@ -782,6 +783,10 @@ _NEURON_RULE = "window >= 1 and dt_s > 0 required"
     for name, build, field, message in [
         ("plant", ThermalPlant, "tau_air_s", "time constants must be > 0"),
         ("plant", ThermalPlant, "tau_dev_s", "time constants must be > 0"),
+        ("plant", ThermalPlant, "t_air", _PLANT_TEMPS_RULE),
+        ("plant", ThermalPlant, "t_dev", _PLANT_TEMPS_RULE),
+        ("plant", lambda dt_s: ThermalPlant().step(dt_s), "dt_s",
+         "dt_s must be > 0"),
         ("switching", SwitchingParams, "beta", _SWITCHING_RULE),
         ("switching", SwitchingParams, "n_tau", _SWITCHING_RULE),
         ("switching", SwitchingParams, "tau_ret", _SWITCHING_RULE),

@@ -24,7 +24,6 @@ from memthermo.experiments import (
     HsrResult,
     ProtocolError,
     TraceRecord,
-    _hold,
     run_heat_stimulate_retention,
     run_iv_sweep,
     run_nullcline_sweep,
@@ -45,6 +44,10 @@ def test_trace_record_fields_are_the_row_schemas():
                  id="cycle-read-period-0"),
     pytest.param("hsr", {"hold_s": -5.0},
                  id="hsr-hold-neg"),
+    pytest.param("hsr", {"hold_s": math.nan},
+                 id="hsr-hold-nan"),
+    pytest.param("hsr", {"retention_period_s": math.nan},
+                 id="hsr-retention-period-nan"),
     pytest.param("hsr", {"read_period_s": 0.0},
                  id="hsr-read-period-0"),
 ])
@@ -231,7 +234,6 @@ def _hsr_read_by_read(t_test, v_prog, fit, params, plant, state, pulse_count,
     plant = plant.copy()
     state0 = state
     records = []
-    kept = records if keep_records else None
     t = 0.0
 
     def log(r, phase, pulse_index=None, v=V_READ):
@@ -239,9 +241,17 @@ def _hsr_read_by_read(t_test, v_prog, fit, params, plant, state, pulse_count,
             records.append(TraceRecord(t, plant.t_set, plant.t_air,
                                        plant.t_dev, r, phase, pulse_index, v))
 
+    def hold(t_set, state):
+        nonlocal t
+        plant.set_setpoint(t_set)
+        for _ in range(max(1, int(round(hold_s / read_period_s)))):
+            plant.step(read_period_s)
+            t += read_period_s
+            log(read_resistance(state, fit, plant.t_dev), "read")
+
     r_ref_300 = read_resistance(state, fit, plant.t_dev)
     log(r_ref_300, "read")
-    t = _hold(plant, state, fit, t_test, hold_s, read_period_s, t, kept)
+    hold(t_test, state)
     t_train = plant.t_dev
     r_pre_at_t = read_resistance(state, fit, t_train)
     state, trace = apply_pulse_train(
@@ -265,7 +275,7 @@ def _hsr_read_by_read(t_test, v_prog, fit, params, plant, state, pulse_count,
                             pulse_count=state.pulse_count, era=None)
         log(r, "retention", pulse_index=k)
     recovered = 0.0 if vol_peak == 0.0 else 1.0 - state.r_volatile_excess / vol_peak
-    t = _hold(plant, state, fit, 300.0, hold_s, read_period_s, t, kept)
+    hold(300.0, state)
     reset = reset_to_reference(state, state0.r_persistent, params, fit)
     for k, (r, v) in enumerate(zip(reset.resistances, reset.voltages),
                                start=1):

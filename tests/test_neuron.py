@@ -124,6 +124,20 @@ def test_map_validation():
         fmap.setpoint(1.5)
 
 
+@pytest.mark.parametrize("loads, temps, message", [
+    pytest.param((0.1, math.nan), (300.0, 310.0),
+                 "loads must be strictly increasing", id="load-nan"),
+    pytest.param((0.1, 0.2), (math.nan, 310.0),
+                 "temps must be non-decreasing", id="first-temp-nan"),
+    pytest.param((0.1, 0.2), (300.0, math.nan),
+                 "temps must be non-decreasing", id="last-temp-nan"),
+])
+def test_table_map_rejects_nan(loads, temps, message):
+    # a rule written as a rejection of b <= a would let NaN through
+    with pytest.raises(ValueError, match=f"^table {message}$"):
+        FeedforwardMap(mode="table", table_loads=loads, table_temps=temps)
+
+
 # ---------------------------------------------------------------------------
 # gain calibration
 

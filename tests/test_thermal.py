@@ -157,6 +157,10 @@ def test_plant_validates_setpoint_and_constants():
         ThermalPlant(t_set=290.0)
     with pytest.raises(ValueError):
         ThermalPlant(tau_air_s=0.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        ThermalPlant(t_air=math.inf)
+    with pytest.raises(ValueError, match="must be finite"):
+        ThermalPlant(t_dev=-math.inf)
     plant = ThermalPlant.packaged()
     with pytest.raises(ValueError):
         plant.set_setpoint(365.0)
