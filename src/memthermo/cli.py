@@ -28,7 +28,7 @@ from .calibration import (
     thermometer_guard,
 )
 from .config import ConfigError, RunConfig, checked, resolve_config
-from .csvio import emit_csv, format_value, parse_csv, write_manifest
+from .csvio import emit_csv, parse_csv, write_manifest
 from .device import LEVEL_ORDER, DeviceState, ResetError
 from .experiments import (
     PHASE_READ,
@@ -90,8 +90,10 @@ def _cmd_levels(cfg: RunConfig):
     yield "levels", "levels", [
         (level, r_ref, res.total_drop(), res.sensitivity())
         for level, r_ref, res in zip(LEVEL_ORDER, r_refs, results)]
-    # every level shares the chamber columns: format them once, not per file
-    chamber_text = [list(map(format_value, col)) for col in results[0][:4]]
+    # every level shares the chamber columns, floats only: format them once,
+    # not per file, as format_value formats a float
+    chamber_text = [list(map(format, col, repeat(".9g")))
+                    for col in results[0][:4]]
     for level, res in zip(LEVEL_ORDER, results):
         yield f"cycle_{level}", "cycle", zip(*chamber_text, res.r_ohm,
                                             repeat(PHASE_READ))

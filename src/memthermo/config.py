@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .constants import R_CEILING, R_FLOOR, T_MAX, T_MIN
 from .device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
                      SwitchingParams, ThermalFit)
-from .experiments import sweep_voltages
+from .experiments import hold_steps, sweep_voltages
 from .neuron import (FeedforwardMap, InputPattern, NeuronSystem,
                      affine_gains, calibration_loads)
 from .thermal import ThermalPlant, TemperatureSchedule
@@ -273,6 +273,12 @@ class RunConfig:
             "plant", ThermalPlant, base.t_set, base.t_air, base.t_dev,
             tau_air_s=self["plant.tau_air_s"],
             tau_dev_s=self["plant.tau_dev_s"] or base.tau_dev_s)
+        checked("schedule.hold_s, schedule.read_period_s", hold_steps,
+                self["schedule.hold_s"], self["schedule.read_period_s"])
+        if self["hsr.retention_reads"]:   # no reads: no retention hold
+            checked("hsr.retention_reads, hsr.retention_period_s", hold_steps,
+                    self["hsr.retention_reads"] * self["hsr.retention_period_s"],
+                    self["hsr.retention_period_s"])
         self.device = DeviceState(r_persistent=self["device.r_ohm"] or
                                   self.fit.anchor(self["device.level"]).r_ref)
         checked("neuron", NeuronSystem.check, self["neuron.theta"],

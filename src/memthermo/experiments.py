@@ -132,16 +132,27 @@ def _drift_factors(scale: float, seed: int, n: int) -> list[float]:
     return factors
 
 
+def hold_steps(hold_s: float, period_s: float) -> int:
+    """The plant steps of a hold of hold_s read every period_s, at least
+    one; both must be > 0 and their ratio finite."""
+    if not (hold_s > 0 and period_s > 0):
+        raise ValueError(f"hold ({hold_s} s) and read period "
+                         f"({period_s} s) must be > 0")
+    steps = hold_s / period_s
+    if not math.isfinite(steps):
+        raise ValueError(f"hold ({hold_s} s) / read period ({period_s} s) "
+                         "must be a finite step count")
+    return max(1, int(round(steps)))
+
+
 def _hold(plant, t_set, hold_s, period_s, t):
     """Hold the chamber at t_set for hold_s from time t, stepping the plant
     once per period; returns the (t_s, t_set_K, t_air_K, t_dev_K) columns
     at the end of each step, where the reads are taken."""
-    if not (hold_s > 0 and period_s > 0):
-        raise ValueError(f"hold ({hold_s} s) and read period "
-                         f"({period_s} s) must be > 0")
+    steps = hold_steps(hold_s, period_s)
     plant.set_setpoint(t_set)
     rows = []
-    for _ in range(max(1, int(round(hold_s / period_s)))):
+    for _ in range(steps):
         plant.step(period_s)
         t += period_s
         rows.append((t, plant.t_set, plant.t_air, plant.t_dev))

@@ -9,11 +9,13 @@ rate toward baseline while transients pass through at full strength.
 
 Per input segment, `NeuronSystem.drive` sums the loads on each distinct
 synapse barrier with `math.fsum` and sets the mean load and setpoint
-once; per step, `NeuronSystem.step` makes one `math.exp` per distinct
-barrier, adds the correctly rounded (so order-free) sum of weight times
-load sum, carries the accumulator and advances the plant. The loop is
-sequential (plant and accumulator are stateful); independent scenarios
-parallelise by owning separate systems.
+once. Per step, `NeuronSystem.step` adds the correctly rounded (so
+order-free) sum of weight times load sum, carries the accumulator and
+advances the plant. It recomputes that sum, one `math.exp` per distinct
+barrier, only while the device temperature or the drive moves; a step at
+rest reuses the last sum, which equal inputs would round to the same
+float. The loop is sequential (plant and accumulator are stateful);
+independent scenarios parallelise by owning separate systems.
 """
 from __future__ import annotations
 
@@ -158,6 +160,7 @@ class NeuronSystem:
         # homeostasis runs (thermal control only), so cache their barriers
         self._phi_over_kb = [fit.phi_for_state(s.r_eff) / K_B_EV
                              for s in self.synapses]
+        self._last = (None, None, 0.0)   # see step
 
     @staticmethod
     def check(theta: float, dt_s: float, window: int) -> None:
@@ -216,12 +219,13 @@ class NeuronSystem:
 
     def drive(self, load) -> tuple:
         """Per-segment invariants of a constant load: the distinct barriers,
-        the fsum of the loads on each, the mean load and the setpoint."""
+        the fsum of the loads on each, the mean load and the setpoint. All
+        immutable, since `step` reuses its sum while handed the same drive."""
         loads, groups = _synapse_loads(load), {}
         for b, x in zip(self._phi_over_kb, loads):
             groups.setdefault(b, []).append(x)
         mean = math.fsum(loads) / N_SYNAPSES
-        return (tuple(groups), [math.fsum(xs) for xs in groups.values()],
+        return (tuple(groups), tuple(math.fsum(xs) for xs in groups.values()),
                 mean, self.fmap.setpoint(mean))
 
     def step(self, drive) -> int:
@@ -233,15 +237,23 @@ class NeuronSystem:
         drive/theta exactly. The plant then advances one dt toward the
         drive's setpoint.
         """
-        barriers, load_sums, _, t_set = drive
-        self.accumulator += math.fsum([w * x for w, x in zip(
-            self._ratios(self.plant.t_dev, barriers), load_sums)])
+        plant = self.plant
+        T = plant.t_dev
+        # the increment of the last (T, drive): a plant at rest reuses it
+        last_T, last_drive, increment = self._last   # one read: consistent
+        if T != last_T or drive is not last_drive:
+            barriers, load_sums, _, _ = drive
+            increment = math.fsum([w * x for w, x in zip(
+                self._ratios(T, barriers), load_sums)])
+            self._last = (T, drive, increment)
+        self.accumulator += increment
         spikes = 0
         if self.accumulator >= self.theta:
             spikes = int(self.accumulator // self.theta)
             self.accumulator -= spikes * self.theta
-        self.plant.set_setpoint(t_set)
-        self.plant.step(self.dt_s)
+        if plant.t_set != drive[3]:
+            plant.set_setpoint(drive[3])
+        plant.step(self.dt_s)
         return spikes
 
 

@@ -294,6 +294,16 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
     pytest.param(["hsr", "--set", "hsr.retention_period_s=0"],
                  "hsr.retention_period_s must be > 0, got 0.0",
                  id="hsr-retention-period-0"),
+    # a step count that overflows to infinity once failed the run as
+    # "_hold: cannot convert float infinity to integer" (exit 2)
+    pytest.param(["cycle", "--set", "schedule.read_period_s=1e-308"],
+                 "schedule.hold_s, schedule.read_period_s: hold (3600.0 s) "
+                 "/ read period (1e-308 s) must be a finite step count",
+                 id="cycle-read-period-1e-308"),
+    pytest.param(["hsr", "--set", "hsr.retention_period_s=1e308"],
+                 "hsr.retention_reads, hsr.retention_period_s: hold (inf s) "
+                 "/ read period (1e+308 s) must be a finite step count",
+                 id="hsr-retention-period-1e308"),
     pytest.param(["thermometer", "--set", "thermometer.trials=0"],
                  "thermometer.trials must be > 0, got 0",
                  id="thermometer-trials-0"),

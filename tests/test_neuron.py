@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memthermo.config import REGISTRY
@@ -412,32 +412,73 @@ _system_args = st.fixed_dictionaries(dict(
     seed=st.integers(0, 2**32 - 1)))
 
 
+# a warm-up (steps, load) runs the system before the test reads it, so
+# the runs continue mid-run: the original and a copy taken there
+_warmups = st.tuples(st.integers(0, 100), st.floats(0.0, 1.0))
+# the plant at rest at 300 K, under the affine map at zero gain or the
+# fixed map; and a plant that moves
+_at_rest = dict(fmap=FeedforwardMap(kappa=0.0), spread_sigma=0.0, seed=0)
+_fixed_300 = dict(fmap=FeedforwardMap(mode="fixed", t_fixed=T_REF),
+                  spread_sigma=0.3, seed=1)
+_moving = dict(fmap=FeedforwardMap(kappa=60.0), spread_sigma=0.3, seed=2)
+
+
+def _warm_up(system, warmup):
+    steps, load = warmup
+    drive = system.drive(load)
+    for _ in range(steps):
+        system.step(drive)
+    return system
+
+
 @settings(max_examples=40, deadline=None)
 @given(system_args=_system_args,
        segments=st.lists(st.tuples(st.integers(1, 300), _loads),
-                         min_size=1, max_size=4))
+                         min_size=1, max_size=4),
+       warmup=_warmups)
+@example(system_args=_at_rest, segments=[(300, 0.3)], warmup=(0, 0.0))
+@example(system_args=_fixed_300, segments=[(300, 0.6)], warmup=(0, 0.0))
+# the drive changes while the device temperature stays at 300 K
+@example(system_args=_at_rest, segments=[(50, 0.2), (50, 0.7)],
+         warmup=(0, 0.0))
+@example(system_args=_fixed_300, segments=[(50, 0.7)], warmup=(50, 0.2))
+@example(system_args=_moving, segments=[(100, 0.5), (100, 0.2)],
+         warmup=(100, 0.5))
 def test_homeostasis_equals_per_step_loop_exactly(build_system, system_args,
-                                                  segments):
-    system = build_system(**system_args)
+                                                  segments, warmup):
+    system = _warm_up(build_system(**system_args), warmup)
     pattern = InputPattern(segments=tuple(segments))
     spikes, mean_loads, t_dev, t_set, acc = _per_step_reference(pattern,
                                                                 system)
-    res = run_homeostasis(pattern, system)
-    assert res.spikes == spikes
-    assert res.t_dev == t_dev
-    assert res.t_set == t_set
-    assert res.mean_loads == mean_loads
-    assert system.accumulator == acc
+    for sim in (system.copy(), system):
+        res = run_homeostasis(pattern, sim)
+        assert res.spikes == spikes
+        assert res.t_dev == t_dev
+        assert res.t_set == t_set
+        assert res.mean_loads == mean_loads
+        assert sim.accumulator == acc
 
 
 @settings(max_examples=40, deadline=None)
 @given(system_args=_system_args,
        loads=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
-       settle=st.integers(0, 200), measure=st.integers(1, 200))
+       settle=st.integers(0, 200), measure=st.integers(1, 200),
+       warmup=_warmups)
+@example(system_args=_at_rest, loads=[0.3], settle=100, measure=100,
+         warmup=(0, 0.0))
+@example(system_args=_fixed_300, loads=[0.6], settle=100, measure=100,
+         warmup=(0, 0.0))
+@example(system_args=_at_rest, loads=[0.2, 0.7], settle=50, measure=50,
+         warmup=(0, 0.0))
+@example(system_args=_fixed_300, loads=[0.7], settle=50, measure=50,
+         warmup=(50, 0.2))
+@example(system_args=_moving, loads=[0.5, 0.2], settle=100, measure=100,
+         warmup=(100, 0.5))
 def test_baseline_curve_equals_per_step_loop_exactly(build_system,
                                                      system_args, loads,
-                                                     settle, measure):
-    system = build_system(**system_args)
+                                                     settle, measure,
+                                                     warmup):
+    system = _warm_up(build_system(**system_args), warmup)
     expected = []
     for load in loads:
         segments = ((settle, load),) if settle else ()
