@@ -19,11 +19,10 @@ from .constants import K_B_EV, T_MAX, T_MIN, T_REF
 from .device import (
     T_ANCHORS,
     V_ANCHOR,
-    DeviceState,
     ThermalFit,
     ThermionicParams,
     _brentq,
-    read_resistance,
+    _ratio,
 )
 from .rng import numpy, raising
 
@@ -277,11 +276,11 @@ def invert_temperature(
     `guard` (relative) beyond an edge clamp to that edge, further out is
     an error carrying the band.
     """
-    if r_eff <= 0:
-        raise ValueError("r_eff must be > 0")
-    state = DeviceState(r_persistent=r_eff)
-    r_hi = read_resistance(state, fit, T_MIN)
-    r_lo = read_resistance(state, fit, T_MAX)
+    if not (0 < r_eff < math.inf):
+        raise ValueError(f"r_eff must be finite and > 0, got {r_eff!r}")
+    phi = fit.phi_for_state(r_eff)
+    r_hi = r_eff * _ratio(T_MIN, phi)
+    r_lo = r_eff * _ratio(T_MAX, phi)
     if r_measured > r_hi:
         if r_measured <= r_hi * (1.0 + guard):
             return T_MIN
@@ -295,7 +294,7 @@ def invert_temperature(
             f"{r_measured:.6g} Ohm below calibrated band", band=(r_lo, r_hi)
         )
     return _brentq(
-        lambda T: read_resistance(state, fit, T) - r_measured,
+        lambda T: r_eff * _ratio(T, phi) - r_measured,
         T_MIN, T_MAX, xtol=1e-3,
     )
 

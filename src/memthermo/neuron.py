@@ -24,8 +24,8 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .constants import K_B_EV, T_MAX, T_MIN, T_REF
-from .device import CalibrationError, DeviceState, ThermalFit, _brentq
+from .constants import T_MAX, T_MIN, T_REF
+from .device import CalibrationError, DeviceState, ThermalFit, _brentq, _ratio
 from .rng import substream
 from .thermal import ThermalPlant
 
@@ -158,8 +158,7 @@ class NeuronSystem:
         self.accumulator = 0.0
         # weights are read per step; the synapse states are static during
         # homeostasis runs (thermal control only), so cache their barriers
-        self._phi_over_kb = [fit.phi_for_state(s.r_eff) / K_B_EV
-                             for s in self.synapses]
+        self._phi = [fit.phi_for_state(s.r_eff) for s in self.synapses]
         self._last = (None, None, 0.0)   # see step
 
     @staticmethod
@@ -207,22 +206,16 @@ class NeuronSystem:
         clone.accumulator = self.accumulator
         return clone
 
-    @staticmethod
-    def _ratios(T: float, barriers) -> list[float]:
-        """The weights R(T)/R(300 K) of barriers phi_app/kB at T."""
-        scale, inv = (T_REF / T) ** 2, 1.0 / T - 1.0 / T_REF
-        return [scale * math.exp(b * inv) for b in barriers]
-
     def weights_at(self, T: float) -> list[float]:
-        """Per-synapse weights at device temperature T."""
-        return self._ratios(T, self._phi_over_kb)
+        """Per-synapse weights R(T)/R(300 K) at device temperature T."""
+        return [_ratio(T, phi) for phi in self._phi]
 
     def drive(self, load) -> tuple:
         """Per-segment invariants of a constant load: the distinct barriers,
         the fsum of the loads on each, the mean load and the setpoint. All
         immutable, since `step` reuses its sum while handed the same drive."""
         loads, groups = _synapse_loads(load), {}
-        for b, x in zip(self._phi_over_kb, loads):
+        for b, x in zip(self._phi, loads):
             groups.setdefault(b, []).append(x)
         mean = math.fsum(loads) / N_SYNAPSES
         return (tuple(groups), tuple(math.fsum(xs) for xs in groups.values()),
@@ -243,8 +236,8 @@ class NeuronSystem:
         last_T, last_drive, increment = self._last   # one read: consistent
         if T != last_T or drive is not last_drive:
             barriers, load_sums, _, _ = drive
-            increment = math.fsum([w * x for w, x in zip(
-                self._ratios(T, barriers), load_sums)])
+            increment = math.fsum([_ratio(T, b) * x for b, x in zip(
+                barriers, load_sums)])
             self._last = (T, drive, increment)
         self.accumulator += increment
         spikes = 0

@@ -35,6 +35,9 @@ class ThermalPlant:
             raise ValueError("time constants must be > 0")
         if not (math.isfinite(t_air) and math.isfinite(t_dev)):
             raise ValueError("air and device temperatures must be finite")
+        if not (T_MIN <= t_air <= T_MAX and T_MIN <= t_dev <= T_MAX):
+            raise ValueError("air and device temperatures must lie in "
+                             f"[{T_MIN}, {T_MAX}] K")
         self._check_setpoint(t_set)
         self.t_set, self.t_air, self.t_dev = t_set, t_air, t_dev
         self.tau_air_s, self.tau_dev_s = tau_air_s, tau_dev_s

@@ -206,6 +206,13 @@ def test_invert_monotone_decreasing_in_resistance(fit):
     assert all(b < a for a, b in zip(ts, ts[1:]))
 
 
+@pytest.mark.parametrize("r_eff", [0.0, -1.0, math.nan, math.inf])
+def test_invert_rejects_a_bad_device_resistance(fit, r_eff):
+    with pytest.raises(ValueError) as err:
+        invert_temperature(1e6, fit, r_eff, guard=0.02)
+    assert err.type is ValueError   # not a reading outside the band
+
+
 def test_invert_guard_clamps_band_edges(fit):
     state = DeviceState(r_persistent=3e6)
     r300 = read_resistance(state, fit, 300.0)

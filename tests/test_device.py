@@ -734,7 +734,8 @@ def test_configured_switching_params_check_what_the_constructor_checks(edge):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(
-    st.tuples(st.just("t_set"), _past((T_MIN, T_MAX))),
+    st.tuples(st.sampled_from(("t_set", "t_air", "t_dev")),
+              _past((T_MIN, T_MAX))),
     st.tuples(st.sampled_from(("tau_air_s", "tau_dev_s")), _past((0.0,)))),
     st.sampled_from(("packaged", "on_wafer")))
 def test_plant_copies_check_what_the_constructor_checks(edge, preset):
@@ -745,7 +746,8 @@ def test_plant_copies_check_what_the_constructor_checks(edge, preset):
     direct = _fields(_built(ThermalPlant, **values))
     assert _fields(_built(ThermalPlant.copy, SimpleNamespace(**values))) \
         == direct
-    if name == "t_set" or value == 0.0:   # tau_dev_s = 0 picks the preset
+    # no key sets a temperature; tau_dev_s = 0 picks the preset
+    if name.startswith("t_") or value == 0.0:
         return
     configured = _built(resolve_config, overrides={
         "plant.preset": preset, f"plant.{name}": repr(value)})
@@ -800,6 +802,13 @@ _PLANT_TEMPS_RULE = "air and device temperatures must be finite"
                            window=100), "dt_s", _NEURON_RULE),
         ("schedule", partial(TemperatureSchedule, (T_MIN,)), "hold_s",
          "hold must be > 0 s"),
+        ("fit", lambda r_ref: ThermalFit((LevelAnchor("a", r_ref, 0.5),)),
+         "r_ref", "anchor resistances must be > 0"),
+        ("fit", lambda r_ref: ThermalFit((LevelAnchor("a", 1e6, 0.5),
+                                          LevelAnchor("b", r_ref, 0.3))),
+         "r_ref", "anchor resistances must be > 0"),
+        ("fit", lambda r_eff: ThermalFit(DEFAULT_ANCHORS).phi_for_state(r_eff),
+         "r_eff", "r_eff must be > 0"),
     ]])
 def test_rules_reject_nan(build, field, message):
     # a rule written as a rejection of x <= 0 would let NaN through

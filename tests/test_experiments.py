@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memthermo.calibration import (IVCurveSet, extract_thermionic,
-                                   fit_switch_curve)
-from memthermo.constants import V_READ
+from memthermo.calibration import (IVCurveSet, ThermometerRangeError,
+                                   extract_thermionic, fit_switch_curve,
+                                   invert_temperature)
+from memthermo.constants import R_CEILING, R_FLOOR, T_MAX, T_MIN, V_READ
 from memthermo.csvio import SCHEMAS
 from memthermo.device import (
     LEVEL_ORDER,
@@ -24,12 +25,15 @@ from memthermo.experiments import (
     HsrResult,
     ProtocolError,
     TraceRecord,
+    _drift_factors,
+    hold_steps,
     run_heat_stimulate_retention,
     run_iv_sweep,
     run_nullcline_sweep,
     run_thermal_cycling,
     sweep_voltages,
 )
+from memthermo.neuron import N_SYNAPSES, FeedforwardMap, NeuronSystem
 from memthermo.thermal import GRID_TEMPS, TemperatureSchedule, ThermalPlant
 
 
@@ -158,6 +162,43 @@ def test_shared_chamber_run_matches_each_state_run_alone(
              for state in states]
     errors = [run for run in alone if isinstance(run, str)]
     assert together == (errors[0] if errors else alone)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), drift_scale=st.sampled_from((0.0, 0.05)),
+       states=st.lists(st.one_of(st.sampled_from(LEVEL_ORDER),
+                                 st.floats(R_FLOOR, R_CEILING)),
+                       min_size=1, max_size=N_SYNAPSES),
+       T=st.floats(T_MIN, T_MAX))
+def test_bound_readers_equal_the_checked_law(
+        cycle_args, state_at, seed, drift_scale, states, T):
+    # cycling, the thermometer and the neuron bind a state's barrier once
+    # and call the unchecked kernel: every value is still the checked
+    # read-out law, float for float
+    states = [state_at(s) if isinstance(s, str) else DeviceState(s)
+              for s in states]
+    args = {**cycle_args(seed), "drift_scale": drift_scale,
+            "read_period_s": 60.0}
+    fit, setpoints = args["fit"], args["schedule"].setpoints
+    factors = _drift_factors(drift_scale, seed, len(setpoints))
+    steps = hold_steps(args["schedule"].hold_s, args["read_period_s"])
+    per_read = [f for f in factors for _ in range(steps)]
+    for state, run in zip(states, run_thermal_cycling(**args, states=states)):
+        assert run.r_ohm == [read_resistance(state, fit, t) * f
+                             for t, f in zip(run.t_dev_K, per_read)]
+        assert [h.r_steady_ohm for h in run.holds] == [
+            read_resistance(state, fit, t) * f
+            for t, f in zip(setpoints, factors)]
+        with pytest.raises(ThermometerRangeError) as err:
+            invert_temperature(math.inf, fit, state.r_eff, guard=0.02)
+        assert err.value.band == (read_resistance(state, fit, T_MAX),
+                                  read_resistance(state, fit, T_MIN))
+    synapses = (states * N_SYNAPSES)[:N_SYNAPSES]
+    system = NeuronSystem(synapses, fit, ThermalPlant(), FeedforwardMap(),
+                          theta=12.5, dt_s=1.0, window=25)
+    assert system.weights_at(T) == [
+        rho_temperature_factor(T, fit.phi_for_state(s.r_eff))
+        for s in synapses]
 
 
 # ---------------------------------------------------------------------------

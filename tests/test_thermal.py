@@ -161,6 +161,10 @@ def test_plant_validates_setpoint_and_constants():
         ThermalPlant(t_air=math.inf)
     with pytest.raises(ValueError, match="must be finite"):
         ThermalPlant(t_dev=-math.inf)
+    with pytest.raises(ValueError, match=r"must lie in \[300.0, 360.0\] K"):
+        ThermalPlant(t_air=299.0)
+    with pytest.raises(ValueError, match=r"must lie in \[300.0, 360.0\] K"):
+        ThermalPlant(t_dev=361.0)
     plant = ThermalPlant.packaged()
     with pytest.raises(ValueError):
         plant.set_setpoint(365.0)
