@@ -27,6 +27,10 @@ the thermometer and the neuron bind a state's barrier once and call it on
 temperatures `ThermalPlant` keeps in the window; the rest reads through
 the checked `rho_temperature_factor`, and hsr through `read_resistance`
 once per read, since the benchmark's hand counts pin those calls.
+Every clamped piecewise-linear curve goes through the one kernel
+`_interp`: the barrier table `ThermalFit.phi_for_state`, the neuron's
+feedforward table `FeedforwardMap.setpoint`, and the thermal ramp and
+its voltage taper in `train_switch_fraction`.
 
 All operations are pure functions of their inputs: none changes a
 device state it is given, each returns a new one, so a state can be
@@ -160,6 +164,18 @@ def thermionic_current(v: float, T: float, p: ThermionicParams) -> float:
     barrier = p.phi_b - alpha * math.sqrt(abs(v))
     magnitude = p.a_prefactor * T * T * math.exp(-barrier / (K_B_EV * T))
     return -magnitude if v < 0 else magnitude
+
+
+def _interp(x: float, xs, ys) -> float:
+    """ys interpolated at x over the strictly increasing knots xs.
+
+    As np.interp, arithmetic included, so the two agree by ==: end values
+    outside the table, knot values on knots, linear between.
+    """
+    j = bisect.bisect_right(xs, x) - 1
+    if j < 0 or j == len(xs) - 1 or xs[j] == x:
+        return ys[max(j, 0)]
+    return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j]
 
 
 def _ratio(T: float, phi_app: float) -> float:
@@ -310,16 +326,7 @@ class ThermalFit:
         last_r, phi = self._last   # one read: the pair stays consistent
         if r_eff == last_r:
             return phi
-        x = math.log10(r_eff)
-        xs, ys = self._log_r, self._phi_asc
-        if x <= xs[0]:
-            phi = ys[0]
-        elif x >= xs[-1]:
-            phi = ys[-1]
-        else:
-            i = bisect.bisect_left(xs, x)   # the first xs[i] >= x
-            f = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
-            phi = ys[i - 1] + f * (ys[i] - ys[i - 1])
+        phi = _interp(math.log10(r_eff), self._log_r, self._phi_asc)
         self._last = (r_eff, phi)
         return phi
 
@@ -459,15 +466,6 @@ class SwitchingParams:
             raise ValueError("invalid thermal-ramp taper")
 
 
-def _ramp_coupling(v_abs: float, p: SwitchingParams) -> float:
-    if v_abs <= p.taper_v_start:
-        return 1.0
-    if v_abs >= p.taper_v_end:
-        return p.taper_min
-    f = (v_abs - p.taper_v_start) / (p.taper_v_end - p.taper_v_start)
-    return 1.0 + f * (p.taper_min - 1.0)
-
-
 def train_switch_fraction(v: float, T: float, params: SwitchingParams) -> float:
     """Asymptotic fractional state change of a full saturating train."""
     v = _require_finite("v", v)
@@ -475,12 +473,11 @@ def train_switch_fraction(v: float, T: float, params: SwitchingParams) -> float:
     v_abs = abs(v)
     if v_abs < params.v_th:
         return 0.0
-    t_lo, t_hi = T_ANCHORS
     g = params.g_14_310 * math.exp(params.beta * (v_abs - V_ANCHOR))
-    t_clamped = min(max(T, t_lo), t_hi)
-    ramp = ((t_clamped - t_lo) / (t_hi - t_lo)
-            * (params.g_14_360 / params.g_14_310 - 1.0))
-    s = 1.0 + ramp * _ramp_coupling(v_abs, params)
+    ramp = _interp(T, T_ANCHORS, (0.0, params.g_14_360 / params.g_14_310 - 1.0))
+    taper = _interp(v_abs, (params.taper_v_start, params.taper_v_end),
+                    (1.0, params.taper_min))
+    s = 1.0 + ramp * taper
     return math.copysign(g * s, v)
 
 

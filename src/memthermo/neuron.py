@@ -25,7 +25,8 @@ import math
 from typing import NamedTuple
 
 from .constants import T_MAX, T_MIN, T_REF
-from .device import CalibrationError, DeviceState, ThermalFit, _brentq, _ratio
+from .device import (CalibrationError, DeviceState, ThermalFit, _brentq,
+                     _interp, _ratio)
 from .rng import substream
 from .thermal import ThermalPlant
 
@@ -82,13 +83,7 @@ class FeedforwardMap:
             return self.t_fixed
         if self.mode == "affine":
             return min(max(T_REF + self.kappa * load, T_MIN), T_MAX)
-        # as np.interp: end values outside the table, knot values on knots
-        xp, fp = self.table_loads, self.table_temps
-        j = bisect.bisect_right(xp, load) - 1
-        if j < 0 or j == len(xp) - 1 or xp[j] == load:
-            return float(fp[max(j, 0)])
-        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-        return slope * (load - xp[j]) + fp[j]
+        return float(_interp(load, self.table_loads, self.table_temps))
 
 
 class InputPattern:
@@ -360,7 +355,10 @@ def affine_gains(kappa_max: float, step: float) -> list[float]:
     if not (step > 0 and 0 <= kappa_max < 2401 * step):
         raise ValueError("kappa grid needs step > 0 and 0 <= kappa_max "
                          "< 2401 steps")
-    return [k * step for k in range(int(kappa_max / step) + 1)]
+    # 0.7 / 0.1 is 6.999...: a ratio a rounding short of a whole step
+    # still reaches it
+    steps = min(int(kappa_max / step + 1e-9), 2400)
+    return [k * step for k in range(steps + 1)]
 
 
 def calibration_loads(loads, mode: str, gamma: float) -> list[float]:

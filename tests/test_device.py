@@ -238,6 +238,31 @@ def test_rho_strictly_decreasing_for_calibrated_barriers(drop, t_pair):
 
 
 # ---------------------------------------------------------------------------
+# the piecewise-linear kernel
+
+
+@st.composite
+def _table_and_points(draw):
+    values = st.floats(-1e6, 1e6)
+    xs = sorted(draw(st.lists(values, min_size=1, max_size=8, unique=True)))
+    ys = draw(st.lists(values, min_size=len(xs), max_size=len(xs)))
+    below = st.floats(-1e9, xs[0])
+    above = st.floats(xs[-1], 1e9)
+    between = st.floats(xs[0], xs[-1])
+    points = draw(st.lists(st.one_of(st.sampled_from(xs), below, above,
+                                     between), min_size=1, max_size=20))
+    return tuple(xs), tuple(ys), points
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_and_points())
+def test_interp_equals_np_interp(table):
+    xs, ys, points = table
+    for x in points:
+        assert device._interp(x, xs, ys) == float(np.interp(x, xs, ys))
+
+
+# ---------------------------------------------------------------------------
 # thermal fit / barrier interpolation
 
 
@@ -266,7 +291,8 @@ def test_phi_for_state_clamps_outside_table(fit):
 
 
 def _phi_by_scan(fit, r_eff):
-    """ThermalFit.phi_for_state as a linear scan of the table."""
+    """ThermalFit.phi_for_state as a linear scan of the table, in
+    np.interp's arithmetic: slope times offset plus the left knot value."""
     x = math.log10(r_eff)
     xs, ys = fit._log_r, fit._phi_asc
     if x <= xs[0]:
@@ -274,9 +300,11 @@ def _phi_by_scan(fit, r_eff):
     if x >= xs[-1]:
         return ys[-1]
     for i in range(1, len(xs)):
-        if x <= xs[i]:
-            f = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
-            return ys[i - 1] + f * (ys[i] - ys[i - 1])
+        if x == xs[i]:
+            return ys[i]
+        if x < xs[i]:
+            slope = (ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1])
+            return slope * (x - xs[i - 1]) + ys[i - 1]
     return ys[-1]
 
 

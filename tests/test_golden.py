@@ -29,14 +29,26 @@ RUNS = {
 }
 
 
+# runs whose bytes reach the interiors of the piecewise-linear curves, as
+# no run above does: 1.45 V trains at 335 K sit inside the 1.4-1.5 V taper
+# and the 310-360 K ramp and move L1 between barrier anchors, and loads
+# 0.17 and 0.33 fall between the feedforward table's calibrated loads
+INTERIOR_RUNS = {
+    "hsr": ["--preset", "L1", "--set", "hsr.v_prog_v=1.45",
+            "--set", "hsr.t_test_k=335"],
+    "homeostasis": ["--set", "homeostasis.pattern=0.17:500,0.33:700"],
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def csv_hashes(root, seed: int) -> dict[str, str]:
-    """Run every subcommand under root; map 'command/file.csv' to its hash."""
+def csv_hashes(root, seed: int, runs=RUNS) -> dict[str, str]:
+    """Run every subcommand of runs under root; map 'command/file.csv' to
+    its hash."""
     hashes = {}
-    for command, extra in RUNS.items():
+    for command, extra in runs.items():
         out = root / command
         code = cli_dispatch([command, "--out", str(out), "--seed", str(seed),
                              *extra])
@@ -145,6 +157,20 @@ GOLDEN = {
     },
 }
 
+# the same at every seed: these runs draw no noise
+INTERIOR_GOLDEN = {
+    "hsr/hsr.csv":
+        "7b24dc7dcc7a7dd33528f44e9c60572742f43d8c5a9c5ea505e902cf5a6862ff",
+    "hsr/hsr_summary.csv":
+        "1fa0a0b8ddc32a185b3e281cdf44f5ff80617a3e5c2b52d2ad1916f649d278d0",
+    "homeostasis/homeostasis_rates.csv":
+        "44dea21dc474c6ed3949540666adf905495a584cf314fc770ba3e4b1a77fe5b1",
+    "homeostasis/homeostasis_spike_windows.csv":
+        "2d00c6d5d2158704fb9b6ff39aa88c4c213578c9cd99d96b4863f5aff7c4846d",
+    "homeostasis/homeostasis_trace.csv":
+        "63f57e735ee2f91116f03cfeb46399f5b279340f9157e6ff36a25238a089b89d",
+}
+
 DEFAULT_CONFIG_SHA = (
     "323ec31070e6c8cbfdbd3e1c8b99f8c3d0154ab0faecb6949e632798882e0770")
 
@@ -152,6 +178,10 @@ DEFAULT_CONFIG_SHA = (
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_csv_outputs_match_golden(seed, tmp_path, capsys):
     assert csv_hashes(tmp_path, seed) == GOLDEN[seed]
+
+
+def test_interior_outputs_match_golden(tmp_path, capsys):
+    assert csv_hashes(tmp_path, 0, INTERIOR_RUNS) == INTERIOR_GOLDEN
 
 
 def test_default_config_serialization_matches_golden():

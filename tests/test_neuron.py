@@ -14,6 +14,7 @@ from memthermo.neuron import (
     FeedforwardMap,
     InputPattern,
     NeuronSystem,
+    affine_gains,
     baseline_curve,
     calibrate_gain,
     run_homeostasis,
@@ -140,6 +141,15 @@ def test_table_map_rejects_nan(loads, temps, message):
 
 # ---------------------------------------------------------------------------
 # gain calibration
+
+
+@pytest.mark.parametrize("kappa_max, step, points", [
+    (0.7, 0.1, 8), (0.3, 0.1, 4), (4.3, 0.1, 44),   # 0.7 / 0.1 = 6.999...
+    (0.8, 0.1, 9), (240.0, 1.0, 241), (240.0, 0.1, 2401),
+    (2401 * 0.1 - 1e-12, 0.1, 2401),   # a rounding short of the cap
+])
+def test_affine_gains_reach_kappa_max(kappa_max, step, points):
+    assert affine_gains(kappa_max, step) == [k * step for k in range(points)]
 
 
 def test_calibrate_single_load_tie_breaks_to_smallest_kappa(build_system,
