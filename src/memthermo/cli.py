@@ -8,7 +8,8 @@ subcommand's handler yields its tables as (file stem, schema, rows) and
 `cli_dispatch` writes them. Exit codes: 0 success, 1 configuration error
 (a malformed command line too), 2 protocol, convergence or
 numeric-overflow error, 3 I/O error; failures print one
-machine-parsable line on stderr.
+machine-parsable line on stderr. Only the protocol handlers import
+`experiments` and `calibration`, so a neuron command never loads them.
 """
 from __future__ import annotations
 
@@ -19,25 +20,9 @@ import sys
 from itertools import repeat
 
 from . import __version__, rng
-from .calibration import (
-    NOISE_CLIP,
-    IVCurveSet,
-    extract_thermionic,
-    fit_switch_curve,
-    invert_temperature,
-    thermometer_guard,
-)
 from .config import ConfigError, RunConfig, checked, resolve_config
-from .csvio import emit_csv, parse_csv, write_manifest
+from .csvio import emit_csv, format_value, parse_csv, write_manifest
 from .device import LEVEL_ORDER, DeviceState, ResetError
-from .experiments import (
-    PHASE_READ,
-    ProtocolError,
-    run_heat_stimulate_retention,
-    run_iv_sweep,
-    run_nullcline_sweep,
-    run_thermal_cycling,
-)
 from .neuron import (
     FeedforwardMap,
     InputPattern,
@@ -45,7 +30,7 @@ from .neuron import (
     calibrate_gain,
     run_homeostasis,
 )
-from .thermal import TemperatureSchedule, scrambled_schedule
+from .thermal import ProtocolError, TemperatureSchedule, scrambled_schedule
 
 def _feedforward(cfg: RunConfig) -> FeedforwardMap:
     mode = cfg["neuron.map_mode"]
@@ -65,6 +50,7 @@ def _schedule(cfg: RunConfig) -> TemperatureSchedule:
 
 def _cycle(cfg: RunConfig, states):
     """run_thermal_cycling of the configured run, reading states."""
+    from .experiments import run_thermal_cycling
     return run_thermal_cycling(
         schedule=_schedule(cfg),
         seed=cfg["run.seed"],
@@ -77,6 +63,7 @@ def _cycle(cfg: RunConfig, states):
 
 
 def _cmd_cycle(cfg: RunConfig):
+    from .experiments import PHASE_READ
     [res] = _cycle(cfg, [cfg.device])
     yield "cycle", "cycle", zip(*res[:5], repeat(PHASE_READ))
     yield "cycle_holds", "cycle_holds", (
@@ -85,6 +72,7 @@ def _cmd_cycle(cfg: RunConfig):
 
 
 def _cmd_levels(cfg: RunConfig):
+    from .experiments import PHASE_READ
     r_refs = [cfg.fit.anchor(level).r_ref for level in LEVEL_ORDER]
     results = _cycle(cfg, [DeviceState(r_persistent=r) for r in r_refs])
     yield "levels", "levels", [
@@ -99,13 +87,14 @@ def _cmd_levels(cfg: RunConfig):
                                             repeat(PHASE_READ))
 
 
-def _iv_sweep(cfg: RunConfig) -> IVCurveSet:
+def _iv_sweep(cfg: RunConfig):
+    from .experiments import run_iv_sweep
     return run_iv_sweep(level=cfg["device.level"],
                         temperatures=cfg.floats("iv.temps_k"),
                         voltages=cfg.voltages, fit=cfg.fit)
 
 
-def _iv_table(level: str, ivs: IVCurveSet):
+def _iv_table(level: str, ivs):
     return "iv", "iv", ((level, *row) for row in ivs.rows())
 
 
@@ -114,6 +103,7 @@ def _cmd_iv(cfg: RunConfig):
 
 
 def _cmd_signature(cfg: RunConfig):
+    from .calibration import IVCurveSet, extract_thermionic
     input_csv = cfg["iv.input_csv"]
     if input_csv:
         _, rows = checked(input_csv, parse_csv, input_csv, "iv")
@@ -146,6 +136,7 @@ def _hsr_args(cfg: RunConfig) -> dict:
 
 
 def _cmd_hsr(cfg: RunConfig):
+    from .experiments import run_heat_stimulate_retention
     t_test, v_prog = cfg["hsr.t_test_k"], cfg["hsr.v_prog_v"]
     res = run_heat_stimulate_retention(t_test=t_test, v_prog=v_prog,
                                        **_hsr_args(cfg))
@@ -156,6 +147,8 @@ def _cmd_hsr(cfg: RunConfig):
 
 
 def _cmd_nullcline(cfg: RunConfig):
+    from .calibration import fit_switch_curve
+    from .experiments import run_nullcline_sweep
     rows = run_nullcline_sweep(**_hsr_args(cfg))
     curve = fit_switch_curve(rows)
     yield "nullcline", "nullcline", rows
@@ -165,6 +158,7 @@ def _cmd_nullcline(cfg: RunConfig):
 
 
 def _cmd_thermometer(cfg: RunConfig):
+    from .calibration import NOISE_CLIP, invert_temperature, thermometer_guard
     trials = cfg["thermometer.trials"]
     [res] = _cycle(cfg, [cfg.device])
     sigma = cfg["thermometer.noise_sigma"]
@@ -222,9 +216,18 @@ def _cmd_homeostasis(cfg: RunConfig):
     yield "homeostasis_rates", "homeostasis_rates", res.window_rates()
     yield ("homeostasis_spike_windows", "homeostasis_spike_windows",
            res.spike_count_windows())
-    yield "homeostasis_trace", "homeostasis_trace", (
-        (k, k * res.dt_s, res.mean_loads[k], res.t_set[k], res.t_dev[k],
-         int(res.spikes[k])) for k in range(res.steps))
+    yield "homeostasis_trace", "homeostasis_trace", _trace_rows(pattern, res)
+
+
+def _trace_rows(pattern: InputPattern, res):
+    """Trace rows; each segment's load and setpoint is formatted once."""
+    loads, t_sets = [], []
+    for duration, _ in pattern.segments:
+        start = len(loads)
+        loads += repeat(format_value(res.mean_loads[start]), int(duration))
+        t_sets += repeat(format_value(res.t_set[start]), int(duration))
+    return zip(range(res.steps), (k * res.dt_s for k in range(res.steps)),
+               loads, t_sets, res.t_dev, res.spikes)
 
 
 def _cmd_calibrate(cfg: RunConfig):

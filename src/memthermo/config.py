@@ -22,11 +22,10 @@ from typing import NamedTuple
 
 from .constants import R_CEILING, R_FLOOR, T_MAX, T_MIN
 from .device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
-                     SwitchingParams, ThermalFit)
-from .experiments import hold_steps, sweep_voltages
+                     SwitchingParams, ThermalFit, sweep_voltages)
 from .neuron import (FeedforwardMap, InputPattern, NeuronSystem,
                      affine_gains, calibration_loads)
-from .thermal import ThermalPlant, TemperatureSchedule
+from .thermal import ThermalPlant, TemperatureSchedule, hold_steps
 
 
 class ConfigError(ValueError):

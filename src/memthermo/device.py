@@ -301,11 +301,11 @@ class ThermalFit:
         r_refs = [a.r_ref for a in self.anchors]
         if any(not (r > 0) for r in r_refs):
             raise ValueError("anchor resistances must be > 0")
-        if any(not (hi > lo) for hi, lo in zip(r_refs, r_refs[1:])):
+        # _interp's knots, strictly ascending: r an ulp apart can share a log
+        self._log_r = tuple(math.log10(r) for r in reversed(r_refs))
+        if any(not (hi > lo) for lo, hi in zip(self._log_r, self._log_r[1:])):
             raise ValueError("anchors must be strictly decreasing in r_ref")
         phis = tuple(calibrate_phi_from_drop(a.total_drop) for a in self.anchors)
-        # ascending in log10(r) for interpolation
-        self._log_r = tuple(math.log10(r) for r in reversed(r_refs))
         self._phi_asc = tuple(reversed(phis))
         self.phi_of_anchor = phis
         # the last (r_eff, phi) pair: a hold reads one state many times
@@ -350,6 +350,24 @@ def iv_preset(level: str, fit: ThermalFit) -> ThermionicParams:
     return ThermionicParams(a_prefactor=a, phi_b=phi_b,
                             alpha_pos=anchor.alpha_pos,
                             alpha_neg=anchor.alpha_neg)
+
+
+def sweep_voltages(v_min: float, v_max: float, points_per_polarity: int,
+                   v_th: float) -> list[float]:
+    """IV sweep amplitudes, both polarities; rejected outright if any
+    reaches the switching threshold v_th."""
+    if v_max >= v_th:
+        raise ValueError(
+            f"sweep amplitude {v_max} V crosses the switching threshold "
+            f"{v_th} V; this would no longer be non-switching"
+        )
+    if not (0 < v_min < v_max):
+        raise ValueError("need 0 < v_min < v_max")
+    if not 3 <= points_per_polarity <= 1000:
+        raise ValueError("need 3 to 1000 points per polarity")
+    step = (v_max - v_min) / (points_per_polarity - 1)
+    pos = [v_min + k * step for k in range(points_per_polarity)]
+    return [-v for v in reversed(pos)] + pos
 
 
 class TrainEra(NamedTuple):

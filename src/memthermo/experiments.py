@@ -27,7 +27,8 @@ from .device import (
     thermionic_current,
 )
 from .rng import substream
-from .thermal import GRID_TEMPS, TemperatureSchedule, ThermalPlant, settled
+from .thermal import (GRID_TEMPS, ProtocolError, TemperatureSchedule,
+                      ThermalPlant, hold_steps, settled)
 
 PHASE_READ = "read"
 PHASE_PROGRAM = "program"
@@ -42,10 +43,6 @@ NULLCLINE_VOLTAGES = tuple(round(V_ANCHOR - 0.1 * k, 1)
                            for k in reversed(range(8)))
 NULLCLINE_TEMPS = tuple(T for T in GRID_TEMPS
                         if T_ANCHORS[0] <= T <= T_ANCHORS[1])
-
-
-class ProtocolError(RuntimeError):
-    """A protocol-level check failed (settling, convergence, ordering)."""
 
 
 class TraceRecord(NamedTuple):
@@ -130,19 +127,6 @@ def _drift_factors(scale: float, seed: int, n: int) -> list[float]:
         log_f = min(max(log_f + step, -half_band), half_band)
         factors.append(math.exp(log_f))
     return factors
-
-
-def hold_steps(hold_s: float, period_s: float) -> int:
-    """The plant steps of a hold of hold_s read every period_s, at least
-    one; both must be > 0 and their ratio finite."""
-    if not (hold_s > 0 and period_s > 0):
-        raise ValueError(f"hold ({hold_s} s) and read period "
-                         f"({period_s} s) must be > 0")
-    steps = hold_s / period_s
-    if not math.isfinite(steps):
-        raise ValueError(f"hold ({hold_s} s) / read period ({period_s} s) "
-                         "must be a finite step count")
-    return max(1, int(round(steps)))
 
 
 def _hold(plant, t_set, hold_s, period_s, t):
@@ -328,24 +312,6 @@ def run_nullcline_sweep(**hsr_kwargs) -> list[tuple[float, float, float]]:
                 t_test=T, v_prog=v, keep_records=False,
                 **hsr_kwargs).frac_state)
             for v in NULLCLINE_VOLTAGES for T in NULLCLINE_TEMPS]
-
-
-def sweep_voltages(v_min: float, v_max: float, points_per_polarity: int,
-                   v_th: float) -> list[float]:
-    """IV sweep amplitudes, both polarities; rejected outright if any
-    reaches the switching threshold v_th."""
-    if v_max >= v_th:
-        raise ValueError(
-            f"sweep amplitude {v_max} V crosses the switching threshold "
-            f"{v_th} V; this would no longer be non-switching"
-        )
-    if not (0 < v_min < v_max):
-        raise ValueError("need 0 < v_min < v_max")
-    if not 3 <= points_per_polarity <= 1000:
-        raise ValueError("need 3 to 1000 points per polarity")
-    step = (v_max - v_min) / (points_per_polarity - 1)
-    pos = [v_min + k * step for k in range(points_per_polarity)]
-    return [-v for v in reversed(pos)] + pos
 
 
 def run_iv_sweep(level: str, temperatures, voltages,

@@ -14,7 +14,8 @@ order-free) sum of weight times load sum, carries the accumulator and
 advances the plant. It recomputes that sum, one `math.exp` per distinct
 barrier, only while the device temperature or the drive moves; a step at
 rest reuses the last sum, which equal inputs would round to the same
-float. The loop is sequential (plant and accumulator are stateful);
+float. A plant at its fixed point is not stepped, as a step would not
+move it. The loop is sequential (plant and accumulator are stateful);
 independent scenarios parallelise by owning separate systems.
 """
 from __future__ import annotations
@@ -223,7 +224,7 @@ class NeuronSystem:
         The weighted input accumulates; each threshold crossing emits a
         spike and carries the excess over, so the long-run rate equals
         drive/theta exactly. The plant then advances one dt toward the
-        drive's setpoint.
+        drive's setpoint, unless it is at that setpoint's fixed point.
         """
         plant = self.plant
         T = plant.t_dev
@@ -239,9 +240,11 @@ class NeuronSystem:
         if self.accumulator >= self.theta:
             spikes = int(self.accumulator // self.theta)
             self.accumulator -= spikes * self.theta
-        if plant.t_set != drive[3]:
-            plant.set_setpoint(drive[3])
-        plant.step(self.dt_s)
+        t_set = drive[3]
+        if plant.t_set != t_set:
+            plant.set_setpoint(t_set)
+        if T != t_set or plant.t_air != t_set:   # else a step is the identity
+            plant.step(self.dt_s)
         return spikes
 
 

@@ -25,6 +25,10 @@ SETTLE_WINDOW_S = 360.0
 SETTLE_THRESHOLD = 0.02
 
 
+class ProtocolError(RuntimeError):
+    """A protocol-level check failed (settling, convergence, ordering)."""
+
+
 class ThermalPlant:
     __slots__ = ("t_set", "t_air", "t_dev", "tau_air_s", "tau_dev_s", "_flow")
 
@@ -85,6 +89,19 @@ class ThermalPlant:
             dev = k * ea + c * ed
         self.t_air = self.t_set + b * ea
         self.t_dev = self.t_set + dev
+
+
+def hold_steps(hold_s: float, period_s: float) -> int:
+    """The plant steps of a hold of hold_s read every period_s, at least
+    one; both must be > 0 and their ratio finite."""
+    if not (hold_s > 0 and period_s > 0):
+        raise ValueError(f"hold ({hold_s} s) and read period "
+                         f"({period_s} s) must be > 0")
+    steps = hold_s / period_s
+    if not math.isfinite(steps):
+        raise ValueError(f"hold ({hold_s} s) / read period ({period_s} s) "
+                         "must be a finite step count")
+    return max(1, int(round(steps)))
 
 
 def settled(times_s, resistances) -> bool | None:

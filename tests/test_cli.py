@@ -789,6 +789,26 @@ def test_cli_import_pulls_in_no_dataclasses(module):
     assert _imported_by_cli(module).stdout.strip() == "[]"
 
 
+def test_neuron_commands_load_no_protocol_module(tmp_path):
+    # compiling experiments and calibration costs a cold neuron run ~7 ms,
+    # so only the protocol handlers import them
+    code = """import sys
+from memthermo.cli import cli_dispatch
+protocol = {"memthermo.experiments", "memthermo.calibration"}
+loaded = [sorted(protocol & sys.modules.keys())]
+out, *short = sys.argv[1:]
+for cmd in ("baseline", "calibrate", "homeostasis"):
+    code = cli_dispatch([cmd, "--out", f"{out}/{cmd}", *short])
+    loaded.append((cmd, code, sorted(protocol & sys.modules.keys())))
+print(loaded)
+"""
+    run = _python(code, str(tmp_path), *(f"--set={kv}" for kv in _SHORT))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines()[-1] == str(
+        [[], *((cmd, 0, []) for cmd in ("baseline", "calibrate",
+                                        "homeostasis"))])
+
+
 # runs that fit no signature: every command but signature at default
 # config, the cycle commands again on explicit setpoints, which draw
 # nothing, and the three runs that draw normals (read noise, drift and

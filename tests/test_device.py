@@ -311,7 +311,8 @@ def _phi_by_scan(fit, r_eff):
 @st.composite
 def _fit_and_states(draw):
     r_refs = sorted(draw(st.lists(st.floats(1e3, 3e7), min_size=1,
-                                  max_size=7, unique=True)), reverse=True)
+                                  max_size=7, unique_by=math.log10)),
+                    reverse=True)
     drops = draw(st.lists(st.floats(0.05, 0.95), min_size=len(r_refs),
                           max_size=len(r_refs)))
     fit = ThermalFit(anchors=tuple(
@@ -330,6 +331,16 @@ def test_phi_for_state_equals_table_scan(fit_states):
     fit, states = fit_states
     for r_eff in states:
         assert fit.phi_for_state(r_eff) == _phi_by_scan(fit, r_eff)
+
+
+def test_fit_rejects_anchors_sharing_a_log10():
+    # 1000 and the next float up have one log10, so the table would hold
+    # two barriers at one knot
+    anchors = (LevelAnchor("a", 1000.0000000000001, 0.5),
+               LevelAnchor("b", 1000.0, 0.2))
+    assert math.log10(anchors[0].r_ref) == math.log10(anchors[1].r_ref)
+    with pytest.raises(ValueError, match="strictly decreasing in r_ref"):
+        ThermalFit(anchors=anchors)
 
 
 @settings(max_examples=100, deadline=None)

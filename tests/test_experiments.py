@@ -19,22 +19,21 @@ from memthermo.device import (
     read_resistance,
     reset_to_reference,
     rho_temperature_factor,
+    sweep_voltages,
 )
 from memthermo.experiments import (
     PULSE_PERIOD_S,
     HsrResult,
-    ProtocolError,
     TraceRecord,
     _drift_factors,
-    hold_steps,
     run_heat_stimulate_retention,
     run_iv_sweep,
     run_nullcline_sweep,
     run_thermal_cycling,
-    sweep_voltages,
 )
 from memthermo.neuron import N_SYNAPSES, FeedforwardMap, NeuronSystem
-from memthermo.thermal import GRID_TEMPS, TemperatureSchedule, ThermalPlant
+from memthermo.thermal import (GRID_TEMPS, ProtocolError, TemperatureSchedule,
+                               ThermalPlant, hold_steps)
 
 
 def test_trace_record_fields_are_the_row_schemas():

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memthermo.cli import _trace_rows
 from memthermo.config import REGISTRY
 from memthermo.constants import K_B_EV, T_MAX, T_MIN, T_REF
+from memthermo.csvio import emit_csv
 from memthermo.device import CalibrationError, DeviceState
 from memthermo.neuron import (
     N_SYNAPSES,
@@ -454,6 +456,10 @@ def _warm_up(system, warmup):
 @example(system_args=_fixed_300, segments=[(50, 0.7)], warmup=(50, 0.2))
 @example(system_args=_moving, segments=[(100, 0.5), (100, 0.2)],
          warmup=(100, 0.5))
+# the device at the setpoint but the air not: the plant is off its fixed
+# point, so it steps
+@example(system_args=dict(_at_rest, plant=ThermalPlant(t_air=330.0)),
+         segments=[(50, 0.3)], warmup=(0, 0.0))
 def test_homeostasis_equals_per_step_loop_exactly(build_system, system_args,
                                                   segments, warmup):
     system = _warm_up(build_system(**system_args), warmup)
@@ -467,6 +473,29 @@ def test_homeostasis_equals_per_step_loop_exactly(build_system, system_args,
         assert res.t_set == t_set
         assert res.mean_loads == mean_loads
         assert sim.accumulator == acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(system_args=_system_args | st.fixed_dictionaries(dict(
+           fmap=st.builds(FeedforwardMap, mode=st.just("fixed"),
+                          t_fixed=st.integers(300, 360)))),
+       segments=st.lists(st.tuples(st.integers(1, 50), st.one_of(
+           st.sampled_from([0.0, 1.0, 0.3]), _loads)), min_size=1,
+           max_size=6))
+def test_trace_rows_equal_the_per_row_writer(build_system, tmp_path_factory,
+                                             system_args, segments):
+    # the trace formats each segment's load and setpoint once; its bytes
+    # are those of the rows built one step at a time
+    pattern = InputPattern(segments=tuple(segments))
+    res = run_homeostasis(pattern, build_system(**system_args))
+    out = tmp_path_factory.mktemp("trace")
+    per_row = ((k, k * res.dt_s, res.mean_loads[k], res.t_set[k],
+                res.t_dev[k], int(res.spikes[k])) for k in range(res.steps))
+    for name, rows in (("per_row", per_row),
+                       ("segments", _trace_rows(pattern, res))):
+        emit_csv(out / f"{name}.csv", "homeostasis_trace", rows)
+    assert ((out / "segments.csv").read_bytes()
+            == (out / "per_row.csv").read_bytes())
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from memthermo.constants import T_MAX, T_MIN
 from memthermo.thermal import (
     SETTLE_THRESHOLD,
     SETTLE_WINDOW_S,
@@ -29,11 +30,27 @@ def _ode_oracle(plant: ThermalPlant, dt: float):
     return sol.y[0][-1], sol.y[1][-1]
 
 
-def test_plant_fixed_point():
-    plant = ThermalPlant(t_set=330.0, t_air=330.0, t_dev=330.0)
-    plant.step(123.0)
-    assert plant.t_air == 330.0
-    assert plant.t_dev == 330.0
+_TAUS = st.one_of(st.sampled_from([1e-3, 60.0, 180.0, 720.0, 1e6]),
+                 st.floats(1e-3, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau_air=_TAUS, tau_dev=_TAUS, equal=st.booleans(),
+       dt=st.one_of(st.sampled_from([1e-9, 0.1, 1.0, 123.0, 1e9]),
+                    st.floats(1e-9, 1e9)),
+       t=st.one_of(st.sampled_from([T_MIN, T_MAX]), st.floats(T_MIN, T_MAX)),
+       steps=st.integers(1, 200))
+@example(tau_air=180.0, tau_dev=720.0, equal=False, dt=123.0, t=330.0,
+         steps=1)
+def test_plant_fixed_point(tau_air, tau_dev, equal, dt, t, steps):
+    # a plant with air and device at the setpoint steps to itself, bit for
+    # bit, for any time constants (equal, air slower or faster) and dt: the
+    # neuron loop skips such steps
+    plant = ThermalPlant(t_set=t, t_air=t, t_dev=t, tau_air_s=tau_air,
+                         tau_dev_s=tau_air if equal else tau_dev)
+    for k in range(steps):
+        plant.step(dt)
+        assert (plant.t_set, plant.t_air, plant.t_dev) == (t, t, t), k
 
 
 def test_plant_long_step_reaches_setpoint():
