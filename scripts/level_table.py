@@ -20,7 +20,7 @@ def main() -> None:
         state = DeviceState(r_persistent=anchor.r_ref)
         reads = [read_resistance(state, fit, T) for T in GRID_TEMPS]
         sens = sensitivity_percent_per_K(GRID_TEMPS, reads)
-        iv = iv_preset(anchor.label, fit)
+        iv = iv_preset(anchor.label, anchor.r_ref, fit)
         print(f"{anchor.label:9s} {anchor.r_ref:10.3g} "
               f"{anchor.total_drop:6.2f} {phi:+9.5f} {sens:9.3f} "
               f"{iv.phi_b:7.4f} {iv.alpha_pos:6.3f} {iv.alpha_neg:6.3f}")

@@ -89,7 +89,7 @@ def _cmd_levels(cfg: RunConfig):
 
 def _iv_sweep(cfg: RunConfig):
     from .experiments import run_iv_sweep
-    return run_iv_sweep(level=cfg["device.level"],
+    return run_iv_sweep(level=cfg["device.level"], r_ohm=cfg.device.r_eff,
                         temperatures=cfg.floats("iv.temps_k"),
                         voltages=cfg.voltages, fit=cfg.fit)
 
@@ -305,8 +305,6 @@ def cli_dispatch(argv) -> int:
         files = [emit_csv(os.path.join(out, f"{stem}.csv"), schema, rows)
                  for stem, schema, rows in _HANDLERS[args.experiment](cfg)]
         files.append(write_manifest(os.path.join(out, "manifest.txt"), cfg,
-                                    experiment=args.experiment,
-                                    version=__version__,
                                     numpy=rng.numpy_version))
         for path in files:
             print(path)

@@ -123,9 +123,10 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
 
     _k("device.level", str, "pristine", "resistive level preset",
        choice(*LEVEL_ORDER)),
-    _k("device.r_ohm", float, 0.0, "explicit 300 K resistance; 0 uses the "
-       "level preset", _rule(lambda v: v == 0 or R_FLOOR <= v <= R_CEILING,
-                             f"0 or in [{R_FLOOR}, {R_CEILING}]")),
+    _k("device.r_ohm", float, 0.0, "explicit 300 K resistance, read by "
+       "every command but levels; 0 uses the level preset",
+       _rule(lambda v: v == 0 or R_FLOOR <= v <= R_CEILING,
+             f"0 or in [{R_FLOOR}, {R_CEILING}]")),
 
     *_fit_entries(),
 
@@ -303,7 +304,7 @@ class RunConfig:
     def system(self) -> NeuronSystem:
         """The neuron template, built on first use; runs set its fmap."""
         return checked(
-            "neuron", NeuronSystem.build, level=self["device.level"],
+            "neuron", NeuronSystem.build, device=self.device,
             fmap=FeedforwardMap(kappa=0.0), fit=self.fit, plant=self.plant,
             theta=self["neuron.theta"], dt_s=self["neuron.dt_s"],
             window=self["neuron.window"],

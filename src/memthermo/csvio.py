@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import sys
 
+from . import __version__
+
 SCHEMAS: dict[str, tuple[str, ...]] = {
     "cycle": ("t_s", "t_set_K", "t_air_K", "t_dev_K", "r_ohm", "phase"),
     "cycle_holds": ("hold", "t_set_K", "r_steady_ohm", "r_first_ohm",
@@ -93,19 +95,18 @@ def parse_csv(path, schema_id: str | None = None):
     return header, rows
 
 
-def write_manifest(path, config, experiment: str, version: str,
-                   numpy: str) -> str:
-    """Echo the fully resolved configuration under the versions of Python
-    and of the numpy the run imported (`numpy` is that version, or
-    "not imported"); the manifest alone is enough to reproduce the run
-    byte for byte."""
+def write_manifest(path, config, numpy: str) -> str:
+    """Echo the fully resolved configuration under the run's experiment and
+    the versions of memthermo, Python and the numpy the run imported
+    (`numpy` is that version, or "not imported"); the manifest alone is
+    enough to reproduce the run byte for byte."""
     python = ".".join(map(str, sys.version_info[:3]))
     text = (
         f"# memthermo run manifest\n"
-        f"# version = {version}\n"
+        f"# version = {__version__}\n"
         f"# python = {python}\n"
         f"# numpy = {numpy}\n"
-        f"# experiment = {experiment}\n"
+        f"# experiment = {config['run.experiment']}\n"
         + config.serialize()
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -24,8 +24,9 @@ temperature ramp tapers above 1.4 V so that 1.5 V trains stay within a
 
 The ratio law is written once, in the unchecked kernel `_ratio`. Cycling,
 the thermometer and the neuron bind a state's barrier once and call it on
-temperatures `ThermalPlant` keeps in the window; the rest reads through
-the checked `rho_temperature_factor`, and hsr through `read_resistance`
+temperatures `ThermalPlant` keeps in the window, and pulse trains and
+retention once they have checked theirs; the rest reads through the
+checked `rho_temperature_factor`, and hsr through `read_resistance`
 once per read, since the benchmark's hand counts pin those calls.
 Every clamped piecewise-linear curve goes through the one kernel
 `_interp`: the barrier table `ThermalFit.phi_for_state`, the neuron's
@@ -182,18 +183,24 @@ def _ratio(T: float, phi_app: float) -> float:
     return (T_REF / T) ** 2 * math.exp((phi_app / K_B_EV) * (1.0 / T - 1.0 / T_REF))
 
 
+def _require_window(T: float) -> float:
+    """T as a float, checked finite and inside the chamber window."""
+    T = _require_finite("T", T)
+    if not (T_MIN - 1e-9 <= T <= T_MAX + 1e-9):
+        raise ValueError(f"T={T} outside [{T_MIN}, {T_MAX}] K")
+    return T
+
+
 def rho_temperature_factor(T: float, phi_app: float) -> float:
     """Read-out resistance ratio R(T)/R(300 K) for apparent barrier phi_app.
 
     Equals 1 at 300 K and is strictly decreasing on [300, 360] K for any
     phi_app above the monotonicity bound.
     """
-    T, phi_app = float(T), float(phi_app)
-    if not math.isfinite(T + phi_app):  # one test on the hot path
+    if not math.isfinite(phi_app):  # T is checked first
         _require_finite("T", T)
         _require_finite("phi_app", phi_app)
-    if not (T_MIN - 1e-9 <= T <= T_MAX + 1e-9):
-        raise ValueError(f"T={T} outside [{T_MIN}, {T_MAX}] K")
+    T = _require_window(T)
     if phi_app <= PHI_APP_MIN:
         raise ValueError(
             f"phi_app={phi_app:.6f} eV at or below monotonicity bound "
@@ -286,7 +293,8 @@ class ThermalFit:
     Anchors are ordered by strictly decreasing reference resistance; each
     drop is converted to a signed phi_app. States between anchors get a
     piecewise-linear phi in log10(R); states outside the table clamp to
-    the end anchors.
+    the end anchors. Each anchor's barrier comes from the bracket of
+    calibrate_phi_from_drop, so every barrier clears PHI_APP_MIN.
     """
 
     __slots__ = ("anchors", "phi_of_anchor", "_log_r", "_phi_asc", "_last")
@@ -331,22 +339,22 @@ class ThermalFit:
         return phi
 
 
-def iv_preset(level: str, fit: ThermalFit) -> ThermionicParams:
-    """Thermionic parameters of the level's anchor in fit, chosen so that
+def iv_preset(level: str, r_ohm: float, fit: ThermalFit) -> ThermionicParams:
+    """Thermionic parameters of a device of 300 K resistance r_ohm with the
+    barrier-lowering factors of the level's anchor in fit, chosen so that
 
-    * R(0.2 V, 300 K) reproduces the level's reference resistance, and
+    * R(0.2 V, 300 K) reproduces r_ohm, and
     * the apparent barrier at the read voltage (phi_b - alpha_pos*sqrt(0.2))
-      equals the level's fitted thermal barrier,
+      equals fit's thermal barrier at r_ohm,
 
     which keeps the IV route and the read-out route mutually consistent.
     """
     anchor = fit.anchor(level)
-    phi_app = fit.phi_for_state(anchor.r_ref)
+    phi_app = fit.phi_for_state(r_ohm)
     phi_b = phi_app + anchor.alpha_pos * math.sqrt(V_READ)
     if phi_b < 0:
-        raise ValueError(f"level {level}: alpha_pos too small for its barrier")
-    a = V_READ / (anchor.r_ref * T_REF**2
-                  * math.exp(-phi_app / (K_B_EV * T_REF)))
+        raise ValueError(f"level {level}: alpha_pos too small at {r_ohm} Ohm")
+    a = V_READ / (r_ohm * T_REF**2 * math.exp(-phi_app / (K_B_EV * T_REF)))
     return ThermionicParams(a_prefactor=a, phi_b=phi_b,
                             alpha_pos=anchor.alpha_pos,
                             alpha_neg=anchor.alpha_neg)
@@ -525,6 +533,7 @@ def apply_pulse_train(
     if abs(v) < params.v_th:
         r = read_resistance(state, fit, T)
         return state, [r] * count
+    _require_window(T)
 
     era = state.era
     if era is None or era.v != v or era.T != T:
@@ -544,7 +553,7 @@ def apply_pulse_train(
         persistent += params.eta_nv * delta
         volatile += (1.0 - params.eta_nv) * delta
         r_prev = r_n
-        trace.append(r_n * rho_temperature_factor(T, fit.phi_for_state(r_n)))
+        trace.append(r_n * _ratio(T, fit.phi_for_state(r_n)))
 
     new_state = DeviceState(
         r_persistent=persistent,
@@ -565,13 +574,15 @@ def retention_run(state: DeviceState, temps, params: SwitchingParams,
     """
     if not temps:
         raise ValueError("need at least one read temperature")
+    for T in temps:
+        _require_window(T)
     decay = math.exp(-1.0 / params.tau_ret)
     persistent, volatile = state.r_persistent, state.r_volatile_excess
     trace = []
     for T in temps:
         volatile *= decay
         r_eff = persistent + volatile
-        trace.append(r_eff * rho_temperature_factor(T, fit.phi_for_state(r_eff)))
+        trace.append(r_eff * _ratio(T, fit.phi_for_state(r_eff)))
     return DeviceState(persistent, volatile, state.pulse_count), trace
 
 

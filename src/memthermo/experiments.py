@@ -314,12 +314,12 @@ def run_nullcline_sweep(**hsr_kwargs) -> list[tuple[float, float, float]]:
             for v in NULLCLINE_VOLTAGES for T in NULLCLINE_TEMPS]
 
 
-def run_iv_sweep(level: str, temperatures, voltages,
+def run_iv_sweep(level: str, r_ohm: float, temperatures, voltages,
                  fit: ThermalFit) -> IVCurveSet:
-    """Non-switching IV curves of the level's iv_preset over a temperature
-    list, at amplitudes from sweep_voltages; below the switching threshold
-    the device state cannot change."""
-    params = iv_preset(level, fit)
+    """Non-switching IV curves of iv_preset(level, r_ohm, fit) over a
+    temperature list, at amplitudes from sweep_voltages; below the switching
+    threshold the device state cannot change."""
+    params = iv_preset(level, r_ohm, fit)
     return IVCurveSet(
         temperatures=tuple(float(T) for T in temperatures),
         voltages=tuple(voltages),

@@ -173,7 +173,7 @@ class NeuronSystem:
     @classmethod
     def build(
         cls,
-        level: str,
+        device: DeviceState,
         fmap: FeedforwardMap,
         fit: ThermalFit,
         plant: ThermalPlant,
@@ -183,10 +183,10 @@ class NeuronSystem:
         spread_sigma: float,
         seed: int,
     ) -> "NeuronSystem":
-        """System of identical-level synapses on a copy of plant, optionally
-        with a seeded log-normal device-to-device spread of the reference
-        resistance."""
-        r0 = fit.anchor(level).r_ref
+        """System of synapses at device's 300 K resistance on a copy of
+        plant, optionally with a seeded log-normal device-to-device spread
+        of that resistance."""
+        r0 = device.r_eff
         draws = [0.0] * N_SYNAPSES   # exp(0.0) == 1.0: r0 exactly
         if spread_sigma > 0:
             rng = substream(seed, "spread")

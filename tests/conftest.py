@@ -86,7 +86,7 @@ def build_system(cfg):
     """NeuronSystem.build with the configured arguments; keywords override."""
     def build(**kwargs):
         return NeuronSystem.build(**{
-            "level": cfg["device.level"], "fmap": cfg.system.fmap,
+            "device": cfg.device, "fmap": cfg.system.fmap,
             "fit": cfg.fit, "plant": cfg.plant,
             "theta": cfg["neuron.theta"], "dt_s": cfg["neuron.dt_s"],
             "window": cfg["neuron.window"],

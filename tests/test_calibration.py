@@ -377,8 +377,9 @@ def test_brentq_parity_thermometer_residual(fit, log_r, u, xtol):
 
 
 @pytest.fixture(scope="module")
-def systems(build_system):
-    return {level: build_system(level=level) for level in LEVEL_ORDER}
+def systems(build_system, state_at):
+    return {level: build_system(device=state_at(level))
+            for level in LEVEL_ORDER}
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,9 +12,10 @@ from memthermo import __version__, cli, config, rng
 from memthermo.cli import EXPERIMENTS, cli_dispatch
 from memthermo.config import REGISTRY, ConfigError, resolve_config
 from memthermo.csvio import parse_csv
-from memthermo.device import (LEVEL_ORDER, SwitchingParams, ThermalFit,
-                              iv_preset)
+from memthermo.device import (DEFAULT_ANCHORS, LEVEL_ORDER, SwitchingParams,
+                              ThermalFit, iv_preset)
 from memthermo.neuron import N_SYNAPSES, NeuronSystem, settled_rate
+from test_golden import RUNS
 
 
 def _run(*argv):
@@ -717,9 +718,44 @@ def test_fit_override_moves_the_level_table(tmp_path, capsys, build_system):
                if float(r[1]) == 300.0 and float(r[2]) == 0.2]
     assert v / i == pytest.approx(2e6, rel=1e-9)
 
-    fit = resolve_config(overrides={"fit.r_l1_ohm": "2e6"}).fit
-    system = build_system(level="L1", fit=fit)
+    l1 = resolve_config(overrides={"fit.r_l1_ohm": "2e6",
+                                   "device.level": "L1"})
+    system = build_system(device=l1.device, fit=l1.fit)
     assert [s.r_persistent for s in system.synapses] == [2e6] * N_SYNAPSES
+
+
+# every command but levels, which reads its five anchors by design, at the
+# golden sizes, and the calibrated baseline
+_ONE_DEVICE_RUNS = {
+    **{cmd: RUNS[cmd] for cmd in EXPERIMENTS if cmd != "levels"},
+    "baseline calibrated": RUNS["baseline"] + [
+        "--set", "baseline.feedforward=calibrated"],
+}
+
+
+@pytest.mark.parametrize("run", _ONE_DEVICE_RUNS)
+def test_every_command_runs_the_configured_device(tmp_path, capsys, run):
+    # device.r_ohm once reached only the commands that read cfg.device; the
+    # neuron and IV commands rebuilt the preset's resistance from its level
+    cmd, args = run.split()[0], _ONE_DEVICE_RUNS[run]
+    level = (args[args.index("--preset") + 1] if "--preset" in args
+             else REGISTRY["device.level"].default)
+    r_ref = ThermalFit(anchors=DEFAULT_ANCHORS).anchor(level).r_ref
+
+    def csvs(*extra):
+        out = tmp_path / "-".join(extra or ["preset"])
+        assert _run(cmd, "--out", str(out), *args, *extra) == 0
+        return {path.name: path.read_bytes() for path in out.glob("*.csv")}
+
+    preset = csvs()
+    assert csvs("--set", f"device.r_ohm={r_ref!r}") == preset
+    # no byte can move in two runs: with no feedforward the baseline's
+    # chamber stays at 300 K, where every synapse weight is 1 whatever its
+    # barrier, and a nullcline fraction, a train's change relative to the
+    # state it starts from, does not depend on that state away from the
+    # resistance bounds
+    if run not in ("baseline", "nullcline"):
+        assert csvs("--set", "device.r_ohm=2e6") != preset
 
 
 def _filled_from_cfg():

@@ -309,12 +309,11 @@ def _phi_by_scan(fit, r_eff):
 
 
 @st.composite
-def _fit_and_states(draw):
+def _fit_and_states(draw, drop=st.floats(0.05, 0.95)):
     r_refs = sorted(draw(st.lists(st.floats(1e3, 3e7), min_size=1,
                                   max_size=7, unique_by=math.log10)),
                     reverse=True)
-    drops = draw(st.lists(st.floats(0.05, 0.95), min_size=len(r_refs),
-                          max_size=len(r_refs)))
+    drops = draw(st.lists(drop, min_size=len(r_refs), max_size=len(r_refs)))
     fit = ThermalFit(anchors=tuple(
         LevelAnchor(f"a{k}", r, d) for k, (r, d) in enumerate(zip(r_refs, drops))))
     on_anchor = st.sampled_from(r_refs)
@@ -331,6 +330,22 @@ def test_phi_for_state_equals_table_scan(fit_states):
     fit, states = fit_states
     for r_eff in states:
         assert fit.phi_for_state(r_eff) == _phi_by_scan(fit, r_eff)
+
+
+_EDGE_FIT = ThermalFit(anchors=(
+    LevelAnchor("a", 1e6, math.nextafter(MIN_TOTAL_DROP, 1.0)),
+    LevelAnchor("b", 1e4, math.nextafter(MAX_TOTAL_DROP, 0.0))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fit_and_states(drop=st.floats(MIN_TOTAL_DROP, MAX_TOTAL_DROP,
+                                      exclude_min=True, exclude_max=True)))
+@example((_EDGE_FIT, [1e6, 1e5, 1e4, 1e3, 3e7]))
+def test_every_fit_barrier_clears_the_monotonicity_bound(fit_states):
+    # pulse trains and retention read through the unchecked _ratio
+    fit, states = fit_states
+    for r_eff in states:
+        assert fit.phi_for_state(r_eff) > PHI_APP_MIN
 
 
 def test_fit_rejects_anchors_sharing_a_log10():
@@ -372,7 +387,7 @@ _IV_FACTORS = {
 @pytest.mark.parametrize("level", LEVEL_ORDER)
 def test_level_table_iv_half_is_consistent_with_its_thermal_half(fit, level):
     r_ref = next(a.r_ref for a in fit.anchors if a.label == level)
-    iv = iv_preset(level, fit)
+    iv = iv_preset(level, r_ref, fit)
     assert (iv.alpha_pos, iv.alpha_neg) == _IV_FACTORS[level]
     # R(0.2 V, 300 K) is the level's reference resistance ...
     assert V_READ / thermionic_current(V_READ, T_REF, iv) == pytest.approx(
@@ -536,6 +551,22 @@ def test_train_rejects_bad_pulses(fit, params):
         apply_pulse_train(state, 1.0, 0, 330.0, params, fit)
     with pytest.raises(ValueError):
         apply_pulse_train(state, float("nan"), 10, 330.0, params, fit)
+
+
+@pytest.mark.parametrize("T, message", [
+    (_NAN, "T must be finite, got nan"),
+    (299.0, "T=299.0 outside [300.0, 360.0] K"),
+    (361.0, "T=361.0 outside [300.0, 360.0] K"),
+])
+def test_train_and_retention_check_their_temperatures(fit, params, T,
+                                                      message):
+    state = DeviceState(r_persistent=1e6, r_volatile_excess=1e5)
+    for run in (lambda: apply_pulse_train(state, 0.2, 3, T, params, fit),
+                lambda: apply_pulse_train(state, 1.5, 3, T, params, fit),
+                lambda: retention_run(state, [330.0, T], params, fit)):
+        with pytest.raises(ValueError) as info:
+            run()
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

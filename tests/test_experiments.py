@@ -398,7 +398,8 @@ def test_nullcline_round_trips_through_switch_fit(nullcline, params):
 
 
 def _iv_sweep(cfg, level, fit):
-    return run_iv_sweep(level=level, temperatures=cfg.floats("iv.temps_k"),
+    return run_iv_sweep(level=level, r_ohm=fit.anchor(level).r_ref,
+                        temperatures=cfg.floats("iv.temps_k"),
                         voltages=cfg.voltages, fit=fit)
 
 
@@ -426,8 +427,8 @@ def test_iv_sweep_grid_survives_its_rows(cfg, fit, level, temps, points):
     # iv.csv holds rows(), and signature reads it back through from_rows
     voltages = sweep_voltages(cfg["iv.v_min_v"], cfg["iv.v_max_v"], points,
                               cfg.switching.v_th)
-    ivs = run_iv_sweep(level=level, temperatures=temps, voltages=voltages,
-                       fit=fit)
+    ivs = run_iv_sweep(level=level, r_ohm=fit.anchor(level).r_ref,
+                       temperatures=temps, voltages=voltages, fit=fit)
     assert IVCurveSet.from_rows(ivs.rows()) == ivs
 
 
@@ -437,7 +438,7 @@ def test_iv_sweep_rejects_threshold_crossing():
 
 
 def test_iv_sweep_feeds_extraction_round_trip(cfg, fit):
-    truth = iv_preset("L1", fit)
+    truth = iv_preset("L1", fit.anchor("L1").r_ref, fit)
     res = extract_thermionic(_iv_sweep(cfg, "L1", fit))
     assert res.physical
     assert res.params.phi_b == pytest.approx(truth.phi_b, rel=5e-3)
