@@ -183,10 +183,14 @@ def _ratio(T: float, phi_app: float) -> float:
     return (T_REF / T) ** 2 * math.exp((phi_app / K_B_EV) * (1.0 / T - 1.0 / T_REF))
 
 
+# The chamber window with round-off slack at both edges.
+_T_LO, _T_HI = T_MIN - 1e-9, T_MAX + 1e-9
+
+
 def _require_window(T: float) -> float:
     """T as a float, checked finite and inside the chamber window."""
     T = _require_finite("T", T)
-    if not (T_MIN - 1e-9 <= T <= T_MAX + 1e-9):
+    if not (_T_LO <= T <= _T_HI):
         raise ValueError(f"T={T} outside [{T_MIN}, {T_MAX}] K")
     return T
 
@@ -197,6 +201,9 @@ def rho_temperature_factor(T: float, phi_app: float) -> float:
     Equals 1 at 300 K and is strictly decreasing on [300, 360] K for any
     phi_app above the monotonicity bound.
     """
+    if _T_LO <= T <= _T_HI and PHI_APP_MIN < phi_app < math.inf:
+        return _ratio(float(T), phi_app)
+    # a failing input: the checks below name its first fault
     if not math.isfinite(phi_app):  # T is checked first
         _require_finite("T", T)
         _require_finite("phi_app", phi_app)
@@ -431,7 +438,7 @@ def read_resistance(state: DeviceState, fit: ThermalFit, T: float) -> float:
     Reads happen at 0.2 V, far below the switching threshold, so they
     never mutate the state.
     """
-    r_eff = state.r_eff
+    r_eff = state.r_persistent + state.r_volatile_excess
     return r_eff * rho_temperature_factor(T, fit.phi_for_state(r_eff))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .calibration import IVCurveSet, sensitivity_percent_per_K
 from .constants import T_MAX, T_MIN, T_REF, V_READ
 from .device import (
     T_ANCHORS,
@@ -108,6 +107,7 @@ class CycleResult(NamedTuple):
 
     def sensitivity(self) -> float:
         """Sensitivity in %/K of the per-hold settled values."""
+        from .calibration import sensitivity_percent_per_K
         return sensitivity_percent_per_K([h.t_set_K for h in self.holds],
                                          [h.r_steady_ohm for h in self.holds])
 
@@ -135,12 +135,14 @@ def _hold(plant, t_set, hold_s, period_s, t):
     at the end of each step, where the reads are taken."""
     steps = hold_steps(hold_s, period_s)
     plant.set_setpoint(t_set)
-    rows = []
+    t_s, t_air, t_dev = [], [], []
     for _ in range(steps):
         plant.step(period_s)
         t += period_s
-        rows.append((t, plant.t_set, plant.t_air, plant.t_dev))
-    return list(zip(*rows))
+        t_s.append(t)
+        t_air.append(plant.t_air)
+        t_dev.append(plant.t_dev)
+    return t_s, [plant.t_set] * steps, t_air, t_dev
 
 
 def run_thermal_cycling(
@@ -319,6 +321,7 @@ def run_iv_sweep(level: str, r_ohm: float, temperatures, voltages,
     """Non-switching IV curves of iv_preset(level, r_ohm, fit) over a
     temperature list, at amplitudes from sweep_voltages; below the switching
     threshold the device state cannot change."""
+    from .calibration import IVCurveSet
     params = iv_preset(level, r_ohm, fit)
     return IVCurveSet(
         temperatures=tuple(float(T) for T in temperatures),

@@ -24,6 +24,10 @@ GRID_TEMPS = tuple(float(t) for t in range(int(T_MIN), int(T_MAX) + 1, 10))
 SETTLE_WINDOW_S = 360.0
 SETTLE_THRESHOLD = 0.02
 
+# The most plant steps one hold may take, ~1,700x a default hold's 600: a
+# finite but huge hold_s / period_s would otherwise run until killed.
+MAX_HOLD_STEPS = 10**6
+
 
 class ProtocolError(RuntimeError):
     """A protocol-level check failed (settling, convergence, ordering)."""
@@ -45,7 +49,7 @@ class ThermalPlant:
         self._check_setpoint(t_set)
         self.t_set, self.t_air, self.t_dev = t_set, t_air, t_dev
         self.tau_air_s, self.tau_dev_s = tau_air_s, tau_dev_s
-        self._flow = (None, 0.0, 0.0, False)   # see step
+        self._flow = (None, None, None, 0.0, 0.0, False)   # see step
 
     @staticmethod
     def _check_setpoint(t):
@@ -74,11 +78,11 @@ class ThermalPlant:
         if not (dt_s > 0):
             raise ValueError("dt_s must be > 0")
         ta, td = self.tau_air_s, self.tau_dev_s
-        key, ea, ed, equal = self._flow   # factors of the last (dt_s, ta, td)
-        if key != (dt_s, ta, td):
+        dt, fa, fd, ea, ed, equal = self._flow   # factors of the last step
+        if dt != dt_s or fa != ta or fd != td:
             ea, ed = math.exp(-dt_s / ta), math.exp(-dt_s / td)
             equal = abs(ta - td) < 1e-9 * max(ta, td)
-            self._flow = ((dt_s, ta, td), ea, ed, equal)
+            self._flow = (dt_s, ta, td, ea, ed, equal)
         b = self.t_air - self.t_set
         if equal:
             # equal time constants: the cross term degenerates to t*e^(-t/tau)
@@ -93,7 +97,8 @@ class ThermalPlant:
 
 def hold_steps(hold_s: float, period_s: float) -> int:
     """The plant steps of a hold of hold_s read every period_s, at least
-    one; both must be > 0 and their ratio finite."""
+    one; both must be > 0 and their ratio finite and at most
+    MAX_HOLD_STEPS."""
     if not (hold_s > 0 and period_s > 0):
         raise ValueError(f"hold ({hold_s} s) and read period "
                          f"({period_s} s) must be > 0")
@@ -101,7 +106,12 @@ def hold_steps(hold_s: float, period_s: float) -> int:
     if not math.isfinite(steps):
         raise ValueError(f"hold ({hold_s} s) / read period ({period_s} s) "
                          "must be a finite step count")
-    return max(1, int(round(steps)))
+    steps = max(1, int(round(steps)))
+    if steps > MAX_HOLD_STEPS:
+        raise ValueError(f"hold ({hold_s} s) / read period ({period_s} s) "
+                         f"is {steps:.3g} plant steps, more than the "
+                         f"{MAX_HOLD_STEPS} a hold may take")
+    return steps
 
 
 def settled(times_s, resistances) -> bool | None:

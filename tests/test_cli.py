@@ -782,7 +782,7 @@ def test_arguments_filled_from_cfg_have_no_default():
     assert defaults == set()
 
 
-def _python(code, *argv, block_numpy=False):
+def _python(code, *argv, block_numpy=False, timeout=None):
     """Run `code` with argv in a fresh interpreter on the checkout's src;
     with block_numpy, a None entry in sys.modules makes every
     `import numpy` fail loudly."""
@@ -791,14 +791,36 @@ def _python(code, *argv, block_numpy=False):
     if block_numpy:
         code = "import sys\nsys.modules['numpy'] = None\n" + code
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
-def _cli_process(*argv, block_numpy=False):
+def _cli_process(*argv, block_numpy=False, timeout=None):
     """cli_dispatch(argv) in a fresh interpreter."""
     return _python("import sys\nfrom memthermo.cli import cli_dispatch\n"
                    "sys.exit(cli_dispatch(sys.argv[1:]))", *argv,
-                   block_numpy=block_numpy)
+                   block_numpy=block_numpy, timeout=timeout)
+
+
+# a finite but huge hold once passed resolve and ran until killed
+# (3.6e303 plant steps at read_period_s=1e-300); a fresh interpreter with
+# a timeout fails such a run instead of hanging the suite
+@pytest.mark.parametrize("argv, reason", [
+    *(pytest.param([cmd, "--set", "schedule.read_period_s=1e-300"],
+                   "schedule.hold_s, schedule.read_period_s: hold (3600.0 s) "
+                   "/ read period (1e-300 s) is 3.6e+303 plant steps, more "
+                   "than the 1000000 a hold may take",
+                   id=f"{cmd}-read-period-1e-300")
+      for cmd in ("cycle", "thermometer")),
+    pytest.param(["hsr", "--set", f"hsr.retention_reads={10**9}"],
+                 "hsr.retention_reads, hsr.retention_period_s: hold "
+                 "(6000000000.0 s) / read period (6.0 s) is 1e+09 plant "
+                 "steps, more than the 1000000 a hold may take",
+                 id="hsr-retention-reads-1e9"),
+])
+def test_huge_hold_fails_at_once_as_config_error(tmp_path, argv, reason):
+    run = _cli_process(*argv, "--out", str(tmp_path), timeout=10)
+    assert (run.returncode, run.stderr) == (1, f"error: config: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _imported_by_cli(package):
@@ -843,6 +865,26 @@ print(loaded)
     assert run.stdout.splitlines()[-1] == str(
         [[], *((cmd, 0, []) for cmd in ("baseline", "calibrate",
                                         "homeostasis"))])
+
+
+def test_hsr_and_cycle_load_no_calibration(tmp_path):
+    # compiling calibration costs a cold hsr or cycle run ~3 ms, so only
+    # the commands that fit, invert or take a sensitivity load it
+    code = """import sys
+from memthermo.cli import cli_dispatch
+out, *short = sys.argv[1:]
+loaded = []
+for cmd in ("hsr", "cycle"):
+    code = cli_dispatch([cmd, "--out", f"{out}/{cmd}", *short])
+    loaded.append((cmd, code, sorted({"memthermo.experiments",
+                                      "memthermo.calibration"}
+                                     & sys.modules.keys())))
+print(loaded)
+"""
+    run = _python(code, str(tmp_path), *(f"--set={kv}" for kv in _SHORT))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines()[-1] == str(
+        [(cmd, 0, ["memthermo.experiments"]) for cmd in ("hsr", "cycle")])
 
 
 # runs that fit no signature: every command but signature at default
@@ -961,12 +1003,7 @@ def _sweep_cases():
         if key in ("run.experiment", "run.out_dir"):
             continue
         for value in ("0", "-1", "nan", "abc", "1e9"):
-            marks = ()
-            if (key, value) == ("schedule.hold_s", "1e9"):
-                marks = pytest.mark.skip(
-                    reason="valid, but each 1e9 s hold is 25M plant steps "
-                           "at the sweep's 40 s read period")
-            yield pytest.param(key, value, marks=marks, id=f"{key}={value}")
+            yield pytest.param(key, value, id=f"{key}={value}")
 
 
 @pytest.fixture(scope="module")

@@ -223,6 +223,44 @@ def test_rho_keeps_its_error_messages(T, phi_app, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("T, r_eff, message", [
+    (_NAN, 1e6, "T must be finite, got nan"),
+    (_INF, 1e6, "T must be finite, got inf"),
+    (-_INF, 1e6, "T must be finite, got -inf"),
+    (np.float64(_NAN), 1e6, "T must be finite, got nan"),
+    (299.0, 1e6, "T=299.0 outside [300.0, 360.0] K"),
+    (361.0, 1e6, "T=361.0 outside [300.0, 360.0] K"),
+    # the barrier is looked up before T is checked
+    (330.0, -1.0, "r_eff must be > 0"),
+    (_NAN, 0.0, "r_eff must be > 0"),
+])
+def test_read_keeps_its_error_messages(fit, T, r_eff, message):
+    # DeviceState rejects r_eff <= 0, so the bad state is a stand-in
+    state = SimpleNamespace(r_persistent=r_eff + 1.0, r_volatile_excess=-1.0)
+    with pytest.raises(ValueError) as info:
+        read_resistance(state, fit, T)
+    assert str(info.value) == message
+
+
+_WINDOW_T = st.one_of(st.floats(T_MIN - 1e-9, T_MAX + 1e-9),
+                      st.integers(int(T_MIN), int(T_MAX)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=_WINDOW_T, phi=st.floats(PHI_APP_MIN, 2.0, exclude_min=True),
+       r_eff=st.floats(R_FLOOR, R_CEILING))
+@example(T=T_MIN - 1e-9, phi=math.nextafter(PHI_APP_MIN, 1.0), r_eff=1e6)
+@example(T=T_MAX + 1e-9, phi=2.0, r_eff=1e6)
+@example(T=int(T_MIN), phi=0.0, r_eff=1e6)
+@example(T=int(T_MAX), phi=0.0, r_eff=1e6)
+def test_passing_reads_are_the_kernel_bit_for_bit(fit, T, phi, r_eff):
+    # the checked law's passing path is the unchecked kernel on float(T)
+    assert rho_temperature_factor(T, phi) == device._ratio(float(T), phi)
+    state = DeviceState(r_persistent=r_eff)
+    assert read_resistance(state, fit, T) == r_eff * device._ratio(
+        float(T), fit.phi_for_state(r_eff))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     drop=st.floats(min_value=0.05, max_value=0.95),
