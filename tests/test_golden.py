@@ -39,22 +39,41 @@ INTERIOR_RUNS = {
     "homeostasis": ["--set", "homeostasis.pattern=0.17:500,0.33:700"],
 }
 
+# runs under the feedforward maps no run above uses: the calibrated
+# baseline, the affine and fixed homeostasis maps, a synapse spread (under
+# the calibrated map, as at 300 K every weight is 1 whatever the spread)
+# and the affine calibration; a key's first word names the subcommand
+MAP_RUNS = {
+    "baseline calibrated": ["--set", "baseline.feedforward=calibrated",
+                            "--set", "baseline.settle_steps=300",
+                            "--set", "baseline.measure_steps=500"],
+    "homeostasis affine": ["--set", "neuron.map_mode=affine",
+                           "--set", "homeostasis.pattern=0.17:500,0.33:700"],
+    "homeostasis fixed": ["--set", "neuron.map_mode=fixed",
+                          "--set", "homeostasis.pattern=0.17:500,0.33:700"],
+    "baseline spread": ["--set", "neuron.spread_sigma=0.3",
+                        "--set", "baseline.feedforward=calibrated",
+                        "--set", "baseline.settle_steps=300",
+                        "--set", "baseline.measure_steps=500"],
+    "calibrate affine": ["--set", "calibrate.mode=affine"],
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def csv_hashes(root, seed: int, runs=RUNS) -> dict[str, str]:
-    """Run every subcommand of runs under root; map 'command/file.csv' to
-    its hash."""
+    """Run every run of runs under root; map 'name/file.csv' to its
+    hash."""
     hashes = {}
-    for command, extra in runs.items():
-        out = root / command
-        code = cli_dispatch([command, "--out", str(out), "--seed", str(seed),
-                             *extra])
-        assert code == 0, command
+    for name, extra in runs.items():
+        out = root / name
+        code = cli_dispatch([name.split()[0], "--out", str(out),
+                             "--seed", str(seed), *extra])
+        assert code == 0, name
         for path in sorted(out.glob("*.csv")):
-            hashes[f"{command}/{path.name}"] = _sha(path.read_bytes())
+            hashes[f"{name}/{path.name}"] = _sha(path.read_bytes())
     return hashes
 
 
@@ -171,6 +190,30 @@ INTERIOR_GOLDEN = {
         "63f57e735ee2f91116f03cfeb46399f5b279340f9157e6ff36a25238a089b89d",
 }
 
+# at seed 0, the seed of the spread run's draws
+MAP_GOLDEN = {
+    "baseline calibrated/baseline.csv":
+        "56863e650bfef9887675bbb7870cf9f195022878ae52d6326edf01fcb8d4f6b0",
+    "homeostasis affine/homeostasis_rates.csv":
+        "9b39d1fa2ce3b97fe446cb70aa5af2d158891037662bf5e0195637816f7ce52f",
+    "homeostasis affine/homeostasis_spike_windows.csv":
+        "6f8191a61d654fb925580bf9bbcfe92fecc0a230d84641db62c4b0f0c77cdb83",
+    "homeostasis affine/homeostasis_trace.csv":
+        "2314cc2c4f7564185821bf12c19428335dad215fb83d5fb8e15bbf96abb2beae",
+    "homeostasis fixed/homeostasis_rates.csv":
+        "ec5b4ddef42875a0306f91844fe591b136167355c396dfc39e1f05e6b540eb96",
+    "homeostasis fixed/homeostasis_spike_windows.csv":
+        "7e199954fa093dfa0ee9344480bd8b17cc8e57a33086bc814cd25e207aa40ee6",
+    "homeostasis fixed/homeostasis_trace.csv":
+        "be4fd910d0dab4e5c857f0b9493840c0079c6c3cfa179ecfb1ae95411aac630b",
+    "baseline spread/baseline.csv":
+        "f015a62cfb388d28d5dcf557e5bf2ddafbed6b34e2188a660135efec5af8a7a1",
+    "calibrate affine/calibrate_barriers.csv":
+        "3b554bae2850d3542741cf8428cdb4d0a4bcf6dc7260d10909dd01777d6f1ba4",
+    "calibrate affine/calibrate_gain.csv":
+        "5c7fa83ada51b44c17a09250bfa880d1bd41ebe68aba48390f64025f7acd5ab8",
+}
+
 DEFAULT_CONFIG_SHA = (
     "323ec31070e6c8cbfdbd3e1c8b99f8c3d0154ab0faecb6949e632798882e0770")
 
@@ -182,6 +225,10 @@ def test_csv_outputs_match_golden(seed, tmp_path, capsys):
 
 def test_interior_outputs_match_golden(tmp_path, capsys):
     assert csv_hashes(tmp_path, 0, INTERIOR_RUNS) == INTERIOR_GOLDEN
+
+
+def test_map_outputs_match_golden(tmp_path, capsys):
+    assert csv_hashes(tmp_path, 0, MAP_RUNS) == MAP_GOLDEN
 
 
 def test_default_config_serialization_matches_golden():
