@@ -180,10 +180,10 @@ def _cmd_thermometer(cfg: RunConfig):
 
 
 def _cmd_baseline(cfg: RunConfig):
-    if cfg["baseline.feedforward"] == "calibrated":
-        cfg.system.fmap = _feedforward(cfg)
+    calibrated = cfg["baseline.feedforward"] == "calibrated"
     yield "baseline", "baseline", baseline_curve(
         cfg.floats("baseline.loads"), cfg.system,
+        _feedforward(cfg) if calibrated else FeedforwardMap(kappa=0.0),
         settle_steps=cfg["baseline.settle_steps"],
         measure_steps=cfg["baseline.measure_steps"],
     )
@@ -208,24 +208,23 @@ def _read_pattern(path, window: int) -> InputPattern:
 
 
 def _cmd_homeostasis(cfg: RunConfig):
-    cfg.system.fmap = _feedforward(cfg)
+    fmap = _feedforward(cfg)   # an infeasible table fails before a bad CSV
     path = cfg["homeostasis.pattern_csv"]
     pattern = (checked(path, _read_pattern, path, cfg["neuron.window"]) if path
                else cfg.pattern)
-    res = run_homeostasis(pattern, cfg.system)
+    res = run_homeostasis(pattern, cfg.system, fmap)
     yield "homeostasis_rates", "homeostasis_rates", res.window_rates()
     yield ("homeostasis_spike_windows", "homeostasis_spike_windows",
            res.spike_count_windows())
-    yield "homeostasis_trace", "homeostasis_trace", _trace_rows(pattern, res)
+    yield "homeostasis_trace", "homeostasis_trace", _trace_rows(res)
 
 
-def _trace_rows(pattern: InputPattern, res):
+def _trace_rows(res):
     """Trace rows; each segment's load and setpoint is formatted once."""
     loads, t_sets = [], []
-    for duration, _ in pattern.segments:
-        start = len(loads)
-        loads += repeat(format_value(res.mean_loads[start]), int(duration))
-        t_sets += repeat(format_value(res.t_set[start]), int(duration))
+    for steps, load, t_set in res.segments:
+        loads += repeat(format_value(load), steps)
+        t_sets += repeat(format_value(t_set), steps)
     return zip(range(res.steps), (k * res.dt_s for k in range(res.steps)),
                loads, t_sets, res.t_dev, res.spikes)
 

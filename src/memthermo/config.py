@@ -10,14 +10,13 @@ Unknown keys are rejected rather than ignored. A run's values come from
 the defaults, the config file and the explicit CLI overrides, each on
 top of the one before, and from nowhere else. Each key checks its own
 domain; relations between keys are left to the constructors:
-resolve_config builds each configured object once, and the run uses
-those objects. The neuron template alone, whose spread draws the seeded
-"spread" stream, is built on first use; its rules are checked up front.
+resolve_config builds each configured object once, the neuron template
+too, and the run uses those objects; a neuron run passes the feedforward
+map it uses to the runner.
 """
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 from .constants import R_CEILING, R_FLOOR, T_MAX, T_MIN
@@ -281,8 +280,15 @@ class RunConfig:
                     self["hsr.retention_period_s"])
         self.device = DeviceState(r_persistent=self["device.r_ohm"] or
                                   self.fit.anchor(self["device.level"]).r_ref)
-        checked("neuron", NeuronSystem.check, self["neuron.theta"],
-                self["neuron.dt_s"], self["neuron.window"])
+        self.system = checked(
+            "neuron", NeuronSystem.build, device=self.device, fit=self.fit,
+            plant=self.plant, theta=self["neuron.theta"],
+            dt_s=self["neuron.dt_s"], window=self["neuron.window"],
+            spread_sigma=self["neuron.spread_sigma"], seed=self["run.seed"])
+        # baseline steps each load through its settle and measure phases
+        checked("baseline", InputPattern, tuple(
+            (self["baseline.settle_steps"] + self["baseline.measure_steps"], x)
+            for x in self.floats("baseline.loads")))
         self.affine_map = checked("neuron", FeedforwardMap,
                                   kappa=self["neuron.kappa"])
         self.fixed_map = checked("neuron", FeedforwardMap, mode="fixed",
@@ -299,16 +305,6 @@ class RunConfig:
                                   self["calibrate.kappa_step"])
         self.pattern = checked("homeostasis.pattern", InputPattern.parse,
                                self["homeostasis.pattern"])
-
-    @cached_property
-    def system(self) -> NeuronSystem:
-        """The neuron template, built on first use; runs set its fmap."""
-        return checked(
-            "neuron", NeuronSystem.build, device=self.device,
-            fmap=FeedforwardMap(kappa=0.0), fit=self.fit, plant=self.plant,
-            theta=self["neuron.theta"], dt_s=self["neuron.dt_s"],
-            window=self["neuron.window"],
-            spread_sigma=self["neuron.spread_sigma"], seed=self["run.seed"])
 
     def __getitem__(self, name: str):
         try:

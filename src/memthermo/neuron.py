@@ -8,8 +8,8 @@ therefore heat the synapses, pull the weights down, and return the firing
 rate toward baseline while transients pass through at full strength.
 
 Per input segment, `NeuronSystem.drive` sums the loads on each distinct
-synapse barrier with `math.fsum` and sets the mean load and setpoint
-once. Per step, `NeuronSystem.step` adds the correctly rounded (so
+synapse barrier with `math.fsum` and sets the mean load and the feedforward
+setpoint once. Per step, `NeuronSystem.step` adds the correctly rounded (so
 order-free) sum of weight times load sum, carries the accumulator and
 advances the plant. It recomputes that sum, one `math.exp` per distinct
 barrier, only while the device temperature or the drive moves; a step at
@@ -32,6 +32,7 @@ from .rng import substream
 from .thermal import ThermalPlant
 
 N_SYNAPSES = 25
+MAX_STEPS = 10**6   # per run: ~28x the default baseline, ~83x homeostasis
 
 
 def _synapse_loads(load) -> list[float]:
@@ -101,6 +102,9 @@ class InputPattern:
                 raise ValueError("segment duration must be >= 1 step")
             if not all(0 <= x <= 1 for x in _synapse_loads(load)):   # NaN too
                 raise ValueError("loads must lie in [0, 1]")
+        if self.total_steps > MAX_STEPS:
+            raise ValueError(f"{self.total_steps} neuron steps, more than "
+                             f"the {MAX_STEPS} a run may take")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -136,7 +140,6 @@ class NeuronSystem:
         synapses: list[DeviceState],
         fit: ThermalFit,
         plant: ThermalPlant,
-        fmap: FeedforwardMap,
         theta: float,
         dt_s: float,
         window: int,
@@ -147,7 +150,6 @@ class NeuronSystem:
         self.synapses = list(synapses)
         self.fit = fit
         self.plant = plant
-        self.fmap = fmap
         self.theta = float(theta)
         self.dt_s = float(dt_s)
         self.window = int(window)
@@ -174,7 +176,6 @@ class NeuronSystem:
     def build(
         cls,
         device: DeviceState,
-        fmap: FeedforwardMap,
         fit: ThermalFit,
         plant: ThermalPlant,
         theta: float,
@@ -193,12 +194,12 @@ class NeuronSystem:
             draws = [spread_sigma * z
                      for z in rng.standard_normal(N_SYNAPSES)]
         synapses = [DeviceState(r_persistent=r0 * math.exp(z)) for z in draws]
-        return cls(synapses=synapses, fit=fit, plant=plant.copy(), fmap=fmap,
+        return cls(synapses=synapses, fit=fit, plant=plant.copy(),
                    theta=theta, dt_s=dt_s, window=window)
 
     def copy(self) -> "NeuronSystem":
         clone = NeuronSystem(self.synapses, self.fit, self.plant.copy(),
-                             self.fmap, self.theta, self.dt_s, self.window)
+                             self.theta, self.dt_s, self.window)
         clone.accumulator = self.accumulator
         return clone
 
@@ -206,19 +207,19 @@ class NeuronSystem:
         """Per-synapse weights R(T)/R(300 K) at device temperature T."""
         return [_ratio(T, phi) for phi in self._phi]
 
-    def drive(self, load) -> tuple:
+    def drive(self, load, fmap: FeedforwardMap) -> tuple:
         """Per-segment invariants of a constant load: the distinct barriers,
-        the fsum of the loads on each, the mean load and the setpoint. All
+        the fsum of the loads on each, the mean load and fmap's setpoint. All
         immutable, since `step` reuses its sum while handed the same drive."""
         loads, groups = _synapse_loads(load), {}
         for b, x in zip(self._phi, loads):
             groups.setdefault(b, []).append(x)
         mean = math.fsum(loads) / N_SYNAPSES
         return (tuple(groups), tuple(math.fsum(xs) for xs in groups.values()),
-                mean, self.fmap.setpoint(mean))
+                mean, fmap.setpoint(mean))
 
     def step(self, drive) -> int:
-        """Advance one step under `drive` (from `drive(load)`); returns the
+        """Advance one step under `drive` (from `self.drive`); returns the
         number of spikes emitted (0 or 1 in normal operation).
 
         The weighted input accumulates; each threshold crossing emits a
@@ -258,9 +259,8 @@ def settled_rate(system: NeuronSystem, load: float,
 
 class HomeostasisResult(NamedTuple):
     spikes: list[int]         # spikes per step
-    mean_loads: list[float]
+    segments: list[tuple[int, float, float]]   # (steps, mean load, setpoint)
     t_dev: list[float]
-    t_set: list[float]
     dt_s: float
     window: int
 
@@ -291,35 +291,34 @@ class HomeostasisResult(NamedTuple):
         return out
 
 
-def run_homeostasis(pattern: InputPattern,
-                    system: NeuronSystem) -> HomeostasisResult:
-    """Simulate the pattern; emits spikes, rates and the temperature trace.
+def run_homeostasis(pattern: InputPattern, system: NeuronSystem,
+                    fmap: FeedforwardMap) -> HomeostasisResult:
+    """Simulate the pattern under fmap; emits spikes, rates and the
+    temperature trace.
 
-    Draws no random numbers: the result is a function of the pattern and
-    the system (whose synapse spread, if any, was seeded at build time).
+    Draws no random numbers: the result is a function of the pattern, the
+    map and the system (whose synapse spread, if any, was seeded at build).
     """
-    spikes, mean_loads, t_dev, t_set = [], [], [], []
+    spikes, segments, t_dev = [], [], []
     for duration, load in pattern.segments:
         duration = int(duration)
-        drive = system.drive(load)
-        mean_loads += [drive[2]] * duration
-        t_set += [drive[3]] * duration
+        drive = system.drive(load, fmap)
+        segments.append((duration, drive[2], drive[3]))
         for _ in range(duration):
             t_dev.append(system.plant.t_dev)
             spikes.append(system.step(drive))
-    return HomeostasisResult(
-        spikes=spikes, mean_loads=mean_loads, t_dev=t_dev, t_set=t_set,
-        dt_s=system.dt_s, window=system.window,
-    )
+    return HomeostasisResult(spikes=spikes, segments=segments, t_dev=t_dev,
+                             dt_s=system.dt_s, window=system.window)
 
 
 def baseline_curve(
     loads,
     system: NeuronSystem,
+    fmap: FeedforwardMap,
     settle_steps: int,
     measure_steps: int,
 ) -> list[tuple[float, float]]:
-    """Settled spike rate per constant load, measured by simulation.
+    """Settled spike rate per constant load under fmap, by simulation.
 
     Each load runs on a fresh copy of the template system: settle first,
     then count spikes over the measurement phase.
@@ -327,7 +326,7 @@ def baseline_curve(
     out = []
     for load in loads:
         sim = system.copy()
-        drive = sim.drive(float(load))
+        drive = sim.drive(float(load), fmap)
         for _ in range(settle_steps):
             sim.step(drive)
         count = sum(sim.step(drive) for _ in range(measure_steps))

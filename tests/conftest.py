@@ -86,8 +86,7 @@ def build_system(cfg):
     """NeuronSystem.build with the configured arguments; keywords override."""
     def build(**kwargs):
         return NeuronSystem.build(**{
-            "device": cfg.device, "fmap": cfg.system.fmap,
-            "fit": cfg.fit, "plant": cfg.plant,
+            "device": cfg.device, "fit": cfg.fit, "plant": cfg.plant,
             "theta": cfg["neuron.theta"], "dt_s": cfg["neuron.dt_s"],
             "window": cfg["neuron.window"],
             "spread_sigma": cfg["neuron.spread_sigma"],

@@ -64,8 +64,7 @@ def level_sweep(level_runs, fit):
 
 @pytest.fixture(scope="module")
 def table_map(cfg, build_system):
-    template = build_system(fmap=FeedforwardMap(kappa=0.0))
-    return calibrate_gain(cfg.floats("calibrate.loads"), template,
+    return calibrate_gain(cfg.floats("calibrate.loads"), build_system(),
                           mode="table", kappa_grid=cfg.kappa_grid,
                           gamma=cfg["neuron.gamma"]).fmap
 
@@ -227,9 +226,9 @@ def test_c08_thermometer_round_trip(fit):
 
 
 def _step_response(build_system, table_map, load_a, load_b):
-    system = build_system(fmap=table_map)
+    system = build_system()
     pattern = InputPattern(segments=((6000, load_a), (6000, load_b)))
-    res = run_homeostasis(pattern, system)
+    res = run_homeostasis(pattern, system, table_map)
     rates = res.window_rates()
     w = res.window
     base = float(np.mean([r for k, _, r in rates
@@ -249,8 +248,8 @@ def test_c09_homeostasis_properties(build_system, table_map):
     base_dn, first_dn, peak_dn, resid_dn = _step_response(
         build_system, table_map, 0.30, 0.20)
 
-    system = build_system(fmap=table_map)
-    curve = baseline_curve((0.15, 0.20, 0.25, 0.30, 0.35, 0.40), system,
+    curve = baseline_curve((0.15, 0.20, 0.25, 0.30, 0.35, 0.40),
+                           build_system(), table_map,
                            settle_steps=5000, measure_steps=2000)
     rates = [r for _, r in curve]
     monotone = all(b > a for a, b in zip(rates, rates[1:]))
@@ -269,8 +268,8 @@ def test_c09_homeostasis_properties(build_system, table_map):
 
 
 def test_c10_baseline_linearity(build_system):
-    system = build_system(fmap=FeedforwardMap(kappa=0.0))
-    curve = baseline_curve((0.15, 0.20, 0.25, 0.30, 0.35, 0.40), system,
+    curve = baseline_curve((0.15, 0.20, 0.25, 0.30, 0.35, 0.40),
+                           build_system(), FeedforwardMap(kappa=0.0),
                            settle_steps=500, measure_steps=2000)
     loads = np.array([l for l, _ in curve])
     rates = np.array([r for _, r in curve])

@@ -14,7 +14,7 @@ from memthermo.config import REGISTRY, ConfigError, resolve_config
 from memthermo.csvio import parse_csv
 from memthermo.device import (DEFAULT_ANCHORS, LEVEL_ORDER, SwitchingParams,
                               ThermalFit, iv_preset)
-from memthermo.neuron import N_SYNAPSES, NeuronSystem, settled_rate
+from memthermo.neuron import MAX_STEPS, N_SYNAPSES, NeuronSystem, settled_rate
 from test_golden import RUNS
 
 
@@ -821,6 +821,45 @@ def test_huge_hold_fails_at_once_as_config_error(tmp_path, argv, reason):
     run = _cli_process(*argv, "--out", str(tmp_path), timeout=10)
     assert (run.returncode, run.stderr) == (1, f"error: config: {reason}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# a huge neuron run once ended in a MemoryError traceback (a pattern of
+# 1e12 steps, inline or from a CSV) or ran until killed (a baseline of
+# 1e12 settling steps per load)
+@pytest.mark.parametrize("argv, reason", [
+    pytest.param(["homeostasis", "--set",
+                  "homeostasis.pattern=0.2:1000000000000"],
+                 "homeostasis.pattern: 1000000000000 neuron steps, more "
+                 "than the 1000000 a run may take", id="pattern-1e12"),
+    pytest.param(["homeostasis", "--set", "homeostasis.pattern_csv={csv}"],
+                 "{csv}: 2000000000000 neuron steps, more than the 1000000 "
+                 "a run may take", id="pattern-csv-1e12"),
+    pytest.param(["baseline", "--set", "baseline.settle_steps=1000000000000"],
+                 "baseline: 6000000012000 neuron steps, more than the "
+                 "1000000 a run may take", id="baseline-settle-1e12"),
+])
+def test_huge_neuron_run_fails_at_once_as_config_error(tmp_path, argv,
+                                                       reason):
+    # the final breakpoint holds for the longest preceding segment
+    csv = tmp_path / "pattern.csv"
+    csv.write_text("step,load\n0,0.2\n1000000000000,0.3\n")
+    out = tmp_path / "out"
+    run = _cli_process(*(a.format(csv=csv) for a in argv), "--out", str(out),
+                       timeout=10)
+    assert (run.returncode, run.stderr) == (
+        1, f"error: config: {reason.format(csv=csv)}\n")
+    assert not any(out.glob("*"))
+
+
+def test_baseline_may_take_exactly_the_step_cap():
+    # resolved, not run: one load of settle + 2000 measured steps
+    def resolve(settle):
+        return resolve_config(overrides={
+            "baseline.loads": "0.2", "baseline.settle_steps": str(settle),
+            "baseline.measure_steps": "2000"})
+    resolve(MAX_STEPS - 2000)
+    with pytest.raises(ConfigError, match=f"^baseline: {MAX_STEPS + 1} "):
+        resolve(MAX_STEPS - 1999)
 
 
 def _imported_by_cli(package):

@@ -31,7 +31,7 @@ from memthermo.experiments import (
     run_nullcline_sweep,
     run_thermal_cycling,
 )
-from memthermo.neuron import N_SYNAPSES, FeedforwardMap, NeuronSystem
+from memthermo.neuron import N_SYNAPSES, NeuronSystem
 from memthermo.thermal import (GRID_TEMPS, ProtocolError, TemperatureSchedule,
                                ThermalPlant, hold_steps)
 
@@ -193,8 +193,8 @@ def test_bound_readers_equal_the_checked_law(
         assert err.value.band == (read_resistance(state, fit, T_MAX),
                                   read_resistance(state, fit, T_MIN))
     synapses = (states * N_SYNAPSES)[:N_SYNAPSES]
-    system = NeuronSystem(synapses, fit, ThermalPlant(), FeedforwardMap(),
-                          theta=12.5, dt_s=1.0, window=25)
+    system = NeuronSystem(synapses, fit, ThermalPlant(), theta=12.5,
+                          dt_s=1.0, window=25)
     assert system.weights_at(T) == [
         rho_temperature_factor(T, fit.phi_for_state(s.r_eff))
         for s in synapses]

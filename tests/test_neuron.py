@@ -12,6 +12,7 @@ from memthermo.constants import K_B_EV, T_MAX, T_MIN, T_REF
 from memthermo.csvio import emit_csv
 from memthermo.device import CalibrationError, DeviceState
 from memthermo.neuron import (
+    MAX_STEPS,
     N_SYNAPSES,
     FeedforwardMap,
     InputPattern,
@@ -37,6 +38,16 @@ def calibrate(cfg):
     return run
 
 
+# the map of a baseline run without feedforward
+_NO_FEEDFORWARD = FeedforwardMap(kappa=0.0)
+
+
+def _per_step(res, column):
+    """A column of res.segments (1: mean load, 2: setpoint), once per
+    step of its segment."""
+    return [seg[column] for seg in res.segments for _ in range(seg[0])]
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -60,7 +71,7 @@ def test_weights_strictly_decreasing_in_temperature(build_system):
 
 def test_zero_input_never_spikes(build_system):
     system = build_system()
-    drive = system.drive(0.0)
+    drive = system.drive(0.0, _NO_FEEDFORWARD)
     for _ in range(100):
         assert system.step(drive) == 0
     assert system.accumulator == 0.0
@@ -68,7 +79,7 @@ def test_zero_input_never_spikes(build_system):
 
 def test_drive_equal_to_threshold_spikes_every_step(build_system):
     system = build_system(theta=25.0)   # drive = 25 * 1.0 at full load, 300 K
-    drive = system.drive(1.0)
+    drive = system.drive(1.0, _NO_FEEDFORWARD)
     fired = [system.step(drive) for _ in range(20)]
     assert all(f == 1 for f in fired[:3])   # before any heating bites
 
@@ -76,10 +87,11 @@ def test_drive_equal_to_threshold_spikes_every_step(build_system):
 def test_long_run_rate_matches_drive_over_theta(build_system):
     # fixed temperature, constant load: spike count follows the exact
     # carry-over accumulator, verified against a brute-force loop
-    system = build_system(fmap=FeedforwardMap(mode="fixed", t_fixed=300.0))
+    system = build_system()
+    fmap = FeedforwardMap(mode="fixed", t_fixed=300.0)
     drive = math.fsum(system.weights_at(300.0)) * 0.25
     steps = 500
-    spikes = sum(system.step(system.drive(0.25)) for _ in range(steps))
+    spikes = sum(system.step(system.drive(0.25, fmap)) for _ in range(steps))
     acc, expected = 0.0, 0
     for _ in range(steps):
         acc += drive
@@ -92,7 +104,7 @@ def test_long_run_rate_matches_drive_over_theta(build_system):
 
 def test_accumulator_invariant_under_heavy_drive(build_system):
     system = build_system(theta=3.0)
-    drive = system.drive(1.0)
+    drive = system.drive(1.0, _NO_FEEDFORWARD)
     for _ in range(50):
         system.step(drive)
         assert 0.0 <= system.accumulator < system.theta
@@ -183,9 +195,9 @@ def test_table_calibration_infeasible_range_raises(build_system, calibrate):
 
 def test_settled_rate_fixed_point_matches_simulation(build_system, calibrate):
     cal = calibrate(build_system(), "table")
-    system = build_system(fmap=cal.fmap)
-    predicted = settled_rate(system, 0.30, system.fmap)
-    curve = baseline_curve([0.30], system, settle_steps=6000,
+    system = build_system()
+    predicted = settled_rate(system, 0.30, cal.fmap)
+    curve = baseline_curve([0.30], system, cal.fmap, settle_steps=6000,
                            measure_steps=4000)
     assert curve[0][1] == pytest.approx(predicted, abs=2e-3)
 
@@ -196,29 +208,29 @@ def test_settled_rate_fixed_point_matches_simulation(build_system, calibrate):
 
 @pytest.fixture(scope="module")
 def table_map(build_system, calibrate):
-    return calibrate(build_system(fmap=FeedforwardMap(kappa=0.0)),
-                     "table").fmap
+    return calibrate(build_system(), "table").fmap
 
 
 def test_negative_feedback_sign(build_system):
-    cold = build_system(fmap=FeedforwardMap(mode="fixed", t_fixed=320.0))
-    hot = build_system(fmap=FeedforwardMap(mode="fixed", t_fixed=350.0))
-    assert (settled_rate(hot, 0.3, hot.fmap)
-            < settled_rate(cold, 0.3, cold.fmap))
+    cold = FeedforwardMap(mode="fixed", t_fixed=320.0)
+    hot = FeedforwardMap(mode="fixed", t_fixed=350.0)
+    system = build_system()
+    assert settled_rate(system, 0.3, hot) < settled_rate(system, 0.3, cold)
 
 
 def test_constant_pattern_rate_constant_after_settling(build_system,
                                                        table_map):
-    system = build_system(fmap=table_map)
-    res = run_homeostasis(InputPattern.constant(0.25, 6000), system)
+    system = build_system()
+    res = run_homeostasis(InputPattern.constant(0.25, 6000), system,
+                          table_map)
     rates = [r for _, t, r in res.window_rates() if t > 5000.0]
     assert max(rates) - min(rates) <= 1.0 / system.window + 1e-12
 
 
 def _step_response(build_system, table_map, load_a, load_b):
-    system = build_system(fmap=table_map)
+    system = build_system()
     pattern = InputPattern(segments=((6000, load_a), (6000, load_b)))
-    res = run_homeostasis(pattern, system)
+    res = run_homeostasis(pattern, system, table_map)
     rates = res.window_rates()
     w = res.window
     pre = [r for k, _, r in rates if 5000 <= (k + 1) * w <= 6000]
@@ -249,15 +261,15 @@ def test_step_down_polarity(build_system, table_map):
 
 def test_homeostasis_deterministic(build_system, table_map):
     pattern = InputPattern(segments=((500, 0.2), (500, 0.3)))
-    a = run_homeostasis(pattern, build_system(fmap=table_map))
-    b = run_homeostasis(pattern, build_system(fmap=table_map))
+    a = run_homeostasis(pattern, build_system(), table_map)
+    b = run_homeostasis(pattern, build_system(), table_map)
     assert np.array_equal(a.spikes, b.spikes)
     assert np.array_equal(a.t_dev, b.t_dev)
 
 
 def test_both_windowings_emitted(build_system, table_map):
-    system = build_system(fmap=table_map)
-    res = run_homeostasis(InputPattern.constant(0.3, 2000), system)
+    system = build_system()
+    res = run_homeostasis(InputPattern.constant(0.3, 2000), system, table_map)
     assert len(res.window_rates()) == 2000 // 25
     spike_windows = res.spike_count_windows()
     assert spike_windows, "no spike-count windows recorded"
@@ -270,14 +282,15 @@ def test_both_windowings_emitted(build_system, table_map):
 
 
 def test_baseline_zero_load_is_silent(build_system):
-    curve = baseline_curve([0.0], build_system(), settle_steps=50,
-                           measure_steps=200)
+    curve = baseline_curve([0.0], build_system(), _NO_FEEDFORWARD,
+                           settle_steps=50, measure_steps=200)
     assert curve[0][1] == 0.0
 
 
 def test_baseline_without_feedforward_is_linear(cfg, build_system):
     curve = baseline_curve(cfg.floats("calibrate.loads"), build_system(),
-                           settle_steps=200, measure_steps=2000)
+                           _NO_FEEDFORWARD, settle_steps=200,
+                           measure_steps=2000)
     loads = np.array([l for l, _ in curve])
     rates = np.array([r for _, r in curve])
     assert all(b > a for a, b in zip(rates, rates[1:]))
@@ -291,8 +304,8 @@ def test_baseline_flattens_then_knees_above_operating_range(build_system,
                                                            table_map):
     # within the calibrated band compensation keeps the slope shallow;
     # past 0.40 the table clamps and the rate climbs uncompensated
-    system = build_system(fmap=table_map)
-    curve = baseline_curve([0.30, 0.40, 0.50, 0.60], system,
+    system = build_system()
+    curve = baseline_curve([0.30, 0.40, 0.50, 0.60], system, table_map,
                            settle_steps=5000, measure_steps=2000)
     rates = dict(curve)
     slope_inside = (rates[0.40] - rates[0.30]) / 0.10
@@ -308,9 +321,9 @@ def test_vector_loads_drive_the_same_mean_feedforward(build_system,
     hot[:5] = 1.0
     uniform = InputPattern.constant(0.2, 300)
     concentrated = InputPattern(segments=((300, tuple(hot)),))
-    res_u = run_homeostasis(uniform, build_system(fmap=table_map))
-    res_c = run_homeostasis(concentrated, build_system(fmap=table_map))
-    assert np.allclose(res_u.t_set, res_c.t_set)
+    res_u = run_homeostasis(uniform, build_system(), table_map)
+    res_c = run_homeostasis(concentrated, build_system(), table_map)
+    assert np.allclose(_per_step(res_u, 2), _per_step(res_c, 2))
     # identical synapses: equal drive, equal spike trains
     assert np.array_equal(res_u.spikes, res_c.spikes)
 
@@ -351,6 +364,14 @@ def test_pattern_rejects_bad_loads_as_before(load, message):
     assert str(exc.value) == message
 
 
+def test_pattern_may_take_exactly_the_step_cap():
+    # built, not run
+    assert InputPattern.constant(0.2, MAX_STEPS).total_steps == MAX_STEPS
+    with pytest.raises(ValueError, match=f"^{MAX_STEPS + 1} neuron steps, "
+                       f"more than the {MAX_STEPS} a run may take$"):
+        InputPattern(segments=((MAX_STEPS, 0.2), (1, 0.3)))
+
+
 def test_pattern_parses_the_default_pattern():
     assert (InputPattern.parse(REGISTRY["homeostasis.pattern"].default)
             == InputPattern(segments=((6000, 0.2), (6000, 0.3))))
@@ -360,8 +381,7 @@ def test_system_requires_exactly_25_synapses(cfg, fit):
     with pytest.raises(ValueError, match="25"):
         NeuronSystem(
             synapses=[DeviceState(r_persistent=1e6)] * 10,
-            fit=fit, plant=ThermalPlant.packaged(),
-            fmap=FeedforwardMap(), theta=cfg["neuron.theta"],
+            fit=fit, plant=ThermalPlant.packaged(), theta=cfg["neuron.theta"],
             dt_s=cfg["neuron.dt_s"], window=cfg["neuron.window"],
         )
 
@@ -370,12 +390,12 @@ def test_system_requires_exactly_25_synapses(cfg, fit):
 # per-segment drives against the per-step loop
 
 
-def _per_step_reference(pattern, system):
+def _per_step_reference(pattern, system, fmap):
     """Transcription of the loop that rebuilds everything every step: it
     broadcasts the input, divides phi by kB, weighs each distinct barrier
     with one exp, adds the correctly rounded sum of weight times the sum
     of the loads on that barrier, and sets the plant from the feedforward
-    map on the correctly rounded input mean. Steps a copy of the system's
+    map fmap on the correctly rounded input mean. Steps a copy of the system's
     plant; returns (spikes, mean_loads, t_dev, t_set, acc)."""
     phi = [system.fit.phi_for_state(s.r_eff) / K_B_EV
            for s in system.synapses]
@@ -397,7 +417,7 @@ def _per_step_reference(pattern, system):
                 acc -= n * system.theta
             spikes.append(n)
             mean = math.fsum(x) / N_SYNAPSES
-            plant.set_setpoint(system.fmap.setpoint(mean))
+            plant.set_setpoint(fmap.setpoint(mean))
             plant.step(system.dt_s)
             mean_loads.append(mean)
             t_set.append(plant.t_set)
@@ -418,7 +438,7 @@ _maps = st.one_of(
     st.builds(FeedforwardMap, mode=st.just("fixed"),
               t_fixed=st.floats(T_MIN, T_MAX)),
 )
-# build_system keywords
+# build_system keywords, and the run's map under "fmap"
 _system_args = st.fixed_dictionaries(dict(
     fmap=_maps, spread_sigma=st.sampled_from([0.0, 0.3]),
     seed=st.integers(0, 2**32 - 1)))
@@ -435,9 +455,18 @@ _fixed_300 = dict(fmap=FeedforwardMap(mode="fixed", t_fixed=T_REF),
 _moving = dict(fmap=FeedforwardMap(kappa=60.0), spread_sigma=0.3, seed=2)
 
 
-def _warm_up(system, warmup):
-    steps, load = warmup
-    drive = system.drive(load)
+def _build(build_system, system_args):
+    """(system, map) of _system_args."""
+    args = dict(system_args)
+    fmap = args.pop("fmap")
+    return build_system(**args), fmap
+
+
+def _warm_up(system, warmup, fmap):
+    """Run warmup = (steps, load[, map]) under its own map, if it names
+    one, else under fmap."""
+    steps, load, *own = warmup
+    drive = system.drive(load, *own or [fmap])
     for _ in range(steps):
         system.step(drive)
     return system
@@ -460,18 +489,24 @@ def _warm_up(system, warmup):
 # point, so it steps
 @example(system_args=dict(_at_rest, plant=ThermalPlant(t_air=330.0)),
          segments=[(50, 0.3)], warmup=(0, 0.0))
+# one system under two maps back to back: warmed up at a fixed 300 K, it
+# runs at a fixed 360 K
+@example(system_args=dict(_fixed_300,
+                          fmap=FeedforwardMap(mode="fixed", t_fixed=T_MAX)),
+         segments=[(100, 0.3)], warmup=(100, 0.3, _fixed_300["fmap"]))
 def test_homeostasis_equals_per_step_loop_exactly(build_system, system_args,
                                                   segments, warmup):
-    system = _warm_up(build_system(**system_args), warmup)
+    system, fmap = _build(build_system, system_args)
+    system = _warm_up(system, warmup, fmap)
     pattern = InputPattern(segments=tuple(segments))
-    spikes, mean_loads, t_dev, t_set, acc = _per_step_reference(pattern,
-                                                                system)
+    spikes, mean_loads, t_dev, t_set, acc = _per_step_reference(
+        pattern, system, fmap)
     for sim in (system.copy(), system):
-        res = run_homeostasis(pattern, sim)
+        res = run_homeostasis(pattern, sim, fmap)
         assert res.spikes == spikes
         assert res.t_dev == t_dev
-        assert res.t_set == t_set
-        assert res.mean_loads == mean_loads
+        assert _per_step(res, 2) == t_set
+        assert _per_step(res, 1) == mean_loads
         assert sim.accumulator == acc
 
 
@@ -487,12 +522,13 @@ def test_trace_rows_equal_the_per_row_writer(build_system, tmp_path_factory,
     # the trace formats each segment's load and setpoint once; its bytes
     # are those of the rows built one step at a time
     pattern = InputPattern(segments=tuple(segments))
-    res = run_homeostasis(pattern, build_system(**system_args))
+    res = run_homeostasis(pattern, *_build(build_system, system_args))
     out = tmp_path_factory.mktemp("trace")
-    per_row = ((k, k * res.dt_s, res.mean_loads[k], res.t_set[k],
+    mean_loads, t_set = _per_step(res, 1), _per_step(res, 2)
+    per_row = ((k, k * res.dt_s, mean_loads[k], t_set[k],
                 res.t_dev[k], int(res.spikes[k])) for k in range(res.steps))
     for name, rows in (("per_row", per_row),
-                       ("segments", _trace_rows(pattern, res))):
+                       ("segments", _trace_rows(res))):
         emit_csv(out / f"{name}.csv", "homeostasis_trace", rows)
     assert ((out / "segments.csv").read_bytes()
             == (out / "per_row.csv").read_bytes())
@@ -517,14 +553,16 @@ def test_baseline_curve_equals_per_step_loop_exactly(build_system,
                                                      system_args, loads,
                                                      settle, measure,
                                                      warmup):
-    system = _warm_up(build_system(**system_args), warmup)
+    system, fmap = _build(build_system, system_args)
+    system = _warm_up(system, warmup, fmap)
     expected = []
     for load in loads:
         segments = ((settle, load),) if settle else ()
         spikes = _per_step_reference(
-            InputPattern(segments=segments + ((measure, load),)), system)[0]
+            InputPattern(segments=segments + ((measure, load),)), system,
+            fmap)[0]
         expected.append((load, sum(spikes[settle:]) / measure))
-    assert baseline_curve(loads, system, settle, measure) == expected
+    assert baseline_curve(loads, system, fmap, settle, measure) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -536,7 +574,7 @@ def test_step_increment_within_1e_12_of_the_array_formula(
     # np.exp and a BLAS dot against one exp per barrier and fsum
     system = build_system(theta=1e300, spread_sigma=spread_sigma, seed=seed)
     system.plant.t_dev = T
-    system.step(system.drive(load))
+    system.step(system.drive(load, _NO_FEEDFORWARD))
     phi = np.array([system.fit.phi_for_state(s.r_eff)
                     for s in system.synapses]) / K_B_EV
     w = (T_REF / T) ** 2 * np.exp(phi * (1.0 / T - 1.0 / T_REF))
