@@ -19,6 +19,7 @@ from .constants import K_B_EV, T_MAX, T_MIN, T_REF
 from .device import (
     T_ANCHORS,
     V_ANCHOR,
+    IVCurveSet,
     ThermalFit,
     ThermionicParams,
     _brentq,
@@ -64,64 +65,6 @@ def _linear_fit(x, y) -> tuple[float, float, float]:
                        for a, b in zip(x, y))
     return slope, intercept, 1.0 - ss_res / math.fsum(
         d * d for d in (math.ldexp(d, e) for d in dy))
-
-
-class IVCurveSet:
-    """IV samples on one grid: currents[j][k] is the current at
-    temperatures[j] and voltages[k]. The rows of iv.csv are its rows(),
-    read back by from_rows."""
-
-    __slots__ = ("temperatures", "voltages", "currents")
-
-    def __init__(self, temperatures: tuple[float, ...],
-                 voltages: tuple[float, ...],
-                 currents: tuple[tuple[float, ...], ...]):
-        self.temperatures, self.voltages = temperatures, voltages
-        self.currents = currents
-        if not self.temperatures or [len(row) for row in self.currents] != [
-                len(self.voltages)] * len(self.temperatures):
-            raise ValueError("need a current at each temperature and voltage")
-        for T, row in zip(self.temperatures, self.currents):
-            if not (T_MIN <= T <= T_MAX
-                    and all(map(math.isfinite, (*self.voltages, *row)))):
-                raise ValueError(f"T={T!r} K: need T in [{T_MIN}, {T_MAX}] K "
-                                 "and finite v and i")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.temperatures, self.voltages, self.currents) == (
-            other.temperatures, other.voltages, other.currents)
-
-    @classmethod
-    def from_rows(cls, rows) -> "IVCurveSet":
-        """Build from flat (T, v, i) records, e.g. a parsed IV CSV; every
-        temperature must carry the same voltages."""
-        by_temp: dict[float, dict[float, float]] = {}
-        for T, v, i in rows:
-            curve = by_temp.setdefault(float(T), {})
-            if float(v) in curve:
-                raise ValueError(f"T={float(T)!r} K, v={float(v)!r} V: "
-                                 "sample given twice")
-            curve[float(v)] = float(i)
-        if not by_temp:
-            raise ValueError("no IV rows")
-        temps = tuple(sorted(by_temp))
-        first = by_temp[temps[0]]
-        # a gap reads 0 until the grid check, so a bad value is named first
-        ivs = cls(temperatures=temps, voltages=tuple(first),
-                  currents=tuple(tuple(by_temp[T].get(v, 0.0) for v in first)
-                                 for T in temps))
-        for T in temps[1:]:
-            if by_temp[T].keys() != first.keys():
-                raise ValueError(f"T={T!r} K: voltages differ from those at "
-                                 f"T={temps[0]!r} K")
-        return ivs
-
-    def rows(self):
-        """Flat (T, v, i) records, temperature-major: what from_rows reads."""
-        return ((T, v, i) for T, row in zip(self.temperatures, self.currents)
-                for v, i in zip(self.voltages, row))
 
 
 class ThermionicExtraction(NamedTuple):

@@ -20,12 +20,11 @@ import sys
 from itertools import repeat
 
 from . import __version__, rng
-from .config import ConfigError, RunConfig, checked, resolve_config
-from .csvio import emit_csv, format_value, parse_csv, write_manifest
+from .config import ConfigError, RunConfig, resolve_config
+from .csvio import emit_csv, format_value, write_manifest
 from .device import LEVEL_ORDER, DeviceState, ResetError
 from .neuron import (
     FeedforwardMap,
-    InputPattern,
     baseline_curve,
     calibrate_gain,
     run_homeostasis,
@@ -87,31 +86,21 @@ def _cmd_levels(cfg: RunConfig):
                                             repeat(PHASE_READ))
 
 
-def _iv_sweep(cfg: RunConfig):
-    from .experiments import run_iv_sweep
-    return run_iv_sweep(level=cfg["device.level"], r_ohm=cfg.device.r_eff,
-                        temperatures=cfg.floats("iv.temps_k"),
-                        voltages=cfg.voltages, fit=cfg.fit)
-
-
-def _iv_table(level: str, ivs):
-    return "iv", "iv", ((level, *row) for row in ivs.rows())
-
-
 def _cmd_iv(cfg: RunConfig):
-    yield _iv_table(cfg["device.level"], _iv_sweep(cfg))
+    """Yield the iv table, then return the swept curves."""
+    from .experiments import run_iv_sweep
+    ivs = run_iv_sweep(level=cfg["device.level"], r_ohm=cfg.device.r_eff,
+                       temperatures=cfg.floats("iv.temps_k"),
+                       voltages=cfg.voltages, fit=cfg.fit)
+    yield "iv", "iv", ((cfg["device.level"], *row) for row in ivs.rows())
+    return ivs
 
 
 def _cmd_signature(cfg: RunConfig):
-    from .calibration import IVCurveSet, extract_thermionic
-    input_csv = cfg["iv.input_csv"]
-    if input_csv:
-        _, rows = checked(input_csv, parse_csv, input_csv, "iv")
-        ivs = checked(input_csv, IVCurveSet.from_rows,
-                      ((T, v, i) for _, T, v, i in rows))
-    else:
-        ivs = _iv_sweep(cfg)
-        yield _iv_table(cfg["device.level"], ivs)
+    from .calibration import extract_thermionic
+    ivs = cfg.ivs
+    if ivs is None:   # no input file: sweep, and write the iv table too
+        ivs = yield from _cmd_iv(cfg)
     fitres = extract_thermionic(ivs)
     yield "signature", "signature", [
         ("pos", fitres.a_prefactor, fitres.phi_b_pos, fitres.alpha_pos,
@@ -189,30 +178,8 @@ def _cmd_baseline(cfg: RunConfig):
     )
 
 
-def _read_pattern(path, window: int) -> InputPattern:
-    """CSV breakpoint rows (step, load), the first at step 0: each load
-    holds until the next breakpoint, the final one for the longest
-    preceding segment (one window for a single-row file)."""
-    _, rows = parse_csv(path)
-    breakpoints = [(int(step), float(load)) for step, load in rows]
-    if breakpoints and breakpoints[0][0] != 0:
-        raise ValueError(f"first breakpoint must be at step 0, got "
-                         f"{breakpoints[0][0]}")
-    if any(b[0] <= a[0] for a, b in zip(breakpoints, breakpoints[1:])):
-        raise ValueError("breakpoint steps must increase")
-    durations = [b[0] - a[0] for a, b in zip(breakpoints, breakpoints[1:])]
-    tail = max(durations, default=window)
-    return InputPattern(segments=tuple(
-        (duration, load)
-        for (_, load), duration in zip(breakpoints, durations + [tail])))
-
-
 def _cmd_homeostasis(cfg: RunConfig):
-    fmap = _feedforward(cfg)   # an infeasible table fails before a bad CSV
-    path = cfg["homeostasis.pattern_csv"]
-    pattern = (checked(path, _read_pattern, path, cfg["neuron.window"]) if path
-               else cfg.pattern)
-    res = run_homeostasis(pattern, cfg.system, fmap)
+    res = run_homeostasis(cfg.pattern, cfg.system, _feedforward(cfg))
     yield "homeostasis_rates", "homeostasis_rates", res.window_rates()
     yield ("homeostasis_spike_windows", "homeostasis_spike_windows",
            res.spike_count_windows())

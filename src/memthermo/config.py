@@ -11,8 +11,8 @@ the defaults, the config file and the explicit CLI overrides, each on
 top of the one before, and from nowhere else. Each key checks its own
 domain; relations between keys are left to the constructors:
 resolve_config builds each configured object once, the neuron template
-too, and the run uses those objects; a neuron run passes the feedforward
-map it uses to the runner.
+too, and reads the input files on every command; the run uses those
+objects, and a neuron run passes the feedforward map it uses to the runner.
 """
 from __future__ import annotations
 
@@ -20,11 +20,12 @@ import math
 from typing import NamedTuple
 
 from .constants import R_CEILING, R_FLOOR, T_MAX, T_MIN
-from .device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
+from .csvio import parse_csv
+from .device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState, IVCurveSet,
                      SwitchingParams, ThermalFit, sweep_voltages)
 from .neuron import (FeedforwardMap, InputPattern, NeuronSystem,
                      affine_gains, calibration_loads)
-from .thermal import ThermalPlant, TemperatureSchedule, hold_steps
+from .thermal import MAX_HOLD_STEPS, ThermalPlant, TemperatureSchedule, hold_steps
 
 
 class ConfigError(ValueError):
@@ -152,7 +153,9 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
 
     _k("hsr.t_test_k", float, 360.0, "test temperature", within(T_MIN, T_MAX)),
     _k("hsr.v_prog_v", float, 1.5, "programming amplitude"),
-    _k("hsr.pulse_count", int, 200, "programming pulses", positive),
+    # a train reads once per pulse, as a hold reads once per step
+    _k("hsr.pulse_count", int, 200, "programming pulses",
+       lambda v: positive(v) or within(1, MAX_HOLD_STEPS)(v)),
     _k("hsr.retention_reads", int, 200, "retention reads", nonneg),
     _k("hsr.retention_period_s", float, 6.0, "retention read interval",
        positive),
@@ -246,6 +249,29 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return values
 
 
+def _read_pattern(path, window: int) -> InputPattern:
+    """CSV breakpoint rows (step, load), the first at step 0: each load
+    holds until the next breakpoint, the final one for the longest
+    preceding segment (one window for a single-row file)."""
+    _, rows = parse_csv(path)
+    breakpoints = [(int(step), float(load)) for step, load in rows]
+    if breakpoints and breakpoints[0][0] != 0:
+        raise ValueError(f"first breakpoint must be at step 0, got "
+                         f"{breakpoints[0][0]}")
+    if any(b[0] <= a[0] for a, b in zip(breakpoints, breakpoints[1:])):
+        raise ValueError("breakpoint steps must increase")
+    durations = [b[0] - a[0] for a, b in zip(breakpoints, breakpoints[1:])]
+    tail = max(durations, default=window)
+    return InputPattern(segments=tuple(
+        (duration, load)
+        for (_, load), duration in zip(breakpoints, durations + [tail])))
+
+
+def _read_ivs(path) -> IVCurveSet:
+    _, rows = parse_csv(path, "iv")
+    return IVCurveSet.from_rows((T, v, i) for _, T, v, i in rows)
+
+
 class RunConfig:
     """Resolved configuration: the value of every key, and the model
     objects built from them once. The rules between keys live in the
@@ -305,6 +331,12 @@ class RunConfig:
                                   self["calibrate.kappa_step"])
         self.pattern = checked("homeostasis.pattern", InputPattern.parse,
                                self["homeostasis.pattern"])
+        # every command reads the input files, before it writes anything
+        if path := self["homeostasis.pattern_csv"]:
+            self.pattern = checked(path, _read_pattern, path,
+                                   self["neuron.window"])
+        path = self["iv.input_csv"]   # unset: signature sweeps its curves
+        self.ivs = checked(path, _read_ivs, path) if path else None
 
     def __getitem__(self, name: str):
         try:

@@ -15,6 +15,7 @@ from .device import (
     T_ANCHORS,
     V_ANCHOR,
     DeviceState,
+    IVCurveSet,
     SwitchingParams,
     ThermalFit,
     _ratio,
@@ -321,7 +322,6 @@ def run_iv_sweep(level: str, r_ohm: float, temperatures, voltages,
     """Non-switching IV curves of iv_preset(level, r_ohm, fit) over a
     temperature list, at amplitudes from sweep_voltages; below the switching
     threshold the device state cannot change."""
-    from .calibration import IVCurveSet
     params = iv_preset(level, r_ohm, fit)
     return IVCurveSet(
         temperatures=tuple(float(T) for T in temperatures),

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from memthermo.calibration import (
-    IVCurveSet,
     extract_thermionic,
     invert_temperature,
     thermometer_guard,
@@ -28,6 +27,7 @@ from memthermo.calibration import (
 from memthermo.cli import cli_dispatch
 from memthermo.device import (
     DeviceState,
+    IVCurveSet,
     ThermionicParams,
     apply_pulse_train,
     barrier_shift_response,

@@ -14,7 +14,6 @@ from scipy.optimize import brentq
 
 from memthermo.calibration import (
     ExtractionError,
-    IVCurveSet,
     ThermometerRangeError,
     _linear_fit,
     extract_thermionic,
@@ -30,6 +29,7 @@ from memthermo.device import (
     MIN_TOTAL_DROP,
     PHI_APP_MIN,
     DeviceState,
+    IVCurveSet,
     SwitchingParams,
     ThermionicParams,
     _brentq,

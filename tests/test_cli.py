@@ -572,6 +572,11 @@ def test_model_value_error_fails_as_protocol_error_on_one_line(
                    "homeostasis.pattern_csv", "homeostasis",
                    f"first breakpoint must be at step 0, got {step}",
                    id=f"pattern-first-step-{step}") for step in (100, -50)),
+    # every command reads the file keys: cycle and iv once ran (exit 0)
+    pytest.param("pattern.csv", "", "homeostasis.pattern_csv", "cycle",
+                 "empty file", id="pattern-empty-on-cycle"),
+    pytest.param("iv.csv", "", "iv.input_csv", "iv", "empty file",
+                 id="iv-empty-on-iv"),
 ])
 def test_malformed_input_file_fails_as_config_error(
         tmp_path, capsys, name, text, key, command, reason):
@@ -581,6 +586,7 @@ def test_malformed_input_file_fails_as_config_error(
                 "--set", f"{key}={path}")
     assert (code, capsys.readouterr().err) == (
         1, f"error: config: {path}: {reason}\n")
+    assert not (tmp_path / "out").exists()   # refused before --out is made
 
 
 @pytest.mark.parametrize("column, value, bad_T", [
@@ -609,10 +615,16 @@ def test_iv_file_with_one_bad_value_fails_as_config_error(
 
 
 def test_missing_input_file_fails_as_io_error(tmp_path, capsys):
-    code = _run("signature", "--out", str(tmp_path),
-                "--set", f"iv.input_csv={tmp_path / 'missing.csv'}")
-    assert code == 3
-    assert capsys.readouterr().err.startswith("error: io:")
+    # on any command, also one that does not read the key
+    for command, key in [("signature", "iv.input_csv"),
+                         ("homeostasis", "homeostasis.pattern_csv"),
+                         ("cycle", "homeostasis.pattern_csv")]:
+        out = tmp_path / command
+        code = _run(command, "--out", str(out),
+                    "--set", f"{key}={tmp_path / 'missing.csv'}")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: io:")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("override", ["plant.preset=on_wafer",
@@ -816,6 +828,11 @@ def _cli_process(*argv, block_numpy=False, timeout=None):
                  "(6000000000.0 s) / read period (6.0 s) is 1e+09 plant "
                  "steps, more than the 1000000 a hold may take",
                  id="hsr-retention-reads-1e9"),
+    # a train reads once per pulse; 1e8 pulses once ended in a MemoryError
+    # traceback
+    pytest.param(["hsr", "--set", "hsr.pulse_count=100000000"],
+                 "hsr.pulse_count must be in [1, 1000000], got 100000000",
+                 id="hsr-pulse-count-1e8"),
 ])
 def test_huge_hold_fails_at_once_as_config_error(tmp_path, argv, reason):
     run = _cli_process(*argv, "--out", str(tmp_path), timeout=10)
@@ -848,7 +865,7 @@ def test_huge_neuron_run_fails_at_once_as_config_error(tmp_path, argv,
                        timeout=10)
     assert (run.returncode, run.stderr) == (
         1, f"error: config: {reason.format(csv=csv)}\n")
-    assert not any(out.glob("*"))
+    assert not out.exists()
 
 
 def test_baseline_may_take_exactly_the_step_cap():
@@ -907,13 +924,13 @@ print(loaded)
 
 
 def test_hsr_and_cycle_load_no_calibration(tmp_path):
-    # compiling calibration costs a cold hsr or cycle run ~3 ms, so only
-    # the commands that fit, invert or take a sensitivity load it
+    # compiling calibration costs a cold hsr, cycle or iv run ~3 ms, so
+    # only the commands that fit, invert or take a sensitivity load it
     code = """import sys
 from memthermo.cli import cli_dispatch
 out, *short = sys.argv[1:]
 loaded = []
-for cmd in ("hsr", "cycle"):
+for cmd in ("hsr", "cycle", "iv"):
     code = cli_dispatch([cmd, "--out", f"{out}/{cmd}", *short])
     loaded.append((cmd, code, sorted({"memthermo.experiments",
                                       "memthermo.calibration"}
@@ -923,7 +940,8 @@ print(loaded)
     run = _python(code, str(tmp_path), *(f"--set={kv}" for kv in _SHORT))
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout.splitlines()[-1] == str(
-        [(cmd, 0, ["memthermo.experiments"]) for cmd in ("hsr", "cycle")])
+        [(cmd, 0, ["memthermo.experiments"])
+         for cmd in ("hsr", "cycle", "iv")])
 
 
 # runs that fit no signature: every command but signature at default
@@ -1058,7 +1076,7 @@ def test_every_key_and_value_keeps_the_exit_contract(
     try:
         resolve_config(overrides=dict(
             kv.partition("=")[::2] for kv in _SHORT + [f"{key}={value}"]))
-    except ConfigError:
+    except (ConfigError, OSError):   # OSError: a missing input file
         # rejected before any subcommand runs, so alike on all of them
         readers = readers[:1]
     broken = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memthermo.calibration import (IVCurveSet, ThermometerRangeError,
+from memthermo.calibration import (ThermometerRangeError,
                                    extract_thermionic, fit_switch_curve,
                                    invert_temperature)
 from memthermo.constants import R_CEILING, R_FLOOR, T_MAX, T_MIN, V_READ
@@ -13,6 +13,7 @@ from memthermo.csvio import SCHEMAS
 from memthermo.device import (
     LEVEL_ORDER,
     DeviceState,
+    IVCurveSet,
     SwitchingParams,
     apply_pulse_train,
     iv_preset,
