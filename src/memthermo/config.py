@@ -13,6 +13,7 @@ domain; relations between keys are left to the constructors:
 resolve_config builds each configured object once, the neuron template
 too, and reads the input files on every command; the run uses those
 objects, and a neuron run passes the feedforward map it uses to the runner.
+It counts the command's steps and refuses more than MAX_RUN_STEPS.
 """
 from __future__ import annotations
 
@@ -25,7 +26,12 @@ from .device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState, IVCurveSet,
                      SwitchingParams, ThermalFit, sweep_voltages)
 from .neuron import (FeedforwardMap, InputPattern, NeuronSystem,
                      affine_gains, calibration_loads)
-from .thermal import MAX_HOLD_STEPS, ThermalPlant, TemperatureSchedule, hold_steps
+from .thermal import (GRID_TEMPS, NULLCLINE_TEMPS, NULLCLINE_VOLTAGES,
+                      ThermalPlant, TemperatureSchedule, hold_steps)
+
+# Steps (plant steps, pulses, thermometer inversions, neuron steps) a run
+# may take, ~13x nullcline's 76,848; RESET_MAX_PULSES bounds the resets.
+MAX_RUN_STEPS = 10**6
 
 
 class ConfigError(ValueError):
@@ -153,9 +159,7 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
 
     _k("hsr.t_test_k", float, 360.0, "test temperature", within(T_MIN, T_MAX)),
     _k("hsr.v_prog_v", float, 1.5, "programming amplitude"),
-    # a train reads once per pulse, as a hold reads once per step
-    _k("hsr.pulse_count", int, 200, "programming pulses",
-       lambda v: positive(v) or within(1, MAX_HOLD_STEPS)(v)),
+    _k("hsr.pulse_count", int, 200, "programming pulses", positive),
     _k("hsr.retention_reads", int, 200, "retention reads", nonneg),
     _k("hsr.retention_period_s", float, 6.0, "retention read interval",
        positive),
@@ -298,12 +302,13 @@ class RunConfig:
             "plant", ThermalPlant, base.t_set, base.t_air, base.t_dev,
             tau_air_s=self["plant.tau_air_s"],
             tau_dev_s=self["plant.tau_dev_s"] or base.tau_dev_s)
-        checked("schedule.hold_s, schedule.read_period_s", hold_steps,
-                self["schedule.hold_s"], self["schedule.read_period_s"])
-        if self["hsr.retention_reads"]:   # no reads: no retention hold
-            checked("hsr.retention_reads, hsr.retention_period_s", hold_steps,
-                    self["hsr.retention_reads"] * self["hsr.retention_period_s"],
-                    self["hsr.retention_period_s"])
+        hold = checked("schedule.hold_s, schedule.read_period_s", hold_steps,
+                       self["schedule.hold_s"], self["schedule.read_period_s"])
+        reads, period = self["hsr.retention_reads"], self["hsr.retention_period_s"]
+        retention = reads and checked(   # no reads: no retention hold
+            "hsr.retention_reads, hsr.retention_period_s", hold_steps,
+            # 1e308 reads or more: an infinite hold, past the float range
+            reads * period if reads < 1e308 else math.inf, period)
         self.device = DeviceState(r_persistent=self["device.r_ohm"] or
                                   self.fit.anchor(self["device.level"]).r_ref)
         self.system = checked(
@@ -311,10 +316,6 @@ class RunConfig:
             plant=self.plant, theta=self["neuron.theta"],
             dt_s=self["neuron.dt_s"], window=self["neuron.window"],
             spread_sigma=self["neuron.spread_sigma"], seed=self["run.seed"])
-        # baseline steps each load through its settle and measure phases
-        checked("baseline", InputPattern, tuple(
-            (self["baseline.settle_steps"] + self["baseline.measure_steps"], x)
-            for x in self.floats("baseline.loads")))
         self.affine_map = checked("neuron", FeedforwardMap,
                                   kappa=self["neuron.kappa"])
         self.fixed_map = checked("neuron", FeedforwardMap, mode="fixed",
@@ -337,6 +338,39 @@ class RunConfig:
                                    self["neuron.window"])
         path = self["iv.input_csv"]   # unset: signature sweeps its curves
         self.ivs = checked(path, _read_ivs, path) if path else None
+        keys, self.steps = self._budget(hold, retention)
+        if self.steps > MAX_RUN_STEPS:   # ints throughout: no float overflow
+            raise ConfigError(
+                f"{', '.join(keys)}: {self['run.experiment']} takes "
+                f"{self.steps if self.steps < 10**18 else 'over 1e18'} steps, "
+                f"more than the {MAX_RUN_STEPS} a run may take")
+
+    def _budget(self, hold: int, retention: int) -> tuple[tuple, int]:
+        """The keys behind the command's steps, and the steps; iv, signature
+        and calibrate bound their lists where they are built, and count 0."""
+        schedule = ("schedule.hold_s", "schedule.read_period_s",
+                    "schedule.setpoints")
+        n = (len(self.schedule.setpoints) if self.schedule
+             else len(GRID_TEMPS) + 2)   # the grid and two revisits
+        hsr = (*schedule[:2], "hsr.pulse_count", "hsr.retention_reads")
+        # two holds, the pulses, the plant step over the train, retention
+        train = 2 * hold + self["hsr.pulse_count"] + 1 + retention
+        pattern = ("homeostasis.pattern_csv" if self["homeostasis.pattern_csv"]
+                   else "homeostasis.pattern")
+        return {
+            "cycle": (schedule, n * hold), "levels": (schedule, n * hold),
+            "thermometer": ((*schedule, "thermometer.trials"),
+                            n * (hold + self["thermometer.trials"])),
+            "hsr": (hsr, train),
+            "nullcline": (hsr, len(NULLCLINE_VOLTAGES) * len(NULLCLINE_TEMPS)
+                          * train),
+            "baseline": (("baseline.loads", "baseline.settle_steps",
+                          "baseline.measure_steps"),
+                         len(self.floats("baseline.loads"))
+                         * (self["baseline.settle_steps"]
+                            + self["baseline.measure_steps"])),
+            "homeostasis": ((pattern,), self.pattern.total_steps),
+        }.get(self["run.experiment"], ((), 0))
 
     def __getitem__(self, name: str):
         try:
@@ -366,13 +400,9 @@ def resolve_config(
                 raise ConfigError(f"unknown config key '{name}' ({source})")
             values[name] = _parse_value(key, raw)
 
-    if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {config_path}: {exc}") from None
-        apply(parse_config_text(text, source=config_path), config_path)
+    if config_path:   # a missing file is an OSError, as for the input files
+        with open(config_path, encoding="utf-8") as fh:
+            apply(parse_config_text(fh.read(), source=config_path), config_path)
 
     if overrides:
         apply(overrides, "command line")

@@ -12,8 +12,6 @@ from typing import NamedTuple, Sequence
 
 from .constants import T_MAX, T_MIN, T_REF, V_READ
 from .device import (
-    T_ANCHORS,
-    V_ANCHOR,
     DeviceState,
     IVCurveSet,
     SwitchingParams,
@@ -27,8 +25,8 @@ from .device import (
     thermionic_current,
 )
 from .rng import substream
-from .thermal import (GRID_TEMPS, ProtocolError, TemperatureSchedule,
-                      ThermalPlant, hold_steps, settled)
+from .thermal import (NULLCLINE_TEMPS, NULLCLINE_VOLTAGES, ProtocolError,
+                      TemperatureSchedule, ThermalPlant, hold_steps, settled)
 
 PHASE_READ = "read"
 PHASE_PROGRAM = "program"
@@ -36,13 +34,6 @@ PHASE_RETENTION = "retention"
 
 # Spacing of the programming pulses on the trace clock.
 PULSE_PERIOD_S = 0.1
-
-# The nullcline's (v, T) grid: 0.7 V up to the switching anchor by 0.1 V,
-# and the setpoint grid across the anchor temperatures (310-360 K).
-NULLCLINE_VOLTAGES = tuple(round(V_ANCHOR - 0.1 * k, 1)
-                           for k in reversed(range(8)))
-NULLCLINE_TEMPS = tuple(T for T in GRID_TEMPS
-                        if T_ANCHORS[0] <= T <= T_ANCHORS[1])
 
 
 class TraceRecord(NamedTuple):

@@ -16,7 +16,8 @@ barrier, only while the device temperature or the drive moves; a step at
 rest reuses the last sum, which equal inputs would round to the same
 float. A plant at its fixed point is not stepped, as a step would not
 move it. The loop is sequential (plant and accumulator are stateful);
-independent scenarios parallelise by owning separate systems.
+independent scenarios parallelise by owning separate systems. A run takes
+the steps it is given; `config` bounds a run's steps before it starts.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .rng import substream
 from .thermal import ThermalPlant
 
 N_SYNAPSES = 25
-MAX_STEPS = 10**6   # per run: ~28x the default baseline, ~83x homeostasis
 
 
 def _synapse_loads(load) -> list[float]:
@@ -102,9 +102,6 @@ class InputPattern:
                 raise ValueError("segment duration must be >= 1 step")
             if not all(0 <= x <= 1 for x in _synapse_loads(load)):   # NaN too
                 raise ValueError("loads must lie in [0, 1]")
-        if self.total_steps > MAX_STEPS:
-            raise ValueError(f"{self.total_steps} neuron steps, more than "
-                             f"the {MAX_STEPS} a run may take")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -146,7 +143,15 @@ class NeuronSystem:
     ):
         if len(synapses) != N_SYNAPSES:
             raise ValueError(f"exactly {N_SYNAPSES} synapses required")
-        self.check(theta, dt_s, window)
+        if not (theta > 0):
+            raise ValueError("theta must be > 0")
+        if window < 1 or not (dt_s > 0):
+            raise ValueError("window >= 1 and dt_s > 0 required")
+        # weights and loads are <= 1 in the chamber window, so this bounds
+        # a step to about one rate window of spikes
+        if theta < N_SYNAPSES / window:
+            raise ValueError(f"theta must be >= {N_SYNAPSES}/window = "
+                             f"{N_SYNAPSES / window!r}")
         self.synapses = list(synapses)
         self.fit = fit
         self.plant = plant
@@ -158,19 +163,6 @@ class NeuronSystem:
         # homeostasis runs (thermal control only), so cache their barriers
         self._phi = [fit.phi_for_state(s.r_eff) for s in self.synapses]
         self._last = (None, None, 0.0)   # see step
-
-    @staticmethod
-    def check(theta: float, dt_s: float, window: int) -> None:
-        """The rules on the scalar arguments; raises ValueError."""
-        if not (theta > 0):
-            raise ValueError("theta must be > 0")
-        if window < 1 or not (dt_s > 0):
-            raise ValueError("window >= 1 and dt_s > 0 required")
-        # weights and loads are <= 1 in the chamber window, so this bounds
-        # a step to about one rate window of spikes
-        if theta < N_SYNAPSES / window:
-            raise ValueError(f"theta must be >= {N_SYNAPSES}/window = "
-                             f"{N_SYNAPSES / window!r}")
 
     @classmethod
     def build(

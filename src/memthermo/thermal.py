@@ -6,6 +6,7 @@ exact flow of the linear cascade (not an Euler update), so stepping by dt
 equals stepping twice by dt/2 to rounding error and the plant is
 unconditionally stable for any dt. Packaged devices get tau_dev = 720 s;
 devices probed on the wafer respond much faster (tau_dev = 60 s).
+The protocol's grids and hold lengths live here, where config counts them.
 """
 from __future__ import annotations
 
@@ -13,20 +14,24 @@ import bisect
 import math
 
 from .constants import T_MAX, T_MIN, T_REF
+from .device import T_ANCHORS, V_ANCHOR
 from .rng import substream
 
 # The protocol's 10 K setpoint grid over the chamber window.
 GRID_TEMPS = tuple(float(t) for t in range(int(T_MIN), int(T_MAX) + 1, 10))
+
+# The nullcline's (v, T) grid: 0.7 V up to the switching anchor by 0.1 V,
+# and the setpoint grid across the anchor temperatures (310-360 K).
+NULLCLINE_VOLTAGES = tuple(round(V_ANCHOR - 0.1 * k, 1)
+                           for k in reversed(range(8)))
+NULLCLINE_TEMPS = tuple(T for T in GRID_TEMPS
+                        if T_ANCHORS[0] <= T <= T_ANCHORS[1])
 
 # Trailing window and threshold of the settling criterion: the resistance
 # change over the trailing 6 minutes must stay under 2 % of the total
 # change since the setpoint step.
 SETTLE_WINDOW_S = 360.0
 SETTLE_THRESHOLD = 0.02
-
-# The most plant steps one hold may take, ~1,700x a default hold's 600: a
-# finite but huge hold_s / period_s would otherwise run until killed.
-MAX_HOLD_STEPS = 10**6
 
 
 class ProtocolError(RuntimeError):
@@ -97,8 +102,7 @@ class ThermalPlant:
 
 def hold_steps(hold_s: float, period_s: float) -> int:
     """The plant steps of a hold of hold_s read every period_s, at least
-    one; both must be > 0 and their ratio finite and at most
-    MAX_HOLD_STEPS."""
+    one; both must be > 0 and their ratio finite (config bounds a run)."""
     if not (hold_s > 0 and period_s > 0):
         raise ValueError(f"hold ({hold_s} s) and read period "
                          f"({period_s} s) must be > 0")
@@ -106,12 +110,7 @@ def hold_steps(hold_s: float, period_s: float) -> int:
     if not math.isfinite(steps):
         raise ValueError(f"hold ({hold_s} s) / read period ({period_s} s) "
                          "must be a finite step count")
-    steps = max(1, int(round(steps)))
-    if steps > MAX_HOLD_STEPS:
-        raise ValueError(f"hold ({hold_s} s) / read period ({period_s} s) "
-                         f"is {steps:.3g} plant steps, more than the "
-                         f"{MAX_HOLD_STEPS} a hold may take")
-    return steps
+    return max(1, int(round(steps)))
 
 
 def settled(times_s, resistances) -> bool | None:

@@ -14,7 +14,7 @@ from memthermo.config import REGISTRY, ConfigError, resolve_config
 from memthermo.csvio import parse_csv
 from memthermo.device import (DEFAULT_ANCHORS, LEVEL_ORDER, SwitchingParams,
                               ThermalFit, iv_preset)
-from memthermo.neuron import MAX_STEPS, N_SYNAPSES, NeuronSystem, settled_rate
+from memthermo.neuron import N_SYNAPSES, NeuronSystem, settled_rate
 from test_golden import RUNS
 
 
@@ -615,13 +615,16 @@ def test_iv_file_with_one_bad_value_fails_as_config_error(
 
 
 def test_missing_input_file_fails_as_io_error(tmp_path, capsys):
-    # on any command, also one that does not read the key
-    for command, key in [("signature", "iv.input_csv"),
-                         ("homeostasis", "homeostasis.pattern_csv"),
-                         ("cycle", "homeostasis.pattern_csv")]:
+    # on any command, also one that does not read the key; a missing
+    # --config file once exited 1
+    missing = tmp_path / "missing.csv"
+    for command, *option in [
+            ("signature", "--set", f"iv.input_csv={missing}"),
+            ("homeostasis", "--set", f"homeostasis.pattern_csv={missing}"),
+            ("cycle", "--set", f"homeostasis.pattern_csv={missing}"),
+            ("levels", "--config", str(missing))]:
         out = tmp_path / command
-        code = _run(command, "--out", str(out),
-                    "--set", f"{key}={tmp_path / 'missing.csv'}")
+        code = _run(command, "--out", str(out), *option)
         assert code == 3
         assert capsys.readouterr().err.startswith("error: io:")
         assert not out.exists()
@@ -813,70 +816,135 @@ def _cli_process(*argv, block_numpy=False, timeout=None):
                    block_numpy=block_numpy, timeout=timeout)
 
 
-# a finite but huge hold once passed resolve and ran until killed
-# (3.6e303 plant steps at read_period_s=1e-300); a fresh interpreter with
-# a timeout fails such a run instead of hanging the suite
+_SCHEDULE_KEYS = "schedule.hold_s, schedule.read_period_s, schedule.setpoints"
+_THERMOMETER_KEYS = f"{_SCHEDULE_KEYS}, thermometer.trials"
+_HSR_KEYS = ("schedule.hold_s, schedule.read_period_s, hsr.pulse_count, "
+             "hsr.retention_reads")
+_BASELINE_KEYS = "baseline.loads, baseline.settle_steps, baseline.measure_steps"
+_HUGE_RETENTION = ("hsr.retention_reads, hsr.retention_period_s: hold (inf s) "
+                   "/ read period (6.0 s) must be a finite step count")
+
+
+def _over_budget(keys, cmd, steps):
+    return (f"{keys}: {cmd} takes {steps} steps, more than the 1000000 a run "
+            "may take")
+
+
+# a finite but huge run once passed resolve, and ran until killed (a hold of
+# 3.6e303 plant steps, 1e9 thermometer trials, 48 trains of 1e6 pulses,
+# 2,000 holds, a baseline of 1e12 settling steps per load) or ended in a
+# MemoryError traceback (1e8 pulses, a pattern of 1e12 steps); a fresh
+# interpreter with a timeout fails such a run instead of hanging the suite
 @pytest.mark.parametrize("argv, reason", [
     *(pytest.param([cmd, "--set", "schedule.read_period_s=1e-300"],
-                   "schedule.hold_s, schedule.read_period_s: hold (3600.0 s) "
-                   "/ read period (1e-300 s) is 3.6e+303 plant steps, more "
-                   "than the 1000000 a hold may take",
+                   _over_budget(keys, cmd, "over 1e18"),
                    id=f"{cmd}-read-period-1e-300")
-      for cmd in ("cycle", "thermometer")),
+      for cmd, keys in [("cycle", _SCHEDULE_KEYS),
+                        ("thermometer", _THERMOMETER_KEYS)]),
     pytest.param(["hsr", "--set", f"hsr.retention_reads={10**9}"],
-                 "hsr.retention_reads, hsr.retention_period_s: hold "
-                 "(6000000000.0 s) / read period (6.0 s) is 1e+09 plant "
-                 "steps, more than the 1000000 a hold may take",
+                 _over_budget(_HSR_KEYS, "hsr", 1000001401),
                  id="hsr-retention-reads-1e9"),
-    # a train reads once per pulse; 1e8 pulses once ended in a MemoryError
-    # traceback
     pytest.param(["hsr", "--set", "hsr.pulse_count=100000000"],
-                 "hsr.pulse_count must be in [1, 1000000], got 100000000",
+                 _over_budget(_HSR_KEYS, "hsr", 100001401),
                  id="hsr-pulse-count-1e8"),
-])
-def test_huge_hold_fails_at_once_as_config_error(tmp_path, argv, reason):
-    run = _cli_process(*argv, "--out", str(tmp_path), timeout=10)
-    assert (run.returncode, run.stderr) == (1, f"error: config: {reason}\n")
-    assert list(tmp_path.iterdir()) == []
-
-
-# a huge neuron run once ended in a MemoryError traceback (a pattern of
-# 1e12 steps, inline or from a CSV) or ran until killed (a baseline of
-# 1e12 settling steps per load)
-@pytest.mark.parametrize("argv, reason", [
     pytest.param(["homeostasis", "--set",
                   "homeostasis.pattern=0.2:1000000000000"],
-                 "homeostasis.pattern: 1000000000000 neuron steps, more "
-                 "than the 1000000 a run may take", id="pattern-1e12"),
+                 _over_budget("homeostasis.pattern", "homeostasis",
+                              1000000000000), id="pattern-1e12"),
     pytest.param(["homeostasis", "--set", "homeostasis.pattern_csv={csv}"],
-                 "{csv}: 2000000000000 neuron steps, more than the 1000000 "
-                 "a run may take", id="pattern-csv-1e12"),
+                 _over_budget("homeostasis.pattern_csv", "homeostasis",
+                              2000000000000), id="pattern-csv-1e12"),
     pytest.param(["baseline", "--set", "baseline.settle_steps=1000000000000"],
-                 "baseline: 6000000012000 neuron steps, more than the "
-                 "1000000 a run may take", id="baseline-settle-1e12"),
+                 _over_budget(_BASELINE_KEYS, "baseline", 6000000012000),
+                 id="baseline-settle-1e12"),
+    pytest.param(["thermometer", "--set", "thermometer.trials=1000000000"],
+                 _over_budget(_THERMOMETER_KEYS, "thermometer", 9000005400),
+                 id="thermometer-trials-1e9"),
+    pytest.param(["nullcline", "--set", "hsr.pulse_count=1000000"],
+                 _over_budget(_HSR_KEYS, "nullcline", 48 * 1001401),
+                 id="nullcline-pulse-count-1e6"),
+    pytest.param(["cycle", "--set",
+                  "schedule.setpoints=" + ",".join(["300", "310"] * 1000)],
+                 _over_budget(_SCHEDULE_KEYS, "cycle", 2000 * 600),
+                 id="cycle-2000-setpoints"),
+    # a 401-digit int once overflowed in float as exit 2, on any command
+    *(pytest.param([cmd, "--set", f"hsr.retention_reads={10**400}"],
+                   _HUGE_RETENTION, id=f"{cmd}-retention-reads-1e400")
+      for cmd in ("cycle", "hsr")),
 ])
-def test_huge_neuron_run_fails_at_once_as_config_error(tmp_path, argv,
-                                                       reason):
+def test_huge_run_fails_at_once_as_config_error(tmp_path, argv, reason):
     # the final breakpoint holds for the longest preceding segment
     csv = tmp_path / "pattern.csv"
     csv.write_text("step,load\n0,0.2\n1000000000000,0.3\n")
     out = tmp_path / "out"
     run = _cli_process(*(a.format(csv=csv) for a in argv), "--out", str(out),
                        timeout=10)
-    assert (run.returncode, run.stderr) == (
-        1, f"error: config: {reason.format(csv=csv)}\n")
+    assert (run.returncode, run.stderr) == (1, f"error: config: {reason}\n")
     assert not out.exists()
 
 
-def test_baseline_may_take_exactly_the_step_cap():
-    # resolved, not run: one load of settle + 2000 measured steps
-    def resolve(settle):
+_ONE_HOLD = {"schedule.setpoints": "300", "schedule.read_period_s": "1"}
+_SHORT_TRAIN = {"schedule.hold_s": "1", "schedule.read_period_s": "1",
+                "hsr.retention_reads": "0"}
+
+
+# per command family, the most steps the budget admits and one step more;
+# nullcline runs 48 equal trains, so its counts are multiples of 48
+_BUDGET_EDGES = [
+    ("cycle", _ONE_HOLD, "schedule.hold_s", 10**6, 10**6),
+    ("levels", _ONE_HOLD, "schedule.hold_s", 10**6, 10**6),
+    ("thermometer", {**_ONE_HOLD, "schedule.hold_s": "1"},
+     "thermometer.trials", 10**6 - 1, 10**6),
+    # two one-step holds and the plant step over the train
+    ("hsr", _SHORT_TRAIN, "hsr.pulse_count", 10**6 - 3, 10**6),
+    ("nullcline", _SHORT_TRAIN, "hsr.pulse_count", 10**6 // 48 - 3,
+     48 * (10**6 // 48)),
+    ("baseline", {"baseline.loads": "0.2", "baseline.measure_steps": "2000"},
+     "baseline.settle_steps", 10**6 - 2000, 10**6),
+    ("homeostasis", {}, "homeostasis.pattern", "0.2:1000000", 10**6),
+]
+
+
+@pytest.mark.parametrize("cmd, values, key, at_cap, steps", _BUDGET_EDGES,
+                         ids=[edge[0] for edge in _BUDGET_EDGES])
+def test_run_may_take_exactly_the_step_budget(cmd, values, key, at_cap,
+                                              steps):
+    # resolved, not run
+    def resolve(value):
         return resolve_config(overrides={
-            "baseline.loads": "0.2", "baseline.settle_steps": str(settle),
-            "baseline.measure_steps": "2000"})
-    resolve(MAX_STEPS - 2000)
-    with pytest.raises(ConfigError, match=f"^baseline: {MAX_STEPS + 1} "):
-        resolve(MAX_STEPS - 1999)
+            "run.experiment": cmd, **values, key: str(value)})
+    assert resolve(at_cap).steps == steps
+    over = (f"{at_cap},0.3:1" if cmd == "homeostasis" else at_cap + 1)
+    more = steps + (48 if cmd == "nullcline" else 1)
+    with pytest.raises(ConfigError, match=f": {cmd} takes {more} steps, "):
+        resolve(over)
+
+
+# worked out by hand from the protocols at default config: a hold is
+# 3600 s / 6 s = 600 plant steps, and cycle, levels and thermometer hold
+# nine times; hsr holds twice, steps the plant once over its 200 pulses and
+# holds 200 retention steps; nullcline runs hsr on its 8 x 6 (v, T) grid;
+# baseline runs six loads of 4000 + 2000 neuron steps; the default pattern
+# is 6000 + 6000 steps; the thermometer inverts each hold's reading once
+# per trial
+@pytest.mark.parametrize("cmd, values, steps", [
+    pytest.param("thermometer", {"thermometer.trials": "50"}, 5400 + 9 * 50,
+                 id="thermometer-trials-50"),
+    *(pytest.param(cmd, {}, steps, id=cmd) for cmd, steps in [
+        ("cycle", 5400),
+        ("levels", 5400),
+        ("hsr", 1401 + 200),
+        ("nullcline", 48 * 1601),
+        ("baseline", 36000),
+        ("homeostasis", 12000),
+        ("thermometer", 5400 + 9),
+        ("iv", 0),
+        ("signature", 0),
+        ("calibrate", 0)]),
+])
+def test_default_run_steps_are_the_hand_counts(cmd, values, steps):
+    assert resolve_config(overrides={"run.experiment": cmd,
+                                     **values}).steps == steps
 
 
 def _imported_by_cli(package):

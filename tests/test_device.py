@@ -45,7 +45,7 @@ from memthermo.device import (
     thermionic_current,
     train_switch_fraction,
 )
-from memthermo.neuron import FeedforwardMap, NeuronSystem
+from memthermo.neuron import N_SYNAPSES, FeedforwardMap, NeuronSystem
 from memthermo.thermal import (TemperatureSchedule, ThermalPlant,
                                scrambled_schedule)
 
@@ -886,6 +886,9 @@ def test_schedules_check_what_the_constructor_checks(setpoints, hold_s):
 _SWITCHING_RULE = "beta >= 0, n_tau > 0, tau_ret > 0 required"
 _NEURON_RULE = "window >= 1 and dt_s > 0 required"
 _PLANT_TEMPS_RULE = "air and device temperatures must be finite"
+_neuron = partial(NeuronSystem, [DeviceState(r_persistent=1e6)] * N_SYNAPSES,
+                  ThermalFit(DEFAULT_ANCHORS), ThermalPlant(), theta=1.0,
+                  dt_s=1.0, window=100)
 
 
 @pytest.mark.parametrize("build, field, message", [
@@ -904,10 +907,8 @@ _PLANT_TEMPS_RULE = "air and device temperatures must be finite"
          "burn_in_gain must be > 0"),
         ("feedforward", FeedforwardMap, "kappa",
          "kappa must be >= 0 (heating with load)"),
-        ("neuron", partial(NeuronSystem.check, theta=1.0, dt_s=1.0,
-                           window=100), "theta", "theta must be > 0"),
-        ("neuron", partial(NeuronSystem.check, theta=1.0, dt_s=1.0,
-                           window=100), "dt_s", _NEURON_RULE),
+        ("neuron", _neuron, "theta", "theta must be > 0"),
+        ("neuron", _neuron, "dt_s", _NEURON_RULE),
         ("schedule", partial(TemperatureSchedule, (T_MIN,)), "hold_s",
          "hold must be > 0 s"),
         ("fit", lambda r_ref: ThermalFit((LevelAnchor("a", r_ref, 0.5),)),

@@ -12,7 +12,6 @@ from memthermo.constants import K_B_EV, T_MAX, T_MIN, T_REF
 from memthermo.csvio import emit_csv
 from memthermo.device import CalibrationError, DeviceState
 from memthermo.neuron import (
-    MAX_STEPS,
     N_SYNAPSES,
     FeedforwardMap,
     InputPattern,
@@ -362,14 +361,6 @@ def test_pattern_rejects_bad_loads_as_before(load, message):
     with pytest.raises(ValueError) as exc:
         InputPattern(segments=((3, load),))
     assert str(exc.value) == message
-
-
-def test_pattern_may_take_exactly_the_step_cap():
-    # built, not run
-    assert InputPattern.constant(0.2, MAX_STEPS).total_steps == MAX_STEPS
-    with pytest.raises(ValueError, match=f"^{MAX_STEPS + 1} neuron steps, "
-                       f"more than the {MAX_STEPS} a run may take$"):
-        InputPattern(segments=((MAX_STEPS, 0.2), (1, 0.3)))
 
 
 def test_pattern_parses_the_default_pattern():
