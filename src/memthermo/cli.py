@@ -6,8 +6,8 @@ and `device.level`. Each run validates its configuration, simulates, and
 writes CSV files plus a manifest into the output directory. A
 subcommand's handler yields its tables as (file stem, schema, rows) and
 `cli_dispatch` writes them. Exit codes: 0 success, 1 configuration error
-(a malformed command line too), 2 protocol, convergence or
-numeric-overflow error, 3 I/O error; failures print one
+(a malformed command line too), 2 protocol, convergence,
+numeric-overflow or out-of-memory error, 3 I/O error; failures print one
 machine-parsable line on stderr. Only the protocol handlers import
 `experiments` and `calibration`, so a neuron command never loads them.
 """
@@ -280,12 +280,14 @@ def cli_dispatch(argv) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:
+    except (ArithmeticError, MemoryError) as exc:
         tb = exc.__traceback__  # name the function that raised it
         while tb.tb_next is not None:
             tb = tb.tb_next
-        print(f"error: protocol: {tb.tb_frame.f_code.co_name}: {exc}",
-              file=sys.stderr)
+        where = tb.tb_frame.f_code.co_name
+        problem = (f"out of memory in {where}" if isinstance(exc, MemoryError)
+                   else f"{where}: {exc}")
+        print(f"error: protocol: {problem}", file=sys.stderr)
         return 2
     except (ProtocolError, ResetError, ValueError) as exc:
         # the configuration passed every check before the handler ran, so

@@ -13,16 +13,17 @@ domain; relations between keys are left to the constructors:
 resolve_config builds each configured object once, the neuron template
 too, and reads the input files on every command; the run uses those
 objects, and a neuron run passes the feedforward map it uses to the runner.
-It counts the command's steps and refuses more than MAX_RUN_STEPS.
+It counts the command's steps and refuses more than MAX_RUN_STEPS. The
+input files are read, and pinned in the manifest, by memthermo.inputs.
 """
 from __future__ import annotations
 
 import math
+import os
 from typing import NamedTuple
 
 from .constants import R_CEILING, R_FLOOR, T_MAX, T_MIN
-from .csvio import parse_csv
-from .device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState, IVCurveSet,
+from .device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
                      SwitchingParams, ThermalFit, sweep_voltages)
 from .neuron import (FeedforwardMap, InputPattern, NeuronSystem,
                      affine_gains, calibration_loads)
@@ -32,6 +33,11 @@ from .thermal import (GRID_TEMPS, NULLCLINE_TEMPS, NULLCLINE_VOLTAGES,
 # Steps (plant steps, pulses, thermometer inversions, neuron steps) a run
 # may take, ~13x nullcline's 76,848; RESET_MAX_PULSES bounds the resets.
 MAX_RUN_STEPS = 10**6
+
+
+# Keys that name an input file, read by memthermo.inputs; resolve_config
+# echoes a set one as an absolute path.
+INPUT_KEYS = ("homeostasis.pattern_csv", "iv.input_csv")
 
 
 class ConfigError(ValueError):
@@ -253,36 +259,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return values
 
 
-def _read_pattern(path, window: int) -> InputPattern:
-    """CSV breakpoint rows (step, load), the first at step 0: each load
-    holds until the next breakpoint, the final one for the longest
-    preceding segment (one window for a single-row file)."""
-    _, rows = parse_csv(path)
-    breakpoints = [(int(step), float(load)) for step, load in rows]
-    if breakpoints and breakpoints[0][0] != 0:
-        raise ValueError(f"first breakpoint must be at step 0, got "
-                         f"{breakpoints[0][0]}")
-    if any(b[0] <= a[0] for a, b in zip(breakpoints, breakpoints[1:])):
-        raise ValueError("breakpoint steps must increase")
-    durations = [b[0] - a[0] for a, b in zip(breakpoints, breakpoints[1:])]
-    tail = max(durations, default=window)
-    return InputPattern(segments=tuple(
-        (duration, load)
-        for (_, load), duration in zip(breakpoints, durations + [tail])))
-
-
-def _read_ivs(path) -> IVCurveSet:
-    _, rows = parse_csv(path, "iv")
-    return IVCurveSet.from_rows((T, v, i) for _, T, v, i in rows)
-
-
 class RunConfig:
     """Resolved configuration: the value of every key, and the model
     objects built from them once. The rules between keys live in the
     constructors, so every run rejects what any of them rejects, and the
     run uses the very objects that passed."""
 
-    def __init__(self, values: dict[str, object]):
+    def __init__(self, values: dict[str, object], pinned: dict[str, int]):
         self._values = values
         self.switching = checked("switching", SwitchingParams,
                                  **{name: self[_switching_key(name)]
@@ -332,12 +315,13 @@ class RunConfig:
                                   self["calibrate.kappa_step"])
         self.pattern = checked("homeostasis.pattern", InputPattern.parse,
                                self["homeostasis.pattern"])
-        # every command reads the input files, before it writes anything
-        if path := self["homeostasis.pattern_csv"]:
-            self.pattern = checked(path, _read_pattern, path,
-                                   self["neuron.window"])
-        path = self["iv.input_csv"]   # unset: signature sweeps its curves
-        self.ivs = checked(path, _read_ivs, path) if path else None
+        # every command reads the input files, before it writes anything;
+        # no iv.input_csv: signature sweeps its curves
+        self.ivs, self.pins = None, []
+        if pinned or any(self[key] for key in INPUT_KEYS):
+            from . import inputs
+            pattern, self.ivs, self.pins = inputs.load(self, pinned)
+            self.pattern = pattern or self.pattern
         keys, self.steps = self._budget(hold, retention)
         if self.steps > MAX_RUN_STEPS:   # ints throughout: no float overflow
             raise ConfigError(
@@ -382,8 +366,8 @@ class RunConfig:
         return _float_list(self[name])
 
     def serialize(self) -> str:
-        lines = [f"{name} = {_format_value(self._values[name])}"
-                 for name in REGISTRY]
+        lines = self.pins + [f"{name} = {_format_value(self._values[name])}"
+                             for name in REGISTRY]
         return "\n".join(lines) + "\n"
 
 
@@ -400,16 +384,25 @@ def resolve_config(
                 raise ConfigError(f"unknown config key '{name}' ({source})")
             values[name] = _parse_value(key, raw)
 
+    pinned = {}
     if config_path:   # a missing file is an OSError, as for the input files
         with open(config_path, encoding="utf-8") as fh:
-            apply(parse_config_text(fh.read(), source=config_path), config_path)
+            text = fh.read()
+        apply(parse_config_text(text, source=config_path), config_path)
+        from .inputs import pins   # a manifest pins its input files
+        pinned = pins(text, config_path)
 
     if overrides:
         apply(overrides, "command line")
+        for key in overrides:   # a file named here is not the pinned one
+            pinned.pop(key, None)
+    for key in INPUT_KEYS:   # a manifest names the file from anywhere
+        if values[key]:
+            values[key] = os.path.abspath(values[key])
 
     for key in REGISTRY.values():
         value = values[key.name]
         problem = key.check and key.check(value)
         if problem:
             raise ConfigError(f"{key.name} must be {problem}, got {value!r}")
-    return RunConfig(values)
+    return RunConfig(values, pinned)

@@ -1,12 +1,13 @@
 """CSV emission with a fixed, locale-free wire format.
 
-Headers are pinned per schema; floats are serialized with 9 significant
-digits, newline is '\\n', encoding UTF-8. Bit-exact text is the contract:
-identical runs must produce identical bytes.
+Headers are pinned per schema; each cell is format_value's text (floats
+to 9 significant digits), newline '\\n', encoding UTF-8, written one
+chunk of rows per format call. Identical runs give identical bytes.
 """
 from __future__ import annotations
 
 import sys
+from itertools import chain, islice
 
 from . import __version__
 
@@ -49,66 +50,65 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _row_template(types) -> str | None:
-    """The %-template writing rows of these types as format_value does."""
-    exact = {int: "%d", str: "%s", type(None): "%.0s"}   # "%.0s" % None: ""
-    codes = ["%.9g" if issubclass(t, float) else exact.get(t) for t in types]
-    return None if None in codes else ",".join(codes)
+# rows per %-call: a table's cells are held one chunk at a time
+CHUNK_ROWS = 4096
+# format_value's text of a cell of each exact type ("%.0s" % None is "")
+_CODES = {float: "%.9g", int: "%d", str: "%s", type(None): "%.0s"}
 
 
 def emit_csv(path, schema_id: str, rows) -> str:
-    """Write rows under the schema's pinned header; returns the path."""
+    """Write rows under the schema's pinned header; returns the path. Each
+    chunk of CHUNK_ROWS rows is one %-call: a column of one exact type in
+    _CODES gets its code, any other is format_value's text cell by cell.
+    The file is opened after the last chunk: a bad row writes nothing."""
     header = SCHEMAS.get(schema_id)
     if header is None:
         raise ValueError(f"unknown CSV schema {schema_id!r}")
-    lines = [",".join(header)]
-    templates = {}
-    for row in rows:
-        row = tuple(row)
-        if len(row) != len(header):
-            raise ValueError(
-                f"schema {schema_id}: row has {len(row)} fields, "
-                f"expected {len(header)}"
-            )
-        types = tuple(map(type, row))
-        if types not in templates:
-            templates[types] = _row_template(types)
-        template = templates[types]   # None: some cell needs format_value
-        lines.append(template % row if template
-                     else ",".join(map(format_value, row)))
-    text = "\n".join(lines) + "\n"
+    width, texts, rows = len(header), [",".join(header) + "\n"], iter(rows)
+    while chunk := list(map(tuple, islice(rows, CHUNK_ROWS))):
+        if set(map(len, chunk)) != {width}:
+            row = next(row for row in chunk if len(row) != width)
+            raise ValueError(f"schema {schema_id}: row has {len(row)} "
+                             f"fields, expected {width}")
+        flat, codes = list(chain.from_iterable(chunk)), []
+        for j in range(width):
+            types = set(map(type, flat[j::width]))
+            code = _CODES.get(types.pop()) if len(types) == 1 else None
+            if code is None:   # mixed types, or one with no code
+                flat[j::width] = map(format_value, flat[j::width])
+            codes.append(code or "%s")
+        texts.append((",".join(codes) + "\n") * len(chunk) % tuple(flat))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(texts)
     return str(path)
 
 
 def parse_csv(path, schema_id: str | None = None):
     """Read a CSV written by emit_csv; returns (header, rows of strings)."""
     with open(path, encoding="utf-8", newline="\n") as fh:
-        lines = fh.read().splitlines()
+        return parse_csv_text(fh.read(), schema_id)
+
+
+def parse_csv_text(text: str, schema_id: str | None = None):
+    lines = text.splitlines()
     if not lines:
         raise ValueError("empty file")
     header = tuple(lines[0].split(","))
     if schema_id is not None and header != SCHEMAS[schema_id]:
         raise ValueError(f"header does not match schema {schema_id}")
-    rows = [tuple(line.split(",")) for line in lines[1:]]
-    return header, rows
+    return header, [tuple(line.split(",")) for line in lines[1:]]
 
 
 def write_manifest(path, config, numpy: str) -> str:
-    """Echo the fully resolved configuration under the run's experiment and
-    the versions of memthermo, Python and the numpy the run imported
-    (`numpy` is that version, or "not imported"); the manifest alone is
-    enough to reproduce the run byte for byte."""
+    """Echo the versions of memthermo, Python and the numpy the run imported
+    (`numpy` is that version, or "not imported"), the run's experiment and
+    its configuration, each input file's crc32 included: the manifest alone
+    is enough to reproduce the run byte for byte."""
     python = ".".join(map(str, sys.version_info[:3]))
-    text = (
-        f"# memthermo run manifest\n"
-        f"# version = {__version__}\n"
-        f"# python = {python}\n"
-        f"# numpy = {numpy}\n"
-        f"# experiment = {config['run.experiment']}\n"
-        + config.serialize()
-    )
+    text = (f"# memthermo run manifest\n# version = {__version__}\n"
+            f"# python = {python}\n# numpy = {numpy}\n"
+            f"# experiment = {config['run.experiment']}\n"
+            + config.serialize())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return str(path)

@@ -3,6 +3,7 @@ import inspect
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,80 @@ def test_pattern_csv_input(tmp_path, capsys):
     _, trace = parse_csv(out / "homeostasis_trace.csv", "homeostasis_trace")
     loads = {row[2] for row in trace}
     assert loads == {"0.2", "0.3"}
+
+
+def test_manifest_pins_the_input_file(tmp_path, monkeypatch, capsys):
+    # the manifest echoed the path as given, so a rerun read whatever file
+    # was there: from another directory none, after an edit another input
+    (tmp_path / "a").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    Path("pattern.csv").write_text("step,load\n0,0.2\n200,0.3\n")
+    assert _run("homeostasis", "--out", "run",
+                "--set", "homeostasis.pattern_csv=pattern.csv") == 0
+    run, pattern = tmp_path / "a" / "run", tmp_path / "a" / "pattern.csv"
+    crc = f"{zlib.crc32(pattern.read_bytes()):08x}"
+    lines = (run / "manifest.txt").read_text().splitlines()
+    assert lines[5] == f"# input homeostasis.pattern_csv crc32 = {crc}"
+    assert f"homeostasis.pattern_csv = {pattern}" in lines
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "b")
+    assert _run("homeostasis", "--config", str(run / "manifest.txt"),
+                "--out", "rerun") == 0
+    for name in ("homeostasis_rates.csv", "homeostasis_spike_windows.csv",
+                 "homeostasis_trace.csv"):
+        assert (tmp_path / "b" / "rerun" / name).read_bytes() == (
+            run / name).read_bytes()
+    capsys.readouterr()
+    pattern.write_text("step,load\n0,0.25\n200,0.3\n")
+    edited = f"{zlib.crc32(pattern.read_bytes()):08x}"
+    assert (_run("homeostasis", "--config", str(run / "manifest.txt"),
+                 "--out", "edited"), capsys.readouterr().err) == (
+        1, f"error: config: homeostasis.pattern_csv: {pattern} has crc32 "
+           f"{edited}, but the config pins crc32 {crc}\n")
+    assert not (tmp_path / "b" / "edited").exists()
+    # a file named on the command line is not the pinned one
+    assert _run("homeostasis", "--config", str(run / "manifest.txt"),
+                "--set", f"homeostasis.pattern_csv={pattern}",
+                "--out", "named") == 0
+
+
+_PIN_FORM = "2: expected '# input <file key> crc32 = <8 hex digits>', got "
+
+
+@pytest.mark.parametrize("line, reason", [
+    pytest.param("# input homeostasis.pattern_csv crc32 = 0000000g",
+                 _PIN_FORM + "'# input homeostasis.pattern_csv crc32 = "
+                 "0000000g'", id="not-hex"),
+    pytest.param("# input run.seed crc32 = 00000000",
+                 _PIN_FORM + "'# input run.seed crc32 = 00000000'",
+                 id="not-a-file-key"),
+    pytest.param("# input iv.input_csv crc32 = 00000000",
+                 "iv.input_csv: no file is set, but the config pins crc32 "
+                 "00000000", id="unset-key"),
+])
+def test_bad_input_pin_fails_as_config_error(tmp_path, capsys, line, reason):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"run.seed = 1\n{line}\n")
+    source = "" if reason.startswith("iv.") else f"{path}:"
+    assert (_run("iv", "--config", str(path), "--out", str(tmp_path / "o")),
+            capsys.readouterr().err) == (1, f"error: config: {source}{reason}\n")
+
+
+@pytest.mark.parametrize("cmd", EXPERIMENTS)
+def test_default_manifest_pins_no_input(tmp_path, capsys, cmd):
+    # a run that sets no file key writes the manifest it wrote before
+    # inputs were pinned: the five header lines, then the configuration
+    out = tmp_path / cmd
+    assert _run(cmd, "--out", str(out), *(f"--set={kv}" for kv in _SHORT)) == 0
+    overrides = {"run.experiment": cmd, "run.out_dir": str(out),
+                 **dict(kv.split("=") for kv in _SHORT)}
+    python = ".".join(map(str, sys.version_info[:3]))
+    numpy = np.__version__ if cmd == "signature" else "not imported"
+    assert (out / "manifest.txt").read_text() == (
+        f"# memthermo run manifest\n# version = {__version__}\n"
+        f"# python = {python}\n# numpy = {numpy}\n# experiment = {cmd}\n"
+        + resolve_config(overrides=overrides).serialize())
+    assert "# input" not in (out / "manifest.txt").read_text()
 
 
 def test_nullcline_schema_matches_contract(tmp_path, capsys):
@@ -535,6 +610,18 @@ def test_model_value_error_fails_as_protocol_error_on_one_line(
     assert (_run("cycle", "--out", str(tmp_path)),
             capsys.readouterr().err) == (
         2, "error: protocol: r_persistent must be > 0\n")
+
+
+def test_out_of_memory_fails_as_protocol_error_on_one_line(
+        tmp_path, capsys, monkeypatch):
+    # once a MemoryError traceback from emit_csv, exiting 1 as if the
+    # configuration were wrong; the line names the function that raised it
+    def handler(cfg):
+        raise MemoryError
+    monkeypatch.setitem(cli._HANDLERS, "homeostasis", handler)
+    assert (_run("homeostasis", "--out", str(tmp_path)),
+            capsys.readouterr().err) == (
+        2, "error: protocol: out of memory in handler\n")
 
 
 @pytest.mark.parametrize("name, text, key, command, reason", [

@@ -1,11 +1,13 @@
 """Configuration resolution and CSV wire-format tests."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memthermo import csvio
 from memthermo.config import (
     ConfigError,
     REGISTRY,
@@ -162,24 +164,80 @@ _CELLS = {
 }
 
 
+# kinds a column changes between, from one chunk to the next
+_SWITCHES = [("none", "int"), ("float", "bool"), ("float", "np.float64")]
+
+
 @settings(max_examples=200, deadline=None)
-@given(schema_id=st.sampled_from(sorted(SCHEMAS)), data=st.data())
-def test_emit_csv_equals_per_cell_writer(tmp_path_factory, schema_id, data):
+@given(schema_id=st.sampled_from(sorted(SCHEMAS)), chunk=st.integers(1, 5),
+       per_row=st.booleans(), data=st.data())
+def test_emit_csv_equals_per_cell_writer(tmp_path_factory, schema_id, chunk,
+                                         per_row, data):
     header = SCHEMAS[schema_id]
-    # half the shapes use only the types a row template covers, so most
-    # draws mix templated rows and rows written cell by cell
-    pools = (sorted(_CELLS), ["float", "int", "np.float64", "str"])
-    kinds = st.sampled_from(pools).flatmap(lambda pool: st.lists(
-        st.sampled_from(pool), min_size=len(header), max_size=len(header)))
-    shapes = data.draw(st.lists(kinds, min_size=1, max_size=3))
-    rows = [tuple(data.draw(_CELLS[kind]) for kind in shape)
-            for shape in data.draw(st.lists(st.sampled_from(shapes),
-                                            max_size=12))]
+    # each column cycles through its kinds chunk by chunk, so its chunks
+    # alternate between a type code and format_value per cell (a bool or
+    # numpy scalar has no code); per_row draws each cell's kind afresh,
+    # so a chunk's column mixes kinds and is written cell by cell
+    kinds = st.one_of(st.sampled_from(_SWITCHES), st.lists(
+        st.sampled_from(sorted(_CELLS)), min_size=1, max_size=3))
+    columns = data.draw(st.lists(kinds, min_size=len(header),
+                                 max_size=len(header)))
+
+    def kind(col, k):   # of the column's cell in row k
+        if per_row:
+            return data.draw(st.sampled_from(col))
+        return col[k // chunk % len(col)]
+    rows = [tuple(data.draw(_CELLS[kind(col, k)]) for col in columns)
+            for k in range(data.draw(st.integers(0, 12)))]
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
-    emit_csv(path, schema_id, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "CHUNK_ROWS", chunk)
+        emit_csv(path, schema_id, rows)
     lines = [",".join(header)] + [
         ",".join(format_value(v) for v in row) for row in rows]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _rows_then(failure):
+    """Five nullcline rows, then the failure: a bad row, or a raise."""
+    yield from [(0.7, 310.0, 0.02)] * 5
+    if isinstance(failure, Exception):
+        raise failure
+    yield failure
+
+
+@pytest.mark.parametrize("failure, match", [
+    ((1.0, 2.0), "row has 2 fields, expected 3"),
+    ((1.0, 2.0, 3.0, 4.0), "row has 4 fields, expected 3"),
+    (RuntimeError("handler failed"), "handler failed"),
+])
+def test_failure_in_a_later_chunk_writes_nothing(tmp_path, monkeypatch,
+                                                 failure, match):
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    path = tmp_path / "late.csv"
+    with pytest.raises((ValueError, RuntimeError), match=match):
+        emit_csv(path, "nullcline", _rows_then(failure))
+    assert not path.exists()
+
+
+def test_emit_csv_memory_is_bounded_by_the_chunk(tmp_path):
+    # 50,000 lazily made homeostasis trace rows (a 1.92 MB file): the
+    # formatted text is held whole until the file is opened, the cells a
+    # chunk at a time. tracemalloc peaks on Python 3.11.7: 3.40 MB chunked
+    # (1.8x the file), 8.79 MB for one template per row (4.6x), 17.09 MB
+    # for one format call over the whole table (8.9x)
+    rows = ((k, k * 1.0, "0.2", "310.512345", 300.0 + k * 1e-5, k % 3)
+            for k in range(50_000))
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        emit_csv(path, "homeostasis_trace", rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert 1.9e6 < size < 1.95e6
+    assert peak < 3 * size
 
 
 def test_emit_validates_schema_and_row_width(tmp_path):
@@ -187,6 +245,10 @@ def test_emit_validates_schema_and_row_width(tmp_path):
         emit_csv(tmp_path / "x.csv", "no_such_schema", [])
     with pytest.raises(ValueError, match="fields"):
         emit_csv(tmp_path / "x.csv", "nullcline", [(1.0, 2.0)])
+    # the chunk's cell count is right, but neither row is
+    with pytest.raises(ValueError, match="row has 2 fields, expected 3"):
+        emit_csv(tmp_path / "x.csv", "nullcline",
+                 [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
 
 
 def test_newlines_are_unix_and_utf8(tmp_path):
