@@ -89,10 +89,6 @@ class ThermionicExtraction(NamedTuple):
     stage2_r2_neg: float
     intercept_spread: float
 
-    @property
-    def physical(self) -> bool:
-        return self.params is not None
-
 
 def _stage1(ivs: IVCurveSet, polarity: int):
     """Regressions of ln(|I|/T^2) on 1/T at each voltage column of one

@@ -83,12 +83,6 @@ def emit_csv(path, schema_id: str, rows) -> str:
     return str(path)
 
 
-def parse_csv(path, schema_id: str | None = None):
-    """Read a CSV written by emit_csv; returns (header, rows of strings)."""
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        return parse_csv_text(fh.read(), schema_id)
-
-
 def parse_csv_text(text: str, schema_id: str | None = None):
     lines = text.splitlines()
     if not lines:

@@ -216,16 +216,6 @@ def rho_temperature_factor(T: float, phi_app: float) -> float:
     return _ratio(T, phi_app)
 
 
-def barrier_shift_response(T: float, phi_app: float, dphi: float) -> float:
-    """Fractional read-out change at T caused by a barrier shift dphi.
-
-    Normalisation is the fixed pre-shift 300 K resistance, so this is the
-    ratio-space form of the differential switching response; its
-    magnitude decreases with temperature for any positive barrier.
-    """
-    return rho_temperature_factor(T, phi_app) * math.expm1(dphi / (K_B_EV * T))
-
-
 # Achievable 300->360 K fractional drops: the T^-2 prefactor alone gives
 # ~30.6 %; barriers below zero (down to the monotonicity bound) reduce it
 # to ~3.1 %, positive barriers raise it toward 100 %.

@@ -82,13 +82,6 @@ class CycleResult(NamedTuple):
     def steady_values(self, t_set: float) -> list[float]:
         return [h.r_steady_ohm for h in self.holds if h.t_set_K == t_set]
 
-    def revisit_discrepancy(self, t_set: float = T_MIN) -> float:
-        """Relative difference between the first and last settled visits."""
-        values = self.steady_values(t_set)
-        if len(values) < 2:
-            raise ProtocolError(f"no revisit at {t_set} K in this schedule")
-        return abs(values[-1] - values[0]) / values[0]
-
     def total_drop(self) -> float:
         """Fractional settled drop from 300 K to 360 K."""
         r300 = self.steady_values(T_MIN)

@@ -113,10 +113,6 @@ class InputPattern:
         return sum(int(d) for d, _ in self.segments)
 
     @classmethod
-    def constant(cls, load: float, steps: int) -> "InputPattern":
-        return cls(segments=((steps, float(load)),))
-
-    @classmethod
     def parse(cls, text: str) -> "InputPattern":
         """Parse 'load:steps,load:steps,...' (e.g. '0.20:2000,0.30:2000')."""
         segments = []

@@ -1,9 +1,13 @@
+import math
+
 import pytest
 
 from memthermo.cli import _hsr_args
 from memthermo.config import resolve_config
+from memthermo.constants import K_B_EV
 from memthermo.device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
-                              SwitchingParams, ThermalFit)
+                              SwitchingParams, ThermalFit,
+                              rho_temperature_factor)
 from memthermo.experiments import (run_heat_stimulate_retention,
                                    run_thermal_cycling)
 from memthermo.neuron import NeuronSystem
@@ -55,6 +59,16 @@ def cycle(cfg, cycle_args):
 
 
 @pytest.fixture(scope="session")
+def revisit():
+    """A CycleResult's relative difference between its first and last
+    settled holds at t_set."""
+    def discrepancy(res, t_set):
+        first, *_, last = res.steady_values(t_set)
+        return abs(last - first) / first
+    return discrepancy
+
+
+@pytest.fixture(scope="session")
 def level_runs(cycle_args, state_at):
     """run_thermal_cycling as `levels` calls it: {level: CycleResult},
     the levels sharing one list per chamber column; keywords override."""
@@ -63,6 +77,15 @@ def level_runs(cycle_args, state_at):
         return dict(zip(LEVEL_ORDER, run_thermal_cycling(
             **{**cycle_args(seed), "states": states, **kwargs})))
     return run
+
+
+@pytest.fixture(scope="session")
+def shift_response():
+    """The fractional read-out change at T that a barrier shift dphi
+    causes, over the fixed pre-shift 300 K resistance: the ratio-space
+    form of the differential switching response."""
+    return lambda T, phi_app, dphi: (rho_temperature_factor(T, phi_app)
+                                     * math.expm1(dphi / (K_B_EV * T)))
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,6 @@ from memthermo.device import (
     IVCurveSet,
     ThermionicParams,
     apply_pulse_train,
-    barrier_shift_response,
     read_resistance,
     thermionic_current,
 )
@@ -45,7 +44,7 @@ from memthermo.neuron import (
 from memthermo.rng import substream
 from memthermo.thermal import TemperatureSchedule, settled
 
-from test_golden import RUNS
+from golden import RUNS
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -125,12 +124,10 @@ def test_c03_settling_criterion(cycle, fit):
             f"{checked} ten-kelvin holds settled at 1 h, unsettled at 10 min")
 
 
-def test_c04_revisit_repeatability(cycle, fit):
-    with_drift = [
-        cycle(seed, fit=fit, drift_scale=0.05).revisit_discrepancy(300.0)
-        for seed in range(5)
-    ]
-    without = cycle(0, fit=fit).revisit_discrepancy(300.0)
+def test_c04_revisit_repeatability(cycle, fit, revisit):
+    with_drift = [revisit(cycle(seed, fit=fit, drift_scale=0.05), 300.0)
+                  for seed in range(5)]
+    without = revisit(cycle(0, fit=fit), 300.0)
     ok = max(with_drift) <= 0.05 and without <= 1e-9
     _report(4, "revisit-repeatability", ok,
             f"drift on max {max(with_drift):.4f}, drift off {without:.2e}")
@@ -304,11 +301,12 @@ def test_c11_determinism_all_subcommands(tmp_path, capsys):
             f"{checked} CSV files byte-identical across manifest reruns")
 
 
-def test_c12_differential_response_shrinks_with_temperature(fit):
+def test_c12_differential_response_shrinks_with_temperature(fit,
+                                                            shift_response):
     shrinking = []
     for phi in fit.phi_of_anchor:
-        d310 = barrier_shift_response(310.0, phi, 1e-4)
-        d360 = barrier_shift_response(360.0, phi, 1e-4)
+        d310 = shift_response(310.0, phi, 1e-4)
+        d360 = shift_response(360.0, phi, 1e-4)
         shrinking.append(abs(d310) > abs(d360))
     ok = all(shrinking)
     _report(12, "differential-response", ok,

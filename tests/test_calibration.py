@@ -60,7 +60,7 @@ def test_extraction_round_trip_noise_free():
     truth = ThermionicParams(a_prefactor=2.4e-11, phi_b=0.112,
                              alpha_pos=0.05, alpha_neg=0.03)
     res = extract_thermionic(_synthetic_ivs(truth))
-    assert res.physical
+    assert res.params is not None
     assert res.params.a_prefactor == pytest.approx(truth.a_prefactor, rel=5e-3)
     assert res.params.phi_b == pytest.approx(truth.phi_b, rel=5e-3)
     assert res.params.alpha_pos == pytest.approx(truth.alpha_pos, rel=5e-3)
@@ -96,7 +96,6 @@ def test_extraction_exposes_ohmic_misfit():
     currents = tuple(tuple(v / 1e5 for v in vs) for _ in TEMPS)
     res = extract_thermionic(IVCurveSet(temperatures=TEMPS, voltages=vs,
                                         currents=currents))
-    assert not res.physical
     assert res.params is None
     assert res.phi_b_pos < 0   # wrong-sign slope betrays the misfit
     # the per-voltage intercepts no longer share one ln(A)

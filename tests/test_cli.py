@@ -1,9 +1,11 @@
 """Command-line contract tests: exit codes, outputs, reproducibility."""
+import ast
 import inspect
 import os
 import subprocess
 import sys
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,21 +14,25 @@ import pytest
 from memthermo import __version__, cli, config, rng
 from memthermo.cli import EXPERIMENTS, cli_dispatch
 from memthermo.config import REGISTRY, ConfigError, resolve_config
-from memthermo.csvio import parse_csv
+from memthermo.csvio import parse_csv_text
 from memthermo.device import (DEFAULT_ANCHORS, LEVEL_ORDER, SwitchingParams,
                               ThermalFit, iv_preset)
 from memthermo.neuron import N_SYNAPSES, NeuronSystem, settled_rate
-from test_golden import RUNS
+from golden import RUNS
 
 
 def _run(*argv):
     return cli_dispatch(list(argv))
 
 
+def _parse(path, schema_id):
+    return parse_csv_text(path.read_text(encoding="utf-8"), schema_id)
+
+
 def test_cycle_writes_trace_holds_and_manifest(tmp_path, capsys):
     out = tmp_path / "run"
     assert _run("cycle", "--out", str(out), "--seed", "5") == 0
-    header, rows = parse_csv(out / "cycle.csv", "cycle")
+    header, rows = _parse(out / "cycle.csv", "cycle")
     assert header == ("t_s", "t_set_K", "t_air_K", "t_dev_K", "r_ohm", "phase")
     assert rows and all(r[5] == "read" for r in rows)
     manifest = (out / "manifest.txt").read_text()
@@ -84,10 +90,10 @@ def test_homeostasis_emits_both_windowings(tmp_path, capsys):
     out = tmp_path / "hom"
     assert _run("homeostasis", "--out", str(out),
                 "--set", "homeostasis.pattern=0.25:400") == 0
-    _, rates = parse_csv(out / "homeostasis_rates.csv", "homeostasis_rates")
+    _, rates = _parse(out / "homeostasis_rates.csv", "homeostasis_rates")
     assert len(rates) == 400 // 25
-    header, _ = parse_csv(out / "homeostasis_spike_windows.csv",
-                          "homeostasis_spike_windows")
+    header, _ = _parse(out / "homeostasis_spike_windows.csv",
+                       "homeostasis_spike_windows")
     assert header[0] == "window"
 
 
@@ -97,7 +103,7 @@ def test_pattern_csv_input(tmp_path, capsys):
     out = tmp_path / "hom2"
     assert _run("homeostasis", "--out", str(out),
                 "--set", f"homeostasis.pattern_csv={pattern}") == 0
-    _, trace = parse_csv(out / "homeostasis_trace.csv", "homeostasis_trace")
+    _, trace = _parse(out / "homeostasis_trace.csv", "homeostasis_trace")
     loads = {row[2] for row in trace}
     assert loads == {"0.2", "0.3"}
 
@@ -179,7 +185,7 @@ def test_default_manifest_pins_no_input(tmp_path, capsys, cmd):
 def test_nullcline_schema_matches_contract(tmp_path, capsys):
     out = tmp_path / "nc"
     assert _run("nullcline", "--out", str(out), "--preset", "L1") == 0
-    header, rows = parse_csv(out / "nullcline.csv", "nullcline")
+    header, rows = _parse(out / "nullcline.csv", "nullcline")
     assert header == ("v_V", "T_K", "frac")
     assert len(rows) == 8 * 6
 
@@ -189,7 +195,7 @@ def test_thermometer_errors_within_bounds(tmp_path, capsys):
     assert _run("thermometer", "--out", str(out), "--seed", "8",
                 "--set", "thermometer.noise_sigma=0.01",
                 "--set", "thermometer.trials=20") == 0
-    _, rows = parse_csv(out / "thermometer.csv", "thermometer")
+    _, rows = _parse(out / "thermometer.csv", "thermometer")
     errors = [abs(float(r[5])) for r in rows]
     assert max(errors) <= 2.0
 
@@ -198,7 +204,7 @@ def test_explicit_schedule_setpoints(tmp_path, capsys):
     out = tmp_path / "explicit"
     assert _run("cycle", "--out", str(out),
                 "--set", "schedule.setpoints=300,330,360") == 0
-    _, holds = parse_csv(out / "cycle_holds.csv", "cycle_holds")
+    _, holds = _parse(out / "cycle_holds.csv", "cycle_holds")
     assert [h[1] for h in holds] == ["300", "330", "360"]
     # the manifest reproduces the explicit order exactly
     rerun = tmp_path / "explicit2"
@@ -222,8 +228,8 @@ def test_signature_accepts_external_iv_csv(tmp_path, capsys):
                 "--set", f"iv.input_csv={sim / 'iv.csv'}") == 0
     # extraction from the emitted CSV matches the in-memory fit to the
     # 9 significant digits the wire format carries
-    _, sim_rows = parse_csv(sim / "signature.csv", "signature")
-    _, ext_rows = parse_csv(external / "signature.csv", "signature")
+    _, sim_rows = _parse(sim / "signature.csv", "signature")
+    _, ext_rows = _parse(external / "signature.csv", "signature")
     for a, b in zip(sim_rows, ext_rows):
         assert float(a[2]) == pytest.approx(float(b[2]), rel=1e-6)
         assert float(a[3]) == pytest.approx(float(b[3]), rel=1e-6)
@@ -239,8 +245,8 @@ def test_signature_reads_back_its_own_four_temperature_iv_csv(tmp_path,
                 "--set", "iv.temps_k=300,310,330,360") == 0
     assert _run("signature", "--out", str(back),
                 "--set", f"iv.input_csv={sim / 'iv.csv'}") == 0
-    _, sim_rows = parse_csv(sim / "signature.csv", "signature")
-    _, back_rows = parse_csv(back / "signature.csv", "signature")
+    _, sim_rows = _parse(sim / "signature.csv", "signature")
+    _, back_rows = _parse(back / "signature.csv", "signature")
     assert [r[0] for r in back_rows] == [r[0] for r in sim_rows] != []
     for a, b in zip(sim_rows, back_rows):
         assert [float(v) for v in b[1:6]] == pytest.approx(
@@ -261,8 +267,8 @@ def test_signature_reads_back_voltages_1e_14_v_apart(tmp_path, capsys):
         for line in lines if ",0.05," in line))
     assert _run("signature", "--out", str(back),
                 "--set", f"iv.input_csv={path}") == 0
-    _, sim_rows = parse_csv(sim / "signature.csv", "signature")
-    _, back_rows = parse_csv(back / "signature.csv", "signature")
+    _, sim_rows = _parse(sim / "signature.csv", "signature")
+    _, back_rows = _parse(back / "signature.csv", "signature")
     assert [r[0] for r in back_rows] == ["pos", "neg"]
     for a, b in zip(sim_rows, back_rows):
         assert float(b[2]) == pytest.approx(float(a[2]), rel=1e-6)
@@ -767,7 +773,7 @@ def test_hsr_logs_each_reset_pulse_at_its_polarity(tmp_path, capsys):
     # depressing train the reset potentiates, so each R step is upward
     assert _run("hsr", "--out", str(tmp_path), "--preset", "L1",
                 "--set", "hsr.v_prog_v=-1.5") == 0
-    _, rows = parse_csv(tmp_path / "hsr.csv", "hsr")
+    _, rows = _parse(tmp_path / "hsr.csv", "hsr")
     # the reset is the program block that ends the trace
     start = max(k for k, r in enumerate(rows) if r[5] != "program") + 1
     assert len(rows) - start > 1
@@ -795,8 +801,8 @@ def test_thermometer_reads_the_drifted_cycle(tmp_path, capsys):
     drift = ["--seed", "1", "--set", "cycle.drift_scale=0.01"]
     assert _run("cycle", "--out", str(tmp_path / "cycle"), *drift) == 0
     assert _run("thermometer", "--out", str(tmp_path / "thermo"), *drift) == 0
-    _, holds = parse_csv(tmp_path / "cycle" / "cycle_holds.csv", "cycle_holds")
-    _, rows = parse_csv(tmp_path / "thermo" / "thermometer.csv", "thermometer")
+    _, holds = _parse(tmp_path / "cycle" / "cycle_holds.csv", "cycle_holds")
+    _, rows = _parse(tmp_path / "thermo" / "thermometer.csv", "thermometer")
     assert [(r[1], r[3]) for r in rows] == [(h[1], h[2]) for h in holds]
     r300 = [h[2] for h in holds if h[1] == "300"]
     assert r300[0] != r300[-1]   # the drift is on
@@ -808,14 +814,14 @@ def test_fit_override_moves_the_level_table(tmp_path, capsys, build_system):
     levels = tmp_path / "levels"
     assert _run("levels", "--out", str(levels), *override,
                 "--set", "schedule.read_period_s=30") == 0
-    _, rows = parse_csv(levels / "levels.csv", "levels")
+    _, rows = _parse(levels / "levels.csv", "levels")
     l1 = next(r for r in rows if r[0] == "L1")
     assert float(l1[1]) == 2e6
     assert float(l1[2]) == pytest.approx(0.58, abs=1e-6)
 
     iv = tmp_path / "iv"
     assert _run("iv", "--out", str(iv), "--preset", "L1", *override) == 0
-    _, rows = parse_csv(iv / "iv.csv", "iv")
+    _, rows = _parse(iv / "iv.csv", "iv")
     (v, i), = [(float(r[2]), float(r[3])) for r in rows
                if float(r[1]) == 300.0 and float(r[2]) == 0.2]
     assert v / i == pytest.approx(2e6, rel=1e-9)
@@ -882,6 +888,58 @@ def test_arguments_filled_from_cfg_have_no_default():
                 for name, p in inspect.signature(fn).parameters.items()
                 if p.default is not p.empty and name != "keep_records"}
     assert defaults == set()
+
+
+# the definitions in src that no src code names, each with why it stays
+_UNREFERENCED = {
+    "_Parser.error": "argparse calls it on a command-line mistake",
+    "PCG64.random_raw": "tests/test_rng.py checks its words against numpy",
+}
+
+
+def _definitions(tree):
+    """(name, node) of each top-level definition and public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            yield from ((name.id, node) for target in targets
+                        for name in ast.walk(target)
+                        if isinstance(name, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+
+
+def _uses(node):
+    """Each name that node reads, imports or spells as a string (getattr
+    reads a name from a string)."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def test_every_src_definition_is_named_elsewhere_in_src():
+    # one that only the tests name is test-only API, and belongs there
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(cli.__file__).parent.glob("*.py")]
+    uses = Counter(name for tree in trees for name in _uses(tree))
+    unreferenced = set()
+    for tree in trees:
+        for qual, node in _definitions(tree):
+            name = qual.rpartition(".")[2]
+            if uses[name] == Counter(_uses(node))[name]:   # only itself
+                unreferenced.add(qual)
+    assert unreferenced == set(_UNREFERENCED)
 
 
 def _python(code, *argv, block_numpy=False, timeout=None):
@@ -1099,6 +1157,17 @@ print(loaded)
          for cmd in ("hsr", "cycle", "iv")])
 
 
+def test_golden_runner_passes_without_pytest_or_numpy():
+    # golden.py checks absolute bytes: a run whose bytes differ with no
+    # numpy, or that imports it, fails it (signature is skipped)
+    golden = Path(__file__).with_name("golden.py")
+    run = _python("import runpy, sys\nsys.modules['pytest'] = None\n"
+                  f"runpy.run_path({str(golden)!r}, run_name='__main__')",
+                  block_numpy=True)
+    assert (run.returncode, run.stderr) == (0, ""), run.stdout
+    assert "signature skipped: numpy is not importable\n" in run.stdout
+
+
 # runs that fit no signature: every command but signature at default
 # config, the cycle commands again on explicit setpoints, which draw
 # nothing, and the three runs that draw normals (read noise, drift and
@@ -1124,6 +1193,8 @@ _NUMPY_FREE_RUNS = {
 
 @pytest.mark.parametrize("case", _NUMPY_FREE_RUNS)
 def test_numpy_free_commands_run_with_numpy_blocked(tmp_path, capsys, case):
+    # at default config, where the golden runner's short runs do not
+    # reach: the bytes of a numpy-blocked process match an ordinary run
     blocked, ordinary = tmp_path / "blocked", tmp_path / "ordinary"
     cmd, *args = _NUMPY_FREE_RUNS[case]
     run = _cli_process(cmd, *args, "--out", str(blocked), block_numpy=True)

@@ -14,7 +14,7 @@ from memthermo.config import (
     parse_config_text,
     resolve_config,
 )
-from memthermo.csvio import SCHEMAS, emit_csv, format_value, parse_csv
+from memthermo.csvio import SCHEMAS, emit_csv, format_value, parse_csv_text
 
 
 def test_defaults_match_documented_values():
@@ -139,7 +139,8 @@ def test_csv_round_trip_to_nine_digits(tmp_path):
     rows = [(0.7, 310.0, 0.019999092), (1.4, 360.0, 0.269448731)]
     path = tmp_path / "grid.csv"
     emit_csv(path, "nullcline", rows)
-    header, parsed = parse_csv(path, "nullcline")
+    header, parsed = parse_csv_text(path.read_text(encoding="utf-8"),
+                                    "nullcline")
     assert header == SCHEMAS["nullcline"]
     for raw, row in zip(parsed, rows):
         for text, value in zip(raw, row):

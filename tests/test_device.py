@@ -35,7 +35,6 @@ from memthermo.device import (
     ThermionicParams,
     TrainEra,
     apply_pulse_train,
-    barrier_shift_response,
     calibrate_phi_from_drop,
     iv_preset,
     read_resistance,
@@ -709,14 +708,15 @@ def test_reset_error_carries_last_resistance(fit, params):
 # differential switching response
 
 
-def test_barrier_shift_response_decreases_with_temperature(fit):
+def test_barrier_shift_response_decreases_with_temperature(fit,
+                                                          shift_response):
     for phi in fit.phi_of_anchor:
-        d310 = barrier_shift_response(310.0, phi, 1e-4)
-        d360 = barrier_shift_response(360.0, phi, 1e-4)
+        d310 = shift_response(310.0, phi, 1e-4)
+        d360 = shift_response(360.0, phi, 1e-4)
         assert abs(d310) > abs(d360)
 
 
-def test_barrier_shift_response_matches_direct_difference():
+def test_barrier_shift_response_matches_direct_difference(shift_response):
     # oracle: difference of the resistance law at the shifted and original
     # barriers, normalised by the fixed pre-shift 300 K value, in mpmath
     from mpmath import exp, mp, mpf
@@ -732,7 +732,7 @@ def test_barrier_shift_response_matches_direct_difference():
         (resistance(phi + dphi, T) - resistance(phi, T))
         / resistance(phi, mpf(300))
     )
-    assert barrier_shift_response(340.0, 0.05, 1e-4) == pytest.approx(
+    assert shift_response(340.0, 0.05, 1e-4) == pytest.approx(
         expected, rel=1e-9)
 
 

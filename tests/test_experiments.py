@@ -80,17 +80,17 @@ def test_cycle_timestamps_strictly_increasing(cycle, fit):
     assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
-def test_cycle_revisit_exact_without_drift(cycle, fit):
+def test_cycle_revisit_exact_without_drift(cycle, fit, revisit):
     res = cycle(11, fit=fit)
-    assert res.revisit_discrepancy(300.0) <= 1e-9
-    assert res.revisit_discrepancy(360.0) <= 1e-9
+    assert revisit(res, 300.0) <= 1e-9
+    assert revisit(res, 360.0) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_cycle_revisit_bounded_with_drift(cycle, fit, seed):
+def test_cycle_revisit_bounded_with_drift(cycle, fit, revisit, seed):
     res = cycle(seed, fit=fit, drift_scale=0.05)
-    assert res.revisit_discrepancy(300.0) <= 0.05
-    assert res.revisit_discrepancy(360.0) <= 0.05
+    assert revisit(res, 300.0) <= 0.05
+    assert revisit(res, 360.0) <= 0.05
 
 
 def test_cycle_deterministic_reruns(cycle, fit):
@@ -441,7 +441,7 @@ def test_iv_sweep_rejects_threshold_crossing():
 def test_iv_sweep_feeds_extraction_round_trip(cfg, fit):
     truth = iv_preset("L1", fit.anchor("L1").r_ref, fit)
     res = extract_thermionic(_iv_sweep(cfg, "L1", fit))
-    assert res.physical
+    assert res.params is not None
     assert res.params.phi_b == pytest.approx(truth.phi_b, rel=5e-3)
     assert res.params.alpha_pos == pytest.approx(truth.alpha_pos, rel=5e-3)
     assert res.params.alpha_neg == pytest.approx(truth.alpha_neg, rel=5e-3)

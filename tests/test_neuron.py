@@ -220,7 +220,7 @@ def test_negative_feedback_sign(build_system):
 def test_constant_pattern_rate_constant_after_settling(build_system,
                                                        table_map):
     system = build_system()
-    res = run_homeostasis(InputPattern.constant(0.25, 6000), system,
+    res = run_homeostasis(InputPattern(segments=((6000, 0.25),)), system,
                           table_map)
     rates = [r for _, t, r in res.window_rates() if t > 5000.0]
     assert max(rates) - min(rates) <= 1.0 / system.window + 1e-12
@@ -268,7 +268,8 @@ def test_homeostasis_deterministic(build_system, table_map):
 
 def test_both_windowings_emitted(build_system, table_map):
     system = build_system()
-    res = run_homeostasis(InputPattern.constant(0.3, 2000), system, table_map)
+    res = run_homeostasis(InputPattern(segments=((2000, 0.3),)), system,
+                          table_map)
     assert len(res.window_rates()) == 2000 // 25
     spike_windows = res.spike_count_windows()
     assert spike_windows, "no spike-count windows recorded"
@@ -318,7 +319,7 @@ def test_vector_loads_drive_the_same_mean_feedforward(build_system,
     # chamber identically but drive different synapse subsets
     hot = np.zeros(25)
     hot[:5] = 1.0
-    uniform = InputPattern.constant(0.2, 300)
+    uniform = InputPattern(segments=((300, 0.2),))
     concentrated = InputPattern(segments=((300, tuple(hot)),))
     res_u = run_homeostasis(uniform, build_system(), table_map)
     res_c = run_homeostasis(concentrated, build_system(), table_map)
