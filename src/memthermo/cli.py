@@ -21,7 +21,7 @@ from itertools import repeat
 
 from . import __version__, rng
 from .config import ConfigError, RunConfig, resolve_config
-from .csvio import emit_csv, format_value, write_manifest
+from .csvio import FLOAT_FORMAT, emit_csv, format_value, write_manifest
 from .device import LEVEL_ORDER, DeviceState, ResetError
 from .neuron import (
     FeedforwardMap,
@@ -79,7 +79,7 @@ def _cmd_levels(cfg: RunConfig):
         for level, r_ref, res in zip(LEVEL_ORDER, r_refs, results)]
     # every level shares the chamber columns, floats only: format them once,
     # not per file, as format_value formats a float
-    chamber_text = [list(map(format, col, repeat(".9g")))
+    chamber_text = [list(map(format, col, repeat(FLOAT_FORMAT)))
                     for col in results[0][:4]]
     for level, res in zip(LEVEL_ORDER, results):
         yield f"cycle_{level}", "cycle", zip(*chamber_text, res.r_ohm,

@@ -28,7 +28,8 @@ from .device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
 from .neuron import (FeedforwardMap, InputPattern, NeuronSystem,
                      affine_gains, calibration_loads)
 from .thermal import (GRID_TEMPS, NULLCLINE_TEMPS, NULLCLINE_VOLTAGES,
-                      ThermalPlant, TemperatureSchedule, hold_steps)
+                      PRESET_TAU_DEV_S, REVISITS, ThermalPlant,
+                      TemperatureSchedule, hold_steps)
 
 # Steps (plant steps, pulses, thermometer inversions, neuron steps) a run
 # may take, ~13x nullcline's 76,848; RESET_MAX_PULSES bounds the resets.
@@ -142,12 +143,12 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
 
     *_fit_entries(),
 
-    _k("plant.preset", str, "packaged", "packaged or on_wafer",
-       choice("packaged", "on_wafer")),
+    _k("plant.preset", str, "packaged", "thermal plant preset",
+       choice(*PRESET_TAU_DEV_S)),
     _k("plant.tau_air_s", float, ThermalPlant().tau_air_s,
        "chamber air time constant"),
     _k("plant.tau_dev_s", float, 0.0, "device time constant; 0 uses the "
-       "preset (720 packaged, 60 on-wafer)"),
+       "preset's"),
 
     *(_k(_switching_key(name), float, getattr(SwitchingParams(), name),
          f"SwitchingParams.{name}")
@@ -280,11 +281,10 @@ class RunConfig:
                         for r, d in [_fit_keys(a.label)])
         # CalibrationError (an unreachable drop) is a ValueError too
         self.fit = checked("fit", ThermalFit, anchors=anchors)
-        base = getattr(ThermalPlant, self["plant.preset"])()
         self.plant = checked(
-            "plant", ThermalPlant, base.t_set, base.t_air, base.t_dev,
-            tau_air_s=self["plant.tau_air_s"],
-            tau_dev_s=self["plant.tau_dev_s"] or base.tau_dev_s)
+            "plant", ThermalPlant, tau_air_s=self["plant.tau_air_s"],
+            tau_dev_s=self["plant.tau_dev_s"]
+            or PRESET_TAU_DEV_S[self["plant.preset"]])
         hold = checked("schedule.hold_s, schedule.read_period_s", hold_steps,
                        self["schedule.hold_s"], self["schedule.read_period_s"])
         reads, period = self["hsr.retention_reads"], self["hsr.retention_period_s"]
@@ -334,8 +334,8 @@ class RunConfig:
         and calibrate bound their lists where they are built, and count 0."""
         schedule = ("schedule.hold_s", "schedule.read_period_s",
                     "schedule.setpoints")
-        n = (len(self.schedule.setpoints) if self.schedule
-             else len(GRID_TEMPS) + 2)   # the grid and two revisits
+        n = len(self.schedule.setpoints if self.schedule
+                else GRID_TEMPS + REVISITS)
         hsr = (*schedule[:2], "hsr.pulse_count", "hsr.retention_reads")
         # two holds, the pulses, the plant step over the train, retention
         train = 2 * hold + self["hsr.pulse_count"] + 1 + retention

@@ -40,20 +40,22 @@ SCHEMAS: dict[str, tuple[str, ...]] = {
 }
 
 
+# format spec of a float cell: 9 significant digits
+FLOAT_FORMAT = ".9g"
+# rows per %-call: a table's cells are held one chunk at a time
+CHUNK_ROWS = 4096
+# format_value's text of a cell of each exact type ("%.0s" % None is "")
+_CODES = {float: "%" + FLOAT_FORMAT, int: "%d", str: "%s", type(None): "%.0s"}
+
+
 def format_value(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".9g")
+        return format(value, FLOAT_FORMAT)
     return str(value)
-
-
-# rows per %-call: a table's cells are held one chunk at a time
-CHUNK_ROWS = 4096
-# format_value's text of a cell of each exact type ("%.0s" % None is "")
-_CODES = {float: "%.9g", int: "%d", str: "%s", type(None): "%.0s"}
 
 
 def emit_csv(path, schema_id: str, rows) -> str:

@@ -4,9 +4,9 @@ Two cascaded first-order stages: the chamber air tracks the setpoint with
 constant tau_air, the device tracks the air with tau_dev. Steps use the
 exact flow of the linear cascade (not an Euler update), so stepping by dt
 equals stepping twice by dt/2 to rounding error and the plant is
-unconditionally stable for any dt. Packaged devices get tau_dev = 720 s;
-devices probed on the wafer respond much faster (tau_dev = 60 s).
-The protocol's grids and hold lengths live here, where config counts them.
+unconditionally stable for any dt; on-wafer devices respond faster than
+packaged ones (PRESET_TAU_DEV_S). The protocol's grids and hold lengths
+live here, where config counts them.
 """
 from __future__ import annotations
 
@@ -17,8 +17,10 @@ from .constants import T_MAX, T_MIN, T_REF
 from .device import T_ANCHORS, V_ANCHOR
 from .rng import substream
 
-# The protocol's 10 K setpoint grid over the chamber window.
+# The protocol's 10 K setpoint grid over the chamber window, and the
+# scrambled schedule's second visits after it.
 GRID_TEMPS = tuple(float(t) for t in range(int(T_MIN), int(T_MAX) + 1, 10))
+REVISITS = (T_MIN, T_MAX)
 
 # The nullcline's (v, T) grid: 0.7 V up to the switching anchor by 0.1 V,
 # and the setpoint grid across the anchor temperatures (310-360 K).
@@ -33,6 +35,9 @@ NULLCLINE_TEMPS = tuple(T for T in GRID_TEMPS
 SETTLE_WINDOW_S = 360.0
 SETTLE_THRESHOLD = 0.02
 
+# tau_dev (s) of each plant preset, the values of config's plant.preset.
+PRESET_TAU_DEV_S = {"packaged": 720.0, "on_wafer": 60.0}
+
 
 class ProtocolError(RuntimeError):
     """A protocol-level check failed (settling, convergence, ordering)."""
@@ -43,7 +48,7 @@ class ThermalPlant:
 
     def __init__(self, t_set: float = T_REF, t_air: float = T_REF,
                  t_dev: float = T_REF, tau_air_s: float = 180.0,
-                 tau_dev_s: float = 720.0):
+                 tau_dev_s: float = PRESET_TAU_DEV_S["packaged"]):
         if not (tau_air_s > 0 and tau_dev_s > 0):
             raise ValueError("time constants must be > 0")
         if not (math.isfinite(t_air) and math.isfinite(t_dev)):
@@ -61,14 +66,6 @@ class ThermalPlant:
         if not (T_MIN <= t <= T_MAX):
             raise ValueError(f"setpoint {t} K outside chamber range "
                              f"[{T_MIN}, {T_MAX}] K")
-
-    @classmethod
-    def packaged(cls) -> "ThermalPlant":
-        return cls()
-
-    @classmethod
-    def on_wafer(cls) -> "ThermalPlant":
-        return cls(tau_dev_s=60.0)
 
     def copy(self) -> "ThermalPlant":
         return ThermalPlant(self.t_set, self.t_air, self.t_dev,
@@ -160,8 +157,8 @@ class TemperatureSchedule:
 
 
 def scrambled_schedule(seed: int, hold_s: float) -> TemperatureSchedule:
-    """Scrambled visit order of GRID_TEMPS plus second visits to 300 K and
-    360 K, each held for hold_s.
+    """Scrambled visit order of GRID_TEMPS plus the REVISITS, each held
+    for hold_s.
 
     The permutation is a deterministic function of the seed. The repeat
     visits check that cycling left the device unchanged; they are ordered
@@ -170,7 +167,5 @@ def scrambled_schedule(seed: int, hold_s: float) -> TemperatureSchedule:
     """
     rng = substream(seed, "schedule")
     order = [GRID_TEMPS[i] for i in rng.permutation(len(GRID_TEMPS))]
-    revisits = [T_MIN, T_MAX]
-    if order[-1] == revisits[0]:
-        revisits.reverse()
-    return TemperatureSchedule(tuple(order + revisits), float(hold_s))
+    revisits = REVISITS[::-1] if order[-1] == REVISITS[0] else REVISITS
+    return TemperatureSchedule(tuple(order) + revisits, float(hold_s))

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per headline criterion, each printing a
-machine-readable PASS/FAIL line (run with `pytest -s` to see them inline).
+machine-readable PASS/FAIL line (run with `pytest -s` to see them inline)
+and then asserting its named checks.
 
 Criterion 2 (per-level sensitivity) bands the levels the paper and the
 device design give sensitivity targets for: pristine and L1 at
@@ -47,9 +48,13 @@ from memthermo.thermal import TemperatureSchedule, settled
 from golden import RUNS
 
 
-def _report(number: int, name: str, ok: bool, detail: str) -> None:
-    status = "PASS" if ok else "FAIL"
+def _claim(number: int, name: str, detail: str, **checks: bool) -> None:
+    """Print the criterion's ACCEPTANCE line, then assert every check;
+    the failure names each check that failed."""
+    failed = [check for check, ok in checks.items() if not ok]
+    status = "FAIL" if failed else "PASS"
     print(f"ACCEPTANCE {number:02d} {name}: {status} ({detail})")
+    assert not failed, f"{name}: {', '.join(failed)} failed ({detail})"
 
 
 @pytest.fixture(scope="module")
@@ -72,34 +77,27 @@ def test_c01_static_sensitivity_regression(level_sweep):
     pristine = level_sweep.drops["pristine"]
     l4 = level_sweep.drops["L4"]
     ratio = pristine / l4
-    ok = (abs(pristine - 0.61) <= 0.01 and abs(l4 - 0.11) <= 0.01
-          and 5.0 <= ratio <= 7.0)
-    _report(1, "static-drops", ok,
-            f"pristine {pristine:.4f}, L4 {l4:.4f}, ratio {ratio:.2f}")
-    assert abs(pristine - 0.61) <= 0.01
-    assert abs(l4 - 0.11) <= 0.01
-    assert 5.0 <= ratio <= 7.0
+    _claim(1, "static-drops",
+           f"pristine {pristine:.4f}, L4 {l4:.4f}, ratio {ratio:.2f}",
+           pristine=abs(pristine - 0.61) <= 0.01, L4=abs(l4 - 0.11) <= 0.01,
+           ratio=5.0 <= ratio <= 7.0)
 
 
 def test_c02_per_level_sensitivity(level_sweep):
     sens = {k: abs(v) for k, v in level_sweep.sensitivities.items()}
-    high_ok = all(0.85 <= sens[lvl] <= 1.15 for lvl in ("pristine", "L1"))
-    low_ok = all(0.28 <= sens[lvl] <= 0.66 for lvl in ("L2", "L3"))
-    # L4 is out of the low band: its 11 % drop (criterion 1) caps it near
-    # 0.2 %/K. The paper's pristine/L4 factor of ~6 is checked instead.
     ratio = sens["pristine"] / sens["L4"]
-    ratio_ok = 5.0 <= ratio <= 7.0
-    # |sensitivity| shrinks with the programmed resistance
     by_level = [sens[lvl] for lvl in ("pristine", "L1", "L2", "L3", "L4")]
-    ordered = all(a > b for a, b in zip(by_level, by_level[1:]))
-    detail = (", ".join(f"{lvl} {sens[lvl]:.3f}" for lvl in sens)
-              + f", pristine/L4 {ratio:.2f}")
-    _report(2, "per-level-sensitivity",
-            high_ok and low_ok and ratio_ok and ordered, detail)
-    assert high_ok, detail
-    assert low_ok, detail
-    assert ratio_ok, detail
-    assert ordered, detail
+    _claim(2, "per-level-sensitivity",
+           ", ".join(f"{lvl} {sens[lvl]:.3f}" for lvl in sens)
+           + f", pristine/L4 {ratio:.2f}",
+           high_band=all(0.85 <= sens[lvl] <= 1.15
+                         for lvl in ("pristine", "L1")),
+           low_band=all(0.28 <= sens[lvl] <= 0.66 for lvl in ("L2", "L3")),
+           # L4 is out of the low band: its 11 % drop (criterion 1) caps it
+           # near 0.2 %/K. The paper's pristine/L4 factor of ~6 is checked.
+           ratio=5.0 <= ratio <= 7.0,
+           # |sensitivity| shrinks with the programmed resistance
+           ordered=all(a > b for a, b in zip(by_level, by_level[1:])))
 
 
 def test_c03_settling_criterion(cycle, fit):
@@ -108,31 +106,30 @@ def test_c03_settling_criterion(cycle, fit):
         for t in [310, 320, 330, 340, 350, 360, 350, 340, 330, 320, 310, 300]
     ), 3600.0)
     res = cycle(schedule=staircase, fit=fit)
-    checked = 0
+    at_hour, at_ten_minutes = [], []
     for hold in res.holds:
         in_hold = [(t, r) for t, r in zip(res.t_s, res.r_ohm)
                    if hold.t_start_s <= t <= hold.t_end_s]
         times = [t for t, _ in in_hold]
         reads = [r for _, r in in_hold]
-        assert settled(times, reads) is True
-        ten_minutes = [i for i, t in enumerate(times)
-                       if t <= times[0] + 600.0 - 1e-9]
-        assert settled(times[:len(ten_minutes)],
-                       reads[:len(ten_minutes)]) is False
-        checked += 1
-    _report(3, "settling-criterion", True,
-            f"{checked} ten-kelvin holds settled at 1 h, unsettled at 10 min")
+        at_hour.append(settled(times, reads))
+        n = sum(t <= times[0] + 600.0 - 1e-9 for t in times)
+        at_ten_minutes.append(settled(times[:n], reads[:n]))
+    passed = sum(a is True and b is False
+                 for a, b in zip(at_hour, at_ten_minutes))
+    _claim(3, "settling-criterion",
+           f"{passed} ten-kelvin holds settled at 1 h, unsettled at 10 min",
+           settled_at_1_h=all(a is True for a in at_hour),
+           unsettled_at_10_min=all(b is False for b in at_ten_minutes))
 
 
 def test_c04_revisit_repeatability(cycle, fit, revisit):
     with_drift = [revisit(cycle(seed, fit=fit, drift_scale=0.05), 300.0)
                   for seed in range(5)]
     without = revisit(cycle(0, fit=fit), 300.0)
-    ok = max(with_drift) <= 0.05 and without <= 1e-9
-    _report(4, "revisit-repeatability", ok,
-            f"drift on max {max(with_drift):.4f}, drift off {without:.2e}")
-    assert max(with_drift) <= 0.05
-    assert without <= 1e-9
+    _claim(4, "revisit-repeatability",
+           f"drift on max {max(with_drift):.4f}, drift off {without:.2e}",
+           drift_on=max(with_drift) <= 0.05, drift_off=without <= 1e-9)
 
 
 def test_c05_learning_rate_invariance(hsr_args, state_at, fit, params):
@@ -149,13 +146,10 @@ def test_c05_learning_rate_invariance(hsr_args, state_at, fit, params):
                 **hsr_args, "state": state_at("L1"), "fit": fit,
                 "params": params})}
     a310, a360 = grid[(1.4, 310.0)], grid[(1.4, 360.0)]
-    ok = (spread <= 0.10 and abs(a310 - 0.22) <= 0.01
-          and abs(a360 - 0.27) <= 0.01)
-    _report(5, "learning-rate-invariance", ok,
-            f"1.5 V spread {spread:.4f}, anchors {a310:.4f}/{a360:.4f}")
-    assert spread <= 0.10
-    assert a310 == pytest.approx(0.22, abs=0.01)
-    assert a360 == pytest.approx(0.27, abs=0.01)
+    _claim(5, "learning-rate-invariance",
+           f"1.5 V spread {spread:.4f}, anchors {a310:.4f}/{a360:.4f}",
+           spread=spread <= 0.10, anchor_310=abs(a310 - 0.22) <= 0.01,
+           anchor_360=abs(a360 - 0.27) <= 0.01)
 
 
 def test_c06_read_purity(fit):
@@ -165,9 +159,8 @@ def test_c06_read_purity(fit):
                            state.pulse_count, state.era)
     for k in range(10_000):
         read_resistance(state, fit, 300.0 + (k % 61))
-    ok = state == snapshot
-    _report(6, "read-purity", ok, "10^4 reads at 0.2 V, state bit-identical")
-    assert state == snapshot
+    _claim(6, "read-purity", "10^4 reads at 0.2 V, state bit-identical",
+           unchanged=state == snapshot)
 
 
 def test_c07_signature_round_trip():
@@ -189,11 +182,9 @@ def test_c07_signature_round_trip():
         abs(res.params.alpha_neg / truth.alpha_neg - 1.0),
     ]
     r2s = [res.stage1_r2_min, res.stage2_r2_pos, res.stage2_r2_neg]
-    ok = max(errs) <= 0.005 and min(r2s) > 0.999
-    _report(7, "signature-round-trip", ok,
-            f"max rel err {max(errs):.2e}, min r2 {min(r2s):.6f}")
-    assert max(errs) <= 0.005
-    assert min(r2s) > 0.999
+    _claim(7, "signature-round-trip",
+           f"max rel err {max(errs):.2e}, min r2 {min(r2s):.6f}",
+           rel_err=max(errs) <= 0.005, r2=min(r2s) > 0.999)
 
 
 def test_c08_thermometer_round_trip(fit):
@@ -215,11 +206,9 @@ def test_c08_thermometer_round_trip(fit):
             t_est = invert_temperature(r_true * math.exp(0.01 * z), fit, 3e6,
                                        guard=guard)
             worst_noisy = max(worst_noisy, abs(t_est - T))
-    ok = worst_clean <= 0.5 and worst_noisy <= 2.0
-    _report(8, "thermometer-round-trip", ok,
-            f"noise-free {worst_clean:.3f} K, 1 % noise {worst_noisy:.3f} K")
-    assert worst_clean <= 0.5
-    assert worst_noisy <= 2.0
+    _claim(8, "thermometer-round-trip",
+           f"noise-free {worst_clean:.3f} K, 1 % noise {worst_noisy:.3f} K",
+           noise_free=worst_clean <= 0.5, noisy=worst_noisy <= 2.0)
 
 
 def _step_response(build_system, table_map, load_a, load_b):
@@ -250,18 +239,14 @@ def test_c09_homeostasis_properties(build_system, table_map):
                            settle_steps=5000, measure_steps=2000)
     rates = [r for _, r in curve]
     monotone = all(b > a for a, b in zip(rates, rates[1:]))
-
     polarity = first_up > base_up and first_dn < base_dn
-    dominance = (peak_up >= 3.0 * abs(resid_up)
-                 and peak_dn >= 3.0 * abs(resid_dn))
-    ok = polarity and dominance and monotone
-    _report(9, "homeostasis-properties", ok,
-            f"polarity {polarity}, peak/residual "
-            f"{peak_up / abs(resid_up):.2f} up / "
-            f"{peak_dn / abs(resid_dn):.2f} down, monotone {monotone}")
-    assert polarity
-    assert dominance
-    assert monotone
+    _claim(9, "homeostasis-properties",
+           f"polarity {polarity}, peak/residual "
+           f"{peak_up / abs(resid_up):.2f} up / "
+           f"{peak_dn / abs(resid_dn):.2f} down, monotone {monotone}",
+           polarity=polarity, monotone=monotone,
+           dominance=(peak_up >= 3.0 * abs(resid_up)
+                      and peak_dn >= 3.0 * abs(resid_dn)))
 
 
 def test_c10_baseline_linearity(build_system):
@@ -275,30 +260,27 @@ def test_c10_baseline_linearity(build_system):
     pred = slope * loads + intercept
     r2 = 1.0 - float(np.sum((rates - pred) ** 2)
                      / np.sum((rates - rates.mean()) ** 2))
-    ok = monotone and r2 >= 0.95
-    _report(10, "baseline-linearity", ok, f"monotone {monotone}, r2 {r2:.5f}")
-    assert monotone
-    assert r2 >= 0.95
+    _claim(10, "baseline-linearity", f"monotone {monotone}, r2 {r2:.5f}",
+           monotone=monotone, r2=r2 >= 0.95)
 
 
 def test_c11_determinism_all_subcommands(tmp_path, capsys):
-    checked = 0
+    codes, same = [], []
     for command, extra in RUNS.items():
-        first = tmp_path / f"{command}_a"
-        assert cli_dispatch([command, "--out", str(first), "--seed", "17",
-                             *extra]) == 0
-        second = tmp_path / f"{command}_b"
-        assert cli_dispatch([command, "--config",
-                             str(first / "manifest.txt"),
-                             "--out", str(second)]) == 0
-        for csv_a in sorted(first.glob("*.csv")):
-            csv_b = second / csv_a.name
-            assert csv_a.read_bytes() == csv_b.read_bytes(), (
-                f"{command}/{csv_a.name} differs between identical runs")
-            checked += 1
+        first, second = tmp_path / f"{command}_a", tmp_path / f"{command}_b"
+        codes.append(cli_dispatch([command, "--out", str(first),
+                                   "--seed", "17", *extra]))
+        codes.append(cli_dispatch([command, "--config",
+                                   str(first / "manifest.txt"),
+                                   "--out", str(second)]))
+        for csv in sorted(first.glob("*.csv")):
+            rerun = second / csv.name
+            same.append(rerun.is_file()
+                        and csv.read_bytes() == rerun.read_bytes())
     capsys.readouterr()
-    _report(11, "determinism", True,
-            f"{checked} CSV files byte-identical across manifest reruns")
+    _claim(11, "determinism",
+           f"{sum(same)} CSV files byte-identical across manifest reruns",
+           runs_exit_0=codes == [0] * len(codes), reruns_identical=all(same))
 
 
 def test_c12_differential_response_shrinks_with_temperature(fit,
@@ -308,7 +290,6 @@ def test_c12_differential_response_shrinks_with_temperature(fit,
         d310 = shift_response(310.0, phi, 1e-4)
         d360 = shift_response(360.0, phi, 1e-4)
         shrinking.append(abs(d310) > abs(d360))
-    ok = all(shrinking)
-    _report(12, "differential-response", ok,
-            f"all {len(shrinking)} calibrated barriers shrink 310->360 K")
-    assert ok
+    _claim(12, "differential-response",
+           f"all {len(shrinking)} calibrated barriers shrink 310->360 K",
+           shrinking=all(shrinking))

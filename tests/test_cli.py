@@ -915,8 +915,7 @@ def _definitions(tree):
 
 
 def _uses(node):
-    """Each name that node reads, imports or spells as a string (getattr
-    reads a name from a string)."""
+    """Each name that node reads or imports."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             yield n.id
@@ -924,8 +923,6 @@ def _uses(node):
             yield n.attr
         elif isinstance(n, ast.alias):
             yield n.name
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            yield n.value
 
 
 def test_every_src_definition_is_named_elsewhere_in_src():
@@ -940,6 +937,14 @@ def test_every_src_definition_is_named_elsewhere_in_src():
             if uses[name] == Counter(_uses(node))[name]:   # only itself
                 unreferenced.add(qual)
     assert unreferenced == set(_UNREFERENCED)
+
+
+def test_readme_command_block_names_every_experiment_in_order():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    fenced = readme.read_text(encoding="utf-8").split("```")[1::2]
+    [block] = [text for text in fenced if "\nmemthermo " in text]
+    assert tuple(line.split()[1] for line in block.splitlines()
+                 if line.startswith("memthermo ")) == EXPERIMENTS
 
 
 def _python(code, *argv, block_numpy=False, timeout=None):

@@ -45,8 +45,8 @@ from memthermo.device import (
     train_switch_fraction,
 )
 from memthermo.neuron import N_SYNAPSES, FeedforwardMap, NeuronSystem
-from memthermo.thermal import (TemperatureSchedule, ThermalPlant,
-                               scrambled_schedule)
+from memthermo.thermal import (PRESET_TAU_DEV_S, TemperatureSchedule,
+                               ThermalPlant, scrambled_schedule)
 
 # ---------------------------------------------------------------------------
 # thermionic conduction law
@@ -845,10 +845,10 @@ def test_configured_switching_params_check_what_the_constructor_checks(edge):
     st.tuples(st.sampled_from(("t_set", "t_air", "t_dev")),
               _past((T_MIN, T_MAX))),
     st.tuples(st.sampled_from(("tau_air_s", "tau_dev_s")), _past((0.0,)))),
-    st.sampled_from(("packaged", "on_wafer")))
+    st.sampled_from(tuple(PRESET_TAU_DEV_S)))
 def test_plant_copies_check_what_the_constructor_checks(edge, preset):
     name, value = edge
-    base = getattr(ThermalPlant, preset)()
+    base = ThermalPlant(tau_dev_s=PRESET_TAU_DEV_S[preset])
     values = dict(zip(("t_set", "t_air", "t_dev", "tau_air_s", "tau_dev_s"),
                       _fields(base)), **{name: value})
     direct = _fields(_built(ThermalPlant, **values))

@@ -33,8 +33,8 @@ from memthermo.experiments import (
     run_thermal_cycling,
 )
 from memthermo.neuron import N_SYNAPSES, NeuronSystem
-from memthermo.thermal import (GRID_TEMPS, ProtocolError, TemperatureSchedule,
-                               ThermalPlant, hold_steps)
+from memthermo.thermal import (GRID_TEMPS, PRESET_TAU_DEV_S, ProtocolError,
+                               TemperatureSchedule, ThermalPlant, hold_steps)
 
 
 def test_trace_record_fields_are_the_row_schemas():
@@ -117,8 +117,8 @@ def test_level_sweep_ordering_and_ratio(level_runs, fit):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32), drift_scale=st.floats(0.0, 0.1),
-       plant=st.sampled_from([ThermalPlant.packaged(),
-                              ThermalPlant.on_wafer()]),
+       plant=st.sampled_from([ThermalPlant(tau_dev_s=tau)
+                              for tau in PRESET_TAU_DEV_S.values()]),
        levels=st.lists(st.sampled_from(LEVEL_ORDER), min_size=1,
                        unique=True))
 def test_one_cycle_run_reads_each_state_as_its_own_run(

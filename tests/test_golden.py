@@ -4,13 +4,13 @@ import pytest
 
 from golden import (DEFAULT_CONFIG_SHA, GOLDEN, INTERIOR_GOLDEN,
                     INTERIOR_RUNS, MAP_GOLDEN, MAP_RUNS, VARIANT_GOLDEN,
-                    VARIANT_RUNS, csv_hashes, sha)
+                    VARIANT_RUNS, csv_hashes, seed_golden, sha)
 from memthermo.config import resolve_config
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_csv_outputs_match_golden(seed, tmp_path, capsys):
-    assert csv_hashes(tmp_path, seed) == GOLDEN[seed]
+    assert csv_hashes(tmp_path, seed) == seed_golden(seed)
 
 
 def test_interior_outputs_match_golden(tmp_path, capsys):

@@ -373,7 +373,7 @@ def test_system_requires_exactly_25_synapses(cfg, fit):
     with pytest.raises(ValueError, match="25"):
         NeuronSystem(
             synapses=[DeviceState(r_persistent=1e6)] * 10,
-            fit=fit, plant=ThermalPlant.packaged(), theta=cfg["neuron.theta"],
+            fit=fit, plant=ThermalPlant(), theta=cfg["neuron.theta"],
             dt_s=cfg["neuron.dt_s"], window=cfg["neuron.window"],
         )
 

@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from memthermo.constants import T_MAX, T_MIN
 from memthermo.thermal import (
+    PRESET_TAU_DEV_S,
     SETTLE_THRESHOLD,
     SETTLE_WINDOW_S,
     TemperatureSchedule,
@@ -54,7 +55,7 @@ def test_plant_fixed_point(tau_air, tau_dev, equal, dt, t, steps):
 
 
 def test_plant_long_step_reaches_setpoint():
-    plant = ThermalPlant.packaged()
+    plant = ThermalPlant()
     plant.set_setpoint(360.0)
     plant.step(1e9)
     assert plant.t_air == pytest.approx(360.0, abs=1e-9)
@@ -62,12 +63,12 @@ def test_plant_long_step_reaches_setpoint():
 
 
 def test_plant_ten_kelvin_step_settles_within_tenth_kelvin():
-    plant = ThermalPlant.packaged()
+    plant = ThermalPlant()
     plant.set_setpoint(310.0)
     plant.step(3600.0)
     assert abs(plant.t_dev - 310.0) < 0.1
     # cross-check against an independent ODE integration
-    fresh = ThermalPlant.packaged()
+    fresh = ThermalPlant()
     fresh.set_setpoint(310.0)
     air, dev = _ode_oracle(fresh, 3600.0)
     assert plant.t_air == pytest.approx(air, abs=1e-8)
@@ -123,13 +124,13 @@ def _step_uncached(plant: ThermalPlant, dt_s: float):
     plant.t_dev = plant.t_set + dev
 
 
-_TAUS = st.one_of(st.sampled_from([60.0, 180.0, 720.0]),
-                  st.floats(1.0, 1e4))
+_OP_TAUS = st.one_of(st.sampled_from([60.0, 180.0, 720.0]),
+                     st.floats(1.0, 1e4))
 _PLANT_OPS = st.lists(st.one_of(
     st.tuples(st.just("step"), st.one_of(st.sampled_from([0.1, 6.0, 30.0]),
                                          st.floats(1e-3, 1e4))),
-    st.tuples(st.just("tau_air_s"), _TAUS),
-    st.tuples(st.just("tau_dev_s"), _TAUS),
+    st.tuples(st.just("tau_air_s"), _OP_TAUS),
+    st.tuples(st.just("tau_dev_s"), _OP_TAUS),
     st.tuples(st.just("t_set"), st.sampled_from([300.0, 330.0, 360.0])),
 ), min_size=1, max_size=40)
 
@@ -139,7 +140,7 @@ _PLANT_OPS = st.lists(st.one_of(
 def test_plant_step_reuses_factors_bit_for_bit(ops):
     # steps of mixed dt between edits of the time constants (equal ones
     # included) track the uncached form with ==
-    plant, oracle = ThermalPlant.packaged(), ThermalPlant.packaged()
+    plant, oracle = ThermalPlant(), ThermalPlant()
     for op, value in ops:
         if op == "step":
             plant.step(value)
@@ -158,7 +159,7 @@ def test_plant_step_reuses_factors_bit_for_bit(ops):
     dt=st.floats(min_value=5.0, max_value=600.0),
 )
 def test_plant_never_overshoots_setpoint_envelope(setpoints, dt):
-    plant = ThermalPlant.packaged()
+    plant = ThermalPlant()
     lo, hi = plant.t_dev, plant.t_dev
     for t_set in setpoints:
         plant.set_setpoint(t_set)
@@ -182,15 +183,14 @@ def test_plant_validates_setpoint_and_constants():
         ThermalPlant(t_air=299.0)
     with pytest.raises(ValueError, match=r"must lie in \[300.0, 360.0\] K"):
         ThermalPlant(t_dev=361.0)
-    plant = ThermalPlant.packaged()
+    plant = ThermalPlant()
     with pytest.raises(ValueError):
         plant.set_setpoint(365.0)
 
 
 def test_on_wafer_preset_is_faster():
-    packaged = ThermalPlant.packaged()
-    wafer = ThermalPlant.on_wafer()
-    assert wafer.tau_dev_s == 60.0 < packaged.tau_dev_s == 720.0
+    assert PRESET_TAU_DEV_S["on_wafer"] == 60.0 < \
+        PRESET_TAU_DEV_S["packaged"] == ThermalPlant().tau_dev_s == 720.0
 
 
 # ---------------------------------------------------------------------------
