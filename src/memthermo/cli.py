@@ -141,9 +141,7 @@ def _cmd_nullcline(cfg: RunConfig):
     rows = run_nullcline_sweep(**_hsr_args(cfg))
     curve = fit_switch_curve(rows)
     yield "nullcline", "nullcline", rows
-    yield "nullcline_fit", "nullcline_fit", [
-        (curve.g_14_310, curve.g_14_360, curve.beta, curve.r2_voltage_min,
-         curve.r2_temperature)]
+    yield "nullcline_fit", "nullcline_fit", [curve]   # its fields, in order
 
 
 def _cmd_thermometer(cfg: RunConfig):
@@ -289,10 +287,11 @@ def cli_dispatch(argv) -> int:
                    else f"{where}: {exc}")
         print(f"error: protocol: {problem}", file=sys.stderr)
         return 2
-    except (ProtocolError, ResetError, ValueError) as exc:
+    except (ProtocolError, ResetError, ValueError, ImportError) as exc:
         # the configuration passed every check before the handler ran, so
         # a ValueError from the model (CalibrationError, ExtractionError,
-        # ThermometerRangeError or a bare one) is a failure of the run
+        # ThermometerRangeError or a bare one) is a failure of the run, as
+        # is an ImportError: no numpy for the signature fit, which needs it
         print(f"error: protocol: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -386,8 +386,8 @@ def resolve_config(
 
     pinned = {}
     if config_path:   # a missing file is an OSError, as for the input files
-        with open(config_path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(config_path, "rb") as fh:   # not UTF-8: a config mistake
+            text = checked(config_path, fh.read().decode, "utf-8")
         apply(parse_config_text(text, source=config_path), config_path)
         from .inputs import pins   # a manifest pins its input files
         pinned = pins(text, config_path)

@@ -71,6 +71,15 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _same_slots(self, other):
+    """self == other for value types: the same class, and equal values in
+    every slot (as tuples compare: by identity, then ==)."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return ([getattr(self, name) for name in self.__slots__]
+            == [getattr(other, name) for name in self.__slots__])
+
+
 def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
     """Root of f in the sign-changing bracket [a, b] by Brent's method.
 
@@ -396,11 +405,7 @@ class IVCurveSet:
                 raise ValueError(f"T={T!r} K: need T in [{T_MIN}, {T_MAX}] K "
                                  "and finite v and i")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.temperatures, self.voltages, self.currents) == (
-            other.temperatures, other.voltages, other.currents)
+    __eq__ = _same_slots
 
     @classmethod
     def from_rows(cls, rows) -> "IVCurveSet":
@@ -468,12 +473,7 @@ class DeviceState:
         if self.r_persistent + self.r_volatile_excess <= 0:
             raise ValueError("effective resistance must be > 0")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.r_persistent, self.r_volatile_excess, self.pulse_count,
-                 self.era) == (other.r_persistent, other.r_volatile_excess,
-                               other.pulse_count, other.era))
+    __eq__ = _same_slots
 
     @property
     def r_eff(self) -> float:

@@ -8,9 +8,11 @@ the optional slow drift, flows from a named sub-stream.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from .constants import T_MAX, T_MIN, T_REF, V_READ
+from .csvio import SCHEMAS
 from .device import (
     DeviceState,
     IVCurveSet,
@@ -36,18 +38,11 @@ PHASE_RETENTION = "retention"
 PULSE_PERIOD_S = 0.1
 
 
-class TraceRecord(NamedTuple):
-    """One heat-stimulate-retention trace row, written as it stands: the
-    fields follow `SCHEMAS["hsr"]`, whose first six are `SCHEMAS["cycle"]`."""
-
-    t_s: float
-    t_set_K: float
-    t_air_K: float
-    t_dev_K: float
-    r_ohm: float
-    phase: str
-    pulse_index: int | None = None
-    v_V: float = V_READ
+# One heat-stimulate-retention trace row, written as it stands: its fields
+# are `SCHEMAS["hsr"]`, whose first six are `SCHEMAS["cycle"]`; a read
+# row has no pulse index and reads at V_READ.
+TraceRecord = namedtuple("TraceRecord", SCHEMAS["hsr"],
+                         defaults=(None, V_READ))
 
 
 class HoldSummary(NamedTuple):
@@ -67,17 +62,13 @@ class HoldSummary(NamedTuple):
     settled: bool
 
 
-class CycleResult(NamedTuple):
-    """One state's reads as `SCHEMAS["cycle"]` columns, and its holds. The
-    chamber columns, t_s to t_dev_K, are the same lists for every result of
-    one run_thermal_cycling call."""
+class CycleResult(namedtuple("CycleResult",
+                             (*SCHEMAS["cycle"][:5], "holds"))):
+    """One state's reads as `SCHEMAS["cycle"]` columns, and its holds
+    (HoldSummary). The chamber columns, t_s to t_dev_K, are the same lists
+    for every result of one run_thermal_cycling call."""
 
-    t_s: list[float]
-    t_set_K: list[float]
-    t_air_K: list[float]
-    t_dev_K: list[float]
-    r_ohm: list[float]
-    holds: list[HoldSummary]
+    __slots__ = ()
 
     def steady_values(self, t_set: float) -> list[float]:
         return [h.r_steady_ohm for h in self.holds if h.t_set_K == t_set]

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .constants import T_MAX, T_MIN, T_REF
 from .device import (CalibrationError, DeviceState, ThermalFit, _brentq,
-                     _interp, _ratio)
+                     _interp, _ratio, _same_slots)
 from .rng import substream
 from .thermal import ThermalPlant
 
@@ -103,10 +103,7 @@ class InputPattern:
             if not all(0 <= x <= 1 for x in _synapse_loads(load)):   # NaN too
                 raise ValueError("loads must lie in [0, 1]")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.segments == other.segments
+    __eq__ = _same_slots
 
     @property
     def total_steps(self) -> int:

@@ -14,7 +14,7 @@ import bisect
 import math
 
 from .constants import T_MAX, T_MIN, T_REF
-from .device import T_ANCHORS, V_ANCHOR
+from .device import T_ANCHORS, V_ANCHOR, _same_slots
 from .rng import substream
 
 # The protocol's 10 K setpoint grid over the chamber window, and the
@@ -150,10 +150,7 @@ class TemperatureSchedule:
         if not (self.hold_s > 0):
             raise ValueError("hold must be > 0 s")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.setpoints, self.hold_s) == (other.setpoints, other.hold_s)
+    __eq__ = _same_slots
 
 
 def scrambled_schedule(seed: int, hold_s: float) -> TemperatureSchedule:

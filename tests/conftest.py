@@ -1,5 +1,7 @@
+import functools
 import math
 
+import numpy as np
 import pytest
 
 from memthermo.cli import _hsr_args
@@ -10,7 +12,8 @@ from memthermo.device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
                               rho_temperature_factor)
 from memthermo.experiments import (run_heat_stimulate_retention,
                                    run_thermal_cycling)
-from memthermo.neuron import NeuronSystem
+from memthermo.neuron import (InputPattern, NeuronSystem, calibrate_gain,
+                              run_homeostasis)
 from memthermo.thermal import scrambled_schedule
 
 
@@ -115,3 +118,33 @@ def build_system(cfg):
             "spread_sigma": cfg["neuron.spread_sigma"],
             "seed": cfg["run.seed"], **kwargs})
     return build
+
+
+@pytest.fixture(scope="session")
+def table_map(cfg, build_system):
+    """The feedforward table `homeostasis` calibrates at default config."""
+    return calibrate_gain(cfg.floats("calibrate.loads"), build_system(),
+                          mode="table", kappa_grid=cfg.kappa_grid,
+                          gamma=cfg["neuron.gamma"]).fmap
+
+
+@pytest.fixture(scope="session")
+def step_response(build_system, table_map):
+    """(base, first_post, peak, residual) rates of a homeostasis run under
+    the table map that steps from load_a to load_b at step 6000; each
+    pair of loads runs once per session."""
+    @functools.cache
+    def response(load_a, load_b):
+        system = build_system()
+        pattern = InputPattern(segments=((6000, load_a), (6000, load_b)))
+        res = run_homeostasis(pattern, system, table_map)
+        rates, w = res.window_rates(), res.window
+        base = float(np.mean([r for k, _, r in rates
+                              if 5000 <= (k + 1) * w <= 6000]))
+        first_post = next(r for k, _, r in rates if k * w >= 6000)
+        peak = max(abs(r - base) for k, _, r in rates
+                   if 6000 <= k * w < 6000 + 10 * w)
+        tail = [r for k, _, r in rates
+                if k * w >= 6000 + 5 * system.plant.tau_dev_s / system.dt_s]
+        return base, first_post, peak, float(np.mean(tail)) - base
+    return response

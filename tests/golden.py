@@ -6,10 +6,10 @@ a change that moves one has to update the hash here and say why.
 run except signature's must say `# numpy = not imported` in it.
 
 Run as a script, with memthermo importable (`PYTHONPATH=src python
-tests/golden.py`), it checks every table and needs neither pytest nor
-numpy: it prints one line per table, names each mismatched file, and
-exits 1 on any mismatch. Where `import numpy` fails it skips signature,
-and says so.
+tests/golden.py`), it checks every table and the kernel bits, and needs
+neither pytest nor numpy: it prints one line per table, names each
+mismatched file or kernel, and exits 1 on any mismatch. Where `import
+numpy` fails it skips signature, and says so.
 """
 import contextlib
 import hashlib
@@ -19,8 +19,12 @@ import tempfile
 import traceback
 from pathlib import Path
 
+from memthermo.calibration import invert_temperature
 from memthermo.cli import cli_dispatch
 from memthermo.config import resolve_config
+from memthermo.device import DEFAULT_ANCHORS, ThermalFit, _ratio
+from memthermo.neuron import FeedforwardMap
+from memthermo.thermal import ThermalPlant
 
 # every subcommand at reduced step counts; test_c11 reruns each from its
 # manifest
@@ -257,6 +261,67 @@ VARIANT_GOLDEN = {
 DEFAULT_CONFIG_SHA = (
     "323ec31070e6c8cbfdbd3e1c8b99f8c3d0154ab0faecb6949e632798882e0770")
 
+# kernel_bits(), the same on every interpreter 3.10-3.13
+KERNELS = {
+    "phi pristine": "0x1.6e91889d9b8b1p-4",
+    "ratio pristine 310.0 K": "0x1.acd5fb642ede1p-1",
+    "ratio pristine 333.3 K": "0x1.25846171fa6bbp-1",
+    "ratio pristine 360.0 K": "0x1.8f5c28f5c28f2p-2",
+    "phi L1": "0x1.3f7c1d788276ap-4",
+    "ratio L1 310.0 K": "0x1.b307fc155282fp-1",
+    "ratio L1 333.3 K": "0x1.32d9bb3c4ef82p-1",
+    "ratio L1 360.0 K": "0x1.ae147ae147ac5p-2",
+    "phi L2": "0x1.497ead008bff2p-6",
+    "ratio L2 310.0 K": "0x1.d39e1942d80fdp-1",
+    "ratio L2 333.3 K": "0x1.7fc8e19a45456p-1",
+    "ratio L2 360.0 K": "0x1.3851eb851eb86p-1",
+    "phi L3": "-0x1.2742531c26f6cp-6",
+    "ratio L3 310.0 K": "0x1.ea67b4318575ep-1",
+    "ratio L3 333.3 K": "0x1.bcb8e4d910a38p-1",
+    "ratio L3 360.0 K": "0x1.8f5c28f5c28f6p-1",
+    "phi L4": "-0x1.3b44538facea1p-5",
+    "ratio L4 310.0 K": "0x1.f716a914fe10ep-1",
+    "ratio L4 333.3 K": "0x1.e15245bd55828p-1",
+    "ratio L4 360.0 K": "0x1.c7ae147ae145bp-1",
+    "phi_for_state 5e5": "0x1.91dbc8b8a5766p-5",
+    "plant step 1 t_air": "0x1.35360a6baffd1p+8",
+    "plant step 1 t_dev": "0x1.2c31c94e3932ap+8",
+    "plant step 2 t_air": "0x1.3d02143de7888p+8",
+    "plant step 2 t_dev": "0x1.2cba21757574dp+8",
+    "plant step 3 t_air": "0x1.439bb066aec6ap+8",
+    "plant step 3 t_dev": "0x1.2d87e68173f87p+8",
+    "neuron accumulator 5 steps": "0x1.8ffcc9caf9674p+2",
+    "invert_temperature L1 0.8": "0x1.39d53ea986d1fp+8",
+}
+
+
+def kernel_bits() -> dict[str, str]:
+    """float.hex of the kernels at fixed inputs: the read-out law and its
+    barrier root finds, the plant step, the neuron step and the
+    thermometer inversion. A CSV cell keeps 9 digits, so an ulp moved in
+    one of these can leave every hash above unchanged."""
+    fit, bits = ThermalFit(DEFAULT_ANCHORS), {}
+    for anchor, phi in zip(fit.anchors, fit.phi_of_anchor):
+        bits[f"phi {anchor.label}"] = phi.hex()
+        for T in (310.0, 333.3, 360.0):
+            bits[f"ratio {anchor.label} {T} K"] = _ratio(T, phi).hex()
+    bits["phi_for_state 5e5"] = fit.phi_for_state(5e5).hex()
+    plant = ThermalPlant()
+    plant.set_setpoint(360.0)
+    for k in range(1, 4):
+        plant.step(30.0)
+        bits[f"plant step {k} t_air"] = plant.t_air.hex()
+        bits[f"plant step {k} t_dev"] = plant.t_dev.hex()
+    system = resolve_config().system
+    drive = system.drive(0.25, FeedforwardMap(kappa=60.0))
+    for _ in range(5):
+        system.step(drive)
+    bits["neuron accumulator 5 steps"] = system.accumulator.hex()
+    r_eff = fit.anchor("L1").r_ref
+    bits["invert_temperature L1 0.8"] = invert_temperature(
+        0.8 * r_eff, fit, r_eff, guard=0.02).hex()
+    return bits
+
 
 def seed_golden(seed: int) -> dict[str, str]:
     """The hash of every file RUNS write at seed."""
@@ -320,6 +385,12 @@ def main() -> int:
             print(f"{table}: {len(golden.keys() - set(wrong))} of "
                   f"{len(golden)} hashes matched")
             bad += [f"{table}: {file}" for file in wrong]
+    bits = kernel_bits()
+    wrong = sorted(name for name in KERNELS.keys() | bits.keys()
+                   if KERNELS.get(name) != bits.get(name))
+    print(f"kernels: {len(KERNELS.keys() - set(wrong))} of {len(KERNELS)} "
+          "matched")
+    bad += [f"kernel: {name}" for name in wrong]
     matched = sha(resolve_config().serialize().encode()) == DEFAULT_CONFIG_SHA
     print(f"default config: {int(matched)} of 1 hashes matched")
     if not matched:

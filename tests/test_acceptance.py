@@ -35,13 +35,7 @@ from memthermo.device import (
     thermionic_current,
 )
 from memthermo.experiments import run_nullcline_sweep
-from memthermo.neuron import (
-    FeedforwardMap,
-    InputPattern,
-    baseline_curve,
-    calibrate_gain,
-    run_homeostasis,
-)
+from memthermo.neuron import FeedforwardMap, baseline_curve
 from memthermo.rng import substream
 from memthermo.thermal import TemperatureSchedule, settled
 
@@ -64,13 +58,6 @@ def level_sweep(level_runs, fit):
     return SimpleNamespace(
         drops={lvl: res.total_drop() for lvl, res in runs.items()},
         sensitivities={lvl: res.sensitivity() for lvl, res in runs.items()})
-
-
-@pytest.fixture(scope="module")
-def table_map(cfg, build_system):
-    return calibrate_gain(cfg.floats("calibrate.loads"), build_system(),
-                          mode="table", kappa_grid=cfg.kappa_grid,
-                          gamma=cfg["neuron.gamma"]).fmap
 
 
 def test_c01_static_sensitivity_regression(level_sweep):
@@ -211,28 +198,9 @@ def test_c08_thermometer_round_trip(fit):
            noise_free=worst_clean <= 0.5, noisy=worst_noisy <= 2.0)
 
 
-def _step_response(build_system, table_map, load_a, load_b):
-    system = build_system()
-    pattern = InputPattern(segments=((6000, load_a), (6000, load_b)))
-    res = run_homeostasis(pattern, system, table_map)
-    rates = res.window_rates()
-    w = res.window
-    base = float(np.mean([r for k, _, r in rates
-                          if 5000 <= (k + 1) * w <= 6000]))
-    first_post = next(r for k, _, r in rates if k * w >= 6000)
-    peak = max(abs(r - base) for k, _, r in rates
-               if 6000 <= k * w < 6000 + 10 * w)
-    tail = [r for k, _, r in rates
-            if k * w >= 6000 + 5 * system.plant.tau_dev_s / system.dt_s]
-    residual = float(np.mean(tail)) - base
-    return base, first_post, peak, residual
-
-
-def test_c09_homeostasis_properties(build_system, table_map):
-    base_up, first_up, peak_up, resid_up = _step_response(
-        build_system, table_map, 0.20, 0.30)
-    base_dn, first_dn, peak_dn, resid_dn = _step_response(
-        build_system, table_map, 0.30, 0.20)
+def test_c09_homeostasis_properties(build_system, table_map, step_response):
+    base_up, first_up, peak_up, resid_up = step_response(0.20, 0.30)
+    base_dn, first_dn, peak_dn, resid_dn = step_response(0.30, 0.20)
 
     curve = baseline_curve((0.15, 0.20, 0.25, 0.30, 0.35, 0.40),
                            build_system(), table_map,

@@ -515,14 +515,22 @@ def test_non_finite_float_fails_as_config_error_on_one_line(
                    f"cycle.drift_scale must be in [0, 0.1], got {float(v)!r}",
                    id=f"drift-{v}")
       for cmd, v in (("thermometer", "1"), ("cycle", "1e308"))),
+    # once exit 2, as a failed run: "error: protocol: 'utf-8' codec ..."
+    pytest.param(["cycle", "--config", "not-utf8.cfg"],
+                 "not-utf8.cfg: 'utf-8' codec can't decode byte 0xff in "
+                 "position 0: invalid start byte", id="config-not-utf8"),
 ])
 def test_config_mistake_fails_as_config_error_on_one_line(
-        tmp_path, capsys, argv, reason):
-    # the default --out comes first, so a case's own --out beats it
-    code = _run("--out", str(tmp_path), *argv)
+        tmp_path, capsys, monkeypatch, argv, reason):
+    # the default --out comes first, so a case's own --out beats it; a
+    # mistake makes no output directory
+    monkeypatch.chdir(tmp_path)
+    Path("not-utf8.cfg").write_bytes(b"\xff")
+    code = _run("--out", "out", *argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: config: {reason}\n"
+    assert not Path("out").exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -1171,6 +1179,16 @@ def test_golden_runner_passes_without_pytest_or_numpy():
                   block_numpy=True)
     assert (run.returncode, run.stderr) == (0, ""), run.stdout
     assert "signature skipped: numpy is not importable\n" in run.stdout
+
+
+def test_signature_without_numpy_fails_on_one_line(tmp_path):
+    # once a ModuleNotFoundError traceback after iv.csv, and exit 1, as if
+    # the configuration were wrong
+    run = _cli_process("signature", "--out", str(tmp_path), block_numpy=True)
+    assert (run.returncode, run.stderr.count("\n")) == (2, 1)
+    assert run.stderr.startswith("error: protocol: ")
+    assert "numpy" in run.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["iv.csv"]
 
 
 # runs that fit no signature: every command but signature at default

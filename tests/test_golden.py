@@ -3,8 +3,9 @@ included, as the test process has numpy."""
 import pytest
 
 from golden import (DEFAULT_CONFIG_SHA, GOLDEN, INTERIOR_GOLDEN,
-                    INTERIOR_RUNS, MAP_GOLDEN, MAP_RUNS, VARIANT_GOLDEN,
-                    VARIANT_RUNS, csv_hashes, seed_golden, sha)
+                    INTERIOR_RUNS, KERNELS, MAP_GOLDEN, MAP_RUNS,
+                    VARIANT_GOLDEN, VARIANT_RUNS, csv_hashes, kernel_bits,
+                    seed_golden, sha)
 from memthermo.config import resolve_config
 
 
@@ -23,6 +24,10 @@ def test_map_outputs_match_golden(tmp_path, capsys):
 
 def test_variant_outputs_match_golden(tmp_path, capsys):
     assert csv_hashes(tmp_path, 0, VARIANT_RUNS) == VARIANT_GOLDEN
+
+
+def test_kernel_bits_match_golden():
+    assert kernel_bits() == KERNELS
 
 
 def test_default_config_serialization_matches_golden():

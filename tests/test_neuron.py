@@ -205,11 +205,6 @@ def test_settled_rate_fixed_point_matches_simulation(build_system, calibrate):
 # homeostasis runs
 
 
-@pytest.fixture(scope="module")
-def table_map(build_system, calibrate):
-    return calibrate(build_system(), "table").fmap
-
-
 def test_negative_feedback_sign(build_system):
     cold = FeedforwardMap(mode="fixed", t_fixed=320.0)
     hot = FeedforwardMap(mode="fixed", t_fixed=350.0)
@@ -226,33 +221,15 @@ def test_constant_pattern_rate_constant_after_settling(build_system,
     assert max(rates) - min(rates) <= 1.0 / system.window + 1e-12
 
 
-def _step_response(build_system, table_map, load_a, load_b):
-    system = build_system()
-    pattern = InputPattern(segments=((6000, load_a), (6000, load_b)))
-    res = run_homeostasis(pattern, system, table_map)
-    rates = res.window_rates()
-    w = res.window
-    pre = [r for k, _, r in rates if 5000 <= (k + 1) * w <= 6000]
-    base = float(np.mean(pre))
-    first_post = next(r for k, _, r in rates if k * w >= 6000)
-    post_peak = max(abs(r - base) for k, _, r in rates
-                    if 6000 <= k * w < 6000 + 10 * w)
-    tail = [r for k, _, r in rates if k * w >= 6000 + 5 * 720]
-    residual = float(np.mean(tail)) - base
-    return base, first_post, post_peak, residual
-
-
-def test_step_up_polarity_and_transient_dominance(build_system, table_map):
-    base, first_post, peak, residual = _step_response(
-        build_system, table_map, 0.20, 0.30)
+def test_step_up_polarity_and_transient_dominance(step_response):
+    base, first_post, peak, residual = step_response(0.20, 0.30)
     assert first_post > base          # polarity matches the input change
     assert residual > 0               # small distinct baseline shift
     assert peak >= 3.0 * abs(residual)
 
 
-def test_step_down_polarity(build_system, table_map):
-    base, first_post, peak, residual = _step_response(
-        build_system, table_map, 0.30, 0.20)
+def test_step_down_polarity(step_response):
+    base, first_post, peak, residual = step_response(0.30, 0.20)
     assert first_post < base
     assert residual < 0
     assert peak >= 3.0 * abs(residual)
