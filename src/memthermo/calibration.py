@@ -13,15 +13,15 @@ Three fitting pipelines:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .constants import K_B_EV, T_MAX, T_MIN, T_REF
+from .csvio import SCHEMAS
 from .device import (
     T_ANCHORS,
     V_ANCHOR,
     IVCurveSet,
     ThermalFit,
-    ThermionicParams,
     _brentq,
     _ratio,
 )
@@ -67,27 +67,13 @@ def _linear_fit(x, y) -> tuple[float, float, float]:
         d * d for d in (math.ldexp(d, e) for d in dy))
 
 
-class ThermionicExtraction(NamedTuple):
-    """Extraction output with per-stage diagnostics.
-
-    `params` is populated only when the fitted values are physical
-    (A > 0, phi_b >= 0, alpha >= 0); otherwise the raw fitted numbers and
-    the diagnostics document the misfit instead of silently returning a
-    parameter set. `intercept_spread` is the spread of the per-voltage
-    stage-1 intercepts, which share a single ln(A) under the thermionic
-    law and diverge under any other conduction mechanism.
-    """
-
-    params: ThermionicParams | None
-    a_prefactor: float
-    phi_b_pos: float
-    phi_b_neg: float
-    alpha_pos: float
-    alpha_neg: float
-    stage1_r2_min: float
-    stage2_r2_pos: float
-    stage2_r2_neg: float
-    intercept_spread: float
+# One signature.csv row of extract_thermionic per polarity: its fields
+# are `SCHEMAS["signature"]`. The fitted numbers stand whether or not they
+# are physical, so the diagnostics document a misfit. `intercept_spread`
+# is the spread of the per-voltage stage-1 intercepts of both polarities,
+# which share a single ln(A) under the thermionic law and diverge under
+# any other conduction mechanism.
+SignatureRow = namedtuple("SignatureRow", SCHEMAS["signature"])
 
 
 def _stage1(ivs: IVCurveSet, polarity: int):
@@ -127,8 +113,9 @@ def _stage1(ivs: IVCurveSet, polarity: int):
             intercepts.tolist(), r2s)
 
 
-def extract_thermionic(ivs: IVCurveSet) -> ThermionicExtraction:
-    """Recover (A, phi_b, alpha_pos, alpha_neg) from non-switching IVs.
+def extract_thermionic(ivs: IVCurveSet) -> list[SignatureRow]:
+    """Recover (A, phi_b, alpha) per polarity from non-switching IVs: the
+    "pos" then the "neg" SignatureRow.
 
     Stage 1 fits ln(|I|/T^2) against 1/T at each voltage: slope
     m(v) = -(phi_b - alpha*sqrt(v))/kB, shared intercept ln(A). Stage 2
@@ -136,7 +123,7 @@ def extract_thermionic(ivs: IVCurveSet) -> ThermionicExtraction:
     -alpha.
     """
     np = numpy()
-    results = {}
+    stage2 = []
     intercept_all = []
     stage1_r2 = []
     # an overflow in the numpy arithmetic fails the run, not just warns
@@ -145,33 +132,16 @@ def extract_thermionic(ivs: IVCurveSet) -> ThermionicExtraction:
             voltages, slopes, intercepts, r2s = _stage1(ivs, polarity)
             slope2, phi_b, r2_2 = _linear_fit(
                 map(math.sqrt, voltages), [-K_B_EV * m for m in slopes])
-            results[polarity] = (phi_b, -slope2, r2_2)
+            stage2.append((phi_b, -slope2, r2_2))
             intercept_all.extend(intercepts)
             stage1_r2.extend(r2s)
         a = math.exp(float(np.mean(intercept_all)))
         spread = float(np.ptp(intercept_all))
-    phi_pos, alpha_pos, r2_pos = results[+1]
-    phi_neg, alpha_neg, r2_neg = results[-1]
-    phi_b = 0.5 * (phi_pos + phi_neg)
-
-    params = None
-    if a > 0 and phi_b >= 0 and alpha_pos >= 0 and alpha_neg >= 0:
-        params = ThermionicParams(
-            a_prefactor=a, phi_b=phi_b,
-            alpha_pos=alpha_pos, alpha_neg=alpha_neg,
-        )
-    return ThermionicExtraction(
-        params=params,
-        a_prefactor=a,
-        phi_b_pos=phi_pos,
-        phi_b_neg=phi_neg,
-        alpha_pos=alpha_pos,
-        alpha_neg=alpha_neg,
-        stage1_r2_min=min(stage1_r2),
-        stage2_r2_pos=r2_pos,
-        stage2_r2_neg=r2_neg,
-        intercept_spread=spread,
-    )
+    return [SignatureRow(polarity=name, a_per_K2=a, phi_b_eV=phi_b,
+                         alpha_eV_per_sqrtV=alpha,
+                         r2_stage1_min=min(stage1_r2), r2_stage2=r2,
+                         intercept_spread=spread)
+            for name, (phi_b, alpha, r2) in zip(("pos", "neg"), stage2)]
 
 
 def sensitivity_percent_per_K(temps, resistances) -> float:
@@ -238,14 +208,9 @@ def invert_temperature(
     )
 
 
-class SwitchCurveFit(NamedTuple):
-    """Recovered train-fraction parameters plus regression diagnostics."""
-
-    g_14_310: float
-    g_14_360: float
-    beta: float
-    r2_voltage_min: float
-    r2_temperature: float
+# Recovered train-fraction parameters plus regression diagnostics: the
+# nullcline_fit row, its fields `SCHEMAS["nullcline_fit"]`.
+SwitchCurveFit = namedtuple("SwitchCurveFit", SCHEMAS["nullcline_fit"])
 
 
 def fit_switch_curve(grid) -> SwitchCurveFit:
@@ -290,7 +255,7 @@ def fit_switch_curve(grid) -> SwitchCurveFit:
     return SwitchCurveFit(
         g_14_310=t_intercept + t_slope * t_lo,
         g_14_360=t_intercept + t_slope * t_hi,
-        beta=math.fsum(slopes) / len(slopes),
+        beta_per_V=math.fsum(slopes) / len(slopes),
         r2_voltage_min=min(r2s),
         r2_temperature=r2_t,
     )

@@ -65,9 +65,8 @@ def _cmd_cycle(cfg: RunConfig):
     from .experiments import PHASE_READ
     [res] = _cycle(cfg, [cfg.device])
     yield "cycle", "cycle", zip(*res[:5], repeat(PHASE_READ))
-    yield "cycle_holds", "cycle_holds", (
-        (h.index, h.t_set_K, h.r_steady_ohm, h.r_first_ohm, h.r_last_ohm,
-         h.settled) for h in res.holds)
+    # each hold's leading fields are its row; t_end_s is not written
+    yield "cycle_holds", "cycle_holds", (hold[:-1] for hold in res.holds)
 
 
 def _cmd_levels(cfg: RunConfig):
@@ -101,12 +100,7 @@ def _cmd_signature(cfg: RunConfig):
     ivs = cfg.ivs
     if ivs is None:   # no input file: sweep, and write the iv table too
         ivs = yield from _cmd_iv(cfg)
-    fitres = extract_thermionic(ivs)
-    yield "signature", "signature", [
-        ("pos", fitres.a_prefactor, fitres.phi_b_pos, fitres.alpha_pos,
-         fitres.stage1_r2_min, fitres.stage2_r2_pos, fitres.intercept_spread),
-        ("neg", fitres.a_prefactor, fitres.phi_b_neg, fitres.alpha_neg,
-         fitres.stage1_r2_min, fitres.stage2_r2_neg, fitres.intercept_spread)]
+    yield "signature", "signature", extract_thermionic(ivs)
 
 
 def _hsr_args(cfg: RunConfig) -> dict:
@@ -126,13 +120,11 @@ def _hsr_args(cfg: RunConfig) -> dict:
 
 def _cmd_hsr(cfg: RunConfig):
     from .experiments import run_heat_stimulate_retention
-    t_test, v_prog = cfg["hsr.t_test_k"], cfg["hsr.v_prog_v"]
-    res = run_heat_stimulate_retention(t_test=t_test, v_prog=v_prog,
+    res = run_heat_stimulate_retention(t_test=cfg["hsr.t_test_k"],
+                                       v_prog=cfg["hsr.v_prog_v"],
                                        **_hsr_args(cfg))
     yield "hsr", "hsr", res.records
-    yield "hsr_summary", "hsr_summary", [
-        (t_test, v_prog, res.frac_state, res.frac_at_t, res.frac_vs_300,
-         res.recovered_frac, res.reset_pulses)]
+    yield "hsr_summary", "hsr_summary", [res.summary]
 
 
 def _cmd_nullcline(cfg: RunConfig):
@@ -141,7 +133,7 @@ def _cmd_nullcline(cfg: RunConfig):
     rows = run_nullcline_sweep(**_hsr_args(cfg))
     curve = fit_switch_curve(rows)
     yield "nullcline", "nullcline", rows
-    yield "nullcline_fit", "nullcline_fit", [curve]   # its fields, in order
+    yield "nullcline_fit", "nullcline_fit", [curve]
 
 
 def _cmd_thermometer(cfg: RunConfig):
@@ -199,9 +191,8 @@ def _cmd_calibrate(cfg: RunConfig):
         cfg.floats("calibrate.loads"), cfg.system, mode=cfg["calibrate.mode"],
         gamma=cfg["neuron.gamma"], kappa_grid=cfg.kappa_grid,
     )
-    yield "calibrate_gain", "calibrate_gain", [
-        (cal.mode, cal.kappa, cal.spread_uncompensated,
-         cal.spread_calibrated)]
+    # its leading fields are the row; the map and the rates are not written
+    yield "calibrate_gain", "calibrate_gain", [cal[:4]]
     yield "calibrate_barriers", "calibrate_barriers", (
         (a.label, a.r_ref, a.total_drop, phi)
         for a, phi in zip(cfg.fit.anchors, cfg.fit.phi_of_anchor))

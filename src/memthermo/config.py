@@ -97,8 +97,7 @@ def distinct(check):
 
 class _Key(NamedTuple):
     name: str
-    type: type
-    default: object
+    default: object   # its type is the key's type: int, float or str
     help: str
     check: object = None   # value -> None, or the text after "must be"
 
@@ -115,9 +114,9 @@ def _fit_keys(label: str) -> tuple[str, str]:
 def _fit_entries():
     for a in DEFAULT_ANCHORS:
         r_key, drop_key = _fit_keys(a.label)
-        yield _k(r_key, float, a.r_ref, f"{a.label} anchor resistance",
+        yield _k(r_key, a.r_ref, f"{a.label} anchor resistance",
                  within(R_FLOOR, R_CEILING))
-        yield _k(drop_key, float, a.total_drop, f"{a.label} 300->360 K drop")
+        yield _k(drop_key, a.total_drop, f"{a.label} 300->360 K drop")
 
 
 # SwitchingParams fields whose config key carries a unit suffix
@@ -129,110 +128,101 @@ def _switching_key(field: str) -> str:
 
 
 REGISTRY: dict[str, _Key] = {k.name: k for k in [
-    _k("run.experiment", str, "", "subcommand that produced the run"),
-    _k("run.seed", int, 0, "seed of every named rng sub-stream", nonneg),
-    _k("run.out_dir", str, "out", "output directory",
-       _rule(bool, "non-empty")),
+    _k("run.experiment", "", "subcommand that produced the run"),
+    _k("run.seed", 0, "seed of every named rng sub-stream", nonneg),
+    _k("run.out_dir", "out", "output directory", _rule(bool, "non-empty")),
 
-    _k("device.level", str, "pristine", "resistive level preset",
+    _k("device.level", "pristine", "resistive level preset",
        choice(*LEVEL_ORDER)),
-    _k("device.r_ohm", float, 0.0, "explicit 300 K resistance, read by "
+    _k("device.r_ohm", 0.0, "explicit 300 K resistance, read by "
        "every command but levels; 0 uses the level preset",
        _rule(lambda v: v == 0 or R_FLOOR <= v <= R_CEILING,
              f"0 or in [{R_FLOOR}, {R_CEILING}]")),
 
     *_fit_entries(),
 
-    _k("plant.preset", str, "packaged", "thermal plant preset",
+    _k("plant.preset", "packaged", "thermal plant preset",
        choice(*PRESET_TAU_DEV_S)),
-    _k("plant.tau_air_s", float, ThermalPlant().tau_air_s,
+    _k("plant.tau_air_s", ThermalPlant().tau_air_s,
        "chamber air time constant"),
-    _k("plant.tau_dev_s", float, 0.0, "device time constant; 0 uses the "
-       "preset's"),
+    _k("plant.tau_dev_s", 0.0, "device time constant; 0 uses the preset's"),
 
-    *(_k(_switching_key(name), float, getattr(SwitchingParams(), name),
+    *(_k(_switching_key(name), getattr(SwitchingParams(), name),
          f"SwitchingParams.{name}")
       for name in SwitchingParams.__slots__),
 
-    _k("schedule.hold_s", float, 3600.0, "hold per setpoint", positive),
-    _k("schedule.read_period_s", float, 6.0, "read cadence during holds",
-       positive),
-    _k("schedule.setpoints", str, "", "explicit comma-separated setpoints "
+    _k("schedule.hold_s", 3600.0, "hold per setpoint", positive),
+    _k("schedule.read_period_s", 6.0, "read cadence during holds", positive),
+    _k("schedule.setpoints", "", "explicit comma-separated setpoints "
        "(K); empty scrambles the 300-360 K grid from the seed", floats()),
 
     # at 0.1 two holds differ by at most 10 %, under L4's whole 11 % drop
-    _k("cycle.drift_scale", float, 0.0, "slow drift bound per cycle; 0=off, "
+    _k("cycle.drift_scale", 0.0, "slow drift bound per cycle; 0=off, "
        "0.05 reproduces the 5 % revisit discrepancy", within(0, 0.1)),
 
-    _k("hsr.t_test_k", float, 360.0, "test temperature", within(T_MIN, T_MAX)),
-    _k("hsr.v_prog_v", float, 1.5, "programming amplitude"),
-    _k("hsr.pulse_count", int, 200, "programming pulses", positive),
-    _k("hsr.retention_reads", int, 200, "retention reads", nonneg),
-    _k("hsr.retention_period_s", float, 6.0, "retention read interval",
-       positive),
+    _k("hsr.t_test_k", 360.0, "test temperature", within(T_MIN, T_MAX)),
+    _k("hsr.v_prog_v", 1.5, "programming amplitude"),
+    _k("hsr.pulse_count", 200, "programming pulses", positive),
+    _k("hsr.retention_reads", 200, "retention reads", nonneg),
+    _k("hsr.retention_period_s", 6.0, "retention read interval", positive),
 
-    _k("iv.temps_k", str, "300,330,360", "IV sweep temperatures",
+    _k("iv.temps_k", "300,330,360", "IV sweep temperatures",
        distinct(floats(within(T_MIN, T_MAX), nonempty=True))),
-    _k("iv.v_min_v", float, 0.05, "smallest sweep amplitude"),
-    _k("iv.v_max_v", float, 0.4, "largest sweep amplitude (< threshold)"),
-    _k("iv.points", int, 8, "points per polarity"),
-    _k("iv.input_csv", str, "", "extract from this IV CSV instead of "
+    _k("iv.v_min_v", 0.05, "smallest sweep amplitude"),
+    _k("iv.v_max_v", 0.4, "largest sweep amplitude (< threshold)"),
+    _k("iv.points", 8, "points per polarity"),
+    _k("iv.input_csv", "", "extract from this IV CSV instead of "
        "simulating (signature command)"),
 
     # at 0.1 the clipped scatter moves R by up to 28 %, over L4's 11 % drop
-    _k("thermometer.noise_sigma", float, 0.0, "relative read noise",
-       within(0, 0.1)),
-    _k("thermometer.trials", int, 1, "noisy inversions per settled hold",
-       positive),
+    _k("thermometer.noise_sigma", 0.0, "relative read noise", within(0, 0.1)),
+    _k("thermometer.trials", 1, "noisy inversions per settled hold", positive),
 
-    _k("neuron.theta", float, 12.5, "spike threshold; 12.5 gives a settled "
+    _k("neuron.theta", 12.5, "spike threshold; 12.5 gives a settled "
        "rate of 0.5 spikes/step at load 0.25, 300 K"),
-    _k("neuron.window", int, 25, "steps (and spikes) per rate window"),
-    _k("neuron.dt_s", float, 1.0, "seconds per step"),
-    _k("neuron.map_mode", str, "table", "feedforward: affine, table, fixed",
+    _k("neuron.window", 25, "steps (and spikes) per rate window"),
+    _k("neuron.dt_s", 1.0, "seconds per step"),
+    _k("neuron.map_mode", "table", "feedforward: affine, table, fixed",
        choice("affine", "table", "fixed")),
-    _k("neuron.kappa", float, FeedforwardMap().kappa,
+    _k("neuron.kappa", FeedforwardMap().kappa,
        "affine feedforward gain, K per load"),
-    _k("neuron.t_fixed_k", float, FeedforwardMap().t_fixed,
-       "setpoint in fixed mode"),
-    _k("neuron.gamma", float, 0.3, "residual slope of the table target"),
+    _k("neuron.t_fixed_k", FeedforwardMap().t_fixed, "setpoint in fixed mode"),
+    _k("neuron.gamma", 0.3, "residual slope of the table target"),
     # at sigma = 1 the 25 draws already span about two decades
-    _k("neuron.spread_sigma", float, 0.0, "device-to-device log-normal "
+    _k("neuron.spread_sigma", 0.0, "device-to-device log-normal "
        "spread of synapse resistance", within(0, 1)),
 
-    _k("homeostasis.pattern", str, "0.20:6000,0.30:6000",
+    _k("homeostasis.pattern", "0.20:6000,0.30:6000",
        "inline segments load:steps,..."),
-    _k("homeostasis.pattern_csv", str, "", "optional CSV (step,load) "
+    _k("homeostasis.pattern_csv", "", "optional CSV (step,load) "
        "overriding the inline pattern"),
 
-    _k("baseline.loads", str, "0.15,0.20,0.25,0.30,0.35,0.40",
+    _k("baseline.loads", "0.15,0.20,0.25,0.30,0.35,0.40",
        "loads for the baseline curve", floats(within(0, 1), nonempty=True)),
-    _k("baseline.feedforward", str, "off", "off (gain 0) or calibrated",
+    _k("baseline.feedforward", "off", "off (gain 0) or calibrated",
        choice("off", "calibrated")),
-    _k("baseline.settle_steps", int, 4000, "settling steps per load", nonneg),
-    _k("baseline.measure_steps", int, 2000, "measurement steps per load",
-       positive),
+    _k("baseline.settle_steps", 4000, "settling steps per load", nonneg),
+    _k("baseline.measure_steps", 2000, "measurement steps per load", positive),
 
-    _k("calibrate.mode", str, "table", "gain calibration mode: table or "
-       "affine"),
-    _k("calibrate.loads", str, "0.15,0.20,0.25,0.30,0.35,0.40",
+    _k("calibrate.mode", "table", "gain calibration mode: table or affine"),
+    _k("calibrate.loads", "0.15,0.20,0.25,0.30,0.35,0.40",
        "calibration loads", floats(within(0, 1))),
-    _k("calibrate.kappa_max", float, 240.0, "affine grid upper edge"),
-    _k("calibrate.kappa_step", float, 1.0, "affine grid step"),
+    _k("calibrate.kappa_max", 240.0, "affine grid upper edge"),
+    _k("calibrate.kappa_step", 1.0, "affine grid step"),
 ]}
 
 
 def _parse_value(key: _Key, raw: str):
-    raw = raw.strip()
+    raw, kind = raw.strip(), type(key.default)
     try:
-        if key.type is int:
+        if kind is int:
             return int(raw)
-        if key.type is not float:
+        if kind is not float:
             return raw
         value = float(raw)
     except ValueError:
         raise ConfigError(
-            f"bad value for {key.name}: {raw!r} is not {key.type.__name__}"
+            f"bad value for {key.name}: {raw!r} is not {kind.__name__}"
         ) from None
     if not math.isfinite(value):
         raise ConfigError(f"{key.name} must be finite, got {raw!r}")

@@ -45,21 +45,11 @@ TraceRecord = namedtuple("TraceRecord", SCHEMAS["hsr"],
                          defaults=(None, V_READ))
 
 
-class HoldSummary(NamedTuple):
-    """One settled hold: setpoint, steady-state estimate and end-of-hold data.
-
-    r_steady_ohm is the model's asymptotic read-out at the setpoint (what
-    the transient converges to); r_last_ohm is the final in-hold read.
-    """
-
-    index: int
-    t_set_K: float
-    t_start_s: float
-    t_end_s: float
-    r_steady_ohm: float
-    r_first_ohm: float
-    r_last_ohm: float
-    settled: bool
+# One settled hold: its cycle_holds row, the fields `SCHEMAS["cycle_holds"]`,
+# and the time of its last read. r_steady_ohm is the model's asymptotic
+# read-out at the setpoint (what the transient converges to); r_last_ohm
+# is the final in-hold read.
+HoldSummary = namedtuple("HoldSummary", (*SCHEMAS["cycle_holds"], "t_end_s"))
 
 
 class CycleResult(namedtuple("CycleResult",
@@ -167,29 +157,30 @@ def run_thermal_cycling(
                 )
             r_ohm += r
             holds.append(HoldSummary(
-                index=index, t_set_K=t_set, t_start_s=ts[0], t_end_s=ts[-1],
+                hold=index, t_set_K=t_set,
                 r_steady_ohm=r_eff * _ratio(t_set, phi) * factor,
-                r_first_ohm=r[0], r_last_ohm=r[-1], settled=True))
+                r_first_ohm=r[0], r_last_ohm=r[-1], settled=True,
+                t_end_s=ts[-1]))
         results.append(CycleResult(*chamber, r_ohm, holds))
     return results
 
 
-class HsrResult(NamedTuple):
-    """Heat-stimulate-retention run.
+# The hsr_summary row of one heat-stimulate-retention run, its fields
+# `SCHEMAS["hsr_summary"]`. Train fractions come in the three
+# normalisations the protocol admits: `frac_state` is the change of the
+# 300 K reference state (the model's nullcline quantity), `frac_at_T` is
+# the in-situ read at the test temperature against the pre-train read
+# there, `frac_vs_300` is the same read against the initial 300 K
+# reference.
+HsrSummary = namedtuple("HsrSummary", SCHEMAS["hsr_summary"])
 
-    Train fractions come in the three normalisations the protocol admits:
-    `frac_state` is the change of the 300 K reference state (the model's
-    nullcline quantity), `frac_at_t` is the in-situ read at the test
-    temperature against the pre-train read there, `frac_vs_300` is the
-    same read against the initial 300 K reference.
-    """
+
+class HsrResult(NamedTuple):
+    """Heat-stimulate-retention run: its trace, its summary row and the
+    device state it ends in."""
 
     records: list[TraceRecord]
-    frac_state: float
-    frac_at_t: float
-    frac_vs_300: float
-    recovered_frac: float
-    reset_pulses: int
+    summary: HsrSummary
     state_final: DeviceState
 
 
@@ -275,8 +266,10 @@ def run_heat_stimulate_retention(
 
     return HsrResult(
         records=records,
-        frac_state=frac_state, frac_at_t=frac_at_t, frac_vs_300=frac_vs_300,
-        recovered_frac=recovered, reset_pulses=reset.pulses,
+        summary=HsrSummary(
+            T_test_K=t_test, v_prog_V=v_prog, frac_state=frac_state,
+            frac_at_T=frac_at_t, frac_vs_300=frac_vs_300,
+            recovered_frac=recovered, reset_pulses=reset.pulses),
         state_final=reset.state,
     )
 
@@ -288,7 +281,7 @@ def run_nullcline_sweep(**hsr_kwargs) -> list[tuple[float, float, float]]:
     arguments other than t_test, v_prog and keep_records."""
     return [(v, T, run_heat_stimulate_retention(
                 t_test=T, v_prog=v, keep_records=False,
-                **hsr_kwargs).frac_state)
+                **hsr_kwargs).summary.frac_state)
             for v in NULLCLINE_VOLTAGES for T in NULLCLINE_TEMPS]
 
 

@@ -24,9 +24,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import namedtuple
 from typing import NamedTuple
 
 from .constants import T_MAX, T_MIN, T_REF
+from .csvio import SCHEMAS
 from .device import (CalibrationError, DeviceState, ThermalFit, _brentq,
                      _interp, _ratio, _same_slots)
 from .rng import substream
@@ -319,21 +321,13 @@ def baseline_curve(
     return out
 
 
-class GainCalibration(NamedTuple):
-    fmap: FeedforwardMap
-    mode: str
-    kappa: float                      # nan in table mode
-    rates_uncompensated: list[float]  # settled rates at kappa = 0
-    rates_calibrated: list[float]
-    loads: list[float]
-
-    @property
-    def spread_uncompensated(self) -> float:
-        return max(self.rates_uncompensated) - min(self.rates_uncompensated)
-
-    @property
-    def spread_calibrated(self) -> float:
-        return max(self.rates_calibrated) - min(self.rates_calibrated)
+# A gain calibration: its calibrate_gain row, the fields
+# `SCHEMAS["calibrate_gain"]` (kappa is nan in table mode; each spread is
+# the max - min of its rates), then the map and the settled rates at each
+# load without and with it.
+GainCalibration = namedtuple("GainCalibration", (
+    *SCHEMAS["calibrate_gain"], "fmap", "rates_uncompensated",
+    "rates_calibrated"))
 
 
 def affine_gains(kappa_max: float, step: float) -> list[float]:
@@ -395,10 +389,12 @@ def calibrate_gain(
         fmap, kappa = FeedforwardMap(kappa=best_kappa), best_kappa
     else:
         fmap, kappa = _table_map(loads, system, gamma), math.nan
+    rates_cal = [settled_rate(system, l, fmap) for l in loads]
     return GainCalibration(
-        fmap=fmap, mode=mode, kappa=kappa, rates_uncompensated=rates_k0,
-        rates_calibrated=[settled_rate(system, l, fmap) for l in loads],
-        loads=loads,
+        mode=mode, kappa=kappa,
+        spread_uncompensated=max(rates_k0) - min(rates_k0),
+        spread_calibrated=max(rates_cal) - min(rates_cal),
+        fmap=fmap, rates_uncompensated=rates_k0, rates_calibrated=rates_cal,
     )
 
 

@@ -8,7 +8,7 @@ from memthermo.cli import _hsr_args
 from memthermo.config import resolve_config
 from memthermo.constants import K_B_EV
 from memthermo.device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
-                              SwitchingParams, ThermalFit,
+                              SwitchingParams, ThermalFit, ThermionicParams,
                               rho_temperature_factor)
 from memthermo.experiments import (run_heat_stimulate_retention,
                                    run_thermal_cycling)
@@ -89,6 +89,23 @@ def shift_response():
     form of the differential switching response."""
     return lambda T, phi_app, dphi: (rho_temperature_factor(T, phi_app)
                                      * math.expm1(dphi / (K_B_EV * T)))
+
+
+@pytest.fixture(scope="session")
+def physical():
+    """The ThermionicParams of extract_thermionic's (pos, neg) rows, or
+    None unless they are physical: A > 0, phi_b (the mean of both
+    polarities) >= 0 and both alphas >= 0."""
+    def params(rows):
+        pos, neg = rows
+        phi_b = 0.5 * (pos.phi_b_eV + neg.phi_b_eV)
+        alpha_pos, alpha_neg = pos.alpha_eV_per_sqrtV, neg.alpha_eV_per_sqrtV
+        if not (pos.a_per_K2 > 0 and phi_b >= 0 and alpha_pos >= 0
+                and alpha_neg >= 0):
+            return None
+        return ThermionicParams(a_prefactor=pos.a_per_K2, phi_b=phi_b,
+                                alpha_pos=alpha_pos, alpha_neg=alpha_neg)
+    return params
 
 
 @pytest.fixture(scope="session")

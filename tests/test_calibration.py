@@ -56,25 +56,27 @@ def _synthetic_ivs(params: ThermionicParams,
                       currents=currents)
 
 
-def test_extraction_round_trip_noise_free():
+def test_extraction_round_trip_noise_free(physical):
     truth = ThermionicParams(a_prefactor=2.4e-11, phi_b=0.112,
                              alpha_pos=0.05, alpha_neg=0.03)
-    res = extract_thermionic(_synthetic_ivs(truth))
-    assert res.params is not None
-    assert res.params.a_prefactor == pytest.approx(truth.a_prefactor, rel=5e-3)
-    assert res.params.phi_b == pytest.approx(truth.phi_b, rel=5e-3)
-    assert res.params.alpha_pos == pytest.approx(truth.alpha_pos, rel=5e-3)
-    assert res.params.alpha_neg == pytest.approx(truth.alpha_neg, rel=5e-3)
-    assert res.stage1_r2_min > 0.999
-    assert res.stage2_r2_pos > 0.999 and res.stage2_r2_neg > 0.999
-    assert res.intercept_spread < 1e-9
+    rows = extract_thermionic(_synthetic_ivs(truth))
+    fitted = physical(rows)
+    assert fitted is not None
+    assert fitted.a_prefactor == pytest.approx(truth.a_prefactor, rel=5e-3)
+    assert fitted.phi_b == pytest.approx(truth.phi_b, rel=5e-3)
+    assert fitted.alpha_pos == pytest.approx(truth.alpha_pos, rel=5e-3)
+    assert fitted.alpha_neg == pytest.approx(truth.alpha_neg, rel=5e-3)
+    assert [row.polarity for row in rows] == ["pos", "neg"]
+    assert all(row.r2_stage1_min > 0.999 for row in rows)
+    assert all(row.r2_stage2 > 0.999 for row in rows)
+    assert all(row.intercept_spread < 1e-9 for row in rows)
 
 
-def test_extraction_regenerates_currents_within_one_percent():
+def test_extraction_regenerates_currents_within_one_percent(physical):
     truth = ThermionicParams(a_prefactor=1e-9, phi_b=0.2,
                              alpha_pos=0.03, alpha_neg=0.02)
     ivs = _synthetic_ivs(truth)
-    fitted = extract_thermionic(ivs).params
+    fitted = physical(extract_thermionic(ivs))
     worst = 0.0
     for T, row in zip(ivs.temperatures, ivs.currents):
         for v, i in zip(ivs.voltages, row):
@@ -85,24 +87,25 @@ def test_extraction_regenerates_currents_within_one_percent():
 
 def test_extraction_zero_alpha_degenerate_case():
     truth = ThermionicParams(a_prefactor=5e-8, phi_b=0.15)
-    res = extract_thermionic(_synthetic_ivs(truth))
-    assert abs(res.alpha_pos) < 1e-9
-    assert abs(res.alpha_neg) < 1e-9
+    pos, neg = extract_thermionic(_synthetic_ivs(truth))
+    assert abs(pos.alpha_eV_per_sqrtV) < 1e-9
+    assert abs(neg.alpha_eV_per_sqrtV) < 1e-9
 
 
-def test_extraction_exposes_ohmic_misfit():
+def test_extraction_exposes_ohmic_misfit(physical):
     # ohmic data: current independent of temperature, linear in voltage
     vs = tuple(-v for v in reversed(VOLTAGES)) + tuple(VOLTAGES)
     currents = tuple(tuple(v / 1e5 for v in vs) for _ in TEMPS)
-    res = extract_thermionic(IVCurveSet(temperatures=TEMPS, voltages=vs,
-                                        currents=currents))
-    assert res.params is None
-    assert res.phi_b_pos < 0   # wrong-sign slope betrays the misfit
+    rows = extract_thermionic(IVCurveSet(temperatures=TEMPS, voltages=vs,
+                                         currents=currents))
+    assert physical(rows) is None
+    pos, _ = rows
+    assert pos.phi_b_eV < 0   # wrong-sign slope betrays the misfit
     # the per-voltage intercepts no longer share one ln(A)
-    assert res.intercept_spread > 1.0
-    thermionic = extract_thermionic(_synthetic_ivs(
+    assert pos.intercept_spread > 1.0
+    thermionic, _ = extract_thermionic(_synthetic_ivs(
         ThermionicParams(a_prefactor=1e-9, phi_b=0.2, alpha_pos=0.03)))
-    assert res.stage1_r2_min < thermionic.stage1_r2_min
+    assert pos.r2_stage1_min < thermionic.r2_stage1_min
 
 
 def test_extraction_rejects_nonpositive_currents():
@@ -258,11 +261,11 @@ def test_switch_curve_exact_recovery(params):
     fitres = fit_switch_curve(_fraction_grid(params))
     assert fitres.g_14_310 == pytest.approx(params.g_14_310, abs=1e-9)
     assert fitres.g_14_360 == pytest.approx(params.g_14_360, abs=1e-9)
-    assert fitres.beta == pytest.approx(params.beta, abs=1e-9)
+    assert fitres.beta_per_V == pytest.approx(params.beta, abs=1e-9)
     rebuilt = SwitchingParams(**{
         name: getattr(params, name) for name in SwitchingParams.__slots__
     } | dict(g_14_310=fitres.g_14_310, g_14_360=fitres.g_14_360,
-             beta=fitres.beta))
+             beta=fitres.beta_per_V))
     assert train_switch_fraction(1.4, 310.0, rebuilt) == pytest.approx(0.22)
     assert train_switch_fraction(1.4, 360.0, rebuilt) == pytest.approx(0.27)
 

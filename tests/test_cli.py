@@ -2,6 +2,7 @@
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -953,6 +954,34 @@ def test_readme_command_block_names_every_experiment_in_order():
     [block] = [text for text in fenced if "\nmemthermo " in text]
     assert tuple(line.split()[1] for line in block.splitlines()
                  if line.startswith("memthermo ")) == EXPERIMENTS
+
+
+def test_tests_and_scripts_import_only_what_the_package_declares():
+    # CI installs `.[test]`: every other module the suite or a script
+    # imports is the stdlib, memthermo or a module of tests/. A regex
+    # reads pyproject.toml, as 3.10 has no tomllib.
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    declared = {re.match(r"[\w.-]+", spec)[0].lower().replace("-", "_")
+                for names in re.findall(r"^(?:dependencies|test) = \[(.*?)\]",
+                                        pyproject, re.M | re.S)
+                for spec in re.findall(r'"([^"]+)"', names)}
+    tests = sorted((root / "tests").glob("*.py"))
+    known = {*sys.stdlib_module_names, *declared, "memthermo",
+             *(path.stem for path in tests)}
+    undeclared = set()
+    for path in tests + sorted((root / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            undeclared.update((path.relative_to(root).as_posix(), top)
+                              for top in {n.partition(".")[0] for n in names}
+                              if top not in known)
+    assert undeclared == set()
 
 
 def _python(code, *argv, block_numpy=False, timeout=None):

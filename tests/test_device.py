@@ -7,6 +7,7 @@ retention) before being pinned here.
 """
 import math
 import re
+from decimal import Decimal, localcontext
 from functools import partial
 from types import SimpleNamespace
 
@@ -718,20 +719,20 @@ def test_barrier_shift_response_decreases_with_temperature(fit,
 
 def test_barrier_shift_response_matches_direct_difference(shift_response):
     # oracle: difference of the resistance law at the shifted and original
-    # barriers, normalised by the fixed pre-shift 300 K value, in mpmath
-    from mpmath import exp, mp, mpf
+    # barriers, normalised by the fixed pre-shift 300 K value, in 40-digit
+    # decimal arithmetic
+    with localcontext() as ctx:
+        ctx.prec = 40
+        phi, dphi, T = Decimal("0.05"), Decimal("1e-4"), Decimal("340")
+        kb = Decimal("8.617333262e-5")
 
-    mp.dps = 40
-    phi, dphi, T = mpf("0.05"), mpf("1e-4"), mpf("340")
-    kb = mpf("8.617333262e-5")
+        def resistance(phi_val, temp):
+            return (phi_val / (kb * temp)).exp() / (temp * temp)
 
-    def resistance(phi_val, temp):
-        return temp**-2 * exp(phi_val / (kb * temp))
-
-    expected = float(
-        (resistance(phi + dphi, T) - resistance(phi, T))
-        / resistance(phi, mpf(300))
-    )
+        expected = float(
+            (resistance(phi + dphi, T) - resistance(phi, T))
+            / resistance(phi, Decimal(300))
+        )
     assert shift_response(340.0, 0.05, 1e-4) == pytest.approx(
         expected, rel=1e-9)
 

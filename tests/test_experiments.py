@@ -25,6 +25,7 @@ from memthermo.device import (
 from memthermo.experiments import (
     PULSE_PERIOD_S,
     HsrResult,
+    HsrSummary,
     TraceRecord,
     _drift_factors,
     run_heat_stimulate_retention,
@@ -38,8 +39,7 @@ from memthermo.thermal import (GRID_TEMPS, PRESET_TAU_DEV_S, ProtocolError,
 
 
 def test_trace_record_fields_are_the_row_schemas():
-    # hsr rows are written as they stand, cycle rows as their first six
-    assert TraceRecord._fields == SCHEMAS["hsr"]
+    # cycle rows are the first six fields of an hsr row
     assert TraceRecord._fields[:6] == SCHEMAS["cycle"]
 
 
@@ -221,7 +221,7 @@ def test_hsr_subthreshold_programming_is_flat(hsr, state_at, fit):
               fit=fit, params=params)
     prog = [r.r_ohm for r in res.records if r.phase == "program" and r.v_V == 0.3]
     assert len(set(prog)) == 1
-    assert res.frac_state == 0.0
+    assert res.summary.frac_state == 0.0
 
 
 def test_hsr_learning_rate_nearly_temperature_invariant(hsr, state_at, fit,
@@ -230,7 +230,8 @@ def test_hsr_learning_rate_nearly_temperature_invariant(hsr, state_at, fit,
              fit=fit, params=params)
     hi = hsr(state=state_at("L1"), t_test=360.0, v_prog=1.5,
              fit=fit, params=params)
-    assert abs(hi.frac_state - lo.frac_state) / lo.frac_state <= 0.10
+    lo, hi = lo.summary.frac_state, hi.summary.frac_state
+    assert abs(hi - lo) / lo <= 0.10
 
 
 def test_hsr_retention_recovers_monotonically_but_incompletely(
@@ -241,7 +242,7 @@ def test_hsr_retention_recovers_monotonically_but_incompletely(
     program_end = [r.r_ohm for r in res.records if r.phase == "program"][-1]
     pre_train = [r.r_ohm for r in res.records if r.phase == "read"]
     assert retention[-1] > pre_train[0] * 0.39   # still above the baseline
-    assert 0 < res.recovered_frac < 1
+    assert 0 < res.summary.recovered_frac < 1
 
 
 def test_hsr_reset_restores_reference_within_one_percent(hsr, state_at, fit,
@@ -257,8 +258,8 @@ def test_hsr_emits_both_normalisations(hsr, state_at, fit, params):
     res = hsr(state=state_at("L1"), t_test=360.0, fit=fit, params=params)
     # at temperature the reading sits far below the 300 K reference even
     # after potentiation, so the two normalisations differ in sign
-    assert res.frac_at_t > 0
-    assert res.frac_vs_300 < 0
+    assert res.summary.frac_at_T > 0
+    assert res.summary.frac_vs_300 < 0
 
 
 def test_hsr_deterministic(hsr, state_at, fit, params):
@@ -324,8 +325,10 @@ def _hsr_read_by_read(t_test, v_prog, fit, params, plant, state, pulse_count,
         log(r, "program", pulse_index=k, v=v)
     return HsrResult(
         records=records,
-        frac_state=frac_state, frac_at_t=frac_at_t, frac_vs_300=frac_vs_300,
-        recovered_frac=recovered, reset_pulses=reset.pulses,
+        summary=HsrSummary(
+            T_test_K=t_test, v_prog_V=v_prog, frac_state=frac_state,
+            frac_at_T=frac_at_t, frac_vs_300=frac_vs_300,
+            recovered_frac=recovered, reset_pulses=reset.pulses),
         state_final=reset.state,
     )
 
@@ -391,7 +394,7 @@ def test_nullcline_round_trips_through_switch_fit(nullcline, params):
     # so recovery is near-exact rather than bit-exact
     assert fitres.g_14_310 == pytest.approx(params.g_14_310, abs=2e-3)
     assert fitres.g_14_360 == pytest.approx(params.g_14_360, abs=2e-3)
-    assert fitres.beta == pytest.approx(params.beta, rel=1e-3)
+    assert fitres.beta_per_V == pytest.approx(params.beta, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +441,10 @@ def test_iv_sweep_rejects_threshold_crossing():
         sweep_voltages(0.05, 0.6, 8, SwitchingParams().v_th)
 
 
-def test_iv_sweep_feeds_extraction_round_trip(cfg, fit):
+def test_iv_sweep_feeds_extraction_round_trip(cfg, fit, physical):
     truth = iv_preset("L1", fit.anchor("L1").r_ref, fit)
-    res = extract_thermionic(_iv_sweep(cfg, "L1", fit))
-    assert res.params is not None
-    assert res.params.phi_b == pytest.approx(truth.phi_b, rel=5e-3)
-    assert res.params.alpha_pos == pytest.approx(truth.alpha_pos, rel=5e-3)
-    assert res.params.alpha_neg == pytest.approx(truth.alpha_neg, rel=5e-3)
+    fitted = physical(extract_thermionic(_iv_sweep(cfg, "L1", fit)))
+    assert fitted is not None
+    assert fitted.phi_b == pytest.approx(truth.phi_b, rel=5e-3)
+    assert fitted.alpha_pos == pytest.approx(truth.alpha_pos, rel=5e-3)
+    assert fitted.alpha_neg == pytest.approx(truth.alpha_neg, rel=5e-3)
