@@ -2,8 +2,10 @@
 
 One experiment per invocation, named by the subcommand; `--out`,
 `--seed` and `--preset` spell the config keys `run.out_dir`, `run.seed`
-and `device.level`. Each run validates its configuration, simulates, and
-writes CSV files plus a manifest into the output directory. A
+and `device.level`. The command line is read here: a general-purpose
+parser cost every cold run ~3-4 ms of imports and set-up before its
+config was resolved. Each run validates its configuration, simulates,
+and writes CSV files plus a manifest into the output directory. A
 subcommand's handler yields its tables as (file stem, schema, rows) and
 `cli_dispatch` writes them. Exit codes: 0 success, 1 configuration error
 (a malformed command line too), 2 protocol, convergence,
@@ -13,7 +15,6 @@ machine-parsable line on stderr. Only the protocol handlers import
 """
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -216,41 +217,96 @@ _HANDLERS = {
 EXPERIMENTS = tuple(_HANDLERS)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):   # a command-line mistake is a config mistake
-        raise ConfigError(message)
+# each option's metavar, None for a flag, in the order an ambiguous
+# prefix lists them; a dotted metavar is the config key, upper-cased
+_OPTIONS = {"--help": None, "--version": None, "--config": "CONFIG",
+            "--set": "K=V", "--out": "RUN.OUT_DIR", "--seed": "RUN.SEED",
+            "--preset": "DEVICE.LEVEL"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="memthermo", description="Temperature-dependent "
-                     "memristor simulator and calibration toolkit")
-    parser.add_argument("--version", action="version",
-                        version=f"memthermo {__version__}")
-    parser.add_argument("experiment", choices=EXPERIMENTS)
-    parser.add_argument("--config", help="config or manifest file")
-    parser.add_argument("--set", action="append", default=[], metavar="K=V",
-                        dest="assignments", help="override one config key")
-    parser.add_argument("--out", dest="run.out_dir", help="output directory")
-    parser.add_argument("--seed", dest="run.seed", help="run seed")
-    parser.add_argument("--preset", dest="device.level",
-                        help="device level preset")
-    return parser
+def _usage() -> str:
+    flags = [f"[{opt} {meta}]" for opt, meta in _OPTIONS.items() if meta]
+    pad = "\n" + " " * len("usage: memthermo ")
+    return ("usage: memthermo [-h] [--version] " + " ".join(flags[:2]) + pad
+            + " ".join(flags[2:]) + pad + "{" + ",".join(EXPERIMENTS) + "}")
+
+
+def _option(token):
+    """(option, its `=` value or None) of a token; option is None for a
+    positional or a negative number, "" for an unknown option."""
+    if token[:1] != "-" or token == "-":
+        return None, None
+    name, eq, value = token.partition("=")
+    name = "--help" if name == "-h" else name
+    found = [name] if name in _OPTIONS else [
+        opt for opt in _OPTIONS if token[1] == "-" and opt.startswith(name)]
+    if len(found) > 1:
+        raise ConfigError(f"ambiguous option: {token} could match "
+                          + ", ".join(found))
+    if found:
+        return found[0], value if eq else None
+    number = token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."
+    return (None if number or " " in token else ""), None
+
+
+def _parse_args(tokens):
+    """(--config, overrides) of the tokens, or None once --help or
+    --version has printed. An ambiguous prefix fails first, then the
+    first mistake from the left, a missing subcommand, and leftovers.
+    `--` ends the options, and is dropped next to the subcommand."""
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_option(token) for token in tokens[:end]]   # ambiguity first
+    kinds += [("--", None)] + [(None, None)] * (len(tokens) - end)
+    experiment, values, extras, k = None, {}, [], 0
+    while k < len(tokens):
+        token, (option, value), k = tokens[k], kinds[k], k + 1
+        if option is None and experiment is None:
+            if token not in EXPERIMENTS:
+                raise ConfigError(
+                    f"argument experiment: invalid choice: {token!r} (choose "
+                    f"from {', '.join(map(repr, EXPERIMENTS))})")
+            experiment, k = token, k + (k == end)   # with a "--" right after
+        elif option == "--" and not experiment and k < len(tokens):
+            continue   # or right before
+        elif option in (None, "", "--"):   # left over
+            extras.append(token)
+        elif not _OPTIONS[option]:   # --help or --version
+            if value is not None:
+                name = "-h/--help" if option == "--help" else option
+                raise ConfigError(f"argument {name}: ignored explicit "
+                                  f"argument {value!r}")
+            print(_usage() if option == "--help" else f"memthermo {__version__}")
+            return None
+        else:
+            if value is None and kinds[k][0] is not None:
+                raise ConfigError(f"argument {option}: expected one argument")
+            if value is None:
+                value, k = tokens[k], k + 1
+            values.setdefault(option, []).append(value)
+    if experiment is None:
+        raise ConfigError("the following arguments are required: experiment")
+    if extras:
+        raise ConfigError("unrecognized arguments: " + " ".join(extras))
+    overrides = {}
+    for assignment in values.pop("--set", []):
+        key, sep, value = assignment.partition("=")
+        if not sep:
+            raise ConfigError(f"--set expects key=value, got {assignment!r}")
+        overrides[key.strip()] = value.strip()
+    # the last value of a flag beats --set, and the subcommand names the run
+    config_path = values.pop("--config", [None])[-1]
+    overrides.update((_OPTIONS[opt].lower(), given[-1])
+                     for opt, given in values.items())
+    overrides["run.experiment"] = experiment
+    return config_path, overrides
 
 
 def cli_dispatch(argv) -> int:
     try:
-        args = _build_parser().parse_args(list(argv))
-        overrides = {}
-        for assignment in args.assignments:
-            key, sep, value = assignment.partition("=")
-            if not sep:
-                raise ConfigError(f"--set expects key=value, got {assignment!r}")
-            overrides[key.strip()] = value.strip()
-        # a flag beats --set, and the subcommand names the run
-        overrides.update((key, value) for key, value in vars(args).items()
-                         if "." in key and value is not None)
-        overrides["run.experiment"] = args.experiment
-        cfg = resolve_config(config_path=args.config, overrides=overrides)
+        parsed = _parse_args(argv)
+        if parsed is None:   # --help or --version printed its text
+            return 0
+        cfg = resolve_config(*parsed)
 
         out = cfg["run.out_dir"]
         os.makedirs(out, exist_ok=True)
@@ -258,13 +314,11 @@ def cli_dispatch(argv) -> int:
         # a handler yields each table once the run has computed it, so
         # the files of a failed run are those written before it failed
         files = [emit_csv(os.path.join(out, f"{stem}.csv"), schema, rows)
-                 for stem, schema, rows in _HANDLERS[args.experiment](cfg)]
+                 for stem, schema, rows in _HANDLERS[cfg["run.experiment"]](cfg)]
         files.append(write_manifest(os.path.join(out, "manifest.txt"), cfg,
                                     numpy=rng.numpy_version))
         for path in files:
             print(path)
-        return 0
-    except SystemExit:   # --help or --version printed its text
         return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import NamedTuple
+from collections import namedtuple
 
 from .constants import R_CEILING, R_FLOOR, T_MAX, T_MIN
 from .device import (DEFAULT_ANCHORS, LEVEL_ORDER, DeviceState,
@@ -95,11 +95,9 @@ def distinct(check):
         else "a list without repeats")
 
 
-class _Key(NamedTuple):
-    name: str
-    default: object   # its type is the key's type: int, float or str
-    help: str
-    check: object = None   # value -> None, or the text after "must be"
+# A config key; its default's type (int, float or str) is the key's type,
+# and check maps a value to None or to the text after "must be".
+_Key = namedtuple("_Key", "name default help check", defaults=(None,))
 
 
 _k = _Key
@@ -147,9 +145,9 @@ REGISTRY: dict[str, _Key] = {k.name: k for k in [
        "chamber air time constant"),
     _k("plant.tau_dev_s", 0.0, "device time constant; 0 uses the preset's"),
 
-    *(_k(_switching_key(name), getattr(SwitchingParams(), name),
+    *(_k(_switching_key(name), getattr(default, name),
          f"SwitchingParams.{name}")
-      for name in SwitchingParams.__slots__),
+      for default in [SwitchingParams()] for name in default.__slots__),
 
     _k("schedule.hold_s", 3600.0, "hold per setpoint", positive),
     _k("schedule.read_period_s", 6.0, "read cadence during holds", positive),

@@ -42,7 +42,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .constants import K_B_EV, R_CEILING, R_FLOOR, T_MAX, T_MIN, T_REF, V_READ
 
@@ -260,16 +260,10 @@ def calibrate_phi_from_drop(total_drop: float) -> float:
     return phi
 
 
-class LevelAnchor(NamedTuple):
-    """One calibrated resistive level: reference resistance, its
-    fractional drop over the full 300->360 K window, and the IV
-    barrier-lowering factors (eV/sqrt(V)) per bias polarity."""
-
-    label: str
-    r_ref: float
-    total_drop: float
-    alpha_pos: float = 0.0
-    alpha_neg: float = 0.0
+# One calibrated resistive level: reference resistance, its fractional 300
+# -> 360 K drop and the IV barrier lowering (eV/sqrt(V)) per bias polarity.
+LevelAnchor = namedtuple("LevelAnchor", "label r_ref total_drop alpha_pos "
+                         "alpha_neg", defaults=(0.0, 0.0))
 
 
 # The programmed levels, the one level table: the fit.* config keys (and
@@ -438,20 +432,12 @@ class IVCurveSet:
                 for v, i in zip(self.voltages, row))
 
 
-class TrainEra(NamedTuple):
-    """Progress along one saturating pulse-train curve.
-
-    A train era is pinned to the (v, T) it started with; consecutive
-    trains at the same amplitude and temperature continue the same curve,
-    which makes splitting a train into segments exactly equivalent to one
-    long train. Retention and resets invalidate the era.
-    """
-
-    v: float
-    T: float
-    fraction: float      # asymptotic train fraction, burn-in folded in
-    n: int               # pulses already delivered on this curve
-    r_start: float       # r_eff at era start
+# Progress along one saturating pulse-train curve: amplitude v, temperature
+# T, asymptotic train fraction (burn-in folded in), pulses n delivered on
+# it and r_eff at its start. Trains at the same (v, T) continue the curve,
+# so a train split into segments equals one long train; retention and
+# resets invalidate the era.
+TrainEra = namedtuple("TrainEra", "v T fraction n r_start")
 
 
 class DeviceState:
@@ -648,11 +634,9 @@ RESET_TOLERANCE = 0.01
 RESET_MAX_PULSES = 10_000
 
 
-class ResetResult(NamedTuple):
-    state: DeviceState
-    pulses: int
-    resistances: tuple[float, ...]   # 300 K read after each pulse
-    voltages: tuple[float, ...]      # amplitude of each pulse
+# A reset's final state, its pulse count, and the 300 K read after and
+# the amplitude of each pulse.
+ResetResult = namedtuple("ResetResult", "state pulses resistances voltages")
 
 
 def reset_to_reference(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple, Sequence
 
 from .constants import T_MAX, T_MIN, T_REF, V_READ
 from .csvio import SCHEMAS
@@ -116,7 +115,7 @@ def run_thermal_cycling(
     seed: int,
     fit: ThermalFit,
     plant: ThermalPlant,
-    states: Sequence[DeviceState],
+    states: list[DeviceState],
     read_period_s: float,
     drift_scale: float,
 ) -> list[CycleResult]:
@@ -175,13 +174,9 @@ def run_thermal_cycling(
 HsrSummary = namedtuple("HsrSummary", SCHEMAS["hsr_summary"])
 
 
-class HsrResult(NamedTuple):
-    """Heat-stimulate-retention run: its trace, its summary row and the
-    device state it ends in."""
-
-    records: list[TraceRecord]
-    summary: HsrSummary
-    state_final: DeviceState
+# A heat-stimulate-retention run: its trace (TraceRecord), its summary
+# row (HsrSummary) and the device state it ends in.
+HsrResult = namedtuple("HsrResult", "records summary state_final")
 
 
 def run_heat_stimulate_retention(

@@ -25,7 +25,6 @@ import bisect
 import itertools
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 from .constants import T_MAX, T_MIN, T_REF
 from .csvio import SCHEMAS
@@ -244,12 +243,12 @@ def settled_rate(system: NeuronSystem, load: float,
     return math.fsum(system.weights_at(t_inf)) * load / system.theta
 
 
-class HomeostasisResult(NamedTuple):
-    spikes: list[int]         # spikes per step
-    segments: list[tuple[int, float, float]]   # (steps, mean load, setpoint)
-    t_dev: list[float]
-    dt_s: float
-    window: int
+class HomeostasisResult(namedtuple("HomeostasisResult",
+                                   "spikes segments t_dev dt_s window")):
+    """Spikes and device temperature per step, (steps, mean load,
+    setpoint) per segment, the step length and the rate window."""
+
+    __slots__ = ()
 
     @property
     def steps(self) -> int:

@@ -289,6 +289,12 @@ def test_help_and_version_exit_zero_without_stderr(capsys, argv):
     assert "memthermo" in captured.out and captured.err == ""
 
 
+_INVALID_NOSUCH = (
+    "argument experiment: invalid choice: 'nosuch' (choose from 'cycle', "
+    "'levels', 'iv', 'signature', 'hsr', 'nullcline', 'thermometer', "
+    "'baseline', 'homeostasis', 'calibrate')")
+
+
 @pytest.mark.parametrize("argv, reason", [
     # all but seed-neg and set-no-value once printed a usage block and
     # "memthermo: error: ..." (the parser's own type and choices restated
@@ -300,32 +306,145 @@ def test_help_and_version_exit_zero_without_stderr(capsys, argv):
     pytest.param(["cycle", "--preset", "L9"],
                  "device.level must be one of pristine, L1, L2, L3, L4, got "
                  "'L9'", id="preset-L9"),
-    pytest.param(["nosuch"], "argument experiment: invalid choice: 'nosuch'",
-                 id="nosuch"),
+    pytest.param(["nosuch"], _INVALID_NOSUCH, id="nosuch"),
     pytest.param([], "the following arguments are required: experiment",
                  id="no-arguments"),
     pytest.param(["cycle", "--bogus"], "unrecognized arguments: --bogus",
                  id="bogus-flag"),
     pytest.param(["cycle", "extra"], "unrecognized arguments: extra",
                  id="extra-argument"),
-    pytest.param(["iv", "--se", "3"], "ambiguous option: --se could match",
+    pytest.param(["iv", "--se", "3"],
+                 "ambiguous option: --se could match --set, --seed",
                  id="ambiguous-se"),
     pytest.param(["iv", "--set", "run.seed"],
                  "--set expects key=value, got 'run.seed'", id="set-no-value"),
 ])
 def test_command_line_mistake_fails_as_config_error_on_one_line(
         tmp_path, capsys, monkeypatch, argv, reason):
-    # argparse words some messages differently across Python versions, so
-    # the reason is the start of the line; a run would write into ./out
+    # a run would write into ./out
     monkeypatch.chdir(tmp_path)
     assert _run(*argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config: {reason}")
-    assert err.count("\n") == 1 and err.endswith("\n")
-    assert "usage:" not in err and not list(tmp_path.iterdir())
+    assert err == f"error: config: {reason}\n"
+    assert not list(tmp_path.iterdir())
     if argv in (["cycle", "--seed", "abc"], ["nosuch"]):
         run = _cli_process(*argv)
         assert (run.returncode, run.stdout, run.stderr) == (1, "", err)
+
+
+_USAGE = "usage: memthermo [-h] [--version] [--config CONFIG] [--set K=V]"
+_VERSION = f"memthermo {__version__}"
+_EXPECTS_SEED = "argument --seed: expected one argument"
+_REQUIRED = "the following arguments are required: experiment"
+
+
+def _ran(seed, level):
+    return 0, "{out}/cycle.csv", (seed, level)
+
+
+# the command-line grammar, each argv with its exit code, then the first
+# stdout line of a run, --help or --version, or the reason of its one
+# stderr line, then a run's (run.seed, device.level); "{out}" is a fresh
+# directory, which a run's manifest names as run.out_dir
+@pytest.mark.parametrize("argv, code, line, manifest", [
+    pytest.param(["--seed", "3", "cycle", "--out", "{out}"], *_ran("3",
+                 "pristine"), id="option-before-command"),
+    pytest.param(["cycle", "--seed=3", "--out={out}"], *_ran("3", "pristine"),
+                 id="option-equals-value"),
+    pytest.param(["cycle", "--pre", "L1", "--see", "3", "--ou", "{out}"],
+                 *_ran("3", "L1"), id="unique-prefixes"),
+    pytest.param(["cycle", "--seed", "1", "--seed", "2", "--out", "{out}"],
+                 *_ran("2", "pristine"), id="last-value-wins"),
+    pytest.param(["cycle", "--seed", "-5", "--seed", "1", "--out", "{out}"],
+                 *_ran("1", "pristine"), id="negative-number-is-a-value"),
+    pytest.param(["cycle", "--set", "run.seed=4", "--set", "device.level=L2",
+                  "--out", "{out}"], *_ran("4", "L2"), id="set-repeats"),
+    pytest.param(["--out", "{out}", "cycle", "--"], *_ran("0", "pristine"),
+                 id="dashdash-after-command"),
+    pytest.param(["--out", "{out}", "--", "cycle"], *_ran("0", "pristine"),
+                 id="dashdash-before-command"),
+    *(pytest.param(argv, 0, _USAGE, None, id="+".join(argv))
+      for argv in (["-h"], ["--help"], ["--he"], ["--help", "nosuch"],
+                   ["cycle", "--help"], ["cycle", "--bogus", "--help"])),
+    *(pytest.param(argv, 0, _VERSION, None, id="+".join(argv))
+      for argv in (["--version"], ["--ver"], ["--version", "cycle"])),
+    pytest.param(["nosuch", "--se", "3"], 1,
+                 "ambiguous option: --se could match --set, --seed", None,
+                 id="ambiguous-prefix-first"),
+    pytest.param(["cycle", "--se=3"], 1,
+                 "ambiguous option: --se=3 could match --set, --seed", None,
+                 id="ambiguous-prefix-equals"),
+    pytest.param(["--=3", "cycle"], 1,
+                 "ambiguous option: --=3 could match --help, --version, "
+                 "--config, --set, --out, --seed, --preset", None,
+                 id="empty-prefix-equals"),
+    pytest.param(["nosuch", "--help"], 1, _INVALID_NOSUCH, None,
+                 id="invalid-choice-before-help"),
+    pytest.param(["--", "--help"], 1, _INVALID_NOSUCH.replace(
+        "'nosuch'", "'--help'"), None, id="dashdash-ends-options"),
+    pytest.param(["cycle", "--seed"], 1, _EXPECTS_SEED, None,
+                 id="seed-without-value"),
+    pytest.param(["cycle", "--set"], 1,
+                 "argument --set: expected one argument", None,
+                 id="set-without-value"),
+    pytest.param(["cycle", "--seed", "--", "3"], 1, _EXPECTS_SEED, None,
+                 id="seed-before-dashdash"),
+    pytest.param(["cycle", "--seed", "-1"], 1,
+                 "run.seed must be >= 0, got -1", None, id="seed-minus-one"),
+    pytest.param(["cycle", "--seed", "-.5"], 1,
+                 "bad value for run.seed: '-.5' is not int", None,
+                 id="seed-minus-point-five"),
+    pytest.param(["cycle", "--seed", "-1.5"], 1,
+                 "bad value for run.seed: '-1.5' is not int", None,
+                 id="seed-minus-one-point-five"),
+    pytest.param(["cycle", "--seed", "-1e5"], 1, _EXPECTS_SEED, None,
+                 id="seed-minus-1e5"),
+    pytest.param(["cycle", "--seed", "-1."], 1, _EXPECTS_SEED, None,
+                 id="seed-minus-one-point"),
+    pytest.param([], 1, _REQUIRED, None, id="no-arguments"),
+    pytest.param(["--bogus"], 1, _REQUIRED, None, id="required-before-unknown"),
+    pytest.param(["cycle", "--bogus", "x"], 1,
+                 "unrecognized arguments: --bogus x", None, id="leftovers"),
+    pytest.param(["cycle", "-x"], 1, "unrecognized arguments: -x", None,
+                 id="unknown-short"),
+    pytest.param(["cycle", "-"], 1, "unrecognized arguments: -", None,
+                 id="lone-dash"),
+    pytest.param(["cycle", "--see x"], 1, "unrecognized arguments: --see x",
+                 None, id="spaced-token-is-positional"),
+    pytest.param(["cycle", "--", "--seed", "3"], 1,
+                 "unrecognized arguments: --seed 3", None,
+                 id="options-after-dashdash"),
+    pytest.param(["cycle", "--out", "{out}", "--"], 1,
+                 "unrecognized arguments: --", None,
+                 id="dashdash-apart-from-command"),
+    pytest.param(["--help=x"], 1,
+                 "argument -h/--help: ignored explicit argument 'x'", None,
+                 id="help-equals"),
+    pytest.param(["--version=x"], 1,
+                 "argument --version: ignored explicit argument 'x'", None,
+                 id="version-equals"),
+])
+def test_command_line_grammar(tmp_path, capsys, monkeypatch, argv, code,
+                              line, manifest):
+    # the usage's first line is the one argparse printed at 80 columns
+    # (it wrapped to the terminal's width); a run would otherwise write
+    # into ./out
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "run")
+    assert _run(*(arg.replace("{out}", out) for arg in argv)) == code
+    captured = capsys.readouterr()
+    if code:
+        assert (captured.out, captured.err) == ("", f"error: config: {line}\n")
+    else:
+        assert captured.err == ""
+        assert captured.out.split("\n")[0] == line.replace("{out}", out)
+    if manifest is None:
+        assert not list(tmp_path.iterdir())
+    else:
+        lines = (tmp_path / "run" / "manifest.txt").read_text().splitlines()
+        assert {f"run.seed = {manifest[0]}", f"device.level = {manifest[1]}",
+                f"run.out_dir = {out}"} <= set(lines)
 
 
 def test_flags_and_subcommand_beat_set(tmp_path, capsys):
@@ -901,7 +1020,6 @@ def test_arguments_filled_from_cfg_have_no_default():
 
 # the definitions in src that no src code names, each with why it stays
 _UNREFERENCED = {
-    "_Parser.error": "argparse calls it on a command-line mistake",
     "PCG64.random_raw": "tests/test_rng.py checks its words against numpy",
 }
 
@@ -984,16 +1102,19 @@ def test_tests_and_scripts_import_only_what_the_package_declares():
     assert undeclared == set()
 
 
-def _python(code, *argv, block_numpy=False, timeout=None):
+def _python(code, *argv, block_numpy=False, no_site=False, timeout=None):
     """Run `code` with argv in a fresh interpreter on the checkout's src;
     with block_numpy, a None entry in sys.modules makes every
-    `import numpy` fail loudly."""
+    `import numpy` fail loudly; with no_site, `python -S` imports nothing
+    for `site`, so sys.modules holds only what the code loads."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     if block_numpy:
         code = "import sys\nsys.modules['numpy'] = None\n" + code
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True, timeout=timeout)
+    flags = ["-S"] if no_site else []
+    return subprocess.run([sys.executable, *flags, "-c", code, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def _cli_process(*argv, block_numpy=False, timeout=None):
@@ -1156,6 +1277,16 @@ def test_cli_import_pulls_in_no_dataclasses(module):
     # dataclasses imports inspect, ast, dis and tokenize, and execs the
     # generated methods of each class: ~25 ms of every cold run
     assert _imported_by_cli(module).stdout.strip() == "[]"
+
+
+def test_cli_import_on_a_bare_interpreter_loads_no_parser_modules():
+    # argparse with gettext, and typing with re and enum, cost a cold run
+    # ~2-4 ms before its config is resolved; -S keeps what site loads (a
+    # .pth file may import typing) out of the count
+    run = _python("import memthermo.cli, sys\nprint(sorted(sys.modules.keys()"
+                  " & {'argparse', 'gettext', 'typing', 're', 'enum'}))",
+                  no_site=True)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")
 
 
 def test_neuron_commands_load_no_protocol_module(tmp_path):
